@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -33,10 +34,22 @@ EXIT_RESONANCE = 3
 EXIT_ACCURACY = 4
 
 
+def _reject_non_finite(token):
+    raise ConfigError(f"config numbers must be finite, got {token}")
+
+
+def _finite_float(token):
+    value = float(token)
+    if not math.isfinite(value):
+        _reject_non_finite(token)
+    return value
+
+
 def _load_config(path):
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_constant=_reject_non_finite,
+                             parse_float=_finite_float)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
@@ -77,7 +90,7 @@ def _parse_cloak_params(doc, rho):
 # -- converge -----------------------------------------------------------------
 
 
-def cmd_converge(config_path, out_dir, tol, jobs):
+def cmd_converge(config_path, out_dir, tol):
     doc = _load_config(config_path)
     _require_keys(doc, {"scenario", "params", "source", "phi"},
                   {"boundary", "quadrature", "seed"}, "converge config")
@@ -109,8 +122,6 @@ def cmd_converge(config_path, out_dir, tol, jobs):
               [[r["rho"], r["pairing"].real, r["pairing"].imag,
                 r["predicted"].real, r["predicted"].imag, r["abs_err"]]
                for r in rows])
-    n_max = modal.truncation_order(
-        source, _parse_cloak_params(pdoc, rho_list[0]), qtol)
     summary = {"fitted_rate": rate,
                "abs_err_final": rows[-1]["abs_err"],
                "rho_final": rows[-1]["rho"]}
@@ -119,7 +130,8 @@ def cmd_converge(config_path, out_dir, tol, jobs):
         fh.write("\n")
     RunManifest(scenario=doc["scenario"], command="converge", params=pdoc,
                 source=doc["source"], boundary=doc.get("boundary", []),
-                phi=doc["phi"], quadrature={"tol": qtol}, n_max=n_max,
+                phi=doc["phi"], quadrature={"tol": qtol},
+                n_max=max(r["n_max"] for r in rows),
                 seed=int(doc.get("seed", 0))).write(out / "manifest.json")
     return EXIT_OK
 
@@ -127,7 +139,9 @@ def cmd_converge(config_path, out_dir, tol, jobs):
 # -- fields ---------------------------------------------------------------------
 
 
-def cmd_fields(config_path, out_dir, tol, jobs):
+def cmd_fields(config_path, out_dir, tol):
+    if tol is not None:
+        raise ConfigError("fields has no tolerance to override; drop --tol")
     doc = _load_config(config_path)
     _require_keys(doc, {"scenario", "params", "source", "space"},
                   {"points", "points_csv", "boundary", "seed"}, "fields config")
@@ -162,7 +176,7 @@ def cmd_fields(config_path, out_dir, tol, jobs):
 # -- halfspace -------------------------------------------------------------------
 
 
-def cmd_halfspace(config_path, out_dir, tol, jobs):
+def cmd_halfspace(config_path, out_dir, tol):
     doc = _load_config(config_path)
     _require_keys(doc, {"scenario", "omega", "kz", "rho_list", "phi"},
                   {"hin_re", "hin_im", "pairing_halfwidth", "seed"},
@@ -210,7 +224,7 @@ def cmd_halfspace(config_path, out_dir, tol, jobs):
 # -- check-specfun ----------------------------------------------------------------
 
 
-def cmd_check_specfun(config_path, out_dir, tol, jobs):
+def cmd_check_specfun(config_path, out_dir, tol):
     if config_path is not None:
         doc = _load_config(config_path)
         _require_keys(doc, set(), {"scenario", "n_max", "t_lo", "t_hi",
@@ -292,8 +306,6 @@ def build_parser():
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--tol", type=float, default=None,
                        help="override the configured tolerance")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker cap (outputs are order-deterministic)")
     return parser
 
 
@@ -301,7 +313,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     func = _COMMANDS[args.command][0]
     try:
-        return func(args.config, args.out, args.tol, args.jobs)
+        return func(args.config, args.out, args.tol)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

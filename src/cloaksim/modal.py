@@ -307,10 +307,12 @@ def sigma_uncollapsed(n: int, q, params: CloakParams) -> complex:
 
 def truncation_order(source: SourceCoeffs, params: CloakParams,
                      tol: float) -> int:
-    """Smallest N whose tail S_n^2 |q| |h_n(k w r1)| sums below tol.
+    """Smallest N whose tail S_n^2 (|p| + |q|) |h_n(k w r1)| sums below tol.
 
-    The weight matches the term size of the normal-component series on the
-    support sphere, so dropping degrees above N perturbs pairings by < tol.
+    The weight matches the term size of the field series on the support
+    sphere, summed over the (gamma, p) and (eta, q) chains, so dropping
+    degrees above N perturbs the fields by < tol and no mode driven by
+    either chain alone is dropped while its term is above tol.
     """
     if tol <= 0:
         raise DomainError(f"tol must be positive, got {tol}")
@@ -318,8 +320,7 @@ def truncation_order(source: SourceCoeffs, params: CloakParams,
     weights = {}
     for (n, m), (p, q) in sorted(source.entries.items()):
         _, h, _, _ = _ladder_values(n, t)
-        w = n * (n + 1) * abs(q) * h.magnitude()
-        weights[(n, m)] = w
+        weights[(n, m)] = n * (n + 1) * (abs(p) + abs(q)) * h.magnitude()
     degrees = sorted({n for n, _ in weights})
     for cand in [0] + degrees:
         tail = sum(w for (n, _), w in weights.items() if n > cand)
@@ -329,12 +330,12 @@ def truncation_order(source: SourceCoeffs, params: CloakParams,
 
 
 def check_decay_certificate(source: SourceCoeffs, params: CloakParams) -> None:
-    """Warn when the tail of S_n^2 |q||h_n(k w r1)| is not decaying."""
+    """Warn when the tail of S_n^2 (|p| + |q|) |h_n(k w r1)| grows."""
     t = params.k * params.omega * source.r1
     by_degree = {}
     for (n, m), (p, q) in source.entries.items():
         _, h, _, _ = _ladder_values(n, t)
-        w = n * (n + 1) * abs(q) * h.magnitude()
+        w = n * (n + 1) * (abs(p) + abs(q)) * h.magnitude()
         by_degree[n] = max(by_degree.get(n, 0.0), w)
     degrees = sorted(by_degree)
     if len(degrees) >= 2 and by_degree[degrees[-1]] > by_degree[degrees[-2]]:

@@ -12,10 +12,8 @@ the coefficient against the conjugate harmonic of its mode).
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-
-import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import specfun
 from .errors import DomainError
@@ -74,29 +72,79 @@ class RadialTestFunction:
 
         The first knot must carry value 0 (the profile continues by zero
         toward the origin); a final (2, 0) knot is appended when absent.
+        Knot radii must be distinct and lie in (0, 2], values finite.
         """
-        pts = sorted((float(r), float(v)) for r, v in knots)
+        try:
+            pts = sorted((float(r), float(v)) for r, v in knots)
+        except (TypeError, ValueError) as exc:
+            raise DomainError(
+                f"spline knots must be (r, value) pairs: {exc}") from exc
+        if not all(math.isfinite(r) and math.isfinite(v) for r, v in pts):
+            raise DomainError("spline knots must be finite")
         if not pts or pts[0][1] != 0.0:
             raise DomainError("first spline knot must have value 0")
-        if pts[-1][0] > 2.0:
+        if pts[0][0] <= 0.0 or pts[-1][0] > 2.0:
             raise DomainError("spline knots must lie within (0, 2]")
         if pts[-1][0] < 2.0:
             pts.append((2.0, 0.0))
         elif pts[-1][1] != 0.0:
             raise DomainError("knot at r=2 must carry value 0")
-        xs = np.array([p[0] for p in pts])
-        vs = np.array([p[1] for p in pts])
-        spline = CubicSpline(xs, vs, bc_type="natural")
-        dspline = spline.derivative()
-        lo = xs[0]
+        if len(pts) < 2:
+            raise DomainError("spline needs a knot below r=2")
+        if any(a[0] == b[0] for a, b in zip(pts, pts[1:])):
+            raise DomainError("spline knot radii must be distinct")
+        xs = [r for r, _ in pts]
+        ys, b, c, d = _natural_spline_coeffs(xs, [v for _, v in pts])
+        lo, last = xs[0], len(xs) - 1
 
-        def phi(r, _s=spline, _lo=lo):
-            return float(_s(r)) if _lo <= r <= 2.0 else 0.0
+        # scalar Horner on plain floats: the quadrature calls these per node;
+        # phi(2) is 0 exactly, not the rounding of the last interval's cubic
+        def phi(r):
+            if not lo <= r < 2.0:
+                return 0.0
+            i = bisect_right(xs, r, 1, last) - 1
+            t = float(r) - xs[i]
+            return ys[i] + t * (b[i] + t * (c[i] + t * d[i]))
 
-        def dphi(r, _d=dspline, _lo=lo):
-            return float(_d(r)) if _lo <= r <= 2.0 else 0.0
+        def dphi(r):
+            if not lo <= r <= 2.0:
+                return 0.0
+            i = bisect_right(xs, r, 1, last) - 1
+            t = float(r) - xs[i]
+            return b[i] + t * (2.0 * c[i] + t * 3.0 * d[i])
 
         return RadialTestFunction({(n, m): (phi, dphi) for (n, m) in modes})
+
+
+def _natural_spline_coeffs(xs, ys):
+    """Horner coefficients of the natural cubic spline through (xs, ys).
+
+    On [xs[i], xs[i+1]] the spline is ys[i] + t (b[i] + t (c[i] + t d[i]))
+    with t = r - xs[i]; returns (ys, b, c, d).  The interior knot moments
+    M (second derivatives, zero at both ends) solve the tridiagonal system
+    h[i-1] M[i-1] + 2 (h[i-1] + h[i]) M[i] + h[i] M[i+1]
+    = 6 (slope[i] - slope[i-1]) by the Thomas algorithm; it is diagonally
+    dominant, so no pivoting is needed.
+    """
+    n = len(xs) - 1
+    h = [xs[i + 1] - xs[i] for i in range(n)]
+    slope = [(ys[i + 1] - ys[i]) / h[i] for i in range(n)]
+    diag, rhs = [0.0] * n, [0.0] * n
+    for i in range(1, n):
+        diag[i] = 2.0 * (h[i - 1] + h[i])
+        rhs[i] = 6.0 * (slope[i] - slope[i - 1])
+        if i > 1:
+            w = h[i - 1] / diag[i - 1]
+            diag[i] -= w * h[i - 1]
+            rhs[i] -= w * rhs[i - 1]
+    moments = [0.0] * (n + 1)
+    for i in range(n - 1, 0, -1):
+        moments[i] = (rhs[i] - h[i] * moments[i + 1]) / diag[i]
+    b = [slope[i] - h[i] * (2.0 * moments[i] + moments[i + 1]) / 6.0
+         for i in range(n)]
+    c = [0.5 * moments[i] for i in range(n)]
+    d = [(moments[i + 1] - moments[i]) / (6.0 * h[i]) for i in range(n)]
+    return ys[:n], b, c, d
 
 
 # -- pairings ------------------------------------------------------------------
@@ -345,8 +393,8 @@ def convergence_study(source: SourceCoeffs, phi: RadialTestFunction,
     """Normal-pairing sweep over regularisation radii.
 
     Returns (rows, fitted_rate): one row per rho with the total pairing, the
-    predicted limit, and the absolute error; the rate is the fitted slope of
-    error against rho.
+    predicted limit, the absolute error and the truncation degree n_max of
+    the solve; the rate is the fitted slope of error against rho.
     """
     rows = []
     errs, rhos = [], []
@@ -361,7 +409,7 @@ def convergence_study(source: SourceCoeffs, phi: RadialTestFunction,
                    + pairing_exterior_normal(solution, phi, tol))
         err = abs(pairing - predicted)
         rows.append({"rho": rho, "pairing": pairing, "predicted": predicted,
-                     "abs_err": err})
+                     "abs_err": err, "n_max": solution.n_max})
         errs.append(err)
         rhos.append(rho)
     rate = fit_power_law(rhos, errs) if len([e for e in errs if e > 0]) >= 2 else math.nan

@@ -1,7 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
+import cloaksim
+from cloaksim import modal
 from cloaksim.cli import main
+from cloaksim.geometry import CloakParams
 from cloaksim.manifest import RunManifest
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -51,6 +59,44 @@ class TestConverge:
         assert run(["converge", "--config", cfg, "--out", tmp_path]) == 2
         assert "surprise" in capsys.readouterr().err
 
+    def test_manifest_records_the_solve_truncation(self, tmp_path):
+        doc = json.loads((SCENARIOS / "converge_single_mode.json").read_text())
+        doc["source"].append({"n": 6, "m": 2, "q_re": 1e-15})
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        # the CLI tolerance is far looser than the solve's own
+        assert run(["converge", "--config", cfg, "--out", tmp_path,
+                    "--tol", "1e-6"]) == 0
+        pdoc = doc["params"]
+        params = CloakParams(rho=pdoc["rho_list"][-1], omega=pdoc["omega"],
+                             r1=pdoc["r1"])
+        source = modal.parse_source_table(doc["source"], r1=pdoc["r1"])
+        n_max = modal.solve_source(source, None, params).n_max
+        assert n_max == 6
+        assert RunManifest.read(tmp_path / "manifest.json").n_max == n_max
+
+    @pytest.mark.parametrize("knots", [
+        [[0.4, 0.0], [1.0, 1.0], [1.0, 0.5]],
+        [[0.4, 0.0], [1.0, 1.0], [0.7, 2.0], [0.7, 1.0]],
+        [[2.0, 0.0]],
+    ])
+    def test_bad_spline_knots_exit_2(self, tmp_path, capsys, knots):
+        doc = json.loads((SCENARIOS / "converge_single_mode.json").read_text())
+        doc["phi"] = {"family": "spline", "modes": [[1, 0]], "knots": knots}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert run(["converge", "--config", cfg, "--out", tmp_path]) == 2
+        assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_source_number_exits_2(self, tmp_path, capsys, token):
+        text = (SCENARIOS / "converge_single_mode.json").read_text()
+        assert '"q_re": 1.0' in text
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text.replace('"q_re": 1.0', f'"q_re": {token}'))
+        assert run(["converge", "--config", cfg, "--out", tmp_path]) == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_manifest_round_trip(self, tmp_path):
         run(["converge", "--config", SCENARIOS / "converge_single_mode.json",
              "--out", tmp_path])
@@ -98,6 +144,13 @@ class TestFields:
         assert run(["fields", "--config", cfg, "--out", tmp_path / "o"]) == 0
         lines = (tmp_path / "o" / "fields.csv").read_text().strip().splitlines()
         assert len(lines) == 3
+
+    def test_tol_flag_exits_2(self, tmp_path, capsys):
+        code = run(["fields", "--config", SCENARIOS / "fields_single_mode.json",
+                    "--out", tmp_path, "--tol", "1e-6"])
+        assert code == 2
+        assert "--tol" in capsys.readouterr().err
+        assert not (tmp_path / "fields.csv").exists()
 
     def test_points_and_csv_together_rejected(self, tmp_path):
         doc = json.loads((SCENARIOS / "fields_single_mode.json").read_text())
@@ -150,3 +203,22 @@ class TestCheckSpecfun:
         assert code == 4
         report = json.loads((tmp_path / "specfun_report.json").read_text())
         assert report["pass"] is False
+
+
+class TestStartup:
+    def test_jobs_flag_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit) as err:
+            run(["check-specfun", "--out", tmp_path, "--jobs", "2"])
+        assert err.value.code == 2
+
+    def test_cli_import_leaves_scipy_unloaded(self):
+        src = str(Path(cloaksim.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p])
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, cloaksim.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+            env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"

@@ -230,6 +230,26 @@ class TestTruncationAndTables:
         assert tail < 1e-10 < tail_prev
         assert n_max == 45
 
+    def test_p_only_mode_is_kept(self):
+        src = modal.SourceCoeffs(entries={(1, 0): (1 + 0j, 0j)}, r1=0.5)
+        assert modal.truncation_order(src, SINGLE, 1e-10) == 1
+        sol = modal.solve_source(src, None, SINGLE)
+        assert sol.n_max == 1 and list(sol.modes) == [(1, 0)]
+        assert sol.modes[(1, 0)].gamma.to_complex() != 0
+
+    def test_p_only_modes_above_q_modes_are_kept(self):
+        entries = {(1, 0): (0j, 1 + 0j), (2, 0): (1 + 0j, 0j),
+                   (3, 1): (0.5j, 0j)}
+        src = modal.SourceCoeffs(entries=entries, r1=0.5)
+        sol = modal.solve_source(src, None, SINGLE)
+        assert sol.n_max == 3 and sorted(sol.modes) == sorted(entries)
+
+    def test_decay_warning_for_growing_p_tail(self):
+        entries = {(1, 0): (0j, 1.0), (2, 0): (1e6, 0j)}
+        src = modal.SourceCoeffs(entries=entries, r1=0.5)
+        with pytest.warns(UserWarning, match="tail is growing"):
+            modal.check_decay_certificate(src, SINGLE)
+
     def test_decay_warning_for_growing_tail(self):
         entries = {(1, 0): (0j, 1.0), (2, 0): (0j, 1e6)}
         src = modal.SourceCoeffs(entries=entries, r1=0.5)

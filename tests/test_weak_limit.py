@@ -53,6 +53,62 @@ class TestTestFunctions:
             RadialTestFunction({(1, 0): (lambda r: 1.0, lambda r: 0.0)})
 
 
+class TestSplineAgainstScipy:
+    """The numpy-free natural spline against scipy's CubicSpline oracle."""
+
+    @pytest.mark.parametrize("knots", [
+        [(0.4, 0.0)],                                  # 2 knots after (2, 0)
+        [(0.4, 0.0), (1.0, 1.0)],                      # 3 knots
+        [(0.4, 0.0), (1.0, 1.0), (2.0, 0.0)],          # r=2 knot supplied
+        [(0.4, 0.0), (1.0, 1.0), (1.5, 0.5)],          # (2, 0) appended
+        [(0.25, 0.0)] + [(0.25 + 0.0875 * i, math.sin(1.7 * i))
+                         for i in range(1, 20)] + [(2.0, 0.0)],
+        [(1.4, 0.7), (0.3, 0.0), (0.9, -2.0)],         # unsorted input
+    ])
+    def test_matches_natural_cubic_spline(self, knots):
+        from scipy.interpolate import CubicSpline
+        pts = sorted(knots)
+        if pts[-1][0] < 2.0:
+            pts.append((2.0, 0.0))
+        xs, vs = zip(*pts)
+        ref = CubicSpline(xs, vs, bc_type="natural")
+        dref = ref.derivative()
+        phi, dphi = RadialTestFunction.cubic_spline(
+            [(1, 0)], knots).profiles[(1, 0)]
+        grid = np.concatenate([np.linspace(xs[0], 2.0, 4001), xs])
+        for r in grid:
+            assert abs(phi(float(r)) - float(ref(r))) < 1e-13
+            assert abs(dphi(float(r)) - float(dref(r))) < 1e-13
+            assert phi(r) == phi(float(r))
+
+    def test_zero_outside_support(self):
+        phi, dphi = RadialTestFunction.cubic_spline(
+            [(1, 0)], [(0.4, 0.0), (1.0, 1.0)]).profiles[(1, 0)]
+        for r in (0.0, 0.399, 2.0 + 1e-12, 3.0):
+            assert phi(r) == 0.0 and dphi(r) == 0.0
+        assert phi(2.0) == 0.0 and phi(0.4) == 0.0
+
+    @pytest.mark.parametrize("knots", [
+        [(0.4, 0.0), (1.0, 1.0), (1.0, 0.5)],          # repeated radius
+        [(0.4, 0.0), (0.4, 0.0), (1.0, 1.0)],          # repeated first knot
+        [(0.4, 0.0), (1.0, math.nan)],
+        [(0.4, 0.0), (1.0, math.inf)],
+        [(math.nan, 0.0), (1.0, 1.0)],
+        [(0.4, 0.0), (-math.inf, 0.0)],
+        [(2.0, 0.0)],                                  # no knot below r=2
+        [(0.0, 0.0), (1.0, 1.0)],                      # radius outside (0, 2]
+        [(0.4, 0.0), (2.5, 0.0)],
+        [(0.4, 0.0), ("one", 1.0)],
+        [(0.4, 0.0), (1.0,)],
+        [],
+        [(0.4, 1.0)],                                  # first value nonzero
+        [(0.4, 0.0), (2.0, 1.0)],                      # nonzero at r=2
+    ])
+    def test_bad_knots_raise_domain_error(self, knots):
+        with pytest.raises(DomainError):
+            RadialTestFunction.cubic_spline([(1, 0)], knots)
+
+
 class TestInteriorPairing:
     def test_zero_source(self):
         sol = make_solution(0.1, q=0.0)
@@ -308,3 +364,10 @@ class TestConvergenceStudy:
         assert len(rows) == 3
         assert rows[0]["abs_err"] > rows[-1]["abs_err"]
         assert rate >= 0.8
+
+    def test_rows_record_the_solve_truncation(self):
+        rows, _ = weak_limit.convergence_study(
+            SRC, BUMP, [1e-2, 1e-3], OMEGA, tol=1e-8)
+        params = CloakParams(rho=1e-3, omega=OMEGA, r1=R1)
+        n_max = modal.solve_source(SRC, None, params).n_max
+        assert [row["n_max"] for row in rows] == [n_max, n_max]
