@@ -26,6 +26,7 @@ from . import __version__, fields, halfspace, modal, specfun, weak_limit
 from .errors import AccuracyError, CloakSimError, ConfigError, ResonanceError
 from .geometry import CloakParams
 from .manifest import RunManifest, write_csv
+from .modal import config_number
 from .weak_limit import RadialTestFunction
 
 EXIT_OK = 0
@@ -56,6 +57,22 @@ def _load_config(path):
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
 
 
+def _num(doc, key, where, default=None, kind=float):
+    """doc[key], or default when absent, as a finite number (ConfigError
+    naming the field otherwise)."""
+    return config_number(doc.get(key, default), f"{where} field {key}", kind)
+
+
+def _num_list(values, where):
+    if not isinstance(values, list):
+        raise ConfigError(f"{where} must be a list of numbers")
+    return [config_number(v, f"{where} entry") for v in values]
+
+
+def _seed(doc):
+    return _num(doc, "seed", "config", 0, int)
+
+
 def _require_keys(doc, required, optional, where):
     if not isinstance(doc, dict):
         raise ConfigError(f"{where} must be a JSON object")
@@ -70,21 +87,27 @@ def _require_keys(doc, required, optional, where):
 def _parse_phi(doc):
     _require_keys(doc, {"family", "modes"},
                   {"r_lo", "r_hi", "amplitude", "knots"}, "phi")
-    modes = [tuple(int(v) for v in mode) for mode in doc["modes"]]
+    try:
+        modes = [tuple(config_number(v, "phi modes entry", int) for v in mode)
+                 for mode in doc["modes"]]
+    except TypeError as exc:
+        raise ConfigError(f"phi modes must be [n, m] pairs: {exc}") from exc
+    if any(len(mode) != 2 for mode in modes):
+        raise ConfigError(f"phi modes must be [n, m] pairs, got {doc['modes']}")
     if doc["family"] == "bump":
         return RadialTestFunction.polynomial_bump(
-            modes, float(doc["r_lo"]), float(doc["r_hi"]),
-            float(doc.get("amplitude", 1.0)))
+            modes, _num(doc, "r_lo", "phi"), _num(doc, "r_hi", "phi"),
+            _num(doc, "amplitude", "phi", 1.0))
     if doc["family"] == "spline":
         return RadialTestFunction.cubic_spline(modes, doc["knots"])
     raise ConfigError(f"unknown phi family: {doc['family']!r}")
 
 
 def _parse_cloak_params(doc, rho):
-    return CloakParams(rho=rho, omega=float(doc["omega"]),
-                       eps0=float(doc.get("eps0", 1.0)),
-                       mu0=float(doc.get("mu0", 1.0)),
-                       r1=float(doc["r1"]))
+    return CloakParams(rho=rho, omega=_num(doc, "omega", "params"),
+                       eps0=_num(doc, "eps0", "params", 1.0),
+                       mu0=_num(doc, "mu0", "params", 1.0),
+                       r1=_num(doc, "r1", "params"))
 
 
 # -- converge -----------------------------------------------------------------
@@ -94,25 +117,25 @@ def cmd_converge(config_path, out_dir, tol):
     doc = _load_config(config_path)
     _require_keys(doc, {"scenario", "params", "source", "phi"},
                   {"boundary", "quadrature", "seed"}, "converge config")
+    seed = _seed(doc)
     pdoc = doc["params"]
     _require_keys(pdoc, {"omega", "r1", "rho_list"}, {"eps0", "mu0"},
                   "converge params")
-    rho_list = [float(r) for r in pdoc["rho_list"]]
+    rho_list = _num_list(pdoc["rho_list"], "params rho_list")
     if not rho_list:
         raise ConfigError("rho_list must be non-empty")
     quad = doc.get("quadrature", {})
     _require_keys(quad, set(), {"tol"}, "quadrature")
-    qtol = tol if tol is not None else float(quad.get("tol", 1e-9))
+    qtol = tol if tol is not None else _num(quad, "tol", "quadrature", 1e-9)
 
-    source = modal.parse_source_table(doc["source"], r1=float(pdoc["r1"]))
-    modal.check_decay_certificate(
-        source, _parse_cloak_params(pdoc, rho_list[0]))
+    params = _parse_cloak_params(pdoc, rho_list[0])
+    source = modal.parse_source_table(doc["source"], r1=params.r1)
+    modal.check_decay_certificate(source, params)
     phi = _parse_phi(doc["phi"])
 
     rows, rate = weak_limit.convergence_study(
-        source, phi, rho_list, omega=float(pdoc["omega"]),
-        eps0=float(pdoc.get("eps0", 1.0)), mu0=float(pdoc.get("mu0", 1.0)),
-        tol=qtol)
+        source, phi, rho_list, omega=params.omega, eps0=params.eps0,
+        mu0=params.mu0, tol=qtol)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -132,7 +155,7 @@ def cmd_converge(config_path, out_dir, tol):
                 source=doc["source"], boundary=doc.get("boundary", []),
                 phi=doc["phi"], quadrature={"tol": qtol},
                 n_max=max(r["n_max"] for r in rows),
-                seed=int(doc.get("seed", 0))).write(out / "manifest.json")
+                seed=seed).write(out / "manifest.json")
     return EXIT_OK
 
 
@@ -145,9 +168,10 @@ def cmd_fields(config_path, out_dir, tol):
     doc = _load_config(config_path)
     _require_keys(doc, {"scenario", "params", "source", "space"},
                   {"points", "points_csv", "boundary", "seed"}, "fields config")
+    seed = _seed(doc)
     pdoc = doc["params"]
     _require_keys(pdoc, {"omega", "r1", "rho"}, {"eps0", "mu0"}, "fields params")
-    params = _parse_cloak_params(pdoc, float(pdoc["rho"]))
+    params = _parse_cloak_params(pdoc, _num(pdoc, "rho", "params"))
     source = modal.parse_source_table(doc["source"], r1=params.r1)
     boundary = modal.parse_boundary_table(doc.get("boundary", []))
     solution = modal.solve_source(source, boundary, params)
@@ -169,7 +193,7 @@ def cmd_fields(config_path, out_dir, tol):
     RunManifest(scenario=doc["scenario"], command="fields", params=pdoc,
                 source=doc["source"], boundary=doc.get("boundary", []),
                 n_max=solution.n_max,
-                seed=int(doc.get("seed", 0))).write(out / "manifest.json")
+                seed=seed).write(out / "manifest.json")
     return EXIT_OK
 
 
@@ -181,18 +205,20 @@ def cmd_halfspace(config_path, out_dir, tol):
     _require_keys(doc, {"scenario", "omega", "kz", "rho_list", "phi"},
                   {"hin_re", "hin_im", "pairing_halfwidth", "seed"},
                   "halfspace config")
+    seed = _seed(doc)
     phi_doc = doc["phi"]
     _require_keys(phi_doc, {"x_lo", "x_hi"}, {"amplitude"}, "halfspace phi")
-    phi = halfspace.TestFunction1D(float(phi_doc["x_lo"]),
-                                   float(phi_doc["x_hi"]),
-                                   float(phi_doc.get("amplitude", 1.0)))
-    hin = complex(float(doc.get("hin_re", 1.0)), float(doc.get("hin_im", 0.0)))
-    halfwidth = float(doc.get("pairing_halfwidth", 2.0))
+    phi = halfspace.TestFunction1D(_num(phi_doc, "x_lo", "phi"),
+                                   _num(phi_doc, "x_hi", "phi"),
+                                   _num(phi_doc, "amplitude", "phi", 1.0))
+    hin = complex(_num(doc, "hin_re", "config", 1.0),
+                  _num(doc, "hin_im", "config", 0.0))
+    halfwidth = _num(doc, "pairing_halfwidth", "config", 2.0)
     qtol = tol if tol is not None else 1e-10
-    params_list = [halfspace.HalfspaceParams(omega=float(doc["omega"]),
-                                             kz=float(doc["kz"]),
-                                             rho=float(r), hin=hin)
-                   for r in doc["rho_list"]]
+    omega, kz = _num(doc, "omega", "config"), _num(doc, "kz", "config")
+    params_list = [halfspace.HalfspaceParams(omega=omega, kz=kz, rho=rho,
+                                             hin=hin)
+                   for rho in _num_list(doc["rho_list"], "config rho_list")]
     rows, exponent = halfspace.limit_study(params_list, phi, halfwidth, tol=qtol)
 
     out = Path(out_dir)
@@ -217,7 +243,7 @@ def cmd_halfspace(config_path, out_dir, tol):
                 phi={"x_lo": phi.x_lo, "x_hi": phi.x_hi,
                      "amplitude": phi.amplitude},
                 quadrature={"tol": qtol, "pairing_halfwidth": halfwidth},
-                seed=int(doc.get("seed", 0))).write(out / "manifest.json")
+                seed=seed).write(out / "manifest.json")
     return EXIT_OK
 
 
@@ -231,17 +257,19 @@ def cmd_check_specfun(config_path, out_dir, tol):
                                    "t_count", "seed"}, "check-specfun config")
     else:
         doc = {}
-    n_max = int(doc.get("n_max", 60))
-    t_lo = float(doc.get("t_lo", 0.1))
-    t_hi = float(doc.get("t_hi", 50.0))
-    t_count = int(doc.get("t_count", 40))
+    seed = _seed(doc)
+    n_max = _num(doc, "n_max", "config", 60, int)
+    t_lo = _num(doc, "t_lo", "config", 0.1)
+    t_hi = _num(doc, "t_hi", "config", 50.0)
+    t_count = _num(doc, "t_count", "config", 40, int)
     threshold = tol if tol is not None else 1e-11
 
     worst_wronskian = 0.0
     worst_cross = 0.0
     worst_recurrence = 0.0
-    for t in np.linspace(t_lo, t_hi, t_count):
-        lad = specfun.bessel_ladder(n_max, float(t))
+    table = specfun.bessel_table(n_max, np.linspace(t_lo, t_hi, t_count))
+    for i, t in enumerate(table.t.tolist()):
+        lad = table.column(i)
         for n in range(0, n_max + 1):
             j = lad.jn(n).to_complex().real
             y = lad.yn(n).to_complex().real
@@ -278,7 +306,7 @@ def cmd_check_specfun(config_path, out_dir, tol):
     RunManifest(scenario=str(doc.get("scenario", "specfun-default-grid")),
                 command="check-specfun", params=report["grid"],
                 quadrature={"tol": threshold},
-                seed=int(doc.get("seed", 0))).write(out / "manifest.json")
+                seed=seed).write(out / "manifest.json")
     return EXIT_OK if passed else EXIT_ACCURACY
 
 

@@ -30,8 +30,7 @@ class FieldSample:
     space: str  # "virtual" | "physical"
 
 
-def _mode_radial_factors(n, wavenumber, r):
-    lad = specfun.bessel_ladder(n, wavenumber * r)
+def _mode_radial_factors(lad, n):
     return lad.jn(n), lad.hn(n), lad.riccati_j(n), lad.riccati_h(n)
 
 
@@ -50,10 +49,11 @@ def eval_virtual_exterior(solution: ModalSolution, y) -> FieldSample:
     yhat = y / r
     e_total = np.zeros(3, dtype=complex)
     h_total = np.zeros(3, dtype=complex)
+    lad = specfun.bessel_ladder(solution.n_max, om * r)  # serves every mode
     for (n, m), co in solution.mode_items():
         mode = ModeIndex(n, m)
         y_val, u, v = angular_basis(mode, yhat)
-        jn, hn, jjn, hhn = _mode_radial_factors(n, om, r)
+        jn, hn, jjn, hhn = _mode_radial_factors(lad, n)
         s_n = mode.s_n
         e_v = -s_n * (co.gamma * jn + co.c * hn).to_complex()
         e_u = s_n / r * (co.eta * jjn + co.d * hhn).to_complex()
@@ -76,11 +76,12 @@ def _eval_interior(solution: ModalSolution, x) -> FieldSample:
     xhat = x / r
     e_total = np.zeros(3, dtype=complex)
     h_total = np.zeros(3, dtype=complex)
+    lad = specfun.bessel_ladder(solution.n_max, kw * r)  # serves every mode
     for (n, m), co in solution.mode_items():
         mode = ModeIndex(n, m)
         p, q = solution.source.entries.get((n, m), (0j, 0j))
         y_val, u, v = angular_basis(mode, xhat)
-        jn, hn, jjn, hhn = _mode_radial_factors(n, kw, r)
+        jn, hn, jjn, hhn = _mode_radial_factors(lad, n)
         s_n = mode.s_n
         a_j = (co.alpha * jn + p * hn).to_complex()
         b_jj = (co.beta * jjn + q * hhn).to_complex()
@@ -178,7 +179,12 @@ def maxwell_residuals(e_field, h_field, x, omega, eps_tensor=None,
 
 
 def read_points_csv(path):
-    """Points from a CSV file with one x,y,z triple per row."""
+    """Points from a CSV file with one x,y,z triple per row.
+
+    Raises:
+        DomainError: naming file:line, for a row that is not three finite
+            numbers.
+    """
     pts = []
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, 1):
@@ -189,7 +195,15 @@ def read_points_csv(path):
             if len(parts) != 3:
                 raise DomainError(
                     f"{path}:{line_no}: expected 3 comma-separated values")
-            pts.append(np.array([float(v) for v in parts]))
+            try:
+                point = np.array([float(v) for v in parts])
+            except ValueError:
+                raise DomainError(
+                    f"{path}:{line_no}: non-numeric value in {line!r}") from None
+            if not np.all(np.isfinite(point)):
+                raise DomainError(
+                    f"{path}:{line_no}: non-finite value in {line!r}")
+            pts.append(point)
     return pts
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .quadrature import integrate_panels
+from .quadrature import fit_power_law, integrate_panels
 
 _EPS_TANGENTIAL = 2.0  # eps_y = eps_z = mu_y = mu_z in the anisotropic side
 
@@ -98,27 +98,6 @@ def eval_H(params: HalfspaceParams, x: float, z: float) -> complex:
         return h_plus * cmath.exp(1j * (kx_plus * x + params.kz * z))
     return (params.hin * cmath.exp(1j * (kx_minus * x + params.kz * z))
             + h_sc * cmath.exp(1j * (-kx_minus * x + params.kz * z)))
-
-
-def eval_E(params: HalfspaceParams, x: float, z: float):
-    """(E_x, E_z) accompanying the magnetic field at (x, z).
-
-    E_x = -i/(omega eps_x) dh/dz and E_z = i/(omega eps_z) dh/dx.
-    """
-    kx_minus, kx_plus = dispersion_kx(params)
-    h_plus, h_sc = solve_amplitudes(params)
-    om, kz = params.omega, params.kz
-    if x > 0:
-        eps_x = 2.0 * params.rho ** 2
-        eps_z = _EPS_TANGENTIAL
-        h = h_plus * cmath.exp(1j * (kx_plus * x + kz * z))
-        return (-1j / (om * eps_x) * (1j * kz) * h,
-                1j / (om * eps_z) * (1j * kx_plus) * h)
-    inc = params.hin * cmath.exp(1j * (kx_minus * x + kz * z))
-    ref = h_sc * cmath.exp(1j * (-kx_minus * x + kz * z))
-    ex = -1j / om * (1j * kz) * (inc + ref)
-    ez = 1j / om * (1j * kx_minus * inc - 1j * kx_minus * ref)
-    return ex, ez
 
 
 def transmission_residuals(params: HalfspaceParams):
@@ -244,9 +223,5 @@ def limit_study(params_list, phi, halfwidth: float, tol: float = 1e-10):
         })
         masses.append(abs(mass))
         rhos.append(params.rho)
-    if len(rhos) >= 2:
-        lx, ly = np.log(rhos), np.log(masses)
-        exponent = float(np.polyfit(lx, ly, 1)[0])
-    else:
-        exponent = math.nan
+    exponent = fit_power_law(rhos, masses) if len(rhos) >= 2 else math.nan
     return rows, exponent

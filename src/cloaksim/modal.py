@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from array import array
 from dataclasses import dataclass, field
 
 from . import specfun
@@ -37,7 +38,8 @@ class TransferSet:
 
     t1, t2 (with t1p, t2p) form the chain driven by (gamma, p); t3, t4
     (with t3p, t4p) the chain driven by (eta, q).  dn and dnp are the two
-    2x2 determinants the ratios share.
+    2x2 determinants the ratios share.  outer holds j_n, h_n, J_n, H_n at
+    the outer boundary argument 2 omega, which every order m reuses.
     """
 
     n: int
@@ -52,6 +54,7 @@ class TransferSet:
     t4p: ScaledComplex
     dn: ScaledComplex
     dnp: ScaledComplex
+    outer: tuple
 
     def as_complex(self) -> dict:
         return {k: getattr(self, k).to_complex()
@@ -59,20 +62,49 @@ class TransferSet:
                           "dn", "dnp")}
 
 
-@dataclass(frozen=True)
 class ModeCoeffs:
-    """Solved field coefficients of one mode, kept in log-magnitude form."""
+    """Solved field coefficients of one mode, kept in log-magnitude form.
 
-    gamma: ScaledComplex
-    eta: ScaledComplex
-    c: ScaledComplex
-    d: ScaledComplex
-    alpha: ScaledComplex
-    beta: ScaledComplex
+    The attributes gamma, eta, c, d, alpha and beta are ScaledComplex.  They
+    are stored packed, as (log-magnitude, phase.real, phase.imag) doubles in
+    one array, a third of the memory of six ScaledComplex objects; a
+    solution keeps six per mode for as long as it lives.  Values round-trip
+    exactly.
+    """
+
+    __slots__ = ("_packed",)
+    _NAMES = ("gamma", "eta", "c", "d", "alpha", "beta")
+
+    def __init__(self, gamma, eta, c, d, alpha, beta):
+        self._packed = array("d", [x for v in (gamma, eta, c, d, alpha, beta)
+                                   for x in (v.log_mag, v.phase.real,
+                                             v.phase.imag)])
+
+    def _value(self, i: int) -> ScaledComplex:
+        log_mag, re, im = self._packed[3 * i:3 * i + 3]
+        return ScaledComplex(log_mag, complex(re, im))
+
+    gamma = property(lambda self: self._value(0))
+    eta = property(lambda self: self._value(1))
+    c = property(lambda self: self._value(2))
+    d = property(lambda self: self._value(3))
+    alpha = property(lambda self: self._value(4))
+    beta = property(lambda self: self._value(5))
+
+    def __eq__(self, other):
+        if not isinstance(other, ModeCoeffs):
+            return NotImplemented
+        return self._packed == other._packed
+
+    def __hash__(self):
+        return hash(tuple(self._packed))
+
+    def __repr__(self):
+        return "ModeCoeffs(" + ", ".join(
+            f"{k}={getattr(self, k)!r}" for k in self._NAMES) + ")"
 
     def as_complex(self) -> dict:
-        return {k: getattr(self, k).to_complex()
-                for k in ("gamma", "eta", "c", "d", "alpha", "beta")}
+        return {k: getattr(self, k).to_complex() for k in self._NAMES}
 
 
 @dataclass(frozen=True)
@@ -171,7 +203,8 @@ def transfer_coeffs(n: int, params: CloakParams) -> TransferSet:
     t3p = cross_k / dnp
     t4p = (sm * k * hk * hhr - se * rho * hhk * hr) / dnp
     return TransferSet(n=n, params=params, t1=t1, t2=t2, t3=t3, t4=t4,
-                       t1p=t1p, t2p=t2p, t3p=t3p, t4p=t4p, dn=dn, dnp=dnp)
+                       t1p=t1p, t2p=t2p, t3p=t3p, t4p=t4p, dn=dn, dnp=dnp,
+                       outer=_ladder_values(n, 2.0 * om))
 
 
 def solve_mode(n: int, p, q, f1, f2, params: CloakParams,
@@ -186,8 +219,7 @@ def solve_mode(n: int, p, q, f1, f2, params: CloakParams,
             denominator below floor.
     """
     ts = transfer if transfer is not None else transfer_coeffs(n, params)
-    om = params.omega
-    j2, h2, jj2, hh2 = _ladder_values(n, 2.0 * om)
+    j2, h2, jj2, hh2 = ts.outer
 
     den_g = ts.t1 * h2 + j2
     den_e = ts.t3 * hh2 + jj2
@@ -305,6 +337,15 @@ def sigma_uncollapsed(n: int, q, params: CloakParams) -> complex:
     return s2 * math.sqrt(mu0) * cross / (k * n * (n + 1) * jk_c) * complex(q)
 
 
+def _term_weights(source: SourceCoeffs, params: CloakParams) -> dict:
+    """S_n^2 (|p| + |q|) |h_n(k w r1)| per mode, one ladder per degree."""
+    t = params.k * params.omega * source.r1
+    h_mag = {n: _ladder_values(n, t)[1].magnitude()
+             for n in {n for n, _ in source.entries}}
+    return {(n, m): n * (n + 1) * (abs(p) + abs(q)) * h_mag[n]
+            for (n, m), (p, q) in sorted(source.entries.items())}
+
+
 def truncation_order(source: SourceCoeffs, params: CloakParams,
                      tol: float) -> int:
     """Smallest N whose tail S_n^2 (|p| + |q|) |h_n(k w r1)| sums below tol.
@@ -316,11 +357,7 @@ def truncation_order(source: SourceCoeffs, params: CloakParams,
     """
     if tol <= 0:
         raise DomainError(f"tol must be positive, got {tol}")
-    t = params.k * params.omega * source.r1
-    weights = {}
-    for (n, m), (p, q) in sorted(source.entries.items()):
-        _, h, _, _ = _ladder_values(n, t)
-        weights[(n, m)] = n * (n + 1) * (abs(p) + abs(q)) * h.magnitude()
+    weights = _term_weights(source, params)
     degrees = sorted({n for n, _ in weights})
     for cand in [0] + degrees:
         tail = sum(w for (n, _), w in weights.items() if n > cand)
@@ -331,11 +368,8 @@ def truncation_order(source: SourceCoeffs, params: CloakParams,
 
 def check_decay_certificate(source: SourceCoeffs, params: CloakParams) -> None:
     """Warn when the tail of S_n^2 (|p| + |q|) |h_n(k w r1)| grows."""
-    t = params.k * params.omega * source.r1
     by_degree = {}
-    for (n, m), (p, q) in source.entries.items():
-        _, h, _, _ = _ladder_values(n, t)
-        w = n * (n + 1) * (abs(p) + abs(q)) * h.magnitude()
+    for (n, m), w in _term_weights(source, params).items():
         by_degree[n] = max(by_degree.get(n, 0.0), w)
     degrees = sorted(by_degree)
     if len(degrees) >= 2 and by_degree[degrees[-1]] > by_degree[degrees[-2]]:
@@ -377,6 +411,29 @@ _SOURCE_FIELDS = {"n", "m", "p_re", "p_im", "q_re", "q_im"}
 _BOUNDARY_FIELDS = {"n", "m", "f1_re", "f1_im", "f2_re", "f2_im"}
 
 
+def config_number(value, field: str, kind=float):
+    """A configuration value converted by ``kind`` (float or int).
+
+    Raises:
+        ConfigError: naming ``field``, when the value is not a finite
+            number (strings that spell one are accepted, as float() does).
+    """
+    try:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{field} must be a number, got {value!r}") from exc
+    if not math.isfinite(number):
+        raise ConfigError(f"{field} must be finite, got {value!r}")
+    return number
+
+
+def _complex_field(row, name, kind):
+    return complex(config_number(row.get(f"{name}_re", 0.0),
+                                 f"{kind} row field {name}_re"),
+                   config_number(row.get(f"{name}_im", 0.0),
+                                 f"{kind} row field {name}_im"))
+
+
 def _parse_rows(rows, allowed, kind):
     if not isinstance(rows, list):
         raise ConfigError(f"{kind} table must be a list of row objects")
@@ -390,7 +447,8 @@ def _parse_rows(rows, allowed, kind):
         missing = {"n", "m"} - set(row)
         if missing:
             raise ConfigError(f"{kind} row missing fields: {sorted(missing)}")
-        n, m = int(row["n"]), int(row["m"])
+        n = config_number(row["n"], f"{kind} row field n", int)
+        m = config_number(row["m"], f"{kind} row field m", int)
         if (n, m) in entries:
             raise ConfigError(f"duplicate mode ({n},{m}) in {kind} table")
         entries[(n, m)] = row
@@ -402,9 +460,8 @@ def parse_source_table(rows, r1: float) -> SourceCoeffs:
     raw = _parse_rows(rows, _SOURCE_FIELDS, "source")
     entries = {}
     for (n, m), row in raw.items():
-        p = complex(float(row.get("p_re", 0.0)), float(row.get("p_im", 0.0)))
-        q = complex(float(row.get("q_re", 0.0)), float(row.get("q_im", 0.0)))
-        entries[(n, m)] = (p, q)
+        entries[(n, m)] = (_complex_field(row, "p", "source"),
+                           _complex_field(row, "q", "source"))
     return SourceCoeffs(entries=entries, r1=r1)
 
 
@@ -413,17 +470,11 @@ def parse_boundary_table(rows) -> BoundaryCoeffs:
     raw = _parse_rows(rows, _BOUNDARY_FIELDS, "boundary")
     entries = {}
     for (n, m), row in raw.items():
-        f1 = complex(float(row.get("f1_re", 0.0)), float(row.get("f1_im", 0.0)))
-        f2 = complex(float(row.get("f2_re", 0.0)), float(row.get("f2_im", 0.0)))
-        entries[(n, m)] = (f1, f2)
+        entries[(n, m)] = (_complex_field(row, "f1", "boundary"),
+                           _complex_field(row, "f2", "boundary"))
     return BoundaryCoeffs(entries=entries)
 
 
 def load_source_table(path, r1: float) -> SourceCoeffs:
     with open(path, encoding="utf-8") as fh:
         return parse_source_table(json.load(fh), r1)
-
-
-def load_boundary_table(path) -> BoundaryCoeffs:
-    with open(path, encoding="utf-8") as fh:
-        return parse_boundary_table(json.load(fh))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 _NEG_INF = float("-inf")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScaledComplex:
     """Value exp(log_mag) * phase with |phase| == 1, or the exact zero.
 

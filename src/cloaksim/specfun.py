@@ -1,12 +1,18 @@
 """Spherical Bessel/Hankel functions with overflow-safe scaled variants.
 
-Everything is built on one radial "ladder" per (n_max, t): j_n by downward
-recurrence normalised against the closed forms at order 0/1, y_n by upward
-recurrence, both with on-the-fly rescaling so the stored numbers are
-log-magnitude/sign pairs valid to n = 200 at arguments where plain doubles
-are hopeless.  Derivative combinations J_n = j_n + t j_n' and
-H_n = h_n + t h_n' come from the exact recurrence f_n' = f_{n-1} - (n+1)/t f_n,
-i.e. J_n = t j_{n-1} - n j_n.
+Everything is built on one radial kernel, ``bessel_table``: for a whole
+array of arguments t it runs the ladder of orders -1..n_max, j_n by
+downward Miller recurrence normalised per argument against the closed forms
+at order 0/1, y_n by upward recurrence, both rescaled per argument so the
+stored numbers are log-magnitude/sign pairs valid to n = 200 at arguments
+where plain doubles are hopeless.  ``bessel_ladder`` is its one-argument
+view in ScaledComplex form.  Derivative combinations J_n = j_n + t j_n' and
+H_n = h_n + t h_n' come from the exact recurrence
+f_n' = f_{n-1} - (n+1)/t f_n, i.e. J_n = t j_{n-1} - n j_n.
+
+A row of the table at one order is a (log-magnitude, phase) pair of arrays;
+``combine`` turns a f + b g, with ScaledComplex coefficients a, b and rows
+f, g, into plain complex values.
 """
 
 from __future__ import annotations
@@ -14,8 +20,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import CapabilityError, DomainError
-from .scaled import ScaledComplex, scaled_from_log_sign, scaled_real
+from .scaled import ScaledComplex, scaled_from_log_sign
 
 N_CAP = 200
 
@@ -23,18 +31,207 @@ _RESCALE_LOG = 500.0  # rescale working pair when log magnitude exceeds this
 _SQRT_PI = math.sqrt(math.pi)
 
 
-def _require_args(n: int, t: float) -> None:
-    if t <= 0.0 or not math.isfinite(t):
-        raise DomainError(f"argument must be positive and finite, got t={t}")
+def _require_args(n: int, t) -> None:
+    bad = t[~((t > 0.0) & np.isfinite(t))]
+    if bad.size:
+        raise DomainError(
+            f"argument must be positive and finite, got t={float(bad[0])}")
     if n < 0:
         raise DomainError(f"order must be >= 0, got n={n}")
     if n > N_CAP:
         raise CapabilityError(f"order n={n} exceeds supported cap {N_CAP}")
 
 
-def miller_start_order(n: int, t: float) -> int:
-    """Start order for the downward j-recurrence: n + max(15, ceil(2 t))."""
-    return n + max(15, math.ceil(2.0 * t))
+def miller_start_order(n: int, t):
+    """Start orders for the downward j-recurrence: n + max(15, ceil(2 t)),
+    one per argument of the array t."""
+    return n + np.maximum(15, np.ceil(2.0 * t)).astype(np.int64)
+
+
+def _log_add(l1, p1, l2, p2):
+    """(log-magnitude, phase) of exp(l1) p1 + exp(l2) p2, elementwise.
+
+    Like ScaledComplex addition, both terms are scaled to the larger
+    magnitude before they are added; an exact zero has log-magnitude -inf
+    and phase 0.
+    """
+    hi = np.maximum(l1, l2)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        s = p1 * np.exp(l1 - hi) + p2 * np.exp(l2 - hi)
+        s = np.where(hi == -np.inf, 0j, s)
+        m = np.abs(s)
+        return hi + np.log(m), np.where(m > 0.0, s / m, 0j)
+
+
+def combine(a: ScaledComplex, f, b: ScaledComplex, g):
+    """a f + b g as a plain complex array, for rows f, g of a BesselTable."""
+    log_mag, phase = _log_add(a.log_mag + f[0], a.phase * f[1],
+                              b.log_mag + g[0], b.phase * g[1])
+    with np.errstate(over="ignore"):
+        return np.exp(log_mag) * phase
+
+
+@dataclass(frozen=True)
+class BesselTable:
+    """j_n, y_n for orders -1..n_max at an array of arguments t.
+
+    Row n + 1 of the (n_max + 2, len(t)) arrays holds order n; row 0 holds
+    order -1, cos(t)/t and sin(t)/t, used by the derivative combinations.
+    ``*_log`` are natural logs of the magnitudes (-inf for an exact zero),
+    ``*_sign`` are +1, -1 or 0.  The row accessors return (log-magnitude,
+    phase) pairs for ``combine``.
+    """
+
+    n_max: int
+    t: np.ndarray
+    j_log: np.ndarray
+    j_sign: np.ndarray
+    y_log: np.ndarray
+    y_sign: np.ndarray
+
+    def jn(self, n: int):
+        return self.j_log[n + 1], self.j_sign[n + 1]
+
+    def hn(self, n: int):
+        return _log_add(self.j_log[n + 1], self.j_sign[n + 1],
+                        self.y_log[n + 1], 1j * self.y_sign[n + 1])
+
+    def riccati_j(self, n: int):
+        # J_n = j_n + t j_n' = t j_{n-1} - n j_n
+        return self._riccati(self.jn(n - 1), self.jn(n), n)
+
+    def riccati_h(self, n: int):
+        return self._riccati(self.hn(n - 1), self.hn(n), n)
+
+    def _riccati(self, lower, upper, n):
+        log_n = math.log(n) if n else -math.inf
+        return _log_add(lower[0] + np.log(self.t), lower[1],
+                        upper[0] + log_n, -upper[1])
+
+    def column(self, i: int) -> "BesselLadder":
+        """The ladder at argument t[i] in ScaledComplex form."""
+        j = [scaled_from_log_sign(lm, s) for lm, s in
+             zip(self.j_log[:, i].tolist(), self.j_sign[:, i].tolist())]
+        y = [scaled_from_log_sign(lm, s) for lm, s in
+             zip(self.y_log[:, i].tolist(), self.y_sign[:, i].tolist())]
+        return BesselLadder(n_max=self.n_max, t=float(self.t[i]),
+                            j=tuple(j[1:]), y=tuple(y[1:]), jm1=j[0],
+                            ym1=y[0])
+
+
+class _Rescaler:
+    """On-the-fly rescaling of a three-term recurrence, column by column.
+
+    A column whose lead value passes log|lead| > _RESCALE_LOG has its
+    working pair divided by |lead| and the log added to its shift; other
+    columns are divided by 1 and shifted by 0, so they stay bit for bit what
+    they were.  One step of f_lo = c/t f - f_hi grows the working pair by at
+    most c/min(t) + 1, so the magnitudes are looked at only once that bound
+    could have reached the threshold.
+    """
+
+    def __init__(self, t, pair):
+        self.t_min = float(t.min(initial=np.inf))
+        self.shift = np.zeros(t.size)
+        self.bound = self._log_peak(pair)
+
+    @staticmethod
+    def _log_peak(pair):
+        """An upper bound on log max |x| over the pair, at least 0."""
+        return math.log(max(float(np.abs(x).max(initial=1.0)) for x in pair))
+
+    def step(self, c, lead, follower):
+        """Rescale (lead, follower) after a step with coefficient c."""
+        self.bound += math.log(c / self.t_min + 1.0)
+        if self.bound <= _RESCALE_LOG - 1.0:  # margin for rounding
+            return lead, follower
+        with np.errstate(divide="ignore"):
+            log_mag = np.log(np.abs(lead))
+        big = log_mag > _RESCALE_LOG
+        if big.any():
+            scale = np.where(big, np.abs(lead), 1.0)
+            lead, follower = lead / scale, follower / scale
+            self.shift = self.shift + np.where(big, log_mag, 0.0)
+        self.bound = self._log_peak((lead, follower))
+        return lead, follower
+
+
+def bessel_table(n_max: int, t) -> BesselTable:
+    """The scaled j/y ladder for orders 0..n_max at every argument t > 0.
+
+    ``t`` is a 1-D array (or sequence) of arguments; every column runs the
+    recurrences of a single argument, with its own Miller start order and
+    its own rescaling, so a column does not depend on the others.
+    """
+    t = np.asarray(t, dtype=float)
+    if t.ndim != 1:
+        raise DomainError(f"arguments must form a 1-D array, got shape {t.shape}")
+    _require_args(n_max, t)
+    sin_t, cos_t = np.sin(t), np.cos(t)
+    j0, j1 = sin_t / t, sin_t / t**2 - cos_t / t
+    y0, y1 = -cos_t / t, -cos_t / t**2 - sin_t / t
+
+    # downward Miller recurrence for j; a column whose start order lies
+    # below k waits at its starting pair (f_k, f_{k+1}) = (1, 0)
+    start = miller_start_order(n_max, t)
+    k_top = int(start.max(initial=n_max))
+    k_all = int(start.min(initial=n_max))
+    rows = max(n_max, 1) + 1  # order 1 is kept for the normalisation
+    raw = np.empty((rows, t.size))
+    raw_shift = np.empty((rows, t.size))
+    f_hi, f = np.zeros(t.size), np.ones(t.size)
+    scaler = _Rescaler(t, (f, f_hi))
+    for k in range(k_top, 0, -1):
+        if k < rows:
+            raw[k], raw_shift[k] = f, scaler.shift
+        c = float(2 * k + 1)
+        f_lo = c / t * f - f_hi
+        if k > k_all:
+            live = start >= k
+            f_hi, f = np.where(live, f, f_hi), np.where(live, f_lo, f)
+        else:
+            f_hi, f = f, f_lo
+        f, f_hi = scaler.step(c, f, f_hi)
+    raw[0], raw_shift[0] = f, scaler.shift
+
+    # normalise at order 0 or 1, whichever closed form is larger (one of
+    # sin t, cos t may vanish)
+    use0 = np.abs(j0) >= np.abs(j1)
+    ref_raw = np.where(use0, raw[0], raw[1])
+    ref_val = np.where(use0, j0, j1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_ref = np.log(np.abs(ref_raw)) + np.where(use0, raw_shift[0],
+                                                     raw_shift[1])
+        log_val = np.log(np.abs(ref_val))
+        sgn_ref = np.copysign(1.0, ref_raw) * np.copysign(1.0, ref_val)
+        j_raw = raw[:n_max + 1]
+        j_log = np.empty((n_max + 2, t.size))
+        j_log[0] = np.log(np.abs(cos_t / t))
+        j_log[1:] = (np.log(np.abs(j_raw)) + raw_shift[:n_max + 1] - log_ref
+                     + log_val)
+        j_sign = np.empty_like(j_log)
+        j_sign[0] = np.sign(cos_t / t)
+        j_sign[1:] = np.sign(j_raw) * sgn_ref
+    j_sign[j_log == -np.inf] = 0.0
+
+    # upward recurrence for y, rescaled (grows with order for t < n)
+    y_raw = np.empty((n_max + 2, t.size))
+    y_shift = np.zeros((n_max + 2, t.size))
+    y_raw[0], y_raw[1] = sin_t / t, y0
+    if n_max >= 1:
+        y_raw[2] = y1
+    g_lo, g = y0, y1
+    scaler = _Rescaler(t, (g, g_lo))
+    for k in range(1, n_max):
+        c = float(2 * k + 1)
+        g, g_lo = scaler.step(c, c / t * g - g_lo, g)
+        y_raw[k + 2], y_shift[k + 2] = g, scaler.shift
+    with np.errstate(divide="ignore"):
+        y_log = np.log(np.abs(y_raw)) + y_shift
+    y_sign = np.sign(y_raw)
+
+    return BesselTable(n_max=n_max, t=t, j_log=j_log, j_sign=j_sign,
+                       y_log=y_log, y_sign=y_sign)
 
 
 @dataclass(frozen=True)
@@ -71,83 +268,8 @@ class BesselLadder:
 
 
 def bessel_ladder(n_max: int, t: float) -> BesselLadder:
-    """Compute the scaled j/y ladder for orders 0..n_max at argument t > 0."""
-    _require_args(n_max, t)
-    sin_t, cos_t = math.sin(t), math.cos(t)
-    j0, j1 = sin_t / t, sin_t / t**2 - cos_t / t
-    y0, y1 = -cos_t / t, -cos_t / t**2 - sin_t / t
-
-    # downward Miller recurrence for j, rescaled; normalised at order 0 or 1,
-    # whichever closed form is larger (one of sin t, cos t may vanish)
-    start = miller_start_order(n_max, t)
-    f_hi = 0.0  # f_{k+1}
-    f = 1.0     # f_k at k = start
-    shift = 0.0
-    raw = [0.0] * (n_max + 1)
-    raw_shift = [0.0] * (n_max + 1)
-    raw0 = raw1 = None
-    shift0 = shift1 = 0.0
-    for k in range(start, -1, -1):
-        if k <= n_max:
-            raw[k] = f
-            raw_shift[k] = shift
-        if k == 1:
-            raw1, shift1 = f, shift
-        if k == 0:
-            raw0, shift0 = f, shift
-            break
-        f_lo = (2 * k + 1) / t * f - f_hi
-        f_hi, f = f, f_lo
-        af = abs(f)
-        if af > 0.0 and math.log(af) > _RESCALE_LOG:
-            f /= af
-            f_hi /= af
-            shift += math.log(af)
-
-    if abs(j0) >= abs(j1):
-        ref_raw, ref_shift, ref_val = raw0, shift0, j0
-    else:
-        ref_raw, ref_shift, ref_val = raw1, shift1, j1
-    log_ref = math.log(abs(ref_raw)) + ref_shift
-    log_val = math.log(abs(ref_val)) if ref_val != 0.0 else float("-inf")
-    sgn_ref = math.copysign(1.0, ref_raw) * math.copysign(1.0, ref_val)
-
-    js = []
-    for k in range(n_max + 1):
-        if raw[k] == 0.0:
-            js.append(ScaledComplex.zero())
-            continue
-        lm = math.log(abs(raw[k])) + raw_shift[k] - log_ref + log_val
-        js.append(scaled_from_log_sign(lm, math.copysign(1.0, raw[k]) * sgn_ref))
-
-    # upward recurrence for y, rescaled (grows with order for t < n)
-    ys = [scaled_real(y0)]
-    if n_max >= 1:
-        ys.append(scaled_real(y1))
-    g_lo, g = y0, y1
-    shift = 0.0
-    for k in range(1, n_max):
-        g_hi = (2 * k + 1) / t * g - g_lo
-        g_lo, g = g, g_hi
-        ag = abs(g)
-        if ag > 0.0 and math.log(ag) > _RESCALE_LOG:
-            g /= ag
-            g_lo /= ag
-            shift += math.log(ag)
-        if g == 0.0:
-            ys.append(ScaledComplex.zero())
-        else:
-            ys.append(scaled_from_log_sign(math.log(abs(g)) + shift,
-                                           math.copysign(1.0, g)))
-
-    return BesselLadder(
-        n_max=n_max,
-        t=t,
-        j=tuple(js),
-        y=tuple(ys),
-        jm1=scaled_real(cos_t / t),
-        ym1=scaled_real(sin_t / t),
-    )
+    """The scaled j/y ladder for orders 0..n_max at one argument t > 0."""
+    return bessel_table(n_max, [t]).column(0)
 
 
 # -- plain-double and scaled views ------------------------------------------

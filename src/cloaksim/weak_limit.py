@@ -15,6 +15,8 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import specfun
 from .errors import DomainError
 from .geometry import CloakParams
@@ -150,6 +152,11 @@ def _natural_spline_coeffs(xs, ys):
 # -- pairings ------------------------------------------------------------------
 
 
+def _profile_values(prof, r):
+    """A test profile, a callable on floats, at every radius of the array r."""
+    return np.array([prof(x) for x in r.tolist()])
+
+
 def _interior_mode_pairing(n, beta, q, phi, params, tol):
     """integral over (r1, 1) of S^2 eps0^-1/2 [beta j + q h](k w r) phi(r) r dr."""
     kw = params.k * params.omega
@@ -157,9 +164,9 @@ def _interior_mode_pairing(n, beta, q, phi, params, tol):
     se = params.eps0 ** -0.5
 
     def integrand(r):
-        lad = specfun.bessel_ladder(n, kw * r)
-        val = (beta * lad.jn(n) + q * lad.hn(n)).to_complex()
-        return s2 * se * val * phi(r) * r
+        tab = specfun.bessel_table(n, kw * r)
+        val = specfun.combine(beta, tab.jn(n), q, tab.hn(n))
+        return s2 * se * val * _profile_values(phi, r) * r
 
     return integrate_adaptive(integrand, params.r1, 1.0, tol=tol)
 
@@ -203,22 +210,13 @@ def pairing_exterior_normal(solution: ModalSolution, phi: RadialTestFunction,
         s2 = n * (n + 1)
 
         def integrand(r, n=n, d=co.d, eta=co.eta, prof=prof, s2=s2):
-            lad = specfun.bessel_ladder(n, om * r)
-            val = (d * lad.hn(n) + eta * lad.jn(n)).to_complex()
+            tab = specfun.bessel_table(n, om * r)
+            val = specfun.combine(d, tab.hn(n), eta, tab.jn(n))
             g = a + b * r
-            return s2 * val * prof(g) * g * g / r
+            return s2 * val * _profile_values(prof, g) * g * g / r
 
         total += integrate_boundary_layer(integrand, params.rho, 2.0, tol=tol)
     return total
-
-
-def delta_strength_table(source: SourceCoeffs, params: CloakParams) -> dict:
-    """Per-mode surface-term strength sigma for a vanishing-boundary scenario."""
-    out = {}
-    for (n, m), (p, q) in sorted(source.entries.items()):
-        _, _, sigma = limit_coeffs(n, q, params)
-        out[(n, m)] = sigma
-    return out
 
 
 def predicted_limit_parts(source: SourceCoeffs, phi: RadialTestFunction,
@@ -348,13 +346,13 @@ def energy_integral(solution: ModalSolution, delta: float = 0.0,
             s2 = n * (n + 1)
 
             def dens(r, n=n, co=co, s2=s2):
-                lad = specfun.bessel_ladder(n, om * r)
-                jn, hn = lad.jn(n), lad.hn(n)
-                jj, hh = lad.riccati_j(n), lad.riccati_h(n)
-                ev = abs((co.gamma * jn + co.c * hn).to_complex())
-                eu = abs((co.eta * jj + co.d * hh).to_complex())
-                er = abs((co.eta * jn + co.d * hn).to_complex())
-                hu = abs((co.gamma * jj + co.c * hh).to_complex())
+                tab = specfun.bessel_table(n, om * r)
+                jn, hn = tab.jn(n), tab.hn(n)
+                jj, hh = tab.riccati_j(n), tab.riccati_h(n)
+                ev = np.abs(specfun.combine(co.gamma, jn, co.c, hn))
+                eu = np.abs(specfun.combine(co.eta, jj, co.d, hh))
+                er = np.abs(specfun.combine(co.eta, jn, co.d, hn))
+                hu = np.abs(specfun.combine(co.gamma, jj, co.c, hh))
                 return (s2 * ev * ev * r * r + s2 * eu * eu + s2 ** 2 * er * er
                         + om ** 2 * s2 * er * er * r * r
                         + s2 * hu * hu / om ** 2 + s2 ** 2 * ev * ev / om ** 2)
@@ -365,17 +363,18 @@ def energy_integral(solution: ModalSolution, delta: float = 0.0,
     r_hi = 1.0 - delta
     if r_hi > params.r1:
         for (n, m), co in solution.mode_items():
-            p, q = solution.source.entries.get((n, m), (0j, 0j))
+            p, q = map(ScaledComplex.from_complex,
+                       solution.source.entries.get((n, m), (0j, 0j)))
             s2 = n * (n + 1)
 
             def dens(r, n=n, co=co, p=p, q=q, s2=s2):
-                lad = specfun.bessel_ladder(n, kw * r)
-                jn, hn = lad.jn(n), lad.hn(n)
-                jj, hh = lad.riccati_j(n), lad.riccati_h(n)
-                a_ = abs((co.alpha * jn + p * hn).to_complex())
-                b_ = abs((co.beta * jj + q * hh).to_complex())
-                c_ = abs((co.beta * jn + q * hn).to_complex())
-                d_ = abs((co.alpha * jj + p * hh).to_complex())
+                tab = specfun.bessel_table(n, kw * r)
+                jn, hn = tab.jn(n), tab.hn(n)
+                jj, hh = tab.riccati_j(n), tab.riccati_h(n)
+                a_ = np.abs(specfun.combine(co.alpha, jn, p, hn))
+                b_ = np.abs(specfun.combine(co.beta, jj, q, hh))
+                c_ = np.abs(specfun.combine(co.beta, jn, q, hn))
+                d_ = np.abs(specfun.combine(co.alpha, jj, p, hh))
                 return (s2 * a_ * a_ * r * r + s2 * b_ * b_ + s2 ** 2 * c_ * c_
                         + kw ** 2 * s2 * c_ * c_ * r * r
                         + s2 * d_ * d_ / kw ** 2 + s2 ** 2 * a_ * a_ / kw ** 2)

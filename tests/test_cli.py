@@ -97,6 +97,29 @@ class TestConverge:
         assert run(["converge", "--config", cfg, "--out", tmp_path]) == 2
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit, field", [
+        (lambda doc: doc["source"][0].update(q_re="one"), "q_re"),
+        (lambda doc: doc["source"][0].update(n="two"), "field n"),
+        (lambda doc: doc["phi"].update(modes=[["a", 0]]), "phi modes"),
+        (lambda doc: doc["phi"].update(modes=[[1]]), "phi modes"),
+        (lambda doc: doc["phi"].update(modes=3), "phi modes"),
+        (lambda doc: doc["phi"].update(r_lo=None), "r_lo"),
+        (lambda doc: doc["params"].update(omega="fast"), "omega"),
+        (lambda doc: doc["params"].update(rho_list=[1e-2, "small"]),
+         "rho_list"),
+        (lambda doc: doc.update(seed="x"), "seed"),
+    ])
+    def test_non_numeric_config_value_exits_2(self, tmp_path, capsys, edit,
+                                              field):
+        doc = json.loads((SCENARIOS / "converge_single_mode.json").read_text())
+        edit(doc)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert run(["converge", "--config", cfg, "--out", tmp_path]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and field in err
+        assert not (tmp_path / "converge.csv").exists()
+
     def test_manifest_round_trip(self, tmp_path):
         run(["converge", "--config", SCENARIOS / "converge_single_mode.json",
              "--out", tmp_path])
@@ -152,6 +175,27 @@ class TestFields:
         assert "--tol" in capsys.readouterr().err
         assert not (tmp_path / "fields.csv").exists()
 
+    @pytest.mark.parametrize("row", ["0.7,zero,0.0", "0.7,nan,0.0",
+                                     "inf,0.0,0.0"])
+    def test_bad_points_csv_cell_exits_2(self, tmp_path, capsys, row):
+        doc = json.loads((SCENARIOS / "fields_single_mode.json").read_text())
+        pts = tmp_path / "pts.csv"
+        pts.write_text(f"0.7,0.0,0.0\n{row}\n")
+        del doc["points"]
+        doc["points_csv"] = str(pts)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert run(["fields", "--config", cfg, "--out", tmp_path / "o"]) == 2
+        assert f"{pts}:2" in capsys.readouterr().err
+
+    def test_non_numeric_fields_param_exits_2(self, tmp_path, capsys):
+        doc = json.loads((SCENARIOS / "fields_single_mode.json").read_text())
+        doc["params"]["rho"] = "tiny"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert run(["fields", "--config", cfg, "--out", tmp_path]) == 2
+        assert "rho" in capsys.readouterr().err
+
     def test_points_and_csv_together_rejected(self, tmp_path):
         doc = json.loads((SCENARIOS / "fields_single_mode.json").read_text())
         doc["points_csv"] = "whatever.csv"
@@ -173,6 +217,17 @@ class TestHalfspace:
             assert abs(abs(h_sc) - 1.0) < 1e-13
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert abs(summary["transmitted_mass_exponent"] - 2.0) < 0.1
+
+    @pytest.mark.parametrize("key, value", [("kz", "half"),
+                                            ("rho_list", [0.1, None]),
+                                            ("hin_re", [1.0])])
+    def test_non_numeric_value_exits_2(self, tmp_path, capsys, key, value):
+        doc = json.loads((SCENARIOS / "halfspace_sweep.json").read_text())
+        doc[key] = value
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert run(["halfspace", "--config", cfg, "--out", tmp_path]) == 2
+        assert key in capsys.readouterr().err
 
     def test_rerun_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -197,6 +252,12 @@ class TestCheckSpecfun:
         cfg.write_text(json.dumps({"n_max": 20, "t_lo": 0.5, "t_hi": 10.0,
                                    "t_count": 10}))
         assert run(["check-specfun", "--config", cfg, "--out", tmp_path]) == 0
+
+    def test_non_numeric_grid_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps({"n_max": "sixty"}))
+        assert run(["check-specfun", "--config", cfg, "--out", tmp_path]) == 2
+        assert "n_max" in capsys.readouterr().err
 
     def test_unreachable_threshold_exits_4(self, tmp_path):
         code = run(["check-specfun", "--out", tmp_path, "--tol", "1e-18"])

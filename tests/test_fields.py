@@ -264,3 +264,16 @@ class TestCsv:
         bad.write_text("1.0,2.0\n")
         with pytest.raises(DomainError):
             fields.read_points_csv(bad)
+
+    def test_non_numeric_cell_names_file_and_line(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("# x,y,z\n1.0,0.0,0.0\n1.0,one,0.0\n")
+        with pytest.raises(DomainError, match=f"{bad}:3: non-numeric"):
+            fields.read_points_csv(bad)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell_rejected_at_parse(self, tmp_path, cell):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"1.2,0.0,0.3\n0.0,{cell},0.0\n")
+        with pytest.raises(DomainError, match=f"{bad}:2: non-finite"):
+            fields.read_points_csv(bad)

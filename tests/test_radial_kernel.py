@@ -1,0 +1,254 @@
+"""The array radial kernel, the mode combination and the array quadrature.
+
+Oracles: the scalar ladder (a one-column view of the kernel), scipy's
+spherical Bessel functions, mpmath at 30 digits, and pairing/energy values
+frozen from the per-node scalar implementation that the kernel replaced.
+"""
+
+import math
+
+import mpmath
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import special as sp
+
+from cloaksim import modal, specfun, weak_limit
+from cloaksim.errors import DomainError
+from cloaksim.geometry import CloakParams
+from cloaksim.quadrature import (gauss_legendre, integrate_array,
+                                 integrate_panels)
+from cloaksim.scaled import ScaledComplex
+from cloaksim.weak_limit import RadialTestFunction
+
+EXTREME_T = [1e-8, 1e-5, 1e-2, 0.3, 1.0, 7.0, 7.6, 20.0, 50.0]
+EXTREME_N = [0, 1, 2, 5, 13, 40, 120, 200]
+
+
+def table_value(log_mag, sign):
+    return sign * mpmath.exp(mpmath.mpf(float(log_mag)))
+
+
+def mp_jy(n, t):
+    with mpmath.workdps(30):
+        t = mpmath.mpf(t)
+        scale = mpmath.sqrt(mpmath.pi / (2 * t))
+        return (scale * mpmath.besselj(n + 0.5, t),
+                scale * mpmath.bessely(n + 0.5, t))
+
+
+class TestKernelAgainstScalarLadder:
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 7, 60, 200])
+    def test_columns_equal_single_argument_ladders(self, n_max):
+        rng = np.random.default_rng(n_max)
+        t = np.concatenate([10 ** rng.uniform(-8, 1.7, 20), EXTREME_T])
+        tab = specfun.bessel_table(n_max, t)
+        assert tab.j_log.shape == (n_max + 2, t.size)
+        for i, ti in enumerate(t):
+            lad = specfun.bessel_ladder(n_max, float(ti))
+            for n in range(-1, n_max + 1):
+                j, y = lad.jn(n), lad.yn(n)
+                assert (tab.j_log[n + 1, i], tab.j_sign[n + 1, i]) == (
+                    j.log_mag, j.phase.real)
+                assert (tab.y_log[n + 1, i], tab.y_sign[n + 1, i]) == (
+                    y.log_mag, y.phase.real)
+
+    def test_rows_match_scalar_combinations(self):
+        t = np.array([1e-6, 0.4, 3.0, 11.0])
+        tab = specfun.bessel_table(12, t)
+        for i, ti in enumerate(t):
+            lad = specfun.bessel_ladder(12, float(ti))
+            for n in (0, 1, 5, 12):
+                for row, scalar in ((tab.hn(n), lad.hn(n)),
+                                    (tab.riccati_j(n), lad.riccati_j(n)),
+                                    (tab.riccati_h(n), lad.riccati_h(n))):
+                    assert row[0][i] == pytest.approx(scalar.log_mag,
+                                                      rel=1e-15, abs=1e-15)
+                    assert abs(row[1][i] - scalar.phase) < 1e-15
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(DomainError):
+            specfun.bessel_table(3, [0.5, 0.0])
+        with pytest.raises(DomainError):
+            specfun.bessel_table(3, [0.5, math.nan])
+        with pytest.raises(DomainError):
+            specfun.bessel_table(3, np.ones((2, 2)))
+
+
+class TestKernelAtExtremes:
+    def test_matches_mpmath(self):
+        tab = specfun.bessel_table(200, EXTREME_T)
+        for i, t in enumerate(EXTREME_T):
+            for n in EXTREME_N:
+                j, y = mp_jy(n, t)
+                h = mpmath.sqrt(j ** 2 + y ** 2)
+                got_j = table_value(tab.j_log[n + 1, i], tab.j_sign[n + 1, i])
+                got_y = table_value(tab.y_log[n + 1, i], tab.y_sign[n + 1, i])
+                # relative to |h_n|: j_n and y_n have zeros where t > n
+                assert abs(got_j - j) / h < 2e-12, (n, t)
+                assert abs(got_y - y) / h < 2e-12, (n, t)
+
+    def test_matches_scipy_where_doubles_hold(self):
+        tab = specfun.bessel_table(200, EXTREME_T)
+        checked = 0
+        for i, t in enumerate(EXTREME_T):
+            ref_j = sp.spherical_jn(np.arange(201), t)
+            ref_y = sp.spherical_yn(np.arange(201), t)
+            with np.errstate(over="ignore"):
+                got_j = tab.j_sign[1:, i] * np.exp(tab.j_log[1:, i])
+                got_y = tab.y_sign[1:, i] * np.exp(tab.y_log[1:, i])
+            scale = np.hypot(ref_j, ref_y)
+            ok = np.isfinite(scale) & (np.abs(ref_j) > 1e-290) & (scale < 1e290)
+            checked += ok.sum()
+            assert np.all(np.abs(got_j[ok] - ref_j[ok]) <= 2e-12 * scale[ok])
+            assert np.all(np.abs(got_y[ok] - ref_y[ok]) <= 2e-12 * scale[ok])
+        assert checked > 500
+
+    def test_mixed_rescaling_columns(self):
+        # at n_max = 200 the t = 1e-8 column passes the rescale threshold
+        # many times in both recurrences, the t = 50 column never does
+        t = np.array([50.0, 1e-8, 1.0, 1e-3])
+        tab = specfun.bessel_table(200, t)
+        assert np.max(np.abs(tab.y_log[:, 0])) < 500.0
+        assert np.min(tab.j_log[:, 1]) < -3000.0
+        assert np.max(tab.y_log[:, 1]) > 3000.0
+        for i, ti in enumerate(t):
+            alone = specfun.bessel_table(200, [ti])
+            for name in ("j_log", "j_sign", "y_log", "y_sign"):
+                assert np.array_equal(getattr(tab, name)[:, i],
+                                      getattr(alone, name)[:, 0])
+            for n in (0, 1, 100, 200):
+                j, y = mp_jy(n, ti)
+                assert float(abs(tab.j_log[n + 1, i] - mpmath.log(abs(j)))) < (
+                    1e-12 * max(1.0, abs(tab.j_log[n + 1, i])))
+                assert float(abs(tab.y_log[n + 1, i] - mpmath.log(abs(y)))) < (
+                    1e-12 * max(1.0, abs(tab.y_log[n + 1, i])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_max=st.integers(0, 80),
+       t=st.lists(st.floats(1e-6, 60.0), min_size=1, max_size=6))
+def test_property_columns_independent_and_wronskian(n_max, t):
+    t = np.array(t)
+    tab = specfun.bessel_table(n_max, t)
+    # permuting the arguments permutes the columns, bit for bit
+    perm = np.argsort(-t, kind="stable")
+    swapped = specfun.bessel_table(n_max, t[perm])
+    assert np.array_equal(swapped.j_log, tab.j_log[:, perm])
+    assert np.array_equal(swapped.y_sign, tab.y_sign[:, perm])
+    # t^2 (j_n y_{n-1} - j_{n-1} y_n) = 1, both products are O(1)
+    log_t2 = 2.0 * np.log(t)
+    for n in range(0, n_max + 1):
+        a = tab.j_sign[n + 1] * tab.y_sign[n] * np.exp(
+            tab.j_log[n + 1] + tab.y_log[n] + log_t2)
+        b = tab.j_sign[n] * tab.y_sign[n + 1] * np.exp(
+            tab.j_log[n] + tab.y_log[n + 1] + log_t2)
+        assert np.all(np.abs(a - b - 1.0) <= 1e-11 * (1.0 + np.abs(a)
+                                                        + np.abs(b)))
+
+
+class TestCombine:
+    def test_matches_scaled_arithmetic(self):
+        tab = specfun.bessel_table(6, [1e-7, 0.2, 4.0, 30.0])
+        a = ScaledComplex.from_complex(0.3 - 2.0j) * ScaledComplex.from_log(
+            -40.0)
+        b = ScaledComplex.from_complex(-1.5 + 0.25j)
+        for n in (1, 6):
+            got = specfun.combine(a, tab.hn(n), b, tab.jn(n))
+            for i in range(4):
+                lad = tab.column(i)
+                want = (a * lad.hn(n) + b * lad.jn(n)).to_complex()
+                assert abs(got[i] - want) <= 1e-14 * abs(want)
+
+    def test_zero_coefficients(self):
+        tab = specfun.bessel_table(3, [0.5, 2.0])
+        zero = ScaledComplex.zero()
+        assert np.all(specfun.combine(zero, tab.jn(2), zero, tab.hn(2)) == 0)
+        one = ScaledComplex.one()
+        got = specfun.combine(zero, tab.hn(2), one, tab.jn(2))
+        assert np.allclose(got, sp.spherical_jn(2, [0.5, 2.0]), rtol=1e-14)
+
+
+class TestArrayQuadrature:
+    @pytest.mark.parametrize("npts", [1, 2, 3, 16, 17, 64, 128])
+    def test_rule_integrates_polynomials_exactly(self, npts):
+        x, w = gauss_legendre(npts)
+        assert np.all(np.diff(x) > 0)
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+        for k in range(0, 2 * npts, 2):
+            assert abs(np.sum(w * x ** k) - 2.0 / (k + 1)) < 1e-14
+
+    def test_rule_close_to_numpy(self):
+        for npts in (16, 64, 256):
+            x, w = gauss_legendre(npts)
+            xr, wr = np.polynomial.legendre.leggauss(npts)
+            assert np.max(np.abs(x - xr)) < 1e-15
+            assert np.max(np.abs(w - wr) / wr) < 1e-10
+
+    def test_array_driver_matches_scalar_adapter(self):
+        calls = []
+
+        def f_array(x):
+            calls.append(x.size)
+            return np.exp(1j * x) / (1.0 + x * x)
+
+        edges = [0.0, 0.5, 1.5, 4.0]
+        got = integrate_array(f_array, edges, tol=1e-12)
+        want = integrate_panels(
+            lambda x: complex(math.cos(x), math.sin(x)) / (1.0 + x * x),
+            edges, tol=1e-12)
+        assert abs(got - want) < 1e-14
+        # one call per pass, every node of every panel at once
+        assert calls[0] == 3 * 16 and all(
+            b == 2 * a for a, b in zip(calls, calls[1:]))
+
+
+# pairings and energies of the per-node scalar implementation, frozen
+FROZEN = {
+    (1e-2, "bump", "interior"): -1.209373476589687 - 0.738227459939039j,
+    (1e-2, "bump", "exterior"): -1.8593068074523982 - 1.18107649120706j,
+    (1e-2, "bump", "predicted"): -3.0753178957113665 - 1.923676007066819j,
+    (1e-2, "spline", "interior"): -50.6840682482659 - 31.08347932111866j,
+    (1e-2, "spline", "exterior"): -32.61854317072716 - 20.688716620859267j,
+    (1e-2, "spline", "predicted"): -83.46664142615157 - 51.91123146407841j,
+    (1e-2, "energy", 0.0): 155926.49469080902,
+    (1e-2, "energy", 0.05): 154802.53059480374,
+    (1e-6, "bump", "interior"): -1.1980199482871983 - 0.7312757544009738j,
+    (1e-6, "bump", "exterior"): -1.8772972692505872 - 1.192399830055939j,
+    (1e-6, "bump", "predicted"): -3.0753178957113665 - 1.923676007066819j,
+    (1e-6, "spline", "interior"): -50.42620342971329 - 30.924990679412485j,
+    (1e-6, "spline", "exterior"): -33.04042128165261 - 20.986227756209516j,
+    (1e-6, "spline", "predicted"): -83.46664142615157 - 51.91123146407841j,
+    (1e-6, "energy", 0.0): 155925.36087303385,
+    (1e-6, "energy", 0.05): 154847.78104146375,
+}
+
+
+@pytest.mark.parametrize("rho", [1e-2, 1e-6])
+def test_pairings_and_energy_reproduce_frozen_values(rho):
+    source = modal.SourceCoeffs(entries={
+        (1, 0): (0.3 - 0.2j, 1.0 + 0.5j),
+        (2, 1): (0.25j, -0.4 + 0.1j),
+        (3, -2): (0.1 + 0j, 0.2 - 0.3j)}, r1=0.5)
+    modes = source.modes()
+    profiles = {
+        "bump": RadialTestFunction.polynomial_bump(modes, 0.5, 1.5),
+        "spline": RadialTestFunction.cubic_spline(
+            modes, [(0.4, 0.0), (0.7, 0.9), (1.0, 1.1), (1.4, -0.8)]),
+    }
+    params = CloakParams(rho=rho, omega=1.0, r1=0.5)
+    solution = modal.solve_source(source, None, params)
+    got = {}
+    for name, phi in profiles.items():
+        got[(rho, name, "interior")] = weak_limit.pairing_interior(
+            solution, phi)
+        got[(rho, name, "exterior")] = weak_limit.pairing_exterior_normal(
+            solution, phi)
+        got[(rho, name, "predicted")] = weak_limit.predicted_limit(
+            source, phi, params)
+    for delta in (0.0, 0.05):
+        got[(rho, "energy", delta)] = weak_limit.energy_integral(
+            solution, delta=delta, tol=1e-7)
+    for key, value in got.items():
+        assert abs(value - FROZEN[key]) <= 1e-12 * abs(FROZEN[key]), key
