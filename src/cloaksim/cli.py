@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__, fields, halfspace, modal, specfun, weak_limit
 from .errors import AccuracyError, CloakSimError, ConfigError, ResonanceError
 from .geometry import CloakParams
-from .manifest import RunManifest, write_csv
+from .manifest import RunManifest, write_csv, write_json
 from .modal import config_number
 from .weak_limit import RadialTestFunction
 
@@ -67,6 +67,10 @@ def _num_list(values, where):
     if not isinstance(values, list):
         raise ConfigError(f"{where} must be a list of numbers")
     return [config_number(v, f"{where} entry") for v in values]
+
+
+def _finite_or_none(x):  # JSON null for NaN or inf, e.g. an unfitted rate
+    return x if math.isfinite(x) else None
 
 
 def _seed(doc):
@@ -145,12 +149,9 @@ def cmd_converge(config_path, out_dir, tol):
               [[r["rho"], r["pairing"].real, r["pairing"].imag,
                 r["predicted"].real, r["predicted"].imag, r["abs_err"]]
                for r in rows])
-    summary = {"fitted_rate": rate,
-               "abs_err_final": rows[-1]["abs_err"],
-               "rho_final": rows[-1]["rho"]}
-    with open(out / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(out / "summary.json", {"fitted_rate": _finite_or_none(rate),
+                                      "abs_err_final": rows[-1]["abs_err"],
+                                      "rho_final": rows[-1]["rho"]})
     RunManifest(scenario=doc["scenario"], command="converge", params=pdoc,
                 source=doc["source"], boundary=doc.get("boundary", []),
                 phi=doc["phi"], quadrature={"tol": qtol},
@@ -181,7 +182,10 @@ def cmd_fields(config_path, out_dir, tol):
     if ("points" in doc) == ("points_csv" in doc):
         raise ConfigError("provide exactly one of 'points' or 'points_csv'")
     if "points" in doc:
-        points = [np.asarray(p, dtype=float) for p in doc["points"]]
+        if not isinstance(doc["points"], list):
+            raise ConfigError("points must be a list of [x, y, z] triples")
+        points = [fields.parse_point(p, f"points[{i}]", ConfigError)
+                  for i, p in enumerate(doc["points"])]
     else:
         points = fields.read_points_csv(doc["points_csv"])
     evaluate = (fields.eval_virtual_exterior if space == "virtual"
@@ -232,10 +236,8 @@ def cmd_halfspace(config_path, out_dir, tol):
                 r["transmitted_mass"].real, r["transmitted_mass"].imag,
                 r["reflected_pairing"].real, r["reflected_pairing"].imag]
                for r in rows])
-    with open(out / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump({"transmitted_mass_exponent": exponent}, fh,
-                  sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(out / "summary.json",
+               {"transmitted_mass_exponent": _finite_or_none(exponent)})
     RunManifest(scenario=doc["scenario"], command="halfspace",
                 params={"omega": doc["omega"], "kz": doc["kz"],
                         "rho_list": doc["rho_list"], "hin_re": hin.real,
@@ -292,17 +294,15 @@ def cmd_check_specfun(config_path, out_dir, tol):
     report = {
         "pass": bool(passed),
         "threshold": threshold,
-        "max_wronskian_deviation": worst_wronskian,
-        "max_cross_product_deviation": worst_cross,
-        "max_recurrence_relative_deviation": worst_recurrence,
+        "max_wronskian_deviation": _finite_or_none(worst_wronskian),
+        "max_cross_product_deviation": _finite_or_none(worst_cross),
+        "max_recurrence_relative_deviation": _finite_or_none(worst_recurrence),
         "grid": {"n_max": n_max, "t_lo": t_lo, "t_hi": t_hi,
                  "t_count": t_count},
     }
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "specfun_report.json", "w", encoding="utf-8") as fh:
-        json.dump(report, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(out / "specfun_report.json", report)
     RunManifest(scenario=str(doc.get("scenario", "specfun-default-grid")),
                 command="check-specfun", params=report["grid"],
                 quadrature={"tol": threshold},

@@ -2,7 +2,7 @@
 
 The exterior solution lives naturally in the pre-image (virtual) annulus;
 physical-layer values are its 1-form transport through the regularised map.
-Interior values come from the hidden-region expansion directly.  A small
+Both regions evaluate one mode expansion of their ``RegionChains``.  A small
 finite-difference toolbox backs the curl/residual diagnostics.
 """
 
@@ -12,10 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry, specfun
+from . import geometry
 from .errors import DomainError, SingularityError
 from .harmonics import ModeIndex, angular_basis
-from .modal import ModalSolution
+from .manifest import write_csv
+from .modal import ModalSolution, region_chains
 
 FD_CURL_STEP = 1e-4  # relative step used by the curl diagnostics
 
@@ -30,8 +31,23 @@ class FieldSample:
     space: str  # "virtual" | "physical"
 
 
-def _mode_radial_factors(lad, n):
-    return lad.jn(n), lad.hn(n), lad.riccati_j(n), lad.riccati_h(n)
+def _expand(chains, x, r, space) -> FieldSample:
+    """E/H of a region's mode expansion at the point x of radius r: the
+    radial factors of all modes as arrays, the angular basis per mode."""
+    w, xhat = chains.wavenumber, x / r
+    a_j, a_jj, b_j, b_jj = (v[:, 0] for v in chains.expand(chains.table(r)))
+    s_n = np.sqrt(chains.degrees * (chains.degrees + 1.0))
+    e_v, e_u, e_r = -s_n * a_j, s_n / r * b_jj, s_n ** 2 / r * b_j
+    h_v = 1j * w * s_n * b_j
+    h_u, h_r = -1j / w * s_n / r * a_jj, -1j / w * s_n ** 2 / r * a_j
+    e_total, h_total = np.zeros(3, dtype=complex), np.zeros(3, dtype=complex)
+    for i, (n, m) in enumerate(chains.keys):
+        y_val, u, v = angular_basis(ModeIndex(n, m), xhat)
+        e_total += chains.e_weight * (e_v[i] * v + e_u[i] * u
+                                      + e_r[i] * y_val * xhat)
+        h_total += chains.h_weight * (h_v[i] * v + h_u[i] * u
+                                      + h_r[i] * y_val * xhat)
+    return FieldSample(point=x, E=e_total, H=h_total, space=space)
 
 
 def eval_virtual_exterior(solution: ModalSolution, y) -> FieldSample:
@@ -41,58 +57,10 @@ def eval_virtual_exterior(solution: ModalSolution, y) -> FieldSample:
     """
     y = np.asarray(y, dtype=float)
     r = float(np.linalg.norm(y))
-    params = solution.params
-    if not params.rho < r < 2.0:
+    if not solution.params.rho < r < 2.0:
         raise DomainError(
             f"virtual exterior is rho < |y| < 2, got |y|={r:.6g}")
-    om = params.omega
-    yhat = y / r
-    e_total = np.zeros(3, dtype=complex)
-    h_total = np.zeros(3, dtype=complex)
-    lad = specfun.bessel_ladder(solution.n_max, om * r)  # serves every mode
-    for (n, m), co in solution.mode_items():
-        mode = ModeIndex(n, m)
-        y_val, u, v = angular_basis(mode, yhat)
-        jn, hn, jjn, hhn = _mode_radial_factors(lad, n)
-        s_n = mode.s_n
-        e_v = -s_n * (co.gamma * jn + co.c * hn).to_complex()
-        e_u = s_n / r * (co.eta * jjn + co.d * hhn).to_complex()
-        e_r = s_n ** 2 / r * (co.eta * jn + co.d * hn).to_complex()
-        e_total += e_v * v + e_u * u + e_r * y_val * yhat
-        h_v = 1j * om * s_n * (co.eta * jn + co.d * hn).to_complex()
-        h_u = -1j / om * s_n / r * (co.gamma * jjn + co.c * hhn).to_complex()
-        h_r = -1j / om * s_n ** 2 / r * (co.gamma * jn + co.c * hn).to_complex()
-        h_total += h_v * v + h_u * u + h_r * y_val * yhat
-    return FieldSample(point=y, E=e_total, H=h_total, space="virtual")
-
-
-def _eval_interior(solution: ModalSolution, x) -> FieldSample:
-    x = np.asarray(x, dtype=float)
-    r = float(np.linalg.norm(x))
-    params = solution.params
-    kw = params.k * params.omega
-    se = params.eps0 ** -0.5
-    sm = params.mu0 ** -0.5
-    xhat = x / r
-    e_total = np.zeros(3, dtype=complex)
-    h_total = np.zeros(3, dtype=complex)
-    lad = specfun.bessel_ladder(solution.n_max, kw * r)  # serves every mode
-    for (n, m), co in solution.mode_items():
-        mode = ModeIndex(n, m)
-        p, q = solution.source.entries.get((n, m), (0j, 0j))
-        y_val, u, v = angular_basis(mode, xhat)
-        jn, hn, jjn, hhn = _mode_radial_factors(lad, n)
-        s_n = mode.s_n
-        a_j = (co.alpha * jn + p * hn).to_complex()
-        b_jj = (co.beta * jjn + q * hhn).to_complex()
-        b_j = (co.beta * jn + q * hn).to_complex()
-        a_jj = (co.alpha * jjn + p * hhn).to_complex()
-        e_total += se * (-s_n * a_j * v + s_n / r * b_jj * u
-                         + s_n ** 2 / r * b_j * y_val * xhat)
-        h_total += sm * (1j * kw * s_n * b_j * v
-                         - 1j / kw * s_n / r * a_jj * u
-                         - 1j / kw * s_n ** 2 / r * a_j * y_val * xhat)
-    return FieldSample(point=x, E=e_total, H=h_total, space="physical")
+    return _expand(region_chains(solution, "layer"), y, r, "virtual")
 
 
 def eval_physical(solution: ModalSolution, x) -> FieldSample:
@@ -112,7 +80,7 @@ def eval_physical(solution: ModalSolution, x) -> FieldSample:
     if not params.r1 < r < 2.0:
         raise DomainError(f"physical region is r1 < |x| < 2, got |x|={r:.6g}")
     if r < 1.0:
-        return _eval_interior(solution, x)
+        return _expand(region_chains(solution, "hidden"), x, r, "physical")
     fmap = geometry.CloakOuterMap(params)
     y = fmap.inverse(x)
     virt = eval_virtual_exterior(solution, y)
@@ -178,6 +146,20 @@ def maxwell_residuals(e_field, h_field, x, omega, eps_tensor=None,
 # -- CSV exchange --------------------------------------------------------------
 
 
+def parse_point(cells, where, error=DomainError) -> np.ndarray:
+    """A point from a list of exactly three finite numbers; anything else
+    raises ``error`` (DomainError by default) naming ``where``."""
+    if not isinstance(cells, (list, tuple)) or len(cells) != 3:
+        raise error(f"{where}: expected 3 values, got {cells!r}")
+    try:
+        point = np.array([float(v) for v in cells])
+    except (TypeError, ValueError):
+        raise error(f"{where}: non-numeric value in {cells!r}") from None
+    if not np.all(np.isfinite(point)):
+        raise error(f"{where}: non-finite value in {cells!r}")
+    return point
+
+
 def read_points_csv(path):
     """Points from a CSV file with one x,y,z triple per row.
 
@@ -185,39 +167,17 @@ def read_points_csv(path):
         DomainError: naming file:line, for a row that is not three finite
             numbers.
     """
-    pts = []
     with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise DomainError(
-                    f"{path}:{line_no}: expected 3 comma-separated values")
-            try:
-                point = np.array([float(v) for v in parts])
-            except ValueError:
-                raise DomainError(
-                    f"{path}:{line_no}: non-numeric value in {line!r}") from None
-            if not np.all(np.isfinite(point)):
-                raise DomainError(
-                    f"{path}:{line_no}: non-finite value in {line!r}")
-            pts.append(point)
-    return pts
+        return [parse_point(line.split(","), f"{path}:{line_no}")
+                for line_no, line in enumerate(map(str.strip, fh), 1)
+                if line and not line.startswith("#")]
 
 
 def write_samples_csv(path, samples):
     """Field samples as CSV with re/im columns per component."""
-    header = ["x", "y", "z", "space"]
-    for f in ("E", "H"):
-        for c in ("x", "y", "z"):
-            header += [f"{f}{c}_re", f"{f}{c}_im"]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for s in samples:
-            row = [f"{v:.17g}" for v in s.point] + [s.space]
-            for vec in (s.E, s.H):
-                for comp in vec:
-                    row += [f"{comp.real:.17g}", f"{comp.imag:.17g}"]
-            fh.write(",".join(row) + "\n")
+    header = ["x", "y", "z", "space"] + [
+        f"{f}{c}_{part}" for f in "EH" for c in "xyz" for part in ("re", "im")]
+    write_csv(path, header, [
+        [*s.point, s.space] + [v for comp in (*s.E, *s.H)
+                               for v in (comp.real, comp.imag)]
+        for s in samples])

@@ -32,6 +32,14 @@ def write_csv(path, header, rows) -> None:
             fh.write(",".join(cells) + "\n")
 
 
+def write_json(path, doc) -> None:
+    """JSON with sorted keys, indent 2 and a final newline; NaN and
+    infinities are not JSON and raise ValueError."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=2, allow_nan=False)
+        fh.write("\n")
+
+
 @dataclass(frozen=True)
 class RunManifest:
     """Everything needed to reproduce one run's outputs exactly."""
@@ -61,8 +69,7 @@ class RunManifest:
         return RunManifest(**data)
 
     def write(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(self.to_json())
+        write_json(path, asdict(self))
 
     @staticmethod
     def read(path) -> "RunManifest":

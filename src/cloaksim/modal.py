@@ -9,7 +9,9 @@ finite.
 
 Closed-form limits of the solve as the inner radius shrinks (beta0, the
 leading d coefficient, and the interface-layer strength sigma) live here
-too, next to the finite-radius machinery they describe.
+too, next to the finite-radius machinery they describe, and so do the
+``RegionChains`` through which fields, pairings, traces and energy read the
+layer, the hidden region and the limit.
 """
 
 from __future__ import annotations
@@ -19,11 +21,14 @@ import math
 import warnings
 from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
+
+import numpy as np
 
 from . import specfun
 from .errors import ConfigError, DomainError, ResonanceError
 from .geometry import CloakParams
-from .scaled import ScaledComplex, scaled_real
+from .scaled import ScaledArray, ScaledComplex, scaled_real
 
 # a denominator whose magnitude falls below this fraction of its largest
 # term is treated as resonant (frequency inadmissible)
@@ -55,11 +60,6 @@ class TransferSet:
     dn: ScaledComplex
     dnp: ScaledComplex
     outer: tuple
-
-    def as_complex(self) -> dict:
-        return {k: getattr(self, k).to_complex()
-                for k in ("t1", "t2", "t3", "t4", "t1p", "t2p", "t3p", "t4p",
-                          "dn", "dnp")}
 
 
 class ModeCoeffs:
@@ -128,18 +128,12 @@ class SourceCoeffs:
     def modes(self):
         return sorted(self.entries)
 
-    def max_degree(self) -> int:
-        return max((n for n, _ in self.entries), default=0)
-
 
 @dataclass(frozen=True)
 class BoundaryCoeffs:
     """Tangential boundary data table: (n, m) -> (f1, f2)."""
 
     entries: dict = field(default_factory=dict)
-
-    def modes(self):
-        return sorted(self.entries)
 
     def max_degree(self) -> int:
         return max((n for n, _ in self.entries), default=0)
@@ -154,9 +148,6 @@ class ModalSolution:
     boundary: BoundaryCoeffs
     modes: dict  # (n, m) -> ModeCoeffs
     n_max: int
-
-    def mode_items(self):
-        return sorted(self.modes.items())
 
 
 def _ladder_values(n: int, t: float):
@@ -337,6 +328,108 @@ def sigma_uncollapsed(n: int, q, params: CloakParams) -> complex:
     return s2 * math.sqrt(mu0) * cross / (k * n * (n + 1) * jk_c) * complex(q)
 
 
+# -- region chains ------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class RegionChains:
+    """The modes of one region as two transmission chains.
+
+    Mode i (key ``keys[i]``) has chain A = a[0][i] f_n + a[1][i] g_n and
+    chain B = b[0][i] f_n + b[1][i] g_n, (f, g) = (j, h) or (J, H) at
+    wavenumber * r; E carries the factor e_weight, H h_weight.  Layer
+    (virtual coordinates): A = (gamma, c), B = (eta, d), omega, 1, 1.
+    Hidden: A = (alpha, p), B = (beta, q), k omega, eps0^-1/2, mu0^-1/2.
+    Limit: as hidden with alpha0, beta0 and the interface-layer strength
+    sigma per mode in ``surface``.  Coefficients are ScaledComplex lists;
+    mode index None takes every mode at once, through ScaledArray columns.
+    """
+
+    keys: list
+    a: tuple
+    b: tuple
+    wavenumber: float
+    e_weight: float = 1.0
+    h_weight: float = 1.0
+    surface: list | None = None
+
+    @cached_property
+    def degrees(self) -> np.ndarray:
+        return np.array([n for n, _ in self.keys], dtype=int)
+
+    @cached_property
+    def _columns(self):
+        return [ScaledArray(
+            np.array([c.log_mag for c in coeffs], dtype=float).reshape(-1, 1),
+            np.array([c.phase for c in coeffs], dtype=complex).reshape(-1, 1))
+            for coeffs in (*self.a, *self.b)]
+
+    def _at(self, i):
+        """Degree(s) and (a0, a1, b0, b1) of mode i, or of all for None."""
+        if i is None:
+            return self.degrees, self._columns
+        return self.keys[i][0], [c[i] for c in (*self.a, *self.b)]
+
+    def table(self, r: float):
+        """One BesselTable at wavenumber * r serving every mode."""
+        return specfun.bessel_table(int(self.degrees.max(initial=0)),
+                                    [self.wavenumber * r])
+
+    def normal(self, tab, i=None):
+        """B(j, h) of mode i (or all) at the arguments of a BesselTable."""
+        n, (_, _, b0, b1) = self._at(i)
+        return specfun.combine(b0, tab.jn(n), b1, tab.hn(n))
+
+    def expand(self, tab, i=None):
+        """(A(j, h), A(J, H), B(j, h), B(J, H)) of mode i (or all)."""
+        n, (a0, a1, b0, b1) = self._at(i)
+        j, h, jj, hh = tab.jn(n), tab.hn(n), tab.riccati_j(n), tab.riccati_h(n)
+        return (specfun.combine(a0, j, a1, h), specfun.combine(a0, jj, a1, hh),
+                specfun.combine(b0, j, b1, h), specfun.combine(b0, jj, b1, hh))
+
+
+def _hidden_chains(keys, alpha, beta, pq, params, surface=None):
+    """Hidden-region chains A = (alpha, p) and B = (beta, q), from the
+    complex (p, q) pairs pq, one per key."""
+    p, q = ([ScaledComplex.from_complex(v[k]) for v in pq] for k in (0, 1))
+    return RegionChains(keys, (alpha, p), (beta, q), params.k * params.omega,
+                        params.eps0 ** -0.5, params.mu0 ** -0.5, surface)
+
+
+def region_chains(solution: ModalSolution, region: str,
+                  keys=None) -> RegionChains:
+    """The chains of the "layer" (virtual coordinates) or "hidden" region,
+    for the given ascending mode keys or every solved mode."""
+    keys = sorted(solution.modes) if keys is None else keys
+    modes = [solution.modes[key] for key in keys]
+    if region == "layer":
+        gamma, c, eta, d = ([getattr(co, name) for co in modes]
+                            for name in ("gamma", "c", "eta", "d"))
+        return RegionChains(keys, (gamma, c), (eta, d), solution.params.omega)
+    if region != "hidden":
+        raise DomainError(f"region is 'layer' or 'hidden', got {region!r}")
+    return _hidden_chains(
+        keys, [co.alpha for co in modes], [co.beta for co in modes],
+        [solution.source.entries.get(key, (0j, 0j)) for key in keys],
+        solution.params)
+
+
+def limit_chains(source: SourceCoeffs, params: CloakParams,
+                 keys=None) -> RegionChains:
+    """The rho -> 0 limit of the hidden region, for the given ascending mode
+    keys or every source mode: alpha0 = r_n p and beta0 = r_n q with
+    r_n = -h_n(k w)/j_n(k w), and the surface strength sigma, from one
+    ``limit_coeffs`` per degree (and its ResonanceError).
+    """
+    keys = source.modes() if keys is None else keys
+    unit = {n: limit_coeffs(n, 1.0, params) for n in {n for n, _ in keys}}
+    pq = [source.entries[key] for key in keys]
+    alpha0, beta0 = ([ScaledComplex.from_complex(unit[n][0] * pair[k])
+                      for (n, _), pair in zip(keys, pq)] for k in (0, 1))
+    return _hidden_chains(keys, alpha0, beta0, pq, params,
+                          [unit[n][2] * q for (n, _), (_, q) in zip(keys, pq)])
+
+
 def _term_weights(source: SourceCoeffs, params: CloakParams) -> dict:
     """S_n^2 (|p| + |q|) |h_n(k w r1)| per mode, one ladder per degree."""
     t = params.k * params.omega * source.r1
@@ -407,10 +500,6 @@ def solve_source(source: SourceCoeffs, boundary: BoundaryCoeffs | None,
 
 # -- JSON tables --------------------------------------------------------------
 
-_SOURCE_FIELDS = {"n", "m", "p_re", "p_im", "q_re", "q_im"}
-_BOUNDARY_FIELDS = {"n", "m", "f1_re", "f1_im", "f2_re", "f2_im"}
-
-
 def config_number(value, field: str, kind=float):
     """A configuration value converted by ``kind`` (float or int).
 
@@ -455,24 +544,21 @@ def _parse_rows(rows, allowed, kind):
     return entries
 
 
+def _parse_table(rows, names, kind):
+    """{(n, m): complex values of names} from rows {n, m, <name>_re/_im}."""
+    allowed = {"n", "m"} | {f"{x}_{ri}" for x in names for ri in ("re", "im")}
+    return {key: tuple(_complex_field(row, x, kind) for x in names)
+            for key, row in _parse_rows(rows, allowed, kind).items()}
+
+
 def parse_source_table(rows, r1: float) -> SourceCoeffs:
     """Source table from JSON rows {n, m, p_re, p_im, q_re, q_im}."""
-    raw = _parse_rows(rows, _SOURCE_FIELDS, "source")
-    entries = {}
-    for (n, m), row in raw.items():
-        entries[(n, m)] = (_complex_field(row, "p", "source"),
-                           _complex_field(row, "q", "source"))
-    return SourceCoeffs(entries=entries, r1=r1)
+    return SourceCoeffs(_parse_table(rows, ("p", "q"), "source"), r1)
 
 
 def parse_boundary_table(rows) -> BoundaryCoeffs:
     """Boundary table from JSON rows {n, m, f1_re, f1_im, f2_re, f2_im}."""
-    raw = _parse_rows(rows, _BOUNDARY_FIELDS, "boundary")
-    entries = {}
-    for (n, m), row in raw.items():
-        entries[(n, m)] = (_complex_field(row, "f1", "boundary"),
-                           _complex_field(row, "f2", "boundary"))
-    return BoundaryCoeffs(entries=entries)
+    return BoundaryCoeffs(entries=_parse_table(rows, ("f1", "f2"), "boundary"))
 
 
 def load_source_table(path, r1: float) -> SourceCoeffs:

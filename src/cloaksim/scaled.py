@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 _NEG_INF = float("-inf")
 
 
@@ -152,3 +154,12 @@ def scaled_from_log_sign(log_mag: float, sign: float) -> ScaledComplex:
     if sign == 0 or log_mag == _NEG_INF:
         return ScaledComplex.zero()
     return ScaledComplex(log_mag, complex(math.copysign(1.0, sign)))
+
+
+@dataclass(frozen=True)
+class ScaledArray:
+    """Elementwise exp(log_mag) * phase, zero as (-inf, 0): ScaledComplex's
+    array form, which ``specfun.combine`` takes as a coefficient too."""
+
+    log_mag: np.ndarray
+    phase: np.ndarray

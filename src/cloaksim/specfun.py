@@ -10,9 +10,9 @@ view in ScaledComplex form.  Derivative combinations J_n = j_n + t j_n' and
 H_n = h_n + t h_n' come from the exact recurrence
 f_n' = f_{n-1} - (n+1)/t f_n, i.e. J_n = t j_{n-1} - n j_n.
 
-A row of the table at one order is a (log-magnitude, phase) pair of arrays;
-``combine`` turns a f + b g, with ScaledComplex coefficients a, b and rows
-f, g, into plain complex values.
+A row of the table at one order (or an array of orders) is a
+(log-magnitude, phase) pair of arrays; ``combine`` turns a f + b g, with
+coefficients a, b and rows f, g, into plain complex values.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ N_CAP = 200
 
 _RESCALE_LOG = 500.0  # rescale working pair when log magnitude exceeds this
 _SQRT_PI = math.sqrt(math.pi)
+_LOG_ORDER = np.array([-math.inf] + [math.log(n) for n in range(1, N_CAP + 1)])
 
 
 def _require_args(n: int, t) -> None:
@@ -63,8 +64,9 @@ def _log_add(l1, p1, l2, p2):
         return hi + np.log(m), np.where(m > 0.0, s / m, 0j)
 
 
-def combine(a: ScaledComplex, f, b: ScaledComplex, g):
-    """a f + b g as a plain complex array, for rows f, g of a BesselTable."""
+def combine(a, f, b, g):
+    """a f + b g as a plain complex array, for rows f, g of a BesselTable
+    and ScaledComplex or ScaledArray coefficients a, b."""
     log_mag, phase = _log_add(a.log_mag + f[0], a.phase * f[1],
                               b.log_mag + g[0], b.phase * g[1])
     with np.errstate(over="ignore"):
@@ -79,7 +81,7 @@ class BesselTable:
     order -1, cos(t)/t and sin(t)/t, used by the derivative combinations.
     ``*_log`` are natural logs of the magnitudes (-inf for an exact zero),
     ``*_sign`` are +1, -1 or 0.  The row accessors return (log-magnitude,
-    phase) pairs for ``combine``.
+    phase) pairs for ``combine``, of shape (len(n), len(t)) for an array n.
     """
 
     n_max: int
@@ -104,7 +106,7 @@ class BesselTable:
         return self._riccati(self.hn(n - 1), self.hn(n), n)
 
     def _riccati(self, lower, upper, n):
-        log_n = math.log(n) if n else -math.inf
+        log_n = _LOG_ORDER[n] if np.ndim(n) == 0 else _LOG_ORDER[n][:, None]
         return _log_add(lower[0] + np.log(self.t), lower[1],
                         upper[0] + log_n, -upper[1])
 

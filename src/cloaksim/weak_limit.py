@@ -19,11 +19,12 @@ import numpy as np
 
 from . import specfun
 from .errors import DomainError
-from .geometry import CloakParams
-from .modal import (ModalSolution, SourceCoeffs, limit_coeffs, solve_source)
+from .geometry import CloakOuterMap, CloakParams
+# limit_coeffs is re-exported: the benchmark's tracer patches it here too
+from .modal import (ModalSolution, SourceCoeffs, limit_chains, limit_coeffs,
+                    region_chains, solve_source)
 from .quadrature import (fit_power_law, integrate_adaptive,
                          integrate_boundary_layer)
-from .scaled import ScaledComplex
 
 
 @dataclass(frozen=True)
@@ -42,13 +43,6 @@ class RadialTestFunction:
             if abs(phi(2.0)) > 1e-12:
                 raise DomainError(
                     f"profile ({n},{m}) must vanish at r=2, got {phi(2.0)!r}")
-
-    def modes(self):
-        return sorted(self.profiles)
-
-    def value(self, n, m, r):
-        entry = self.profiles.get((n, m))
-        return 0.0 if entry is None else entry[0](r)
 
     @staticmethod
     def polynomial_bump(modes, r_lo: float, r_hi: float, amplitude=1.0):
@@ -157,18 +151,31 @@ def _profile_values(prof, r):
     return np.array([prof(x) for x in r.tolist()])
 
 
-def _interior_mode_pairing(n, beta, q, phi, params, tol):
-    """integral over (r1, 1) of S^2 eps0^-1/2 [beta j + q h](k w r) phi(r) r dr."""
-    kw = params.k * params.omega
-    s2 = n * (n + 1)
-    se = params.eps0 ** -0.5
+def _shared(modes, phi):
+    """The keys of modes that phi has a profile for, ascending."""
+    return sorted(phi.profiles.keys() & modes)
 
-    def integrand(r):
-        tab = specfun.bessel_table(n, kw * r)
-        val = specfun.combine(beta, tab.jn(n), q, tab.hn(n))
-        return s2 * se * val * _profile_values(phi, r) * r
 
-    return integrate_adaptive(integrand, params.r1, 1.0, tol=tol)
+def _pairing(chains, phi, tol, lo, hi, integrate=integrate_adaptive,
+             radius=None):
+    """Sum over the modes i of the chains, in ascending (n, m) order, of the
+    integral over (lo, hi) of S^2 e_weight B_i(w r) phi(g) g^2 / r dr, where
+    the physical radius g is radius(r), or r itself for radius None."""
+    total = 0j
+    for i, key in enumerate(chains.keys):
+        n, prof = key[0], phi.profiles[key][0]
+
+        def integrand(r, i=i, n=n, prof=prof,
+                      s2w=n * (n + 1) * chains.e_weight):
+            tab = specfun.bessel_table(n, chains.wavenumber * r)
+            val = s2w * chains.normal(tab, i)
+            if radius is None:
+                return val * _profile_values(prof, r) * r
+            g = radius(r)
+            return val * _profile_values(prof, g) * g * g / r
+
+        total += integrate(integrand, lo, hi, tol=tol)
+    return total
 
 
 def pairing_interior(solution: ModalSolution, phi: RadialTestFunction,
@@ -178,16 +185,8 @@ def pairing_interior(solution: ModalSolution, phi: RadialTestFunction,
     Sums over the modes shared by the solution and the test function, in
     ascending (n, m) order for reproducibility.
     """
-    total = 0j
-    params = solution.params
-    for (n, m), co in solution.mode_items():
-        entry = phi.profiles.get((n, m))
-        if entry is None:
-            continue
-        _, q = solution.source.entries.get((n, m), (0j, 0j))
-        total += _interior_mode_pairing(
-            n, co.beta, ScaledComplex.from_complex(q), entry[0], params, tol)
-    return total
+    chains = region_chains(solution, "hidden", _shared(solution.modes, phi))
+    return _pairing(chains, phi, tol, solution.params.r1, 1.0)
 
 
 def pairing_exterior_normal(solution: ModalSolution, phi: RadialTestFunction,
@@ -200,54 +199,44 @@ def pairing_exterior_normal(solution: ModalSolution, phi: RadialTestFunction,
     substitution of the boundary-layer quadrature.
     """
     params = solution.params
-    om, a, b = params.omega, params.a, params.b
-    total = 0j
-    for (n, m), co in solution.mode_items():
-        entry = phi.profiles.get((n, m))
-        if entry is None:
-            continue
-        prof = entry[0]
-        s2 = n * (n + 1)
-
-        def integrand(r, n=n, d=co.d, eta=co.eta, prof=prof, s2=s2):
-            tab = specfun.bessel_table(n, om * r)
-            val = specfun.combine(d, tab.hn(n), eta, tab.jn(n))
-            g = a + b * r
-            return s2 * val * _profile_values(prof, g) * g * g / r
-
-        total += integrate_boundary_layer(integrand, params.rho, 2.0, tol=tol)
-    return total
+    chains = region_chains(solution, "layer", _shared(solution.modes, phi))
+    return _pairing(chains, phi, tol, params.rho, 2.0,
+                    integrate_boundary_layer, CloakOuterMap(params).g)
 
 
 def predicted_limit_parts(source: SourceCoeffs, phi: RadialTestFunction,
                           params: CloakParams, tol: float = 1e-9):
     """(measurable, surface) parts of the limiting normal-component pairing.
 
-    The measurable part is the interior pairing evaluated at the limiting
-    beta; the surface part is sum of sigma * phi(1) over modes.
+    The measurable part is the interior pairing on the limit chains; the
+    surface part is sum of sigma * phi(1) over modes.
     """
-    measurable = 0j
-    surface = 0j
-    for (n, m), (p, q) in sorted(source.entries.items()):
-        entry = phi.profiles.get((n, m))
-        if entry is None:
-            continue
-        beta0, _, sigma = limit_coeffs(n, q, params)
-        measurable += _interior_mode_pairing(
-            n, ScaledComplex.from_complex(beta0),
-            ScaledComplex.from_complex(q), entry[0], params, tol)
-        surface += sigma * entry[0](1.0)
-    return measurable, surface
+    chains = limit_chains(source, params, _shared(source.entries, phi))
+    surface = sum((sigma * phi.profiles[key][0](1.0)
+                   for key, sigma in zip(chains.keys, chains.surface)), 0j)
+    return _pairing(chains, phi, tol, params.r1, 1.0), surface
 
 
 def predicted_limit(source: SourceCoeffs, phi: RadialTestFunction,
                     params: CloakParams, tol: float = 1e-9) -> complex:
     """Limiting value of the full normal-component pairing."""
-    measurable, surface = predicted_limit_parts(source, phi, params, tol)
-    return measurable + surface
+    return sum(predicted_limit_parts(source, phi, params, tol))
 
 
 # -- one-sided traces ----------------------------------------------------------
+
+
+def _normal_trace(chains, r1: float, r: float) -> dict:
+    if not r1 < r <= 1.0:
+        raise DomainError(f"trace radius must satisfy r1 < r <= 1, got {r}")
+    return {(n, m): complex(n * (n + 1) / r * val) for (n, m), val in
+            zip(chains.keys, chains.normal(chains.table(r))[:, 0])}
+
+
+def _tangential_trace(chains) -> dict:
+    a_j, _, _, b_jj = chains.expand(chains.table(1.0))
+    return {key: (complex(t1), complex(t2)) for key, t1, t2 in
+            zip(chains.keys, b_jj[:, 0], a_j[:, 0])}
 
 
 def interior_trace_normal(source: SourceCoeffs, params: CloakParams,
@@ -257,30 +246,13 @@ def interior_trace_normal(source: SourceCoeffs, params: CloakParams,
     Values are S_n^2 r^-1 [beta0 j_n(k w r) + q h_n(k w r)]; at r = 1 the
     combination cancels identically.
     """
-    if not source.r1 < r <= 1.0:
-        raise DomainError(f"trace radius must satisfy r1 < r <= 1, got {r}")
-    kw = params.k * params.omega
-    out = {}
-    for (n, m), (p, q) in sorted(source.entries.items()):
-        beta0, _, _ = limit_coeffs(n, q, params)
-        lad = specfun.bessel_ladder(n, kw * r)
-        j = lad.jn(n).to_complex()
-        h = lad.hn(n).to_complex()
-        out[(n, m)] = n * (n + 1) / r * (beta0 * j + q * h)
-    return out
+    return _normal_trace(limit_chains(source, params), source.r1, r)
 
 
 def interior_trace_normal_at(solution: ModalSolution, r: float) -> dict:
     """Finite-regularisation counterpart of ``interior_trace_normal``."""
-    params = solution.params
-    kw = params.k * params.omega
-    out = {}
-    for (n, m), co in solution.mode_items():
-        _, q = solution.source.entries.get((n, m), (0j, 0j))
-        lad = specfun.bessel_ladder(n, kw * r)
-        val = (co.beta * lad.jn(n) + q * lad.hn(n)).to_complex()
-        out[(n, m)] = n * (n + 1) / r * val
-    return out
+    return _normal_trace(region_chains(solution, "hidden"),
+                         solution.params.r1, r)
 
 
 def tangential_trace_limit(source: SourceCoeffs, params: CloakParams) -> dict:
@@ -290,37 +262,31 @@ def tangential_trace_limit(source: SourceCoeffs, params: CloakParams) -> dict:
     generically nonzero; T2 is the dual combination alpha0 j_n + p h_n,
     which cancels identically for vanishing boundary data.
     """
-    kw = params.k * params.omega
-    out = {}
-    for (n, m), (p, q) in sorted(source.entries.items()):
-        beta0, _, _ = limit_coeffs(n, q, params)
-        lad = specfun.bessel_ladder(n, kw)
-        j = lad.jn(n).to_complex()
-        h = lad.hn(n).to_complex()
-        jj = lad.riccati_j(n).to_complex()
-        hh = lad.riccati_h(n).to_complex()
-        t1 = beta0 * jj + q * hh
-        alpha0 = -h / j * p
-        t2 = alpha0 * j + p * h
-        out[(n, m)] = (t1, t2)
-    return out
+    return _tangential_trace(limit_chains(source, params))
 
 
 def tangential_trace_at(solution: ModalSolution) -> dict:
     """Finite-regularisation interface traces (T1, T2) per mode."""
-    params = solution.params
-    kw = params.k * params.omega
-    out = {}
-    for (n, m), co in solution.mode_items():
-        p, q = solution.source.entries.get((n, m), (0j, 0j))
-        lad = specfun.bessel_ladder(n, kw)
-        t1 = (co.beta * lad.riccati_j(n) + q * lad.riccati_h(n)).to_complex()
-        t2 = (co.alpha * lad.jn(n) + p * lad.hn(n)).to_complex()
-        out[(n, m)] = (t1, t2)
-    return out
+    return _tangential_trace(region_chains(solution, "hidden"))
 
 
 # -- energy diagnostic ----------------------------------------------------------
+
+
+def _energy_density(chains, i):
+    """|E|^2 + |H|^2 of mode i integrated over the sphere of radius r; the
+    material weights of the hidden region cancel its E and H weights."""
+    n, w = chains.keys[i][0], chains.wavenumber
+    s2 = n * (n + 1)
+
+    def dens(r):
+        tab = specfun.bessel_table(n, w * r)
+        ev, hu, er, eu = (np.abs(v) for v in chains.expand(tab, i))
+        return (s2 * ev * ev * r * r + s2 * eu * eu + s2 ** 2 * er * er
+                + w ** 2 * s2 * er * er * r * r
+                + s2 * hu * hu / w ** 2 + s2 ** 2 * ev * ev / w ** 2)
+
+    return dens
 
 
 def energy_integral(solution: ModalSolution, delta: float = 0.0,
@@ -336,50 +302,18 @@ def energy_integral(solution: ModalSolution, delta: float = 0.0,
     if delta < 0:
         raise DomainError(f"delta must be >= 0, got {delta}")
     params = solution.params
-    om, kw = params.omega, params.k * params.omega
     total = 0.0
-
-    # layer: plain |E|^2 + |H|^2 of the pre-image field on (r_lo, 2)
-    r_lo = max(params.rho, (1.0 + delta - params.a) / params.b)
-    if r_lo < 2.0:
-        for (n, m), co in solution.mode_items():
-            s2 = n * (n + 1)
-
-            def dens(r, n=n, co=co, s2=s2):
-                tab = specfun.bessel_table(n, om * r)
-                jn, hn = tab.jn(n), tab.hn(n)
-                jj, hh = tab.riccati_j(n), tab.riccati_h(n)
-                ev = np.abs(specfun.combine(co.gamma, jn, co.c, hn))
-                eu = np.abs(specfun.combine(co.eta, jj, co.d, hh))
-                er = np.abs(specfun.combine(co.eta, jn, co.d, hn))
-                hu = np.abs(specfun.combine(co.gamma, jj, co.c, hh))
-                return (s2 * ev * ev * r * r + s2 * eu * eu + s2 ** 2 * er * er
-                        + om ** 2 * s2 * er * er * r * r
-                        + s2 * hu * hu / om ** 2 + s2 ** 2 * ev * ev / om ** 2)
-
-            total += integrate_boundary_layer(dens, r_lo, 2.0, tol=tol).real
-
-    # hidden region: uniform material, physical coordinates
-    r_hi = 1.0 - delta
-    if r_hi > params.r1:
-        for (n, m), co in solution.mode_items():
-            p, q = map(ScaledComplex.from_complex,
-                       solution.source.entries.get((n, m), (0j, 0j)))
-            s2 = n * (n + 1)
-
-            def dens(r, n=n, co=co, p=p, q=q, s2=s2):
-                tab = specfun.bessel_table(n, kw * r)
-                jn, hn = tab.jn(n), tab.hn(n)
-                jj, hh = tab.riccati_j(n), tab.riccati_h(n)
-                a_ = np.abs(specfun.combine(co.alpha, jn, p, hn))
-                b_ = np.abs(specfun.combine(co.beta, jj, q, hh))
-                c_ = np.abs(specfun.combine(co.beta, jn, q, hn))
-                d_ = np.abs(specfun.combine(co.alpha, jj, p, hh))
-                return (s2 * a_ * a_ * r * r + s2 * b_ * b_ + s2 ** 2 * c_ * c_
-                        + kw ** 2 * s2 * c_ * c_ * r * r
-                        + s2 * d_ * d_ / kw ** 2 + s2 ** 2 * a_ * a_ / kw ** 2)
-
-            total += integrate_adaptive(dens, params.r1, r_hi, tol=tol).real
+    # layer: the pre-image field beyond 1 + delta; hidden: physical radii
+    for region, integrate, lo, hi in (
+            ("layer", integrate_boundary_layer,
+             max(params.rho, (1.0 + delta - params.a) / params.b), 2.0),
+            ("hidden", integrate_adaptive, params.r1, 1.0 - delta)):
+        if lo >= hi:
+            continue
+        chains = region_chains(solution, region)
+        for i in range(len(chains.keys)):
+            total += integrate(_energy_density(chains, i), lo, hi,
+                               tol=tol).real
     return total
 
 
@@ -396,7 +330,6 @@ def convergence_study(source: SourceCoeffs, phi: RadialTestFunction,
     the solve; the rate is the fitted slope of error against rho.
     """
     rows = []
-    errs, rhos = [], []
     predicted = None
     for rho in rho_list:
         params = CloakParams(rho=rho, omega=omega, eps0=eps0, mu0=mu0,
@@ -406,10 +339,9 @@ def convergence_study(source: SourceCoeffs, phi: RadialTestFunction,
         solution = solve_source(source, None, params)
         pairing = (pairing_interior(solution, phi, tol)
                    + pairing_exterior_normal(solution, phi, tol))
-        err = abs(pairing - predicted)
         rows.append({"rho": rho, "pairing": pairing, "predicted": predicted,
-                     "abs_err": err, "n_max": solution.n_max})
-        errs.append(err)
-        rhos.append(rho)
+                     "abs_err": abs(pairing - predicted),
+                     "n_max": solution.n_max})
+    rhos, errs = zip(*[(row["rho"], row["abs_err"]) for row in rows])
     rate = fit_power_law(rhos, errs) if len([e for e in errs if e > 0]) >= 2 else math.nan
     return rows, rate

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,13 +11,22 @@ import cloaksim
 from cloaksim import modal
 from cloaksim.cli import main
 from cloaksim.geometry import CloakParams
-from cloaksim.manifest import RunManifest
+from cloaksim.manifest import RunManifest, write_json
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def _refuse(token):
+    raise ValueError(f"not JSON: {token}")
+
+
+def read_strict_json(path):
+    """A JSON file, refusing NaN and Infinity as the CLI's own loader does."""
+    return json.loads(path.read_text(), parse_constant=_refuse)
 
 
 class TestConverge:
@@ -120,6 +130,16 @@ class TestConverge:
         assert "config error" in err and field in err
         assert not (tmp_path / "converge.csv").exists()
 
+    def test_single_rho_writes_null_rate(self, tmp_path):
+        doc = json.loads((SCENARIOS / "converge_single_mode.json").read_text())
+        doc["params"]["rho_list"] = [1e-2]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert run(["converge", "--config", cfg, "--out", tmp_path / "o"]) == 0
+        summary = read_strict_json(tmp_path / "o" / "summary.json")
+        assert summary["fitted_rate"] is None
+        assert summary["rho_final"] == 1e-2
+
     def test_manifest_round_trip(self, tmp_path):
         run(["converge", "--config", SCENARIOS / "converge_single_mode.json",
              "--out", tmp_path])
@@ -196,6 +216,21 @@ class TestFields:
         assert run(["fields", "--config", cfg, "--out", tmp_path]) == 2
         assert "rho" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("points", [
+        [[1.2, 0.1]],                 # two coordinates
+        [["a", 1.2, 0.1]],            # non-numeric coordinate
+        [1.2, 0.1, 0.3],              # one point, not a list of points
+        [[[1.2, 0.1, 0.3]]],          # nested one level too deep
+    ])
+    def test_malformed_inline_points_exit_2(self, tmp_path, capsys, points):
+        doc = json.loads((SCENARIOS / "fields_single_mode.json").read_text())
+        doc["points"] = points
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert run(["fields", "--config", cfg, "--out", tmp_path / "o"]) == 2
+        assert "config error: points[0]" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "fields.csv").exists()
+
     def test_points_and_csv_together_rejected(self, tmp_path):
         doc = json.loads((SCENARIOS / "fields_single_mode.json").read_text())
         doc["points_csv"] = "whatever.csv"
@@ -228,6 +263,15 @@ class TestHalfspace:
         cfg.write_text(json.dumps(doc))
         assert run(["halfspace", "--config", cfg, "--out", tmp_path]) == 2
         assert key in capsys.readouterr().err
+
+    def test_single_rho_writes_null_exponent(self, tmp_path):
+        doc = json.loads((SCENARIOS / "halfspace_sweep.json").read_text())
+        doc["rho_list"] = doc["rho_list"][:1]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert run(["halfspace", "--config", cfg, "--out", tmp_path]) == 0
+        summary = read_strict_json(tmp_path / "summary.json")
+        assert summary == {"transmitted_mass_exponent": None}
 
     def test_rerun_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -264,6 +308,18 @@ class TestCheckSpecfun:
         assert code == 4
         report = json.loads((tmp_path / "specfun_report.json").read_text())
         assert report["pass"] is False
+
+
+class TestWriteJson:
+    def test_layout(self, tmp_path):
+        write_json(tmp_path / "doc.json", {"b": 1.5, "a": None})
+        assert (tmp_path / "doc.json").read_text() == (
+            '{\n  "a": null,\n  "b": 1.5\n}\n')
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_refuses_non_finite(self, tmp_path, value):
+        with pytest.raises(ValueError):
+            write_json(tmp_path / "doc.json", {"rate": value})
 
 
 class TestStartup:

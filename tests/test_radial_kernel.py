@@ -1,8 +1,10 @@
 """The array radial kernel, the mode combination and the array quadrature.
 
 Oracles: the scalar ladder (a one-column view of the kernel), scipy's
-spherical Bessel functions, mpmath at 30 digits, and pairing/energy values
-frozen from the per-node scalar implementation that the kernel replaced.
+spherical Bessel functions, mpmath at 30 digits, pairing/energy values
+frozen from the per-node scalar implementation that the kernel replaced,
+and field/trace values frozen from the per-mode scalar expansions that the
+region chains replaced.
 """
 
 import math
@@ -14,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special as sp
 
-from cloaksim import modal, specfun, weak_limit
+from cloaksim import fields, modal, specfun, weak_limit
 from cloaksim.errors import DomainError
 from cloaksim.geometry import CloakParams
 from cloaksim.quadrature import (gauss_legendre, integrate_array,
@@ -225,12 +227,15 @@ FROZEN = {
 }
 
 
+FROZEN_SOURCE = modal.SourceCoeffs(entries={
+    (1, 0): (0.3 - 0.2j, 1.0 + 0.5j),
+    (2, 1): (0.25j, -0.4 + 0.1j),
+    (3, -2): (0.1 + 0j, 0.2 - 0.3j)}, r1=0.5)
+
+
 @pytest.mark.parametrize("rho", [1e-2, 1e-6])
 def test_pairings_and_energy_reproduce_frozen_values(rho):
-    source = modal.SourceCoeffs(entries={
-        (1, 0): (0.3 - 0.2j, 1.0 + 0.5j),
-        (2, 1): (0.25j, -0.4 + 0.1j),
-        (3, -2): (0.1 + 0j, 0.2 - 0.3j)}, r1=0.5)
+    source = FROZEN_SOURCE
     modes = source.modes()
     profiles = {
         "bump": RadialTestFunction.polynomial_bump(modes, 0.5, 1.5),
@@ -252,3 +257,137 @@ def test_pairings_and_energy_reproduce_frozen_values(rho):
             solution, delta=delta, tol=1e-7)
     for key, value in got.items():
         assert abs(value - FROZEN[key]) <= 1e-12 * abs(FROZEN[key]), key
+
+
+# fields and traces of the per-mode scalar expansions, frozen: E then H for
+# a point, per-mode values in ascending (n, m) order for a trace (T1, T2
+# pairs for the tangential ones); the energies are frozen in FROZEN above
+FROZEN_FIELDS = {
+    (0.01, "hidden"): [
+        (77.27992969625312+40.62761144930246j),
+        (4.1487662484000705+92.55009350573596j),
+        (81.77043218461728-72.95359680342132j),
+        (25.465684943486853+5.602811167125278j),
+        (25.17706676079385+9.823258806018194j),
+        (25.06276708686147-37.561646126521076j),
+    ],
+    (0.01, "layer"): [
+        (-0.0012881187549509572+0.0025639918648297337j),
+        (-0.001758705409016395+0.0033194161642230847j),
+        (0.0012520781035769842-0.002392318671411364j),
+        (0.0010010723522182253-0.0004143690114929987j),
+        (0.0008635389794436183-0.0008055592385478401j),
+        (-0.0007030258481849585+0.00048660813058589065j),
+    ],
+    (0.01, "virtual"): [
+        (-1.0374443888194405e-06+8.22465533361664e-05j),
+        (-0.00011463842586177611+0.0002033843848313427j),
+        (8.596541116996955e-05-0.00016729933592311025j),
+        (0.00023750644034988366+0.00010467580830418859j),
+        (1.2826991945157702e-05-6.561579154424087e-05j),
+        (1.2461346141439777e-05-8.594503549263213e-06j),
+    ],
+    (0.01, "normal_limit"): [
+        (1.0479454909396002-2.095890981879201j),
+        (3.1544026682939124+12.61761067317565j),
+        (-136.83218193129258-91.22145462086173j),
+    ],
+    (0.01, "normal_at"): [
+        (1.0817929697028155-2.1635859394056314j),
+        (3.193553595830857+12.774214383323429j),
+        (-137.69113820059533-91.79409213373023j),
+    ],
+    (0.01, "tangential_limit"): [
+        (-1.6601992005284607+3.3203984010569214j), 0j,
+        (-1.6119918781024904-6.447967512409963j), 0j,
+        (33.308976635984436+22.205984423989626j), 0j,
+    ],
+    (0.01, "tangential_at"): [
+        (-1.6309369106237142+3.2618738212474283j),
+        (-0.006524395042034321-0.00978659256305151j),
+        (-1.5893056349837305-6.357222539934922j),
+        (0.019866651558792615+6.254634441385504e-18j),
+        (32.882839921574565+21.921893281049712j),
+        (4.5111801059823426e-18-0.03653673238159719j),
+    ],
+    (1e-06, "hidden"): [
+        (77.30865170547433+40.949373174892415j),
+        (4.388882551312216+92.53483539327598j),
+        (81.6831546750921-72.82752731784637j),
+        (25.52818536606676+5.621170962515778j),
+        (25.233598891477694+9.787967499534528j),
+        (25.010116728790734-37.525663998526824j),
+    ],
+    (1e-06, "layer"): [
+        (-1.2485109930017733e-11+2.644854336304075e-11j),
+        (-1.752681759728065e-11+3.3944693431858425e-11j),
+        (1.2235333087479213e-11-2.4470559821334414e-11j),
+        (9.633358853085867e-12-3.8013444917495105e-12j),
+        (8.16430697339095e-12-7.408560806283159e-12j),
+        (-6.6506461281578055e-12+4.433770798684931e-12j),
+    ],
+    (1e-06, "virtual"): [
+        (8.848360760240183e-15+8.408608174851943e-13j),
+        (-1.1185558348304348e-12+2.0463136347654468e-12j),
+        (8.465102913636733e-13-1.6930163606763997e-12j),
+        (2.4024726560457022e-12+1.0458080405216753e-12j),
+        (9.524024305900863e-14-6.518155790605393e-13j),
+        (1.260012134960552e-13-8.400106244655133e-14j),
+    ],
+    (1e-06, "normal_limit"): [
+        (1.0479454909396002-2.095890981879201j),
+        (3.1544026682939124+12.61761067317565j),
+        (-136.83218193129258-91.22145462086173j),
+    ],
+    (1e-06, "normal_at"): [
+        (1.0479489360603913-2.0958978721207866j),
+        (3.154406639200068+12.617626556800271j),
+        (-136.832268939369-91.22151262624598j),
+    ],
+    (1e-06, "tangential_limit"): [
+        (-1.6601992005284607+3.3203984010569214j), 0j,
+        (-1.6119918781024904-6.447967512409963j), 0j,
+        (33.308976635984436+22.205984423989626j), 0j,
+    ],
+    (1e-06, "tangential_at"): [
+        (-1.6601962221050441+3.3203924442100843j),
+        (-6.640784884293595e-07-9.961177321911555e-07j),
+        (-1.6119895771367634-6.447958308547052j),
+        (2.014986973447869e-06+3.4400489427620233e-17j),
+        (33.308933470415795+22.205955646943867j),
+        (-7.217888169571742e-19-3.700992606474435e-06j),
+    ],
+}
+
+
+def _flat(value):
+    if isinstance(value, dict):
+        return [c for key in sorted(value) for c in _flat(value[key])]
+    if isinstance(value, (tuple, list, np.ndarray)):
+        return [c for v in value for c in _flat(v)]
+    return [complex(value)]
+
+
+@pytest.mark.parametrize("rho", [1e-2, 1e-6])
+def test_fields_and_traces_reproduce_frozen_values(rho):
+    params = CloakParams(rho=rho, omega=1.0, r1=0.5)
+    solution = modal.solve_source(FROZEN_SOURCE, None, params)
+    got = {"virtual": fields.eval_virtual_exterior(solution,
+                                                   [0.2, 0.9, -0.6]),
+           "normal_limit": weak_limit.interior_trace_normal(
+               FROZEN_SOURCE, params, 0.8),
+           "normal_at": weak_limit.interior_trace_normal_at(solution, 0.8),
+           "tangential_limit": weak_limit.tangential_trace_limit(
+               FROZEN_SOURCE, params),
+           "tangential_at": weak_limit.tangential_trace_at(solution)}
+    for name, x in (("hidden", [0.3, -0.4, 0.5]), ("layer", [0.6, 0.8, -0.7])):
+        got[name] = fields.eval_physical(solution, x)
+    for name, value in got.items():
+        if isinstance(value, fields.FieldSample):
+            value = [value.E, value.H]
+        want = np.array(FROZEN_FIELDS[(rho, name)])
+        # relative to the largest entry: some entries are rounding noise of
+        # an exact cancellation (T2 of the limit, the finite T2 at 1e-6)
+        scale = np.max(np.abs(want))
+        err = np.max(np.abs(np.array(_flat(value)) - want))
+        assert err <= 1e-12 * scale, name

@@ -298,6 +298,14 @@ class TestTraces:
         slope = fit_power_law(rhos, errs)
         assert abs(slope - 1.0) < 0.15
 
+    @pytest.mark.parametrize("r", [0.1, R1, 1.5, 5.0])
+    def test_trace_radius_outside_hidden_region_rejected(self, r):
+        sol = make_solution(1e-2)
+        with pytest.raises(DomainError):
+            weak_limit.interior_trace_normal_at(sol, r)
+        with pytest.raises(DomainError):
+            weak_limit.interior_trace_normal(SRC, PARAMS0, r)
+
     def test_tangential_limit_identity(self):
         out = weak_limit.tangential_trace_limit(SRC, PARAMS0)
         t1, t2 = out[(1, 0)]
