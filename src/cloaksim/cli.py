@@ -252,6 +252,36 @@ def cmd_halfspace(config_path, out_dir, tol):
 # -- check-specfun ----------------------------------------------------------------
 
 
+def _specfun_deviations(table):
+    """Largest deviations over a BesselTable from the Wronskian
+    t^2 (j y' - j' y) = 1, the cross product J_n h_n - H_n j_n = -i/t and
+    the recurrence j_{n-1} + j_{n+1} = (2n+1)/t j_n; NaN if any is NaN."""
+    t, n = table.t, np.arange(table.n_max + 1)
+    with np.errstate(all="ignore"):
+        j = np.exp(table.j_log) * table.j_sign  # orders -1..n_max
+        y = np.exp(table.y_log) * table.y_sign
+        jp = j[:-1] - (n[:, None] + 1) / t * j[1:]
+        yp = y[:-1] - (n[:, None] + 1) / t * y[1:]
+        wronskian = np.abs(t * t * (j[1:] * yp - jp * y[1:]) - 1.0)
+
+        # the cross product from log-magnitude rows, its phase divided by
+        # its modulus part by part as a ScaledComplex sum does
+        rj, h, rh, jn = (table.riccati_j(n), table.hn(n), table.riccati_h(n),
+                         table.jn(n))
+        hi = np.maximum(rj[0] + h[0], rh[0] + jn[0])
+        s = (rj[1] * h[1] * np.exp(rj[0] + h[0] - hi)
+             - rh[1] * jn[1] * np.exp(rh[0] + jn[0] - hi))
+        m = np.abs(s)
+        cross = np.exp(hi + np.log(m)) * (s.real / m + 1j * (s.imag / m))
+        cross = np.abs(np.where(m == 0.0, 0j, cross) + 1j / t)
+
+        lo, mid, up = j[1:-2], j[2:-1], j[3:]  # orders n - 1, n, n + 1
+        recurrence = np.abs(lo + up - (2 * n[1:-1, None] + 1) / t * mid) / (
+            np.maximum(np.maximum(np.abs(lo), np.abs(up)), np.abs(mid) / t))
+    return tuple(float(np.max(d, initial=0.0)) for d in
+                 (wronskian, cross, recurrence[np.abs(mid) > 1e-280]))
+
+
 def cmd_check_specfun(config_path, out_dir, tol):
     if config_path is not None:
         doc = _load_config(config_path)
@@ -266,29 +296,8 @@ def cmd_check_specfun(config_path, out_dir, tol):
     t_count = _num(doc, "t_count", "config", 40, int)
     threshold = tol if tol is not None else 1e-11
 
-    worst_wronskian = 0.0
-    worst_cross = 0.0
-    worst_recurrence = 0.0
-    table = specfun.bessel_table(n_max, np.linspace(t_lo, t_hi, t_count))
-    for i, t in enumerate(table.t.tolist()):
-        lad = table.column(i)
-        for n in range(0, n_max + 1):
-            j = lad.jn(n).to_complex().real
-            y = lad.yn(n).to_complex().real
-            jp = lad.jn(n - 1).to_complex().real - (n + 1) / t * j
-            yp = lad.yn(n - 1).to_complex().real - (n + 1) / t * y
-            worst_wronskian = max(worst_wronskian,
-                                  abs(t * t * (j * yp - jp * y) - 1.0))
-            cross = (lad.riccati_j(n) * lad.hn(n)
-                     - lad.riccati_h(n) * lad.jn(n)).to_complex()
-            worst_cross = max(worst_cross, abs(cross - (-1j / t)))
-            if 1 <= n < n_max:
-                jm = lad.jn(n - 1).to_complex().real
-                jp1 = lad.jn(n + 1).to_complex().real
-                if abs(j) > 1e-280:
-                    rel = abs(jm + jp1 - (2 * n + 1) / t * j) / max(
-                        abs(jm), abs(jp1), abs(j) / t)
-                    worst_recurrence = max(worst_recurrence, rel)
+    worst_wronskian, worst_cross, worst_recurrence = _specfun_deviations(
+        specfun.bessel_table(n_max, np.linspace(t_lo, t_hi, t_count)))
     passed = (worst_wronskian < threshold and worst_cross < threshold
               and worst_recurrence < 1e-10)
     report = {

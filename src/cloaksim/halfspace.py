@@ -10,14 +10,14 @@ the reflection coefficient tends to -1.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .quadrature import fit_power_law, integrate_panels
+# integrate_panels stays bound here: bench/tracer.py patches it by name
+from .quadrature import fit_power_law, integrate_array, integrate_panels  # noqa: F401
 
 _EPS_TANGENTIAL = 2.0  # eps_y = eps_z = mu_y = mu_z in the anisotropic side
 
@@ -43,10 +43,6 @@ class HalfspaceParams:
                 f"propagating incidence needs 0 < kz < omega, got kz={self.kz}")
         if not 0.0 < self.rho < 1.0:
             raise DomainError(f"rho must be in (0,1), got {self.rho}")
-
-    @property
-    def eps_plus(self):
-        return np.diag([2.0 * self.rho ** 2, _EPS_TANGENTIAL, _EPS_TANGENTIAL])
 
     @property
     def evanescent(self) -> bool:
@@ -90,14 +86,19 @@ def solve_amplitudes(params: HalfspaceParams):
     return h_plus, h_sc
 
 
-def eval_H(params: HalfspaceParams, x: float, z: float) -> complex:
-    """y-component of the magnetic field at (x, z)."""
+def eval_H(params: HalfspaceParams, x, z):
+    """y-component of the magnetic field at (x, z), floats or arrays that
+    broadcast together; x > 0 is the anisotropic side.  Floats give a complex.
+    """
     kx_minus, kx_plus = dispersion_kx(params)
     h_plus, h_sc = solve_amplitudes(params)
-    if x > 0:
-        return h_plus * cmath.exp(1j * (kx_plus * x + params.kz * z))
-    return (params.hin * cmath.exp(1j * (kx_minus * x + params.kz * z))
-            + h_sc * cmath.exp(1j * (-kx_minus * x + params.kz * z)))
+    kz_z = params.kz * z
+    # x < 0 is clipped out of the anisotropic branch: it would overflow there
+    inside = h_plus * np.exp(1j * (kx_plus * np.maximum(x, 0.0) + kz_z))
+    vacuum = (params.hin * np.exp(1j * (kx_minus * x + kz_z))
+              + h_sc * np.exp(1j * (-kx_minus * x + kz_z)))
+    value = np.where(x > 0, inside, vacuum)
+    return complex(value) if value.ndim == 0 else value
 
 
 def transmission_residuals(params: HalfspaceParams):
@@ -125,17 +126,16 @@ def pde_residual(params: HalfspaceParams, x: float, z: float,
         eps_x, eps_z, mu_y = 2.0 * params.rho ** 2, _EPS_TANGENTIAL, _EPS_TANGENTIAL
     else:
         eps_x = eps_z = mu_y = 1.0
-
-    def h(xx, zz):
-        return eval_H(params, xx, zz)
-
-    d2x = (h(x + step, z) - 2 * h(x, z) + h(x - step, z)) / step ** 2
-    d2z = (h(x, z + step) - 2 * h(x, z) + h(x, z - step)) / step ** 2
-    res = (d2x / eps_z + d2z / eps_x) / mu_y + om * om * h(x, z)
-    return abs(res)
+    offsets = step * np.array([[0, 1, -1, 0, 0], [0, 0, 0, 1, -1]])
+    h, h_xp, h_xm, h_zp, h_zm = eval_H(params, x + offsets[0], z + offsets[1])
+    d2x = (h_xp - 2 * h + h_xm) / step ** 2
+    d2z = (h_zp - 2 * h + h_zm) / step ** 2
+    return float(abs((d2x / eps_z + d2z / eps_x) / mu_y + om * om * h))
 
 
 # -- distributional limit study -------------------------------------------------
+# A test function phi maps an array of points to an array of values, like
+# the integrand of ``quadrature.integrate_array``.
 
 
 @dataclass(frozen=True)
@@ -146,18 +146,18 @@ class TestFunction1D:
     x_hi: float
     amplitude: float = 1.0
 
-    def __call__(self, x: float) -> float:
-        if x <= self.x_lo or x >= self.x_hi:
-            return 0.0
-        return self.amplitude * (x - self.x_lo) ** 2 * (self.x_hi - x) ** 2
+    def __call__(self, x):
+        value = np.where((x > self.x_lo) & (x < self.x_hi), self.amplitude
+                         * (x - self.x_lo) ** 2 * (self.x_hi - x) ** 2, 0.0)
+        return float(value) if value.ndim == 0 else value
 
 
 def reflected_pairing(params: HalfspaceParams, phi, x_lo: float,
                       tol: float = 1e-10) -> complex:
     """integral of H(x, 0) phi(x) dx over the vacuum side (x_lo, 0)."""
     edges = np.linspace(x_lo, 0.0, 9)
-    return integrate_panels(lambda x: eval_H(params, x, 0.0) * phi(x), edges,
-                            tol=tol)
+    return integrate_array(lambda x: eval_H(params, x, 0.0) * phi(x), edges,
+                           tol=tol)
 
 
 def transmitted_pairing(params: HalfspaceParams, phi, x_hi: float,
@@ -169,15 +169,12 @@ def transmitted_pairing(params: HalfspaceParams, phi, x_hi: float,
     """
     t = decay_rate(params)
     w_min = 1e-3 / t if t > 0 else x_hi
-    edges = [x_hi]
-    w = x_hi / 2
+    edges, w = [0.0, x_hi], x_hi / 2
     while w > w_min:
         edges.append(w)
         w /= 2
-    edges.append(0.0)
-    edges = sorted(edges)
-    return integrate_panels(lambda x: eval_H(params, x, 0.0) * phi(x), edges,
-                            tol=tol)
+    return integrate_array(lambda x: eval_H(params, x, 0.0) * phi(x),
+                           sorted(edges), tol=tol)
 
 
 def transmitted_mass(params: HalfspaceParams, x_hi: float,
@@ -190,17 +187,12 @@ def standing_wave_pairing(params: HalfspaceParams, phi, x_lo: float,
                           tol: float = 1e-10) -> complex:
     """Pairing of the rho -> 0 limit field on the vacuum side.
 
-    The limit is (exp(i kx- x) - exp(-i kx- x)) h_in for x < 0: total
-    reflection with coefficient -1.
+    The limit is (exp(i kx- x) - exp(-i kx- x)) h_in = 2i sin(kx- x) h_in
+    for x < 0: total reflection with coefficient -1.
     """
     kx_minus, _ = dispersion_kx(params)
-
-    def limit_field(x):
-        return (cmath.exp(1j * kx_minus * x)
-                - cmath.exp(-1j * kx_minus * x)) * params.hin
-
-    edges = np.linspace(x_lo, 0.0, 9)
-    return integrate_panels(lambda x: limit_field(x) * phi(x), edges, tol=tol)
+    return integrate_array(lambda x: 2j * np.sin(kx_minus * x) * params.hin
+                           * phi(x), np.linspace(x_lo, 0.0, 9), tol=tol)
 
 
 def limit_study(params_list, phi, halfwidth: float, tol: float = 1e-10):
@@ -210,18 +202,13 @@ def limit_study(params_list, phi, halfwidth: float, tol: float = 1e-10):
     sides, and the fitted power of |transmitted mass| against rho.
     """
     rows = []
-    masses, rhos = [], []
     for params in params_list:
         h_plus, h_sc = solve_amplitudes(params)
         mass = transmitted_mass(params, halfwidth, tol=tol)
-        rows.append({
-            "rho": params.rho,
-            "h_plus": h_plus,
-            "h_sc": h_sc,
-            "transmitted_mass": mass,
-            "reflected_pairing": reflected_pairing(params, phi, -halfwidth, tol),
-        })
-        masses.append(abs(mass))
-        rhos.append(params.rho)
-    exponent = fit_power_law(rhos, masses) if len(rhos) >= 2 else math.nan
-    return rows, exponent
+        rows.append({"rho": params.rho, "h_plus": h_plus, "h_sc": h_sc,
+                     "transmitted_mass": mass, "reflected_pairing":
+                     reflected_pairing(params, phi, -halfwidth, tol)})
+    if len(rows) < 2:
+        return rows, math.nan
+    return rows, fit_power_law([row["rho"] for row in rows],
+                               [abs(row["transmitted_mass"]) for row in rows])

@@ -477,8 +477,12 @@ def solve_source(source: SourceCoeffs, boundary: BoundaryCoeffs | None,
     """Solve every mode carried by the source/boundary tables.
 
     Modes above the truncation degree are dropped; boundary-only modes are
-    always kept.
+    always kept.  A source whose support radius differs from params.r1 is
+    rejected with DomainError.
     """
+    if source.r1 != params.r1:
+        raise DomainError(f"source support radius r1={source.r1} differs "
+                          f"from the cloak's r1={params.r1}")
     boundary = boundary or BoundaryCoeffs()
     n_max = truncation_order(source, params, tol)
     n_max = max(n_max, boundary.max_degree())

@@ -5,11 +5,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cloaksim
-from cloaksim import modal
-from cloaksim.cli import main
+from cloaksim import modal, specfun
+from cloaksim.cli import _specfun_deviations, main
 from cloaksim.geometry import CloakParams
 from cloaksim.manifest import RunManifest, write_json
 
@@ -308,6 +309,56 @@ class TestCheckSpecfun:
         assert code == 4
         report = json.loads((tmp_path / "specfun_report.json").read_text())
         assert report["pass"] is False
+
+    # the kernel itself overflows at these arguments (its warnings are
+    # expected); a NaN or infinite deviation must fail the report
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("t_lo, nulls", [
+        (1e-300, ["max_wronskian_deviation", "max_cross_product_deviation",
+                  "max_recurrence_relative_deviation"]),
+        (1e-150, ["max_wronskian_deviation", "max_cross_product_deviation"])])
+    def test_tiny_arguments_fail(self, tmp_path, t_lo, nulls):
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps({"t_lo": t_lo, "t_hi": 1.0, "t_count": 3,
+                                   "n_max": 5}))
+        code = run(["check-specfun", "--config", cfg, "--out", tmp_path])
+        assert code == 4
+        report = read_strict_json(tmp_path / "specfun_report.json")
+        assert report["pass"] is False
+        for key in nulls:
+            assert report[key] is None, key
+
+    def test_cross_product_stays_finite_at_high_order(self, tmp_path):
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps({"t_lo": 1e-8, "t_hi": 50, "t_count": 40,
+                                   "n_max": 200}))
+        assert run(["check-specfun", "--config", cfg, "--out", tmp_path]) == 4
+        report = read_strict_json(tmp_path / "specfun_report.json")
+        assert 1e-5 < report["max_cross_product_deviation"] < 1e-3
+
+    def test_deviations_match_the_scalar_ladder(self):
+        table = specfun.bessel_table(30, np.linspace(0.2, 30.0, 12))
+        worst = [0.0, 0.0, 0.0]
+        for i, t in enumerate(table.t.tolist()):
+            lad = table.column(i)
+            for n in range(31):
+                j, y = (lad.jn(n).to_complex().real,
+                        lad.yn(n).to_complex().real)
+                jp = lad.jn(n - 1).to_complex().real - (n + 1) / t * j
+                yp = lad.yn(n - 1).to_complex().real - (n + 1) / t * y
+                cross = (lad.riccati_j(n) * lad.hn(n)
+                         - lad.riccati_h(n) * lad.jn(n)).to_complex()
+                devs = [abs(t * t * (j * yp - jp * y) - 1.0),
+                        abs(cross + 1j / t), 0.0]
+                if 1 <= n < 30:
+                    jm = lad.jn(n - 1).to_complex().real
+                    jp1 = lad.jn(n + 1).to_complex().real
+                    devs[2] = abs(jm + jp1 - (2 * n + 1) / t * j) / max(
+                        abs(jm), abs(jp1), abs(j) / t)
+                worst = [max(w, d) for w, d in zip(worst, devs)]
+        got = _specfun_deviations(table)
+        # the maxima are rounding noise; they agree to a few units of 1e-16
+        assert got == pytest.approx(worst, rel=0.0, abs=2e-15)
 
 
 class TestWriteJson:

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -143,3 +144,86 @@ class TestLimitStudy:
             vals.append(abs(hs.transmitted_pairing(make(rho), phi, 1.5)))
         assert vals[1] < vals[0]
         assert vals[1] < 1e-5
+
+
+def scalar_H(params, x, z):
+    """The field by the closed form, one point at a time."""
+    kxm, kxp = hs.dispersion_kx(params)
+    h_plus, h_sc = hs.solve_amplitudes(params)
+    if x > 0:
+        return h_plus * cmath.exp(1j * (kxp * x + params.kz * z))
+    return (params.hin * cmath.exp(1j * (kxm * x + params.kz * z))
+            + h_sc * cmath.exp(1j * (-kxm * x + params.kz * z)))
+
+
+class TestArrays:
+    @pytest.mark.parametrize("rho", [0.9, 0.07, 1e-3])
+    def test_eval_H_matches_pointwise_values(self, rho):
+        params = make(rho, hin=0.8 - 0.3j)
+        x = np.concatenate([np.linspace(-2.0, 2.0, 41), [0.0, -1e-15, 1e-15]])
+        z = np.linspace(-0.5, 0.7, x.size)
+        got = hs.eval_H(params, x, z)
+        assert got.shape == x.shape
+        # the vacuum field is a sum of two unit waves that nearly cancel at
+        # small rho; its rounding is relative to their size
+        vacuum_scale = abs(params.hin) + abs(hs.solve_amplitudes(params)[1])
+        for xi, zi, gi in zip(x.tolist(), z.tolist(), got.tolist()):
+            ref = scalar_H(params, xi, zi)
+            scale = abs(ref) if xi > 0 else vacuum_scale
+            assert abs(gi - ref) <= 1e-15 * scale, (xi, zi)
+
+    def test_eval_H_broadcasts_and_keeps_scalars(self):
+        params = make(0.05)
+        grid = hs.eval_H(params, np.array([[-0.3], [0.2]]),
+                         np.array([0.0, 0.4]))
+        assert grid.shape == (2, 2)
+        value = hs.eval_H(params, 0.2, 0.4)
+        assert isinstance(value, complex)
+        assert abs(value - grid[1, 1]) <= 1e-15 * abs(value)
+
+    def test_no_overflow_on_the_vacuum_side(self):
+        # the anisotropic branch grows like exp(|x| / rho) for x < 0; it
+        # must not be formed there
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = hs.eval_H(make(1e-4), np.linspace(-2.0, 2.0, 101), 0.0)
+        assert np.all(np.isfinite(values))
+
+    def test_test_function_on_arrays(self):
+        phi = hs.TestFunction1D(-1.5, -0.2, amplitude=3.0)
+        x = np.array([-3.0, -1.5, -1.0, -0.5, -0.2, 0.0, 2.0])
+        got = phi(x)
+        assert got.tolist() == [phi(v) for v in x.tolist()]
+        assert got[[0, 1, 4, 5, 6]].tolist() == [0.0] * 5
+        assert got[2] == pytest.approx(3.0 * 0.25 * 0.64, rel=1e-15)
+
+
+# limit_study on scenarios/halfspace_sweep.json, frozen from the scalar
+# per-point implementation
+FROZEN_SWEEP = [
+    (0.01, 0.002400960384153661 - 0.06925428620338994j,
+     -0.9975990396158463 - 0.06925428620338994j,
+     4.8057669209209814e-05 - 0.0013861951241047436j,
+     0.005841030447967939 - 0.16848107825355826j),
+    (0.003, 0.0002160077762799461 - 0.020783861364060307j,
+     -0.99978399222372 - 0.020783861364060307j,
+     1.2961399831182982e-06 - 0.00012471214778227933j,
+     0.001707710103439249 - 0.16431264953113428j),
+    (0.001, 2.4000096000383997e-05 - 0.006928175517130031j,
+     -0.9999759999039997 - 0.006928175517130031j,
+     4.8000576006912085e-08 - 1.3856461886398563e-05j,
+     0.0005649507482975754 - 0.16308592860115873j),
+]
+
+
+def test_limit_study_reproduces_frozen_sweep():
+    params_list = [make(row[0]) for row in FROZEN_SWEEP]
+    rows, exponent = hs.limit_study(params_list, hs.TestFunction1D(-1.5, -0.2),
+                                    halfwidth=2.0, tol=1e-10)
+    assert exponent == pytest.approx(2.0004354456436677, rel=1e-13)
+    for row, (rho, *frozen) in zip(rows, FROZEN_SWEEP):
+        assert row["rho"] == rho
+        got = [row[k] for k in ("h_plus", "h_sc", "transmitted_mass",
+                                "reflected_pairing")]
+        for g, f in zip(got, frozen):
+            assert abs(g - f) <= 1e-13 * abs(f), (rho, g, f)

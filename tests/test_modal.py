@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import special as sp
 
-from cloaksim.errors import ConfigError, ResonanceError
+from cloaksim.errors import ConfigError, DomainError, ResonanceError
 from cloaksim.geometry import CloakParams
 from cloaksim import modal
 from cloaksim.quadrature import fit_power_law
@@ -213,6 +213,12 @@ class TestTruncationAndTables:
         assert modal.truncation_order(src, SINGLE, 1e-10) == 0
         sol = modal.solve_source(src, None, SINGLE)
         assert sol.modes == {} and sol.n_max == 0
+
+    def test_source_radius_must_match_cloak(self):
+        src = modal.SourceCoeffs(entries={(1, 0): (0j, 1)}, r1=0.3)
+        params = CloakParams(rho=0.1, omega=1.0, r1=0.5)
+        with pytest.raises(DomainError, match=r"r1=0\.3.*r1=0\.5"):
+            modal.solve_source(src, None, params)
 
     def test_synthetic_decay_truncation(self):
         # |q_n| = r1^n / |h_n(k w r1)| makes the weighted tail sum to
