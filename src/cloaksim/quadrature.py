@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import AccuracyError
+from .errors import AccuracyError, DomainError
 
 
 @lru_cache(maxsize=64)
@@ -60,39 +60,45 @@ def integrate_array(f, breakpoints, tol=1e-9, base_points=16,
 
     Args:
         f: callable mapping a 1-D float array of nodes to an array of the
-            same length of complex (or float) values.  Each pass calls it
-            once, with every node of every panel.
+            same length of complex (or float) values, each from its node
+            alone.  The first call takes the nodes of the base_points and
+            2 * base_points rules of every panel (every integral needs both
+            levels), each later pass the nodes of the doubled rule.
         breakpoints: increasing panel edges.
         tol: stop when successive estimates differ by < tol * max(1, |I|).
-        base_points: Gauss-Legendre points per panel for the first pass.
-        max_points: refinement cap; exceeded -> AccuracyError.
+        base_points: Gauss-Legendre points per panel for the first level.
+        max_points: refinement cap, >= 2 * base_points; exceeded -> AccuracyError.
 
     Returns:
         The converged integral value.
     """
+    if base_points < 1 or max_points < 2 * base_points:
+        raise DomainError(f"need 1 <= base_points and 2 * base_points <= "
+                          f"max_points, got {base_points} and {max_points}")
     edges = np.asarray(breakpoints, dtype=float)
     if edges.size < 2:
         return 0j
     mid = (0.5 * (edges[:-1] + edges[1:]))[:, None]
     half = 0.5 * (edges[1:] - edges[:-1])
 
-    def estimate(npts):
-        x, w = gauss_legendre(npts)
-        nodes = mid + half[:, None] * x
-        values = np.asarray(f(nodes.ravel())).reshape(nodes.shape)
-        return complex(np.sum(half * np.sum(values * w, axis=1)))
+    def estimates(*levels):
+        rules = [gauss_legendre(npts) for npts in levels]
+        nodes = [mid + half[:, None] * t for t, _ in rules]
+        values = np.asarray(f(np.concatenate([x.ravel() for x in nodes])))
+        parts = np.split(values, np.cumsum([x.size for x in nodes])[:-1])
+        return [complex(np.sum(half * np.sum(v.reshape(x.shape) * w, axis=1)))
+                for v, x, (_, w) in zip(parts, nodes, rules)]
 
-    prev = estimate(base_points)
     npts = base_points * 2
-    while npts <= max_points:
-        curr = estimate(npts)
-        if abs(curr - prev) <= tol * max(1.0, abs(curr)):
-            return curr
-        prev = curr
+    prev, curr = estimates(base_points, npts)
+    while abs(curr - prev) > tol * max(1.0, abs(curr)):
         npts *= 2
-    raise AccuracyError(
-        f"quadrature did not converge to tol={tol:g} within {max_points} points/panel",
-        estimate=prev, achieved=abs(curr - prev))
+        if npts > max_points:
+            raise AccuracyError(f"quadrature did not converge to tol={tol:g} "
+                                f"within {max_points} points/panel",
+                                estimate=curr, achieved=abs(curr - prev))
+        prev, (curr,) = curr, estimates(npts)
+    return curr
 
 
 def integrate_panels(f, breakpoints, tol=1e-9, base_points=16, max_points=1024):

@@ -12,13 +12,12 @@ the coefficient against the conjugate harmonic of its mode).
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import specfun
-from .errors import DomainError
+from .errors import AccuracyError, DomainError
 from .geometry import CloakOuterMap, CloakParams
 # limit_coeffs is re-exported: the benchmark's tracer patches it here too
 from .modal import (ModalSolution, SourceCoeffs, limit_chains, limit_coeffs,
@@ -31,9 +30,10 @@ from .quadrature import (fit_power_law, integrate_adaptive,
 class RadialTestFunction:
     """Radial profiles of a test function vanishing on the outer boundary.
 
-    profiles maps (n, m) -> (phi, dphi), callables on (0, 2).  Profiles must
-    vanish at r = 2 (checked) and be square-integrable with weight r against
-    their derivative (automatic for the shipped families).
+    profiles maps (n, m) -> (phi, dphi), callables on (0, 2) taking a float
+    (giving a float) or a numpy array of radii (giving an array).  Profiles
+    must vanish at r = 2 (checked) and be square-integrable with weight r
+    against their derivative (automatic for the shipped families).
     """
 
     profiles: dict
@@ -50,17 +50,16 @@ class RadialTestFunction:
         if not 0.0 < r_lo < r_hi <= 2.0:
             raise DomainError("bump support must satisfy 0 < r_lo < r_hi <= 2")
 
+        # float_power is C pow for floats and arrays alike; array ** 2 squares
         def phi(r, _lo=r_lo, _hi=r_hi, _a=amplitude):
-            if r <= _lo or r >= _hi:
-                return 0.0
-            return _a * (r - _lo) ** 2 * (_hi - r) ** 2
+            return np.where((r > _lo) & (r < _hi), _a * np.float_power(
+                r - _lo, 2) * np.float_power(_hi - r, 2), 0.0)
 
         def dphi(r, _lo=r_lo, _hi=r_hi, _a=amplitude):
-            if r <= _lo or r >= _hi:
-                return 0.0
-            return _a * 2 * (r - _lo) * (_hi - r) * ((_hi - r) - (r - _lo))
+            return np.where((r > _lo) & (r < _hi), _a * 2 * (r - _lo)
+                            * (_hi - r) * ((_hi - r) - (r - _lo)), 0.0)
 
-        return RadialTestFunction({(n, m): (phi, dphi) for (n, m) in modes})
+        return _array_profiles(modes, phi, dphi)
 
     @staticmethod
     def cubic_spline(modes, knots):
@@ -91,34 +90,42 @@ class RadialTestFunction:
             raise DomainError("spline knot radii must be distinct")
         xs = [r for r, _ in pts]
         ys, b, c, d = _natural_spline_coeffs(xs, [v for _, v in pts])
-        lo, last = xs[0], len(xs) - 1
+        lo, inner, xs = xs[0], np.array(xs[1:-1]), np.array(xs)
 
-        # scalar Horner on plain floats: the quadrature calls these per node;
         # phi(2) is 0 exactly, not the rounding of the last interval's cubic
         def phi(r):
-            if not lo <= r < 2.0:
-                return 0.0
-            i = bisect_right(xs, r, 1, last) - 1
-            t = float(r) - xs[i]
-            return ys[i] + t * (b[i] + t * (c[i] + t * d[i]))
+            i = np.searchsorted(inner, r, side="right")
+            t = r - xs[i]
+            return np.where((lo <= r) & (r < 2.0),
+                            ys[i] + t * (b[i] + t * (c[i] + t * d[i])), 0.0)
 
         def dphi(r):
-            if not lo <= r <= 2.0:
-                return 0.0
-            i = bisect_right(xs, r, 1, last) - 1
-            t = float(r) - xs[i]
-            return b[i] + t * (2.0 * c[i] + t * 3.0 * d[i])
+            i = np.searchsorted(inner, r, side="right")
+            t = r - xs[i]
+            return np.where((lo <= r) & (r <= 2.0),
+                            b[i] + t * (2.0 * c[i] + t * 3.0 * d[i]), 0.0)
 
-        return RadialTestFunction({(n, m): (phi, dphi) for (n, m) in modes})
+        return _array_profiles(modes, phi, dphi)
+
+
+def _array_profiles(modes, *pair):
+    """Array profiles (phi, dphi) on every mode; a float gives a float."""
+    def on_radii(f):
+        def profile(r):
+            out = f(np.asarray(r, dtype=float))
+            return out if out.ndim else float(out)
+        return profile
+    pair = tuple(map(on_radii, pair))
+    return RadialTestFunction({mode: pair for mode in modes})
 
 
 def _natural_spline_coeffs(xs, ys):
     """Horner coefficients of the natural cubic spline through (xs, ys).
 
     On [xs[i], xs[i+1]] the spline is ys[i] + t (b[i] + t (c[i] + t d[i]))
-    with t = r - xs[i]; returns (ys, b, c, d).  The interior knot moments
-    M (second derivatives, zero at both ends) solve the tridiagonal system
-    h[i-1] M[i-1] + 2 (h[i-1] + h[i]) M[i] + h[i] M[i+1]
+    with t = r - xs[i]; returns the arrays (ys, b, c, d).  The interior knot
+    moments M (second derivatives, zero at both ends) solve the tridiagonal
+    system h[i-1] M[i-1] + 2 (h[i-1] + h[i]) M[i] + h[i] M[i+1]
     = 6 (slope[i] - slope[i-1]) by the Thomas algorithm; it is diagonally
     dominant, so no pivoting is needed.
     """
@@ -140,15 +147,10 @@ def _natural_spline_coeffs(xs, ys):
          for i in range(n)]
     c = [0.5 * moments[i] for i in range(n)]
     d = [(moments[i + 1] - moments[i]) / (6.0 * h[i]) for i in range(n)]
-    return ys[:n], b, c, d
+    return tuple(np.array(v) for v in (ys[:n], b, c, d))
 
 
 # -- pairings ------------------------------------------------------------------
-
-
-def _profile_values(prof, r):
-    """A test profile, a callable on floats, at every radius of the array r."""
-    return np.array([prof(x) for x in r.tolist()])
 
 
 def _shared(modes, phi):
@@ -170,9 +172,9 @@ def _pairing(chains, phi, tol, lo, hi, integrate=integrate_adaptive,
             tab = specfun.bessel_table(n, chains.wavenumber * r)
             val = s2w * chains.normal(tab, i)
             if radius is None:
-                return val * _profile_values(prof, r) * r
+                return val * prof(r) * r
             g = radius(r)
-            return val * _profile_values(prof, g) * g * g / r
+            return val * prof(g) * g * g / r
 
         total += integrate(integrand, lo, hi, tol=tol)
     return total
@@ -273,18 +275,21 @@ def tangential_trace_at(solution: ModalSolution) -> dict:
 # -- energy diagnostic ----------------------------------------------------------
 
 
-def _energy_density(chains, i):
-    """|E|^2 + |H|^2 of mode i integrated over the sphere of radius r; the
-    material weights of the hidden region cancel its E and H weights."""
-    n, w = chains.keys[i][0], chains.wavenumber
-    s2 = n * (n + 1)
+def _energy_density(chains):
+    """Sum over modes of |E|^2 + |H|^2 on the sphere of radius r (the hidden
+    material cancels its E, H weights); one table, one mode at a time."""
+    w = chains.wavenumber
 
     def dens(r):
-        tab = specfun.bessel_table(n, w * r)
-        ev, hu, er, eu = (np.abs(v) for v in chains.expand(tab, i))
-        return (s2 * ev * ev * r * r + s2 * eu * eu + s2 ** 2 * er * er
-                + w ** 2 * s2 * er * er * r * r
-                + s2 * hu * hu / w ** 2 + s2 ** 2 * ev * ev / w ** 2)
+        tab = specfun.bessel_table(int(chains.degrees.max(initial=0)), w * r)
+        total = np.zeros(r.shape)
+        for i, (n, _) in enumerate(chains.keys):
+            s2 = n * (n + 1)
+            ev, hu, er, eu = (np.abs(v) for v in chains.expand(tab, i))
+            total += (s2 * ev * ev * r * r + s2 * eu * eu + s2 ** 2 * er * er
+                      + w ** 2 * s2 * er * er * r * r
+                      + s2 * hu * hu / w ** 2 + s2 ** 2 * ev * ev / w ** 2)
+        return total
 
     return dens
 
@@ -297,7 +302,9 @@ def energy_integral(solution: ModalSolution, delta: float = 0.0,
     the physical regions beyond radius 1 + delta and between r1 and
     1 - delta.  The layer part is computed exactly in virtual coordinates,
     where the material weight cancels the Jacobian; angular integrals reduce
-    to mode sums by orthonormality of the tangent/radial families.
+    to mode sums by orthonormality of the tangent/radial families.  Each
+    region is one integral of the density summed over its modes, so tol
+    bounds that sum, and an AccuracyError names the region.
     """
     if delta < 0:
         raise DomainError(f"delta must be >= 0, got {delta}")
@@ -310,10 +317,12 @@ def energy_integral(solution: ModalSolution, delta: float = 0.0,
             ("hidden", integrate_adaptive, params.r1, 1.0 - delta)):
         if lo >= hi:
             continue
-        chains = region_chains(solution, region)
-        for i in range(len(chains.keys)):
-            total += integrate(_energy_density(chains, i), lo, hi,
-                               tol=tol).real
+        dens = _energy_density(region_chains(solution, region))
+        try:
+            total += integrate(dens, lo, hi, tol=tol).real
+        except AccuracyError as exc:
+            raise AccuracyError(f"{region} energy: {exc}", exc.estimate,
+                                exc.achieved) from exc
     return total
 
 

@@ -1,8 +1,11 @@
+import cmath
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special as sp
 
 from cloaksim.errors import ConfigError, DomainError, ResonanceError
@@ -288,3 +291,75 @@ class TestTruncationAndTables:
         sol = modal.solve_source(src, bnd, SINGLE)
         assert (1, 0) in sol.modes and (2, 1) in sol.modes
         assert sol.n_max == 2
+
+
+
+
+_ANY_COEFF = st.complex_numbers(max_magnitude=2.0, allow_nan=False,
+                                allow_infinity=False)
+# zero, or a magnitude in [1e-3, 2] at any phase
+_MODERATE_COEFF = st.one_of(st.just(0j), st.builds(
+    cmath.rect, st.floats(1e-3, 2.0), st.floats(0.0, 2.0 * math.pi)))
+
+
+@st.composite
+def _sources(draw, r1, n_top, coeff):
+    keys = draw(st.lists(st.integers(1, n_top).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(-n, n))),
+        min_size=1, max_size=5, unique=True))
+    return modal.SourceCoeffs({key: (draw(coeff), draw(coeff))
+                               for key in keys}, r1=r1)
+
+
+def _solved_modes(params, source):
+    """(key, p, q, coefficients) of every solved mode, after checking that
+    each source mode up to n_max was kept; none on ResonanceError."""
+    try:
+        sol = modal.solve_source(source, None, params)
+    except ResonanceError:
+        return []
+    assert set(sol.modes) == {key for key in source.entries
+                              if key[0] <= sol.n_max}
+    return [(key, *source.entries[key], co) for key, co in sol.modes.items()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(rho=st.floats(1e-6, 0.5), r1=st.floats(0.1, 0.9), data=st.data())
+def test_property_solve_source_keeps_every_mode_or_raises(rho, r1, data):
+    """Vacuum at omega = 1 (the benchmark's material), degrees up to 3 and
+    coefficients of magnitude 1e-3 to 2: every source mode up to n_max is
+    kept and meets the matching-residual bound max(1e-10, 1e-14 / rho), or
+    the solve raises ResonanceError.  Outside that domain the bound fails;
+    see the next test."""
+    params = CloakParams(rho=rho, omega=1.0, r1=r1)
+    source = data.draw(_sources(r1, 3, _MODERATE_COEFF))
+    for (n, _), p, q, co in _solved_modes(params, source):
+        worst = max(modal.system_residuals(n, p, q, 0j, 0j, params, co))
+        assert worst < max(1e-10, 1e-14 / rho), (n, worst)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rho=st.floats(1e-6, 0.5), omega=st.floats(0.1, 4.0),
+       eps0=st.floats(0.25, 4.0), mu0=st.floats(0.25, 4.0),
+       r1=st.floats(0.1, 0.9), data=st.data())
+def test_property_solve_source_any_material_keeps_every_mode(
+        rho, omega, eps0, mu0, r1, data):
+    """Any material, frequency, degree up to 6 and coefficient magnitude up
+    to 2: every source mode up to n_max is kept with finite matching
+    residuals, or the solve raises ResonanceError.
+
+    The 1e-14 / rho bound does not hold here.  ``system_residuals`` divides
+    by the largest side of an equation, and a side can cancel by about
+    1/rho.  At rho = 1e-5, omega = eps0 = 2, mode (2, 0) with q = 1, the
+    last equation's right side is 1.4e5 times smaller than its products
+    and the residual reads 1.2e-9 (mpmath: 7e-15 of the largest product).
+    In vacuum at omega = 1: degree 5 at rho = 1.79e-6 reads 5.7e-9 against
+    5.6e-9; degree 2 at rho = 1e-4 with p = 1, q = 8.8e-91 reads 1.4e-10
+    against 1e-10 (1.0e-11 for q = 1), because ScaledComplex keeps
+    magnitudes as logarithms, so a product of magnitude x carries a
+    relative error of about 1e-16 |ln x|."""
+    params = CloakParams(rho=rho, omega=omega, eps0=eps0, mu0=mu0, r1=r1)
+    source = data.draw(_sources(r1, 6, _ANY_COEFF))
+    for (n, _), p, q, co in _solved_modes(params, source):
+        assert all(math.isfinite(v) for v in modal.system_residuals(
+            n, p, q, 0j, 0j, params, co))

@@ -16,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special as sp
 
-from cloaksim import fields, modal, specfun, weak_limit
-from cloaksim.errors import DomainError
+from cloaksim import fields, modal, quadrature, specfun, weak_limit
+from cloaksim.errors import AccuracyError, DomainError
 from cloaksim.geometry import CloakParams
 from cloaksim.quadrature import (gauss_legendre, integrate_array,
                                  integrate_panels)
@@ -201,9 +201,63 @@ class TestArrayQuadrature:
             lambda x: complex(math.cos(x), math.sin(x)) / (1.0 + x * x),
             edges, tol=1e-12)
         assert abs(got - want) < 1e-14
-        # one call per pass, every node of every panel at once
-        assert calls[0] == 3 * 16 and all(
-            b == 2 * a for a, b in zip(calls, calls[1:]))
+        # the first call takes the 16- and 32-point levels of every panel,
+        # each later call the nodes of the doubled level
+        levels = [3 * 32] + calls[1:]
+        assert calls[0] == 3 * (16 + 32) and all(
+            b == 2 * a for a, b in zip(levels, levels[1:]))
+
+    @staticmethod
+    def _oscillating(x):
+        return np.exp(40j * x) / (1.0 + x * x)
+
+    def test_each_level_matches_the_level_alone(self):
+        """The fused first call and the later ones give, bit for bit, the
+        composite sum each level gives when its nodes are evaluated alone."""
+        edges = np.array([0.0, 0.5, 1.5, 4.0])
+        mid = 0.5 * (edges[:-1] + edges[1:])
+        half = 0.5 * (edges[1:] - edges[:-1])
+
+        def level_alone(npts):
+            x, w = gauss_legendre(npts)
+            nodes = mid[:, None] + half[:, None] * x
+            values = self._oscillating(nodes.ravel()).reshape(nodes.shape)
+            return complex(np.sum(half * np.sum(values * w, axis=1)))
+
+        # each cap stops integrate_array after its last level; the error
+        # carries that level's estimate and its difference from the one before
+        for last in (32, 64):
+            with pytest.raises(AccuracyError) as err:
+                integrate_array(self._oscillating, edges, tol=0.0,
+                                max_points=last)
+            assert err.value.estimate == level_alone(last)
+            assert err.value.achieved == abs(level_alone(last)
+                                             - level_alone(last // 2))
+        got = integrate_array(self._oscillating, edges, tol=1e-12)
+        assert got in {level_alone(2 ** k) for k in range(5, 11)}
+
+    def test_gauss_legendre_once_per_level(self, monkeypatch):
+        requested = []
+
+        def counted(npts):
+            requested.append(npts)
+            return gauss_legendre(npts)
+
+        monkeypatch.setattr(quadrature, "gauss_legendre", counted)
+        with pytest.raises(AccuracyError):
+            integrate_array(self._oscillating, [0.0, 1.0, 2.0], tol=0.0,
+                            base_points=8, max_points=64)
+        assert requested == [8, 16, 32, 64]
+
+    @pytest.mark.parametrize("base_points, max_points",
+                             [(16, 16), (16, 31), (0, 64), (-4, 64)])
+    def test_one_level_is_rejected_before_any_call(self, base_points,
+                                                   max_points):
+        calls = []
+        with pytest.raises(DomainError, match=f"{base_points}.*{max_points}"):
+            integrate_array(lambda x: calls.append(x) or np.sin(x), [0, 1],
+                            base_points=base_points, max_points=max_points)
+        assert calls == []
 
 
 # pairings and energies of the per-node scalar implementation, frozen

@@ -1,15 +1,19 @@
+import dataclasses
+import functools
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
 from scipy import special as sp
 
-from cloaksim.errors import DomainError
+from cloaksim.errors import AccuracyError, DomainError
 from cloaksim.geometry import CloakParams
 from cloaksim.harmonics import ModeIndex, scalar_Y
-from cloaksim import fields, modal, weak_limit
+from cloaksim import fields, modal, quadrature, weak_limit
 from cloaksim.quadrature import fit_power_law
 from cloaksim.weak_limit import RadialTestFunction
+from test_radial_kernel import FROZEN_SOURCE
 
 OMEGA = 1.0
 R1 = 0.5
@@ -107,6 +111,74 @@ class TestSplineAgainstScipy:
     def test_bad_knots_raise_domain_error(self, knots):
         with pytest.raises(DomainError):
             RadialTestFunction.cubic_spline([(1, 0)], knots)
+
+
+KNOTS = [(0.4, 0.0), (0.7, 0.9), (1.0, 1.1), (1.4, -0.8)]
+
+
+def _scalar_bump(lo, hi):
+    """The bump and its derivative as per-float Python formulas."""
+    def phi(r):
+        return 0.0 if r <= lo or r >= hi else (r - lo) ** 2 * (hi - r) ** 2
+
+    def dphi(r):
+        if r <= lo or r >= hi:
+            return 0.0
+        return 2 * (r - lo) * (hi - r) * ((hi - r) - (r - lo))
+    return phi, dphi
+
+
+def _scalar_spline(knots):
+    """The natural spline on Python floats: interval by bisection, then
+    Horner on that interval's coefficients."""
+    xs = [r for r, _ in knots] + [2.0]
+    ys, b, c, d = (v.tolist() for v in weak_limit._natural_spline_coeffs(
+        xs, [v for _, v in knots] + [0.0]))
+    last = len(xs) - 1
+
+    def phi(r):
+        if not xs[0] <= r < 2.0:
+            return 0.0
+        i = bisect_right(xs, r, 1, last) - 1
+        t = r - xs[i]
+        return ys[i] + t * (b[i] + t * (c[i] + t * d[i]))
+
+    def dphi(r):
+        if not xs[0] <= r <= 2.0:
+            return 0.0
+        i = bisect_right(xs, r, 1, last) - 1
+        t = r - xs[i]
+        return b[i] + t * (2.0 * c[i] + t * 3.0 * d[i])
+    return phi, dphi
+
+
+class TestArrayProfiles:
+    # knots, the support edges, r below the support and r >= 2
+    GRID = np.concatenate([
+        np.linspace(0.01, 2.6, 997), [r for r, _ in KNOTS],
+        [0.5, 1.5, 2.0, np.nextafter(2.0, 0.0), np.nextafter(0.5, 1.0),
+         np.nextafter(1.5, 0.0), 0.1, 0.39999, 3.0]])
+
+    @pytest.mark.parametrize("family", ["bump", "spline"])
+    def test_array_equals_floats_bit_for_bit(self, family):
+        if family == "bump":
+            made = RadialTestFunction.polynomial_bump([(1, 0)], 0.5, 1.5)
+            scalar = _scalar_bump(0.5, 1.5)
+        else:
+            made = RadialTestFunction.cubic_spline([(1, 0)], KNOTS)
+            scalar = _scalar_spline(KNOTS)
+        for prof, ref in zip(made.profiles[(1, 0)], scalar):
+            got = prof(self.GRID)
+            assert isinstance(got, np.ndarray) and got.shape == self.GRID.shape
+            per_float = np.array([prof(r) for r in self.GRID.tolist()])
+            assert np.array_equal(got, per_float)
+            assert np.array_equal(got, [ref(r) for r in self.GRID.tolist()])
+
+    def test_float_in_gives_float_out(self):
+        for made in (BUMP, RadialTestFunction.cubic_spline([(1, 0)], KNOTS)):
+            for prof in made.profiles[(1, 0)]:
+                for r in (0.2, 1.0, 2.0, 2.5):
+                    assert type(prof(r)) is float
 
 
 class TestInteriorPairing:
@@ -352,6 +424,33 @@ class TestEnergy:
         sol = make_solution(0.1)
         with pytest.raises(DomainError):
             weak_limit.energy_integral(sol, delta=-0.1)
+
+    @pytest.mark.parametrize("rho", [1e-2, 1e-6])
+    @pytest.mark.parametrize("delta", [0.0, 0.05])
+    def test_one_integral_matches_per_mode_sum(self, rho, delta):
+        params = CloakParams(rho=rho, omega=OMEGA, r1=R1)
+        sol = modal.solve_source(FROZEN_SOURCE, None, params)
+        total = weak_limit.energy_integral(sol, delta=delta, tol=1e-7)
+        per_mode = sum(weak_limit.energy_integral(
+            dataclasses.replace(sol, modes={key: co}), delta=delta, tol=1e-7)
+            for key, co in sol.modes.items())
+        assert len(sol.modes) == 3
+        assert abs(total - per_mode) <= 1e-13 * per_mode
+
+    def test_accuracy_error_names_the_region(self, monkeypatch):
+        sol = make_solution(0.1)
+        # two- and four-point rules cannot reach tol on either region
+        for name in ("integrate_boundary_layer", "integrate_adaptive"):
+            monkeypatch.setattr(weak_limit, name, functools.partial(
+                getattr(quadrature, name), base_points=2, max_points=4))
+        with pytest.raises(AccuracyError, match="^layer energy") as err:
+            weak_limit.energy_integral(sol)
+        assert err.value.estimate is not None and err.value.achieved > 0
+        # with the layer out of the way the hidden region fails next
+        monkeypatch.setattr(weak_limit, "integrate_boundary_layer",
+                            lambda *args, **kwargs: 0j)
+        with pytest.raises(AccuracyError, match="^hidden energy"):
+            weak_limit.energy_integral(sol)
 
 
 class TestDeltaStrengthConsistency:
