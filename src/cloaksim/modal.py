@@ -150,9 +150,18 @@ class ModalSolution:
     n_max: int
 
 
-def _ladder_values(n: int, t: float):
-    lad = specfun.bessel_ladder(n, t)
+def _ladder_values(n: int, lad):
+    """j_n, h_n, J_n, H_n of a BesselLadder."""
     return lad.jn(n), lad.hn(n), lad.riccati_j(n), lad.riccati_h(n)
+
+
+def _interface_values(n: int, params: CloakParams):
+    """``_ladder_values`` at the inner radius omega rho, the interface k
+    omega and the outer boundary 2 omega, from one table of degree n (its
+    columns do not depend on each other)."""
+    om = params.omega
+    tab = specfun.bessel_table(n, [om * params.rho, params.k * om, 2.0 * om])
+    return [_ladder_values(n, tab.column(i)) for i in range(3)]
 
 
 def transfer_coeffs(n: int, params: CloakParams) -> TransferSet:
@@ -164,11 +173,11 @@ def transfer_coeffs(n: int, params: CloakParams) -> TransferSet:
     """
     if n < 1:
         raise DomainError(f"degree must be >= 1, got {n}")
-    om, rho, k = params.omega, params.rho, params.k
+    rho, k = params.rho, params.k
     se = scaled_real(params.eps0 ** -0.5)
     sm = scaled_real(params.mu0 ** -0.5)
-    jr, hr, jjr, hhr = _ladder_values(n, om * rho)
-    jk, hk, jjk, hhk = _ladder_values(n, k * om)
+    (jr, hr, jjr, hhr), (jk, hk, jjk, hhk), outer = _interface_values(
+        n, params)
 
     dn_a = sm * rho * hr * jjk
     dn_b = se * k * hhr * jk
@@ -195,7 +204,7 @@ def transfer_coeffs(n: int, params: CloakParams) -> TransferSet:
     t4p = (sm * k * hk * hhr - se * rho * hhk * hr) / dnp
     return TransferSet(n=n, params=params, t1=t1, t2=t2, t3=t3, t4=t4,
                        t1p=t1p, t2p=t2p, t3p=t3p, t4p=t4p, dn=dn, dnp=dnp,
-                       outer=_ladder_values(n, 2.0 * om))
+                       outer=outer)
 
 
 def solve_mode(n: int, p, q, f1, f2, params: CloakParams,
@@ -242,12 +251,11 @@ def system_residuals(n: int, p, q, f1, f2, params: CloakParams,
     Each residual is |lhs - rhs| over the largest participating term, so a
     value near machine epsilon certifies the solve.
     """
-    om, rho, k = params.omega, params.rho, params.k
+    rho, k = params.rho, params.k
     se = scaled_real(params.eps0 ** -0.5)
     sm = scaled_real(params.mu0 ** -0.5)
-    jr, hr, jjr, hhr = _ladder_values(n, om * rho)
-    jk, hk, jjk, hhk = _ladder_values(n, k * om)
-    j2, h2, jj2, hh2 = _ladder_values(n, 2.0 * om)
+    ((jr, hr, jjr, hhr), (jk, hk, jjk, hhk),
+     (j2, h2, jj2, hh2)) = _interface_values(n, params)
     g, e = coeffs.gamma, coeffs.eta
     c, d = coeffs.c, coeffs.d
     al, be = coeffs.alpha, coeffs.beta
@@ -279,6 +287,28 @@ def system_residuals(n: int, p, q, f1, f2, params: CloakParams,
 # -- closed-form limits -------------------------------------------------------
 
 
+def _interior_ladder(n: int, params: CloakParams):
+    """The ladder of degree n at the interface argument k omega."""
+    if n < 1:
+        raise DomainError(f"degree must be >= 1, got {n}")
+    return specfun.bessel_ladder(n, params.k * params.omega)
+
+
+def _limit_ratios(n: int, q: complex, params: CloakParams, lad):
+    """(beta0, sigma) of ``limit_coeffs`` from the ladder at k omega.
+
+    Raises:
+        ResonanceError: |j_n(k omega)| below the interior floor.
+    """
+    jk_c = lad.jn(n).to_complex().real
+    if abs(jk_c) < INTERIOR_FLOOR:
+        raise ResonanceError(n, "j_n(k omega)", abs(jk_c))
+    beta0 = -lad.hn(n).to_complex() / jk_c * q
+    sigma = (-1j * math.sqrt(params.mu0) * q
+             / (params.k ** 2 * params.omega * jk_c))
+    return beta0, sigma
+
+
 def limit_coeffs(n: int, q, params: CloakParams):
     """Vanishing-regularisation limits for the q-driven chain of degree n.
 
@@ -292,23 +322,18 @@ def limit_coeffs(n: int, q, params: CloakParams):
     Raises:
         ResonanceError: |j_n(k omega)| below the interior floor.
     """
-    if n < 1:
-        raise DomainError(f"degree must be >= 1, got {n}")
     k, om, mu0 = params.k, params.omega, params.mu0
-    jk, hk, jjk, hhk = _ladder_values(n, k * om)
-    jk_c = jk.to_complex().real
-    if abs(jk_c) < INTERIOR_FLOOR:
-        raise ResonanceError(n, "j_n(k omega)", abs(jk_c))
+    lad = _interior_ladder(n, params)
     q = complex(q)
-    beta0 = -hk.to_complex() / jk_c * q
-    sigma = -1j * math.sqrt(mu0) * q / (k ** 2 * om * jk_c)
+    beta0, sigma = _limit_ratios(n, q, params, lad)
+    jk, hk, jjk, hhk = _ladder_values(n, lad)
     # leading coefficient kept in log form: the Gamma factor alone would
     # underflow doubles for large n even though downstream ratios are O(1)
     pref = (ScaledComplex.from_log(
         math.log(2.0 * math.sqrt(math.pi)) - math.lgamma(n + 0.5)
         + (n + 1) * math.log(om / 2.0), 1j)
         * (jjk * hk - hhk * jk)
-        * math.sqrt(mu0) / (k * n) / jk_c * q)
+        * math.sqrt(mu0) / (k * n) / jk.to_complex().real * q)
     return beta0, pref, sigma
 
 
@@ -318,8 +343,8 @@ def sigma_uncollapsed(n: int, q, params: CloakParams) -> complex:
     S_n^2 mu0^(1/2) [J_n h_n - H_n j_n](k w) / (k n(n+1) j_n(k w)) * q, kept
     as the raw combination; agrees with the collapsed sigma to rounding.
     """
-    k, om, mu0 = params.k, params.omega, params.mu0
-    jk, hk, jjk, hhk = _ladder_values(n, k * om)
+    k, mu0 = params.k, params.mu0
+    jk, hk, jjk, hhk = _ladder_values(n, _interior_ladder(n, params))
     jk_c = jk.to_complex().real
     if abs(jk_c) < INTERIOR_FLOOR:
         raise ResonanceError(n, "j_n(k omega)", abs(jk_c))
@@ -419,21 +444,22 @@ def limit_chains(source: SourceCoeffs, params: CloakParams,
     """The rho -> 0 limit of the hidden region, for the given ascending mode
     keys or every source mode: alpha0 = r_n p and beta0 = r_n q with
     r_n = -h_n(k w)/j_n(k w), and the surface strength sigma, from one
-    ``limit_coeffs`` per degree (and its ResonanceError).
+    ladder per degree (ResonanceError as in ``limit_coeffs``).
     """
     keys = source.modes() if keys is None else keys
-    unit = {n: limit_coeffs(n, 1.0, params) for n in {n for n, _ in keys}}
+    unit = {n: _limit_ratios(n, 1 + 0j, params, _interior_ladder(n, params))
+            for n in {n for n, _ in keys}}
     pq = [source.entries[key] for key in keys]
     alpha0, beta0 = ([ScaledComplex.from_complex(unit[n][0] * pair[k])
                       for (n, _), pair in zip(keys, pq)] for k in (0, 1))
     return _hidden_chains(keys, alpha0, beta0, pq, params,
-                          [unit[n][2] * q for (n, _), (_, q) in zip(keys, pq)])
+                          [unit[n][1] * q for (n, _), (_, q) in zip(keys, pq)])
 
 
 def _term_weights(source: SourceCoeffs, params: CloakParams) -> dict:
     """S_n^2 (|p| + |q|) |h_n(k w r1)| per mode, one ladder per degree."""
     t = params.k * params.omega * source.r1
-    h_mag = {n: _ladder_values(n, t)[1].magnitude()
+    h_mag = {n: specfun.bessel_ladder(n, t).hn(n).magnitude()
              for n in {n for n, _ in source.entries}}
     return {(n, m): n * (n + 1) * (abs(p) + abs(q)) * h_mag[n]
             for (n, m), (p, q) in sorted(source.entries.items())}

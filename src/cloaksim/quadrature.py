@@ -84,10 +84,13 @@ def integrate_array(f, breakpoints, tol=1e-9, base_points=16,
     def estimates(*levels):
         rules = [gauss_legendre(npts) for npts in levels]
         nodes = [mid + half[:, None] * t for t, _ in rules]
-        values = np.asarray(f(np.concatenate([x.ravel() for x in nodes])))
-        parts = np.split(values, np.cumsum([x.size for x in nodes])[:-1])
-        return [complex(np.sum(half * np.sum(v.reshape(x.shape) * w, axis=1)))
-                for v, x, (_, w) in zip(parts, nodes, rules)]
+        values = np.asarray(f(np.concatenate(nodes, axis=None)))
+        out, start = [], 0
+        for x, (_, w) in zip(nodes, rules):
+            v = values[start:start + x.size].reshape(x.shape)
+            out.append(complex((half * (v * w).sum(axis=1)).sum()))
+            start += x.size
+        return out
 
     npts = base_points * 2
     prev, curr = estimates(base_points, npts)

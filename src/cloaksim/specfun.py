@@ -18,7 +18,7 @@ coefficients a, b and rows f, g, into plain complex values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,8 +33,9 @@ _LOG_ORDER = np.array([-math.inf] + [math.log(n) for n in range(1, N_CAP + 1)])
 
 
 def _require_args(n: int, t) -> None:
-    bad = t[~((t > 0.0) & np.isfinite(t))]
-    if bad.size:
+    # a NaN fails both comparisons, since min and max propagate it
+    if not (t.min(initial=1.0) > 0.0 and t.max(initial=1.0) < np.inf):
+        bad = t[~((t > 0.0) & np.isfinite(t))]
         raise DomainError(
             f"argument must be positive and finite, got t={float(bad[0])}")
     if n < 0:
@@ -82,6 +83,8 @@ class BesselTable:
     ``*_log`` are natural logs of the magnitudes (-inf for an exact zero),
     ``*_sign`` are +1, -1 or 0.  The row accessors return (log-magnitude,
     phase) pairs for ``combine``, of shape (len(n), len(t)) for an array n.
+    A derived row (h_n, J_n, H_n) at a single order is computed once, made
+    read-only and returned again by later calls on the same table.
     """
 
     n_max: int
@@ -90,19 +93,42 @@ class BesselTable:
     j_sign: np.ndarray
     y_log: np.ndarray
     y_sign: np.ndarray
+    _rows: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     def jn(self, n: int):
         return self.j_log[n + 1], self.j_sign[n + 1]
 
     def hn(self, n: int):
+        return self._row(self._hn, "h", n)
+
+    def riccati_j(self, n: int):
+        return self._row(self._riccati_j, "J", n)
+
+    def riccati_h(self, n: int):
+        return self._row(self._riccati_h, "H", n)
+
+    def _row(self, make, kind, n):
+        """make(n), kept read-only for a scalar order n; an array of orders
+        is not kept."""
+        if isinstance(n, np.ndarray):
+            return make(n)
+        row = self._rows.get((kind, n))
+        if row is None:
+            row = self._rows[(kind, n)] = make(n)
+            for part in row:
+                part.flags.writeable = False
+        return row
+
+    def _hn(self, n):
         return _log_add(self.j_log[n + 1], self.j_sign[n + 1],
                         self.y_log[n + 1], 1j * self.y_sign[n + 1])
 
-    def riccati_j(self, n: int):
+    def _riccati_j(self, n):
         # J_n = j_n + t j_n' = t j_{n-1} - n j_n
         return self._riccati(self.jn(n - 1), self.jn(n), n)
 
-    def riccati_h(self, n: int):
+    def _riccati_h(self, n):
         return self._riccati(self.hn(n - 1), self.hn(n), n)
 
     def _riccati(self, lower, upper, n):
@@ -132,13 +158,13 @@ class _Rescaler:
     could have reached the threshold.
     """
 
-    def __init__(self, t, pair):
-        self.t_min = float(t.min(initial=np.inf))
-        self.shift = np.zeros(t.size)
-        self.bound = self._log_peak(pair)
+    def __init__(self, t_min, size, bound):
+        self.t_min = t_min
+        self.shift = np.zeros(size)
+        self.bound = bound
 
     @staticmethod
-    def _log_peak(pair):
+    def log_peak(pair):
         """An upper bound on log max |x| over the pair, at least 0."""
         return math.log(max(float(np.abs(x).max(initial=1.0)) for x in pair))
 
@@ -154,7 +180,7 @@ class _Rescaler:
             scale = np.where(big, np.abs(lead), 1.0)
             lead, follower = lead / scale, follower / scale
             self.shift = self.shift + np.where(big, log_mag, 0.0)
-        self.bound = self._log_peak((lead, follower))
+        self.bound = self.log_peak((lead, follower))
         return lead, follower
 
 
@@ -169,20 +195,22 @@ def bessel_table(n_max: int, t) -> BesselTable:
     if t.ndim != 1:
         raise DomainError(f"arguments must form a 1-D array, got shape {t.shape}")
     _require_args(n_max, t)
-    sin_t, cos_t = np.sin(t), np.cos(t)
-    j0, j1 = sin_t / t, sin_t / t**2 - cos_t / t
-    y0, y1 = -cos_t / t, -cos_t / t**2 - sin_t / t
+    t_min = float(t.min(initial=np.inf))
+    sin_t, cos_t, t2 = np.sin(t), np.cos(t), t**2
+    sin_over_t, cos_over_t = sin_t / t, cos_t / t
+    j0, j1 = sin_over_t, sin_t / t2 - cos_over_t
+    y0, y1 = -cos_over_t, -cos_t / t2 - sin_over_t
 
     # downward Miller recurrence for j; a column whose start order lies
     # below k waits at its starting pair (f_k, f_{k+1}) = (1, 0)
     start = miller_start_order(n_max, t)
     k_top = int(start.max(initial=n_max))
-    k_all = int(start.min(initial=n_max))
+    k_all = int(start.min(initial=k_top))  # every column is live below
     rows = max(n_max, 1) + 1  # order 1 is kept for the normalisation
     raw = np.empty((rows, t.size))
     raw_shift = np.empty((rows, t.size))
     f_hi, f = np.zeros(t.size), np.ones(t.size)
-    scaler = _Rescaler(t, (f, f_hi))
+    scaler = _Rescaler(t_min, t.size, 0.0)  # log max |x| of the pair (1, 0)
     for k in range(k_top, 0, -1):
         if k < rows:
             raw[k], raw_shift[k] = f, scaler.shift
@@ -208,22 +236,23 @@ def bessel_table(n_max: int, t) -> BesselTable:
         sgn_ref = np.copysign(1.0, ref_raw) * np.copysign(1.0, ref_val)
         j_raw = raw[:n_max + 1]
         j_log = np.empty((n_max + 2, t.size))
-        j_log[0] = np.log(np.abs(cos_t / t))
+        j_log[0] = np.log(np.abs(cos_over_t))
         j_log[1:] = (np.log(np.abs(j_raw)) + raw_shift[:n_max + 1] - log_ref
                      + log_val)
         j_sign = np.empty_like(j_log)
-        j_sign[0] = np.sign(cos_t / t)
+        j_sign[0] = np.sign(cos_over_t)
         j_sign[1:] = np.sign(j_raw) * sgn_ref
     j_sign[j_log == -np.inf] = 0.0
 
     # upward recurrence for y, rescaled (grows with order for t < n)
     y_raw = np.empty((n_max + 2, t.size))
     y_shift = np.zeros((n_max + 2, t.size))
-    y_raw[0], y_raw[1] = sin_t / t, y0
+    y_raw[0], y_raw[1] = sin_over_t, y0
     if n_max >= 1:
         y_raw[2] = y1
     g_lo, g = y0, y1
-    scaler = _Rescaler(t, (g, g_lo))
+    if n_max >= 2:  # the loop below runs
+        scaler = _Rescaler(t_min, t.size, _Rescaler.log_peak((g, g_lo)))
     for k in range(1, n_max):
         c = float(2 * k + 1)
         g, g_lo = scaler.step(c, c / t * g - g_lo, g)

@@ -361,6 +361,39 @@ class TestCheckSpecfun:
         assert got == pytest.approx(worst, rel=0.0, abs=2e-15)
 
 
+class TestDocumentedExitCodes:
+    """Each error type of the CLI maps to its documented exit code."""
+
+    @pytest.mark.parametrize("command, scenario", [
+        ("converge", "converge_single_mode.json"),
+        ("halfspace", "halfspace_sweep.json")])
+    def test_unreachable_tolerance_exits_4(self, tmp_path, capsys, command,
+                                           scenario):
+        assert run([command, "--config", SCENARIOS / scenario, "--out",
+                    tmp_path, "--tol", "1e-30"]) == 4
+        assert "did not converge to tol=1e-30" in capsys.readouterr().err
+
+    def test_field_point_on_the_interface_exits_2(self, tmp_path, capsys):
+        doc = json.loads((SCENARIOS / "fields_single_mode.json").read_text())
+        doc["points"] = [[1.0, 0.0, 0.0]]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert run(["fields", "--config", cfg, "--out", tmp_path]) == 2
+        assert "exactly on the interface" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, scenario", [
+        ("converge", "converge_single_mode.json"),
+        ("fields", "fields_single_mode.json")])
+    def test_degree_above_the_cap_exits_2(self, tmp_path, capsys, command,
+                                          scenario):
+        doc = json.loads((SCENARIOS / scenario).read_text())
+        doc["source"].append({"n": specfun.N_CAP + 1, "m": 0, "q_re": 1.0})
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert run([command, "--config", cfg, "--out", tmp_path]) == 2
+        assert "exceeds supported cap 200" in capsys.readouterr().err
+
+
 class TestWriteJson:
     def test_layout(self, tmp_path):
         write_json(tmp_path / "doc.json", {"b": 1.5, "a": None})

@@ -294,6 +294,99 @@ class TestTruncationAndTables:
 
 
 
+# the source of the frozen pairings in tests/test_radial_kernel.py
+FROZEN_SOURCE = modal.SourceCoeffs(entries={
+    (1, 0): (0.3 - 0.2j, 1.0 + 0.5j),
+    (2, 1): (0.25j, -0.4 + 0.1j),
+    (3, -2): (0.1 + 0j, 0.2 - 0.3j)}, r1=0.5)
+
+# packed (log-magnitude, phase.real, phase.imag) doubles of gamma, eta, c,
+# d, alpha and beta per mode of solve_source(FROZEN_SOURCE), frozen from
+# the solve with one ladder per interface argument
+FROZEN_PACKED = {
+    1e-2: {
+        (1, 0): [
+            -8.798179625265417, -0.30014883437113427, 0.9538923824130529,
+            -7.273475695814498, -0.08982122304705012, -0.9959579046778695,
+            -9.048099460846732, 0.8320502943378437, -0.5547001962252291,
+            -7.916415698091995, 0.8944271909999157, 0.4472135954999579,
+            0.5037646287836233, 0.36010009365229617, 0.9329136736866963,
+            1.635446763875649, -0.6313362306974051, 0.7755092287063984],
+        (2, 1): [
+            -12.884436232365434, -0.9653395752757339, -0.2609971348625606,
+            -13.084426139174456, 0.716358169320637, 0.6977327376922955,
+            -14.227682081623215, 6.646121066855956e-18, 1.0,
+            -13.727366141451954, -0.9701425001453319, 0.24253562503633297,
+            2.6539528452256516, -0.9998452290389894, -0.017593122746431804,
+            3.154268785378949, -0.22543025147796847, -0.9742593092799164],
+        (3, -2): [
+            -16.635736173587148, -0.04087356557548929, 0.9991643266435938,
+            -15.915938126063146, -0.8697045633591277, -0.4935726617959196,
+            -19.83300791692203, 1.0, -3.791048731966867e-19,
+            -18.55053323819126, 0.5547001962252291, -0.8320502943378436,
+            5.197026053969255, -0.0005532994805051608, 0.9999998469298307,
+            6.479500732700023, 0.8317432516453568, 0.5551604843127875],
+    },
+    1e-6: {
+        (1, 0): [
+            -27.20112871258003, -0.3001488343711342, 0.9538923824130526,
+            -25.676426355963468, -0.08982122304705015, -0.9959579046778695,
+            -27.451048548161346, 0.8320502943378437, -0.5547001962252291,
+            -26.319366358240963, 0.8944271909999159, 0.4472135954999579,
+            0.5265456580466803, 0.3647834972477236, 0.9310923692822963,
+            1.6582278479670625, -0.6274312672591897, 0.7786719494533801],
+        (2, 1): [
+            -40.50128538372146, -0.9653395752757339, -0.2609971348625606,
+            -40.7012752905478, 0.716358169320637, 0.6977327376922955,
+            -41.84453123297924, 6.646121077177299e-18, 1.0,
+            -41.3442152928253, -0.9701425001453319, 0.24253562503633297,
+            2.6762337811797714, -0.9998519750104179, -0.01720546621765189,
+            3.176549721333725, -0.22580796969040481, -0.9741718333149944],
+        (3, -2): [
+            -53.46421963356802, -0.04087356557548929, 0.9991643266435938,
+            -52.744421586044034, -0.8697045633591277, -0.4935726617959196,
+            -56.66149137690291, 1.0, -3.7910487319676826e-19,
+            -55.379016698172144, 0.5547001962252291, -0.8320502943378437,
+            5.219221170019955, -0.0005411542156880851, 0.9999998535760467,
+            6.501695848750723, 0.83174999415612, 0.555150382528279],
+    },
+}
+
+# system_residuals of the same solves, frozen alongside
+FROZEN_RESIDUALS = {
+    1e-2: {
+        (1, 0): [1.5273134415180827e-15, 1.1443916996305574e-16,
+                 1.1656809940177913e-14, 9.694595325496662e-16,
+                 4.0029660424867086e-16, 7.437872845547678e-15],
+        (2, 1): [1.7235296186091149e-15, 0.0, 1.8654517056954e-14,
+                 3.4331750988731736e-16, 1.1102422797698452e-15,
+                 1.0642842806564263e-14],
+        (3, -2): [0.0, 1.1102230246251573e-16, 2.1849192634714528e-13,
+                  1.6653345369377366e-15, 1.3322686193917935e-15,
+                  2.2161036066058883e-13],
+    },
+    1e-6: {
+        (1, 0): [0.0, 0.0, 9.603577562467519e-10, 9.550499576785494e-16,
+                 1.6910413304902245e-15, 9.308709350861832e-10],
+        (2, 1): [0.0, 0.0, 1.0058985904635317e-09, 2.6461124136767567e-15,
+                 4.2189178738605984e-15, 8.026875048045628e-10],
+        (3, -2): [0.0, 0.0, 3.6470387484216524e-10, 1.0161421993128882e-14,
+                  6.661338152545479e-15, 3.341599839409557e-10],
+    },
+}
+
+
+@pytest.mark.parametrize("rho", [1e-2, 1e-6])
+def test_solve_source_reproduces_frozen_doubles(rho):
+    params = CloakParams(rho, 1.0, r1=0.5)
+    sol = modal.solve_source(FROZEN_SOURCE, None, params)
+    assert {key: list(co._packed) for key, co in sol.modes.items()} == (
+        FROZEN_PACKED[rho])
+    for key, co in sol.modes.items():
+        assert modal.system_residuals(
+            key[0], *FROZEN_SOURCE.entries[key], 0j, 0j, params, co) == (
+            FROZEN_RESIDUALS[rho][key]), key
+
 
 _ANY_COEFF = st.complex_numbers(max_magnitude=2.0, allow_nan=False,
                                 allow_infinity=False)

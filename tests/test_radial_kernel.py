@@ -150,6 +150,97 @@ def test_property_columns_independent_and_wronskian(n_max, t):
                                                         + np.abs(b)))
 
 
+def _direct_rows(tab, n):
+    """hn, riccati_j and riccati_h of a table at order(s) n, straight from
+    ``_log_add`` on its j/y rows, as the row accessors define them."""
+    def h(k):
+        return specfun._log_add(tab.j_log[k + 1], tab.j_sign[k + 1],
+                                tab.y_log[k + 1], 1j * tab.y_sign[k + 1])
+
+    def riccati(lower, upper):
+        log_n = specfun._LOG_ORDER[n]
+        if np.ndim(n):
+            log_n = log_n[:, None]
+        return specfun._log_add(lower[0] + np.log(tab.t), lower[1],
+                                upper[0] + log_n, -upper[1])
+
+    def j(k):
+        return tab.j_log[k + 1], tab.j_sign[k + 1]
+
+    return {"hn": h(n), "riccati_j": riccati(j(n - 1), j(n)),
+            "riccati_h": riccati(h(n - 1), h(n))}
+
+
+def _same_row(got, want):
+    return all(np.array_equal(g, w) and g.shape == w.shape
+               for g, w in zip(got, want))
+
+
+class TestServedRows:
+    T = np.array([1e-7, 3e-3, 0.4, 2.0, 9.0, 41.0])
+
+    @pytest.mark.parametrize("n_max", [1, 2, 7, 60])
+    def test_rows_equal_direct_computation(self, n_max):
+        tab = specfun.bessel_table(n_max, self.T)
+        orders = [0, 1, n_max // 2, n_max]
+        for n in orders + [np.array(orders), np.arange(n_max + 1)]:
+            want = _direct_rows(tab, n)
+            for name, row in want.items():
+                assert _same_row(getattr(tab, name)(n), row), (name, n)
+
+    def test_repeated_calls_return_the_same_values(self):
+        tab = specfun.bessel_table(5, self.T)
+        for name in ("hn", "riccati_j", "riccati_h"):
+            for n in (0, 3, 5, np.array([1, 5, 2])):
+                first = getattr(tab, name)(n)
+                first = tuple(np.copy(x) for x in first)
+                for _ in range(2):
+                    assert _same_row(getattr(tab, name)(n), first)
+
+    def test_single_order_rows_are_computed_once(self, monkeypatch):
+        calls = []
+        log_add = specfun._log_add
+
+        def counted(*args):
+            calls.append(1)
+            return log_add(*args)
+
+        monkeypatch.setattr(specfun, "_log_add", counted)
+        tab = specfun.bessel_table(4, self.T)
+        for name in ("hn", "riccati_j", "riccati_h"):
+            getattr(tab, name)(4)
+        first = len(calls)  # h_4, J_4, then h_3 and H_4
+        assert first == 4
+        for name in ("hn", "riccati_j", "riccati_h"):
+            getattr(tab, name)(4)
+            getattr(tab, name)(np.array([4]))
+        # only the array rows are computed again: h, J, and H from two h
+        assert len(calls) == first + 5
+
+    def test_kept_rows_are_read_only(self):
+        # a row served again cannot be changed under a later caller
+        tab = specfun.bessel_table(3, self.T)
+        for name in ("hn", "riccati_j", "riccati_h"):
+            for part in getattr(tab, name)(3):
+                with pytest.raises(ValueError):
+                    part[0] = 0.0
+
+    def test_tables_do_not_share_rows(self):
+        tabs = [specfun.bessel_table(3, self.T),
+                specfun.bessel_table(3, self.T[::-1] * 1.5),
+                specfun.bessel_table(3, self.T)]
+        for name in ("hn", "riccati_j", "riccati_h"):
+            for tab in tabs:
+                for n in (1, 3):
+                    assert _same_row(getattr(tab, name)(n),
+                                     _direct_rows(tab, n)[name])
+        # equal tables serve equal rows, each its own
+        for name in ("hn", "riccati_j", "riccati_h"):
+            a, b = getattr(tabs[0], name)(2), getattr(tabs[2], name)(2)
+            assert _same_row(a, b)
+            assert all(x is not y for x, y in zip(a, b))
+
+
 class TestCombine:
     def test_matches_scaled_arithmetic(self):
         tab = specfun.bessel_table(6, [1e-7, 0.2, 4.0, 30.0])
