@@ -27,6 +27,7 @@ from .errors import AccuracyError, CloakSimError, ConfigError, ResonanceError
 from .geometry import CloakParams
 from .manifest import RunManifest, write_csv, write_json
 from .modal import config_number
+from .scaled import ScaledArray
 from .weak_limit import RadialTestFunction
 
 EXIT_OK = 0
@@ -263,17 +264,10 @@ def _specfun_deviations(table):
         jp = j[:-1] - (n[:, None] + 1) / t * j[1:]
         yp = y[:-1] - (n[:, None] + 1) / t * y[1:]
         wronskian = np.abs(t * t * (j[1:] * yp - jp * y[1:]) - 1.0)
-
-        # the cross product from log-magnitude rows, its phase divided by
-        # its modulus part by part as a ScaledComplex sum does
-        rj, h, rh, jn = (table.riccati_j(n), table.hn(n), table.riccati_h(n),
-                         table.jn(n))
-        hi = np.maximum(rj[0] + h[0], rh[0] + jn[0])
-        s = (rj[1] * h[1] * np.exp(rj[0] + h[0] - hi)
-             - rh[1] * jn[1] * np.exp(rh[0] + jn[0] - hi))
-        m = np.abs(s)
-        cross = np.exp(hi + np.log(m)) * (s.real / m + 1j * (s.imag / m))
-        cross = np.abs(np.where(m == 0.0, 0j, cross) + 1j / t)
+        rj, rh = table.riccati_j(n), table.riccati_h(n)
+        cross = np.abs(specfun.combine(ScaledArray(*rj), table.hn(n),
+                                       ScaledArray(rh[0], -rh[1]),
+                                       table.jn(n)) + 1j / t)
 
         lo, mid, up = j[1:-2], j[2:-1], j[3:]  # orders n - 1, n, n + 1
         recurrence = np.abs(lo + up - (2 * n[1:-1, None] + 1) / t * mid) / (

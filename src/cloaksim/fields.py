@@ -84,9 +84,8 @@ def eval_physical(solution: ModalSolution, x) -> FieldSample:
     fmap = geometry.CloakOuterMap(params)
     y = fmap.inverse(x)
     virt = eval_virtual_exterior(solution, y)
-    _, e_phys = geometry.pushforward_field(fmap, y, virt.E)
-    _, h_phys = geometry.pushforward_field(fmap, y, virt.H)
-    return FieldSample(point=x, E=e_phys, H=h_phys, space="physical")
+    _, eh = geometry.pushforward_field(fmap, y, np.stack([virt.E, virt.H], 1))
+    return FieldSample(point=x, E=eh[:, 0], H=eh[:, 1], space="physical")
 
 
 def eval_ideal_exterior(e_background, h_background, x) -> FieldSample:
@@ -103,9 +102,9 @@ def eval_ideal_exterior(e_background, h_background, x) -> FieldSample:
         raise DomainError(f"ideal layer is 1 < |x| < 2, got |x|={r:.6g}")
     fmap = geometry.BlowupMap()
     y = fmap.inverse(x)
-    _, e_phys = geometry.pushforward_field(fmap, y, np.asarray(e_background(y), dtype=complex))
-    _, h_phys = geometry.pushforward_field(fmap, y, np.asarray(h_background(y), dtype=complex))
-    return FieldSample(point=x, E=e_phys, H=h_phys, space="physical")
+    _, eh = geometry.pushforward_field(
+        fmap, y, np.stack([e_background(y), h_background(y)], 1))
+    return FieldSample(point=x, E=eh[:, 0], H=eh[:, 1], space="physical")
 
 
 # -- finite-difference diagnostics -------------------------------------------

@@ -64,27 +64,27 @@ def _radius(y) -> float:
 
 
 class RadialMap:
-    """Map x = g(|y|) * y/|y| with a strictly monotone radial profile g."""
+    """Map x = g(|y|) * y/|y| with the affine radial profile g(r) = a + b r,
+    b > 0, on the virtual radii lo < r <= hi; a radius outside them, as
+    the preimage of a point outside the image, raises DomainError."""
 
     name = "radial"
 
+    def __init__(self, a: float, b: float, lo: float, hi: float):
+        self.a, self.b, self.lo, self.hi = a, b, lo, hi
+
     def g(self, r: float) -> float:
-        raise NotImplementedError
+        return self.a + self.b * r
 
     def dg(self, r: float) -> float:
-        raise NotImplementedError
-
-    def domain(self) -> tuple:
-        """Open interval of admissible virtual radii."""
-        raise NotImplementedError
+        return self.b
 
     def _check_radius(self, r: float) -> None:
         if r == 0.0:
             raise SingularityError(f"{self.name}: undefined at the origin")
-        lo, hi = self.domain()
-        if r <= lo or r > hi:
+        if r <= self.lo or r > self.hi:
             raise DomainError(
-                f"{self.name}: radius {r:.6g} outside ({lo:.6g}, {hi:.6g}]")
+                f"{self.name}: radius {r:.6g} outside ({self.lo:.6g}, {self.hi:.6g}]")
 
     def apply(self, y):
         y = np.asarray(y, dtype=float)
@@ -93,7 +93,8 @@ class RadialMap:
         return self.g(r) / r * y
 
     def inverse_radius(self, radius_x: float) -> float:
-        raise NotImplementedError
+        """The virtual radius g^-1(radius_x), unchecked."""
+        return (radius_x - self.a) / self.b
 
     def inverse(self, x):
         x = np.asarray(x, dtype=float)
@@ -119,23 +120,8 @@ class RadialMap:
 class IdentityMap(RadialMap):
     name = "identity"
 
-    def g(self, r):
-        return r
-
-    def dg(self, r):
-        return 1.0
-
-    def domain(self):
-        return (0.0, math.inf)
-
-    def inverse_radius(self, radius_x):
-        return radius_x
-
-    def jacobian(self, y):
-        return _EYE.copy()
-
-    def det_jacobian(self, y):
-        return 1.0
+    def __init__(self):
+        super().__init__(0.0, 1.0, 0.0, math.inf)
 
 
 class BlowupMap(RadialMap):
@@ -143,19 +129,8 @@ class BlowupMap(RadialMap):
 
     name = "blowup"
 
-    def g(self, r):
-        return 1.0 + 0.5 * r
-
-    def dg(self, r):
-        return 0.5
-
-    def domain(self):
-        return (0.0, 2.0)
-
-    def inverse_radius(self, radius_x):
-        if not 1.0 < radius_x <= 2.0:
-            raise DomainError(f"blowup inverse needs 1 < |x| <= 2, got {radius_x:.6g}")
-        return 2.0 * (radius_x - 1.0)
+    def __init__(self):
+        super().__init__(1.0, 0.5, 0.0, 2.0)
 
 
 class CloakOuterMap(RadialMap):
@@ -164,24 +139,9 @@ class CloakOuterMap(RadialMap):
     name = "cloak-outer"
 
     def __init__(self, params: CloakParams):
-        self.params = params
-
-    def g(self, r):
-        return self.params.a + self.params.b * r
-
-    def dg(self, r):
-        return self.params.b
-
-    def domain(self):
         # closed at rho: both branches give |x| = 1 there
-        return (self.params.rho * (1.0 - 1e-12), 2.0)
-
-    def inverse_radius(self, radius_x):
-        p = self.params
-        if not 1.0 <= radius_x <= 2.0:
-            raise DomainError(
-                f"cloak-outer inverse needs 1 <= |x| <= 2, got {radius_x:.6g}")
-        return (radius_x - p.a) / p.b
+        super().__init__(params.a, params.b, params.rho * (1.0 - 1e-12), 2.0)
+        self.params = params
 
 
 class CloakInnerMap:
@@ -250,7 +210,7 @@ def pushforward_tensor(fmap, y, tensor=None):
         (x, T_pushed): image point and the transported tensor at it.
     """
     mat = fmap.jacobian(y)
-    det = fmap.det_jacobian(y) if hasattr(fmap, "det_jacobian") else np.linalg.det(mat)
+    det = fmap.det_jacobian(y)
     if abs(det) < 1e-300:
         raise DegenerateMapError(f"{fmap.name}: singular Jacobian at |y|={_radius(y):.6g}")
     t = _EYE if tensor is None else np.asarray(tensor, dtype=float)
@@ -260,7 +220,9 @@ def pushforward_tensor(fmap, y, tensor=None):
 def pushforward_field(fmap, y, field_value):
     """Transport a field 1-form value from y to x = F(y): M^{-T} E.
 
-    Returns (x, transported value).
+    ``field_value`` is a 3-vector or a (3, k) stack of them as columns,
+    transported with one Jacobian and one solve.  Returns (x, transported
+    value).
     """
     mat = fmap.jacobian(y)
     value = np.linalg.solve(mat.T, np.asarray(field_value, dtype=complex))
@@ -276,7 +238,7 @@ def pullback_field(fmap, y, field_value_at_image):
 def pushforward_current(fmap, y, current_value):
     """Transport a current-density 2-form from y to x = F(y): M J / det(M)."""
     mat = fmap.jacobian(y)
-    det = fmap.det_jacobian(y) if hasattr(fmap, "det_jacobian") else np.linalg.det(mat)
+    det = fmap.det_jacobian(y)
     if abs(det) < 1e-300:
         raise DegenerateMapError(f"{fmap.name}: singular Jacobian")
     return fmap.apply(y), (mat @ np.asarray(current_value, dtype=complex)) / det
@@ -285,7 +247,7 @@ def pushforward_current(fmap, y, current_value):
 def pullback_current(fmap, y, current_value_at_image):
     """Inverse of ``pushforward_current``: det(M) M^{-1} J-tilde at F(y)."""
     mat = fmap.jacobian(y)
-    det = fmap.det_jacobian(y) if hasattr(fmap, "det_jacobian") else np.linalg.det(mat)
+    det = fmap.det_jacobian(y)
     return det * np.linalg.solve(mat, np.asarray(current_value_at_image, dtype=complex))
 
 

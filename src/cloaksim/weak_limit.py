@@ -313,7 +313,8 @@ def energy_integral(solution: ModalSolution, delta: float = 0.0,
     # layer: the pre-image field beyond 1 + delta; hidden: physical radii
     for region, integrate, lo, hi in (
             ("layer", integrate_boundary_layer,
-             max(params.rho, (1.0 + delta - params.a) / params.b), 2.0),
+             max(params.rho, CloakOuterMap(params).inverse_radius(1.0 + delta)),
+             2.0),
             ("hidden", integrate_adaptive, params.r1, 1.0 - delta)):
         if lo >= hi:
             continue

@@ -21,6 +21,16 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def _package_env():
+    """The environment with this checkout's package first on PYTHONPATH,
+    for a fresh interpreter."""
+    src = str(Path(cloaksim.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    return env
+
+
 def _refuse(token):
     raise ValueError(f"not JSON: {token}")
 
@@ -393,6 +403,20 @@ class TestDocumentedExitCodes:
         assert run([command, "--config", cfg, "--out", tmp_path]) == 2
         assert "exceeds supported cap 200" in capsys.readouterr().err
 
+    def test_argument_above_the_cap_exits_2(self, tmp_path):
+        # in a subprocess under a timeout, so a lost cap fails the test
+        # instead of hanging it in a recurrence of about 2e12 steps
+        doc = json.loads((SCENARIOS / "fields_single_mode.json").read_text())
+        doc["params"]["omega"] = 1e12
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = subprocess.run(
+            [sys.executable, "-m", "cloaksim", "fields", "--config", str(cfg),
+             "--out", str(tmp_path)],
+            env=_package_env(), capture_output=True, text=True, timeout=60)
+        assert out.returncode == 2
+        assert "exceeds supported cap" in out.stderr
+
 
 class TestWriteJson:
     def test_layout(self, tmp_path):
@@ -413,13 +437,9 @@ class TestStartup:
         assert err.value.code == 2
 
     def test_cli_import_leaves_scipy_unloaded(self):
-        src = str(Path(cloaksim.__file__).resolve().parent.parent)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + [p for p in [env.get("PYTHONPATH")] if p])
         out = subprocess.run(
             [sys.executable, "-c",
              "import sys, cloaksim.cli; "
              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
-            env=env, capture_output=True, text=True, check=True)
+            env=_package_env(), capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"

@@ -208,3 +208,23 @@ class TestFieldTransport:
         j = np.array([1.0, 2.0, 3.0 + 1j])
         _, out = geo.pushforward_current(geo.IdentityMap(), [0.5, 0, 0], j)
         assert np.allclose(out, j)
+
+
+class TestMapErrorPaths:
+    P = geo.CloakParams(rho=0.1, omega=1.0)
+
+    @pytest.mark.parametrize("fmap, big_r", [
+        (geo.BlowupMap(), 0.5), (geo.BlowupMap(), 1.0), (geo.BlowupMap(), 2.5),
+        (geo.CloakOuterMap(P), 0.9), (geo.CloakOuterMap(P), 2.5)])
+    def test_inverse_outside_the_image(self, fmap, big_r):
+        # at |x| = 1 the blow-up's preimage is the origin: a SingularityError,
+        # which is a DomainError
+        with pytest.raises(DomainError):
+            fmap.inverse([0.0, big_r, 0.0])
+
+    @pytest.mark.parametrize("fmap, r", [
+        (geo.BlowupMap(), 2.5), (geo.CloakOuterMap(P), 0.05),
+        (geo.CloakOuterMap(P), 2.5)])
+    def test_apply_outside_the_domain(self, fmap, r):
+        with pytest.raises(DomainError):
+            fmap.apply([0.0, 0.0, r])

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from scipy import special as sp
 
 from cloaksim import fields, modal, quadrature, specfun, weak_limit
-from cloaksim.errors import AccuracyError, DomainError
+from cloaksim.errors import AccuracyError, CapabilityError, DomainError
 from cloaksim.geometry import CloakParams
 from cloaksim.quadrature import (gauss_legendre, integrate_array,
                                  integrate_panels)
@@ -76,6 +76,28 @@ class TestKernelAgainstScalarLadder:
             specfun.bessel_table(3, [0.5, math.nan])
         with pytest.raises(DomainError):
             specfun.bessel_table(3, np.ones((2, 2)))
+
+    def test_rejects_arguments_above_the_cap_before_any_step(self,
+                                                             monkeypatch):
+        # an uncapped t = 1e12 would run about 2e12 recurrence steps, so the
+        # start order must not even be asked for
+        def no_recurrence(n, t):
+            raise AssertionError("recurrence started")
+        monkeypatch.setattr(specfun, "miller_start_order", no_recurrence)
+        for t in ([1e12], [0.5, specfun.T_CAP * (1 + 1e-15)]):
+            with pytest.raises(CapabilityError, match="exceeds supported cap"):
+                specfun.bessel_table(2, t)
+
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 3])
+    def test_small_tables_near_their_start_order(self, n_max):
+        # a start at n + max(15, ceil(2 t)) left j_0 about 2e-9 of its 1/t
+        # envelope off at n_max = 0, t = 7
+        t = np.linspace(0.5, 20.0, 400)
+        tab = specfun.bessel_table(n_max, t)
+        for n in range(n_max + 1):
+            got = tab.j_sign[n + 1] * np.exp(tab.j_log[n + 1])
+            want = sp.spherical_jn(n, t)
+            assert np.max(np.abs(got - want) * t) < 1e-14
 
 
 class TestKernelAtExtremes:
