@@ -14,40 +14,59 @@ import numpy as np
 
 from . import geometry
 from .errors import DomainError, SingularityError
-from .harmonics import ModeIndex, angular_basis
+# angular_basis is not called here: bench/tracer.py counts its calls by
+# patching this module's binding
+from .harmonics import angular_basis, angular_table  # noqa: F401
 from .manifest import write_csv
 from .modal import ModalSolution, region_chains
 
 FD_CURL_STEP = 1e-4  # relative step used by the curl diagnostics
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FieldSample:
-    """E/H values at one point, tagged with the coordinate system."""
+    """E/H values at one point, tagged with the coordinate system.
+
+    ``E`` and ``H`` are read-only complex 3-vectors over one bytes buffer
+    ``eh`` (E, then H; see ``_pack_eh``), packed like ``ModeCoeffs``: a kept
+    sample holds about 190 bytes instead of the 420 of two arrays.
+    """
 
     point: np.ndarray
-    E: np.ndarray
-    H: np.ndarray
+    eh: bytes
     space: str  # "virtual" | "physical"
+
+    @property
+    def E(self) -> np.ndarray:
+        return np.frombuffer(self.eh, dtype=complex, count=3)
+
+    @property
+    def H(self) -> np.ndarray:
+        return np.frombuffer(self.eh, dtype=complex, count=3, offset=48)
+
+
+def _pack_eh(eh) -> bytes:
+    """The ``FieldSample.eh`` buffer of a (2, 3) stack of E and H rows."""
+    return np.asarray(eh, dtype=complex).reshape(2, 3).tobytes()
 
 
 def _expand(chains, x, r, space) -> FieldSample:
     """E/H of a region's mode expansion at the point x of radius r: the
-    radial factors of all modes as arrays, the angular basis per mode."""
+    radial factors and the angular table of all modes as arrays, summed
+    over the modes by matrix products."""
     w, xhat = chains.wavenumber, x / r
     a_j, a_jj, b_j, b_jj = (v[:, 0] for v in chains.expand(chains.table(r)))
     s_n = np.sqrt(chains.degrees * (chains.degrees + 1.0))
-    e_v, e_u, e_r = -s_n * a_j, s_n / r * b_jj, s_n ** 2 / r * b_j
-    h_v = 1j * w * s_n * b_j
-    h_u, h_r = -1j / w * s_n / r * a_jj, -1j / w * s_n ** 2 / r * a_j
-    e_total, h_total = np.zeros(3, dtype=complex), np.zeros(3, dtype=complex)
-    for i, (n, m) in enumerate(chains.keys):
-        y_val, u, v = angular_basis(ModeIndex(n, m), xhat)
-        e_total += chains.e_weight * (e_v[i] * v + e_u[i] * u
-                                      + e_r[i] * y_val * xhat)
-        h_total += chains.h_weight * (h_v[i] * v + h_u[i] * u
-                                      + h_r[i] * y_val * xhat)
-    return FieldSample(point=x, E=e_total, H=h_total, space=space)
+    y_val, u, v = angular_table(chains.key_array, xhat)
+    # rows E and H; columns the V and U parts of every mode, then the radial
+    e_w, h_w = chains.e_weight, chains.h_weight
+    tangential = np.stack([
+        e_w * np.concatenate([-s_n * a_j, s_n / r * b_jj]),
+        h_w * np.concatenate([1j * w * s_n * b_j, -1j / w * s_n / r * a_jj])])
+    radial = np.stack([e_w * s_n ** 2 / r * b_j,
+                       h_w * -1j / w * s_n ** 2 / r * a_j]) @ y_val
+    eh = tangential @ np.concatenate([v, u]) + np.outer(radial, xhat)
+    return FieldSample(point=x, eh=_pack_eh(eh), space=space)
 
 
 def eval_virtual_exterior(solution: ModalSolution, y) -> FieldSample:
@@ -85,7 +104,7 @@ def eval_physical(solution: ModalSolution, x) -> FieldSample:
     y = fmap.inverse(x)
     virt = eval_virtual_exterior(solution, y)
     _, eh = geometry.pushforward_field(fmap, y, np.stack([virt.E, virt.H], 1))
-    return FieldSample(point=x, E=eh[:, 0], H=eh[:, 1], space="physical")
+    return FieldSample(point=x, eh=_pack_eh(eh.T), space="physical")
 
 
 def eval_ideal_exterior(e_background, h_background, x) -> FieldSample:
@@ -104,7 +123,7 @@ def eval_ideal_exterior(e_background, h_background, x) -> FieldSample:
     y = fmap.inverse(x)
     _, eh = geometry.pushforward_field(
         fmap, y, np.stack([e_background(y), h_background(y)], 1))
-    return FieldSample(point=x, E=eh[:, 0], H=eh[:, 1], space="physical")
+    return FieldSample(point=x, eh=_pack_eh(eh.T), space="physical")
 
 
 # -- finite-difference diagnostics -------------------------------------------

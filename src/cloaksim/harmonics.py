@@ -2,13 +2,16 @@
 
 Conventions: fully orthonormal complex harmonics on the unit sphere with
 Condon-Shortley phase, so Y(n,-m) = (-1)^m conj(Y(n,m)).  The tangent pair is
-U = Grad Y / sqrt(n(n+1)) and V = xhat x U.  Associated Legendre values use
-the standard order-then-degree upward recurrence on normalised functions,
-which is stable past n = 150.
+U = Grad Y / sqrt(n(n+1)) and V = xhat x U.  ``angular_table`` gives Y, U
+and V of many modes at one direction from one table of normalised
+associated Legendre values (sectoral seeds, then the upward recurrence in
+degree for every order at once, stable past n = 150); ``angular_basis``,
+``scalar_Y`` and ``vector_UV`` are its one-row views.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -54,83 +57,116 @@ def _angles(d):
     return theta, phi
 
 
-def _norm_legendre(n: int, m: int, theta: float):
-    """Normalised P(n,m)(cos theta) and its theta-derivative, m >= 0.
+@functools.lru_cache(maxsize=16)
+def _legendre_coeffs(n_max: int, m_max: int):
+    """Coefficients of the normalised Legendre table, read-only arrays.
+
+    a, b, c are (n_max + 1, m_max + 1) arrays indexed [n, m], zero for
+    m >= n: P(n) = a (x P(n-1) - b P(n-2)) and
+    sin(theta) dP(n)/dtheta = n x P(n) - c P(n-1).  The sectoral value is
+    P(m, m) = seed[m] sin(theta)^m.
+    """
+    n = np.arange(n_max + 1, dtype=float)[:, None]
+    m = np.arange(m_max + 1, dtype=float)[None, :]
+    below = m < n
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = np.sqrt((4.0 * n * n - 1.0) / (n * n - m * m))
+        b = np.sqrt(((n - 1.0) ** 2 - m * m) / (4.0 * (n - 1.0) ** 2 - 1.0))
+        c = np.sqrt((n * n - m * m) * (2.0 * n + 1.0) / (2.0 * n - 1.0))
+    k = m[0, 1:]
+    seed = np.cumprod(np.concatenate(([1.0 / math.sqrt(4.0 * math.pi)],
+                                      -np.sqrt((2.0 * k + 1.0) / (2.0 * k)))))
+    # b vanishes at n = m + 1, where P(n-2, m) is not defined
+    coeffs = (np.where(below, a, 0.0), np.where(below & (m < n - 1), b, 0.0),
+              np.where(below, c, 0.0), seed)
+    for arr in coeffs:
+        arr.flags.writeable = False
+    return coeffs
+
+
+def _legendre_table(n_max: int, m_max: int, x: float, s: float):
+    """Normalised P(n,m)(cos theta) and dP/dtheta for 0 <= m <= m_max and
+    n <= n_max, as (n_max + 1, m_max + 1) arrays, zero for m > n, at
+    x = cos theta and s = sin theta.
 
     Normalisation absorbs sqrt((2n+1)/(4 pi) (n-m)!/(n+m)!) so that
-    Y = P * exp(i m phi).
+    Y = P * exp(i m phi).  Every order climbs in degree at once from its
+    sectoral seed (Holmes & Featherstone, J. Geodesy 76, 2002).  At the
+    poles dP/dtheta is left 0: the gradient there is the analytic
+    m = +/-1 limit.
     """
-    x = math.cos(theta)
-    s = math.sin(theta)
-    # seed P(m,m), climbing in order with on-the-fly normalisation
-    pmm = 1.0 / math.sqrt(4.0 * math.pi)
-    for k in range(1, m + 1):
-        pmm *= -math.sqrt((2 * k + 1) / (2.0 * k)) * s
-    if n == m:
-        p_nm = pmm
-        p_n1m = 0.0  # degree n-1 value, not defined for n == m
-    else:
-        p_prev = pmm
-        p_curr = math.sqrt(2.0 * m + 3.0) * x * pmm
-        for k in range(m + 2, n + 1):
-            a = math.sqrt((4.0 * k * k - 1.0) / (k * k - m * m))
-            b = math.sqrt(((k - 1.0) ** 2 - m * m) / (4.0 * (k - 1.0) ** 2 - 1.0))
-            p_next = a * (x * p_curr - b * p_prev)
-            p_prev, p_curr = p_curr, p_next
-        p_nm, p_n1m = p_curr, p_prev
-    # sin(theta) * dP/dtheta = n x P(n) - sqrt((n^2-m^2)(2n+1)/(2n-1)) P(n-1)
+    a, b, c, seed = _legendre_coeffs(n_max, m_max)
+    p = np.zeros((n_max + 1, m_max + 1))
+    np.fill_diagonal(p, seed * s ** np.arange(m_max + 1))
+    prev = curr = np.zeros(m_max + 1)  # P(n-2) and P(n-1)
+    for a_n, b_n, p_n in zip(a, b, p):
+        p_n += a_n * (x * curr - b_n * prev)  # a_n is 0 from the diagonal on
+        prev, curr = curr, p_n
+    dp = np.zeros_like(p)
+    if abs(s) >= _POLE_SIN:
+        dp[1:] = (np.arange(1.0, n_max + 1.0)[:, None] * x * p[1:]
+                  - c[1:] * p[:-1]) / s
+    return p, dp
+
+
+def angular_table(keys, direction):
+    """(Y, U, V) of every mode (n, m) of keys at one unit direction.
+
+    Returns arrays of shape (K,), (K, 3) and (K, 3) for K keys (a sequence
+    of pairs or a (K, 2) integer array), from one normalised Legendre table
+    for all n <= max n and 0 <= m <= max |m|.  With signed m,
+    Y = sign P(n,|m|) exp(i m phi), sign = (-1)^m for m < 0, and
+    Grad Y = dY/dtheta theta_hat + i m Y / sin(theta) phi_hat; V = xhat x U
+    is built from the same components, U_theta phi_hat - U_phi theta_hat.
+    At a pole only m = +/-1 has a gradient, lambda_n (m, i, 0).
+    """
+    d = _check_unit(direction)
+    keys = np.asarray(keys, dtype=int).reshape(-1, 2)
+    n, m = keys[:, 0], keys[:, 1]
+    m_abs = np.abs(m)
+    n_top = int(n.max(initial=1))
+    if n.min(initial=1) < 1 or n_top > specfun.N_CAP or (m_abs > n).any():
+        n_bad, m_bad = keys[(n < 1) | (n > specfun.N_CAP) | (m_abs > n)][0]
+        raise DomainError(f"invalid mode (n,m)=({n_bad},{m_bad}): need "
+                          f"1 <= n <= {specfun.N_CAP} and |m| <= n")
+    theta, phi = _angles(d)
+    x, s = math.cos(theta), math.sin(theta)
+    p_tab, dp_tab = _legendre_table(n_top, int(m_abs.max(initial=0)), x, s)
+    sign = (-1.0) ** np.minimum(m, 0)  # (-1)^m for m < 0
+    p = sign * p_tab[n, m_abs]
+    eim = np.exp(1j * phi * m)
     if abs(s) < _POLE_SIN:
-        dp = 0.0  # gradient at poles handled by analytic m = +/-1 limits
-    else:
-        coeff = math.sqrt((n * n - m * m) * (2.0 * n + 1.0) / (2.0 * n - 1.0))
-        dp = (n * x * p_nm - coeff * p_n1m) / s
-    return p_nm, dp
+        # U of m = +/-1 tends to lam (m, i, 0), lam = -sqrt((2n+1)/pi)/4 at
+        # the north pole and (-1)^(n+1) lam at the south; other orders have
+        # no gradient there
+        lam = np.where(m_abs == 1, -0.25 * np.sqrt((2.0 * n + 1.0) / math.pi),
+                       0.0)
+        if d[2] < 0:
+            lam = lam * (-1.0) ** (n + 1)
+        u = np.zeros((n.size, 3), dtype=complex)
+        u[:, 0], u[:, 1] = lam * m, 1j * lam
+        v = np.stack([d[1] * u[:, 2] - d[2] * u[:, 1],
+                      d[2] * u[:, 0] - d[0] * u[:, 2],
+                      d[0] * u[:, 1] - d[1] * u[:, 0]], axis=1)
+        return p * eim, u, v
+    theta_hat = np.array([x * math.cos(phi), x * math.sin(phi), -s])
+    phi_hat = np.array([-math.sin(phi), math.cos(phi), 0.0])
+    w = eim / np.sqrt(n * (n + 1.0))
+    u_theta = (w * sign * dp_tab[n, m_abs])[:, None]
+    u_phi = ((1j / s) * m * w * p)[:, None]
+    return (p * eim, u_theta * theta_hat + u_phi * phi_hat,
+            u_theta * phi_hat - u_phi * theta_hat)
+
+
+def angular_basis(mode: ModeIndex, direction):
+    """(Y, U, V) of one mode at one direction: a row of ``angular_table``."""
+    y_val, u, v = angular_table([(mode.n, mode.m)], direction)
+    return complex(y_val[0]), u[0], v[0]
 
 
 def scalar_Y(mode: ModeIndex, direction) -> complex:
     """Orthonormal spherical harmonic at a unit direction."""
-    d = _check_unit(direction)
-    theta, phi = _angles(d)
-    m = abs(mode.m)
-    p, _ = _norm_legendre(mode.n, m, theta)
-    val = p * complex(math.cos(m * phi), math.sin(m * phi))
-    if mode.m < 0:
-        val = (-1) ** m * val.conjugate()
-    return val
-
-
-def _pole_gradient(n: int, north: bool):
-    """Limit of Grad Y(n, 1) at a pole; every other order vanishes there."""
-    lam = -0.25 * math.sqrt((2.0 * n + 1.0) * n * (n + 1.0) / math.pi)
-    if not north and n % 2 == 0:
-        lam = -lam
-    return lam * np.array([1.0, 1j, 0.0])
-
-
-def angular_basis(mode: ModeIndex, direction):
-    """(Y, U, V) at one direction, sharing the Legendre evaluation."""
-    d = _check_unit(direction)
-    theta, phi = _angles(d)
-    m = abs(mode.m)
-    p, dp = _norm_legendre(mode.n, m, theta)
-    eim = complex(math.cos(m * phi), math.sin(m * phi))
-    y_val = p * eim
-    s = math.sin(theta)
-    if abs(s) < _POLE_SIN:
-        grad = _pole_gradient(mode.n, north=d[2] > 0) if m == 1 \
-            else np.zeros(3, dtype=complex)
-    else:
-        theta_hat = np.array([math.cos(theta) * math.cos(phi),
-                              math.cos(theta) * math.sin(phi),
-                              -s])
-        phi_hat = np.array([-math.sin(phi), math.cos(phi), 0.0])
-        grad = dp * eim * theta_hat + (1j * m * p / s) * eim * phi_hat
-    if mode.m < 0:
-        y_val = (-1) ** m * y_val.conjugate()
-        grad = (-1) ** m * grad.conjugate()
-    u = grad / mode.s_n
-    v = np.cross(d, u)
-    return y_val, u, v
+    return angular_basis(mode, direction)[0]
 
 
 def vector_UV(mode: ModeIndex, direction):

@@ -20,6 +20,7 @@ import json
 import math
 import warnings
 from array import array
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -62,34 +63,38 @@ class TransferSet:
     outer: tuple
 
 
+def _pack(values) -> list:
+    """ScaledComplex values as (log-magnitude, phase.real, phase.imag)
+    doubles, which ``_unpack`` turns back into the same values exactly."""
+    return [x for v in values for x in (v.log_mag, v.phase.real, v.phase.imag)]
+
+
+def _unpack(packed, i: int) -> ScaledComplex:
+    """The i-th ScaledComplex of packed doubles."""
+    log_mag, re, im = packed[3 * i:3 * i + 3]
+    return ScaledComplex(log_mag, complex(re, im))
+
+
 class ModeCoeffs:
     """Solved field coefficients of one mode, kept in log-magnitude form.
 
-    The attributes gamma, eta, c, d, alpha and beta are ScaledComplex.  They
-    are stored packed, as (log-magnitude, phase.real, phase.imag) doubles in
-    one array, a third of the memory of six ScaledComplex objects; a
-    solution keeps six per mode for as long as it lives.  Values round-trip
-    exactly.
+    The attributes gamma, eta, c, d, alpha and beta are ScaledComplex, stored
+    packed (``_pack``) in one array, a third of the memory of six
+    ScaledComplex objects.  Values round-trip exactly.
     """
 
     __slots__ = ("_packed",)
     _NAMES = ("gamma", "eta", "c", "d", "alpha", "beta")
 
     def __init__(self, gamma, eta, c, d, alpha, beta):
-        self._packed = array("d", [x for v in (gamma, eta, c, d, alpha, beta)
-                                   for x in (v.log_mag, v.phase.real,
-                                             v.phase.imag)])
+        self._packed = array("d", _pack((gamma, eta, c, d, alpha, beta)))
 
-    def _value(self, i: int) -> ScaledComplex:
-        log_mag, re, im = self._packed[3 * i:3 * i + 3]
-        return ScaledComplex(log_mag, complex(re, im))
-
-    gamma = property(lambda self: self._value(0))
-    eta = property(lambda self: self._value(1))
-    c = property(lambda self: self._value(2))
-    d = property(lambda self: self._value(3))
-    alpha = property(lambda self: self._value(4))
-    beta = property(lambda self: self._value(5))
+    gamma = property(lambda self: _unpack(self._packed, 0))
+    eta = property(lambda self: _unpack(self._packed, 1))
+    c = property(lambda self: _unpack(self._packed, 2))
+    d = property(lambda self: _unpack(self._packed, 3))
+    alpha = property(lambda self: _unpack(self._packed, 4))
+    beta = property(lambda self: _unpack(self._packed, 5))
 
     def __eq__(self, other):
         if not isinstance(other, ModeCoeffs):
@@ -139,14 +144,58 @@ class BoundaryCoeffs:
         return max((n for n, _ in self.entries), default=0)
 
 
-@dataclass(frozen=True)
+class SolvedModes(Mapping):
+    """The solved modes of a solution: (n, m) -> ModeCoeffs, read-only, in
+    ascending key order.
+
+    Every mode of a degree reads the same twelve values (``_degree_ratios``),
+    so a solution keeps those, packed, 36 doubles a degree in one array, and
+    solves a mode on access from them and the mode's source and boundary
+    data with ``solve_mode``'s arithmetic: the coefficients are bit for bit
+    those of ``solve_mode``.  The source and boundary tables are read at
+    access, so they must not change after the solve.
+    """
+
+    __slots__ = ("_source", "_boundary", "_degrees", "_ratios")
+    _WIDTH = 36  # doubles a degree: twelve packed values
+
+    def __init__(self, source: dict, boundary: dict, degrees: tuple,
+                 ratios: array):
+        self._source, self._boundary = source, boundary
+        self._degrees, self._ratios = degrees, ratios
+
+    def __contains__(self, key):
+        return ((key in self._source or key in self._boundary)
+                and key[0] in self._degrees)
+
+    def __getitem__(self, key):
+        if key not in self:
+            raise KeyError(key)
+        i = self._degrees.index(key[0])
+        row = self._ratios[self._WIDTH * i:self._WIDTH * (i + 1)]
+        return _mode_coeffs([_unpack(row, k) for k in range(self._WIDTH // 3)],
+                            *self._source.get(key, (0j, 0j)),
+                            *self._boundary.get(key, (0j, 0j)))
+
+    def __iter__(self):
+        return iter(sorted(key for key in self._source.keys()
+                           | self._boundary.keys() if key in self))
+
+    def __len__(self):
+        return sum(1 for _ in self)
+
+    def __repr__(self):
+        return f"SolvedModes({dict(self)!r})"
+
+
+@dataclass(frozen=True, slots=True)
 class ModalSolution:
     """All solved modes for one parameter set plus the data that produced them."""
 
     params: CloakParams
     source: SourceCoeffs
     boundary: BoundaryCoeffs
-    modes: dict  # (n, m) -> ModeCoeffs
+    modes: Mapping  # (n, m) -> ModeCoeffs, SolvedModes from solve_source
     n_max: int
 
 
@@ -207,6 +256,45 @@ def transfer_coeffs(n: int, params: CloakParams) -> TransferSet:
                        outer=outer)
 
 
+def _degree_ratios(ts: TransferSet) -> tuple:
+    """What every mode of the degree of ts reads: t1, t2, t3, t4, t1p, t2p,
+    t3p, t4p, h_n(2w), H_n(2w) and the exterior-boundary denominators of
+    gamma and eta.
+
+    Raises:
+        ResonanceError: an exterior-boundary denominator below floor.
+    """
+    j2, h2, jj2, hh2 = ts.outer
+    den_g = ts.t1 * h2 + j2
+    den_e = ts.t3 * hh2 + jj2
+    scale_g = max((ts.t1 * h2).log_mag, j2.log_mag)
+    scale_e = max((ts.t3 * hh2).log_mag, jj2.log_mag)
+    if den_g.is_zero or den_g.log_mag - scale_g < math.log(DENOM_FLOOR):
+        raise ResonanceError(ts.n, "t1*h_n(2w) + j_n(2w)")
+    if den_e.is_zero or den_e.log_mag - scale_e < math.log(DENOM_FLOOR):
+        raise ResonanceError(ts.n, "t3*H_n(2w) + J_n(2w)")
+    return (ts.t1, ts.t2, ts.t3, ts.t4, ts.t1p, ts.t2p, ts.t3p, ts.t4p,
+            h2, hh2, den_g, den_e)
+
+
+def _mode_coeffs(ratios, p, q, f1, f2) -> ModeCoeffs:
+    """The six coefficients of a mode with data (p, q, f1, f2), from its
+    degree's ``_degree_ratios``."""
+    t1, t2, t3, t4, t1p, t2p, t3p, t4p, h2, hh2, den_g, den_e = ratios
+    p_s = ScaledComplex.from_complex(p)
+    q_s = ScaledComplex.from_complex(q)
+    f1_s = ScaledComplex.from_complex(f1)
+    f2_s = ScaledComplex.from_complex(f2)
+
+    gamma = (f1_s - p_s * t1p * h2) / den_g
+    eta = (f2_s * 2.0 - t3p * q_s * hh2) / den_e
+    c = t1 * gamma + t1p * p_s
+    alpha = t2 * gamma + t2p * p_s
+    d = t3 * eta + t3p * q_s
+    beta = t4 * eta + t4p * q_s
+    return ModeCoeffs(gamma=gamma, eta=eta, c=c, d=d, alpha=alpha, beta=beta)
+
+
 def solve_mode(n: int, p, q, f1, f2, params: CloakParams,
                transfer: TransferSet | None = None) -> ModeCoeffs:
     """Solve one mode for source data (p, q) and boundary data (f1, f2).
@@ -219,29 +307,7 @@ def solve_mode(n: int, p, q, f1, f2, params: CloakParams,
             denominator below floor.
     """
     ts = transfer if transfer is not None else transfer_coeffs(n, params)
-    j2, h2, jj2, hh2 = ts.outer
-
-    den_g = ts.t1 * h2 + j2
-    den_e = ts.t3 * hh2 + jj2
-    scale_g = max((ts.t1 * h2).log_mag, j2.log_mag)
-    scale_e = max((ts.t3 * hh2).log_mag, jj2.log_mag)
-    if den_g.is_zero or den_g.log_mag - scale_g < math.log(DENOM_FLOOR):
-        raise ResonanceError(n, "t1*h_n(2w) + j_n(2w)")
-    if den_e.is_zero or den_e.log_mag - scale_e < math.log(DENOM_FLOOR):
-        raise ResonanceError(n, "t3*H_n(2w) + J_n(2w)")
-
-    p_s = ScaledComplex.from_complex(p)
-    q_s = ScaledComplex.from_complex(q)
-    f1_s = ScaledComplex.from_complex(f1)
-    f2_s = ScaledComplex.from_complex(f2)
-
-    gamma = (f1_s - p_s * ts.t1p * h2) / den_g
-    eta = (f2_s * 2.0 - ts.t3p * q_s * hh2) / den_e
-    c = ts.t1 * gamma + ts.t1p * p_s
-    alpha = ts.t2 * gamma + ts.t2p * p_s
-    d = ts.t3 * eta + ts.t3p * q_s
-    beta = ts.t4 * eta + ts.t4p * q_s
-    return ModeCoeffs(gamma=gamma, eta=eta, c=c, d=d, alpha=alpha, beta=beta)
+    return _mode_coeffs(_degree_ratios(ts), p, q, f1, f2)
 
 
 def system_residuals(n: int, p, q, f1, f2, params: CloakParams,
@@ -379,8 +445,13 @@ class RegionChains:
     surface: list | None = None
 
     @cached_property
+    def key_array(self) -> np.ndarray:
+        """The keys as a (K, 2) integer array."""
+        return np.array(self.keys, dtype=int).reshape(-1, 2)
+
+    @property
     def degrees(self) -> np.ndarray:
-        return np.array([n for n, _ in self.keys], dtype=int)
+        return self.key_array[:, 0]
 
     @cached_property
     def _columns(self):
@@ -389,11 +460,29 @@ class RegionChains:
             np.array([c.phase for c in coeffs], dtype=complex).reshape(-1, 1))
             for coeffs in (*self.a, *self.b)]
 
+    @cached_property
+    def _index(self) -> dict:
+        return {key: i for i, key in enumerate(self.keys)}
+
     def _at(self, i):
         """Degree(s) and (a0, a1, b0, b1) of mode i, or of all for None."""
         if i is None:
             return self.degrees, self._columns
         return self.keys[i][0], [c[i] for c in (*self.a, *self.b)]
+
+    def take(self, keys) -> "RegionChains":
+        """The chains of the given keys (KeyError for one not held), in
+        their order."""
+        rows = [self._index[key] for key in keys]
+
+        def pick(values):
+            return [values[i] for i in rows]
+
+        return RegionChains(list(keys), tuple(map(pick, self.a)),
+                            tuple(map(pick, self.b)), self.wavenumber,
+                            self.e_weight, self.h_weight,
+                            None if self.surface is None
+                            else pick(self.surface))
 
     def table(self, r: float):
         """One BesselTable at wavenumber * r serving every mode."""
@@ -421,22 +510,46 @@ def _hidden_chains(keys, alpha, beta, pq, params, surface=None):
                         params.eps0 ** -0.5, params.mu0 ** -0.5, surface)
 
 
+def _solution_chains(solution: ModalSolution) -> dict:
+    """The "layer" and "hidden" chains of every solved mode, from one pass
+    over the modes."""
+    keys = sorted(solution.modes)
+    modes = [solution.modes[key] for key in keys]
+    gamma, eta, c, d, alpha, beta = ([getattr(co, name) for co in modes]
+                                     for name in ModeCoeffs._NAMES)
+    return {"layer": RegionChains(keys, (gamma, c), (eta, d),
+                                  solution.params.omega),
+            "hidden": _hidden_chains(
+                keys, alpha, beta,
+                [solution.source.entries.get(key, (0j, 0j)) for key in keys],
+                solution.params)}
+
+
+# (solution, its chains) of the latest region_chains call: one entry, so it
+# keeps at most one solution alive, and a solution's own fields hold nothing
+_latest_chains = (None, None)
+
+
 def region_chains(solution: ModalSolution, region: str,
                   keys=None) -> RegionChains:
     """The chains of the "layer" (virtual coordinates) or "hidden" region,
-    for the given ascending mode keys or every solved mode."""
-    keys = sorted(solution.modes) if keys is None else keys
-    modes = [solution.modes[key] for key in keys]
-    if region == "layer":
-        gamma, c, eta, d = ([getattr(co, name) for co in modes]
-                            for name in ("gamma", "c", "eta", "d"))
-        return RegionChains(keys, (gamma, c), (eta, d), solution.params.omega)
-    if region != "hidden":
+    for the given ascending mode keys or every solved mode.
+
+    Both regions' chains over all modes are built in one pass and kept for
+    the latest solution passed (compared by identity); a solution whose
+    modes are a plain dict, which may be changed in place, is rebuilt on
+    every call.
+    """
+    global _latest_chains
+    if region not in ("layer", "hidden"):
         raise DomainError(f"region is 'layer' or 'hidden', got {region!r}")
-    return _hidden_chains(
-        keys, [co.alpha for co in modes], [co.beta for co in modes],
-        [solution.source.entries.get(key, (0j, 0j)) for key in keys],
-        solution.params)
+    latest, chains = _latest_chains
+    if latest is not solution:
+        chains = _solution_chains(solution)
+        if isinstance(solution.modes, SolvedModes):
+            _latest_chains = (solution, chains)
+    chains = chains[region]
+    return chains if keys is None else chains.take(keys)
 
 
 def limit_chains(source: SourceCoeffs, params: CloakParams,
@@ -457,10 +570,16 @@ def limit_chains(source: SourceCoeffs, params: CloakParams,
 
 
 def _term_weights(source: SourceCoeffs, params: CloakParams) -> dict:
-    """S_n^2 (|p| + |q|) |h_n(k w r1)| per mode, one ladder per degree."""
-    t = params.k * params.omega * source.r1
-    h_mag = {n: specfun.bessel_ladder(n, t).hn(n).magnitude()
-             for n in {n for n, _ in source.entries}}
+    """S_n^2 (|p| + |q|) |h_n(k w r1)| per mode, from one table of all
+    degrees."""
+    if not source.entries:
+        return {}
+    degrees = sorted({n for n, _ in source.entries})
+    tab = specfun.bessel_table(degrees[-1],
+                               [params.k * params.omega * source.r1])
+    with np.errstate(over="ignore"):
+        h_mag = dict(zip(degrees, np.exp(
+            tab.hn(np.array(degrees))[0][:, 0]).tolist()))
     return {(n, m): n * (n + 1) * (abs(p) + abs(q)) * h_mag[n]
             for (n, m), (p, q) in sorted(source.entries.items())}
 
@@ -503,8 +622,10 @@ def solve_source(source: SourceCoeffs, boundary: BoundaryCoeffs | None,
     """Solve every mode carried by the source/boundary tables.
 
     Modes above the truncation degree are dropped; boundary-only modes are
-    always kept.  A source whose support radius differs from params.r1 is
-    rejected with DomainError.
+    always kept.  The solve runs once per degree (every resonance check
+    raises here); the modes come from the returned ``SolvedModes``.  A
+    source whose support radius differs from params.r1 is rejected with
+    DomainError.
     """
     if source.r1 != params.r1:
         raise DomainError(f"source support radius r1={source.r1} differs "
@@ -512,18 +633,13 @@ def solve_source(source: SourceCoeffs, boundary: BoundaryCoeffs | None,
     boundary = boundary or BoundaryCoeffs()
     n_max = truncation_order(source, params, tol)
     n_max = max(n_max, boundary.max_degree())
-    keys = sorted(set(source.entries) | set(boundary.entries))
-    transfer_cache = {}
-    modes = {}
-    for (n, m) in keys:
-        if n > n_max:
-            continue
-        p, q = source.entries.get((n, m), (0j, 0j))
-        f1, f2 = boundary.entries.get((n, m), (0j, 0j))
-        if n not in transfer_cache:
-            transfer_cache[n] = transfer_coeffs(n, params)
-        modes[(n, m)] = solve_mode(n, p, q, f1, f2, params,
-                                   transfer=transfer_cache[n])
+    degrees = sorted({n for n, _ in source.entries.keys()
+                      | boundary.entries.keys() if n <= n_max})
+    ratios = array("d")
+    for n in degrees:
+        ratios.extend(_pack(_degree_ratios(transfer_coeffs(n, params))))
+    modes = SolvedModes(source.entries, boundary.entries, tuple(degrees),
+                        ratios)
     return ModalSolution(params=params, source=source, boundary=boundary,
                          modes=modes, n_max=n_max)
 

@@ -179,6 +179,17 @@ class TestPhysical:
         assert dens_phys == pytest.approx(dens_virt, rel=1e-12)
 
 
+    @pytest.mark.parametrize("x", [[0.3, -0.4, 0.5], [1.2, 0.0, 0.3]])
+    def test_samples_are_packed_and_read_only(self, x):
+        # hidden and layer samples hold one 96-byte buffer, no arrays
+        s = fields.eval_physical(SOL, x)
+        assert not hasattr(s, "__dict__") and len(s.eh) == 96
+        assert s.E.shape == s.H.shape == (3,)
+        assert not s.E.flags.writeable and not s.H.flags.writeable
+        assert np.array_equal(np.concatenate([s.E, s.H]),
+                              np.frombuffer(s.eh, dtype=complex))
+
+
 class TestIdealExterior:
     @staticmethod
     def background():

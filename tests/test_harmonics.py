@@ -1,11 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import special as sp
 
 from cloaksim.errors import DomainError, SingularityError
-from cloaksim.harmonics import ModeIndex, angular_basis, scalar_Y, vector_UV, wave_MN
+from cloaksim.harmonics import (ModeIndex, angular_basis, angular_table,
+                                scalar_Y, vector_UV, wave_MN)
 
 
 def sphere_quadrature(n_theta=64, n_phi=128):
@@ -228,3 +230,97 @@ class TestWaveMN:
     def test_invalid_kind_rejected(self):
         with pytest.raises(DomainError):
             wave_MN(ModeIndex(1, 0), 1.0, [0.5, 0, 0], kind="standing")
+
+
+def _scipy_basis(d, n_top=20):
+    """(Y, U, V) of scipy.special.sph_harm_y_all at direction d, indexed
+    [n, m] for n <= n_top; U from the (d/dtheta, d/dphi) gradient and
+    V = d x U."""
+    theta, phi = math.acos(d[2]), math.atan2(d[1], d[0])
+    y_all, grad_all = sp.sph_harm_y_all(n_top, n_top, theta, phi, diff_n=1)
+    theta_hat = np.array([math.cos(theta) * math.cos(phi),
+                          math.cos(theta) * math.sin(phi), -math.sin(theta)])
+    phi_hat = np.array([-math.sin(phi), math.cos(phi), 0.0])
+    s_n = np.sqrt(np.arange(n_top + 1) * np.arange(1, n_top + 2.0))
+    with np.errstate(invalid="ignore", divide="ignore"):  # the n = 0 row
+        u = ((grad_all[..., :1] * theta_hat
+              + grad_all[..., 1:] / math.sin(theta) * phi_hat)
+             / s_n[:, None, None])
+    return y_all, u, np.cross(d, u)
+
+
+ALL_KEYS_20 = [(n, m) for n in range(1, 21) for m in range(-n, n + 1)]
+
+
+class TestAngularTable:
+    def test_matches_scipy_all_degrees(self):
+        rng = np.random.default_rng(8)
+        for d in random_dirs(rng, 6):
+            y, u, v = angular_table(ALL_KEYS_20, d)
+            assert y.shape == (len(ALL_KEYS_20),)
+            assert u.shape == v.shape == (len(ALL_KEYS_20), 3)
+            y_all, u_all, v_all = _scipy_basis(d)
+            for i, (n, m) in enumerate(ALL_KEYS_20):
+                y_ref, u_ref, v_ref = y_all[n, m], u_all[n, m], v_all[n, m]
+                assert abs(y[i] - y_ref) < 1e-12, (n, m)
+                assert np.max(np.abs(u[i] - u_ref)) < 1e-12, (n, m)
+                assert np.max(np.abs(v[i] - v_ref)) < 1e-12, (n, m)
+
+    @pytest.mark.parametrize("zsign", [1.0, -1.0])
+    @pytest.mark.parametrize("tilt", [0.0, 1e-11])
+    def test_poles_match_scipy_next_to_them(self, zsign, tilt):
+        # exactly at a pole, and inside the pole band sin(theta) < 1e-10:
+        # the analytic limits continue scipy's values 1e-7 off the pole
+        d = np.array([tilt, 0.0, zsign])
+        d /= np.linalg.norm(d)
+        y, u, v = angular_table(ALL_KEYS_20, d)
+        near = np.array([1e-7 * math.cos(0.3), 1e-7 * math.sin(0.3), zsign])
+        near /= np.linalg.norm(near)
+        y_all, u_all, v_all = _scipy_basis(near)
+        for i, (n, m) in enumerate(ALL_KEYS_20):
+            y_ref, u_ref, v_ref = y_all[n, m], u_all[n, m], v_all[n, m]
+            assert abs(y[i] - y_ref) < 1e-5, (n, m)
+            assert np.max(np.abs(u[i] - u_ref)) < 1e-5, (n, m)
+            assert np.max(np.abs(v[i] - v_ref)) < 1e-5, (n, m)
+            if abs(m) != 1:
+                assert not np.any(u[i]) and not np.any(v[i]), (n, m)
+
+    def test_negative_orders_are_conjugates(self):
+        rng = np.random.default_rng(9)
+        for d in [*random_dirs(rng, 5), np.array([0.0, 0.0, 1.0]),
+                  np.array([0.0, 0.0, -1.0])]:
+            keys = [(n, m) for n in range(1, 9) for m in range(1, n + 1)]
+            pos = angular_table(keys, d)
+            neg = angular_table([(n, -m) for n, m in keys], d)
+            sign = np.array([(-1.0) ** m for _, m in keys])
+            for got, ref in zip(neg, pos):
+                want = (sign * ref.T).T.conj()
+                assert np.max(np.abs(got - want)) < 1e-13
+
+    def test_single_mode_views_are_table_rows(self):
+        rng = np.random.default_rng(10)
+        for d in [*random_dirs(rng, 4), np.array([0.0, 0.0, 1.0]),
+                  np.array([0.0, 0.0, -1.0])]:
+            y, u, v = angular_table(ALL_KEYS_20, d)
+            for i, (n, m) in enumerate(ALL_KEYS_20):
+                mode = ModeIndex(n, m)
+                y_row, u_row, v_row = angular_basis(mode, d)
+                assert y_row == y[i] and scalar_Y(mode, d) == y[i]
+                assert np.array_equal(u_row, u[i])
+                assert np.array_equal(v_row, v[i])
+
+    def test_poles_raise_no_runtime_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for zsign in (1.0, -1.0):
+                for tilt in (0.0, 1e-12, 1e-11):
+                    d = np.array([tilt, tilt, zsign])
+                    d /= np.linalg.norm(d)
+                    for values in angular_table(ALL_KEYS_20, d):
+                        assert np.all(np.isfinite(values))
+
+    @pytest.mark.parametrize("keys", [[(0, 0)], [(1, 2)], [(2, -3)],
+                                      [(201, 0)], [(1, 0), (2, 5)]])
+    def test_invalid_keys_rejected(self, keys):
+        with pytest.raises(DomainError):
+            angular_table(keys, [0.0, 0.0, 1.0])

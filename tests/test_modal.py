@@ -1,6 +1,9 @@
 import cmath
+import dataclasses
+import gc
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -456,3 +459,100 @@ def test_property_solve_source_any_material_keeps_every_mode(
     for (n, _), p, q, co in _solved_modes(params, source):
         assert all(math.isfinite(v) for v in modal.system_residuals(
             n, p, q, 0j, 0j, params, co))
+
+
+# -- the per-degree solution --------------------------------------------------
+
+def _all_modes_source(n_top=12, seed=4):
+    """Every (n, m) with n <= n_top (168 modes for 12), |p| = |q| = 2^-n at
+    seeded phases."""
+    rng = np.random.default_rng(seed)
+    return modal.SourceCoeffs(
+        {(n, m): tuple(2.0 ** -n * cmath.exp(1j * rng.uniform(0, 2 * np.pi))
+                       for _ in range(2))
+         for n in range(1, n_top + 1) for m in range(-n, n + 1)}, r1=0.5)
+
+
+ALL_MODES = _all_modes_source()
+
+
+@pytest.mark.parametrize("rho", [1e-2, 1e-6])
+def test_solved_modes_are_solve_mode_bit_for_bit(rho):
+    params = CloakParams(rho, 1.0, r1=0.5)
+    bnd = modal.BoundaryCoeffs({(2, 1): (0.3 - 0.1j, 0.2j), (13, 0): (0.1, 0j)})
+    sol = modal.solve_source(ALL_MODES, bnd, params)
+    assert len(sol.modes) == 169 and sol.n_max == 13
+    assert list(sol.modes) == sorted(set(ALL_MODES.entries) | set(bnd.entries))
+    for key, co in sol.modes.items():
+        ref = modal.solve_mode(key[0], *ALL_MODES.entries.get(key, (0j, 0j)),
+                               *bnd.entries.get(key, (0j, 0j)), params)
+        assert co._packed == ref._packed, key
+
+
+def test_solved_modes_are_a_read_only_mapping():
+    sol = modal.solve_source(FROZEN_SOURCE, None, CloakParams(1e-2, 1.0, r1=0.5))
+    assert (1, 0) in sol.modes and (1, 1) not in sol.modes
+    for missing in ((1, 1), (4, 0), "x"):
+        with pytest.raises(KeyError):
+            sol.modes[missing]
+    with pytest.raises(TypeError):
+        sol.modes[(1, 0)] = sol.modes[(2, 1)]
+    assert sol.modes == dict(sol.modes) and len(sol.modes) == 3
+
+
+def test_modes_above_the_truncation_degree_are_not_held():
+    entries = {(1, 0): (0j, 1 + 0j), (2, 0): (0j, 1e-40 + 0j)}
+    sol = modal.solve_source(modal.SourceCoeffs(entries, r1=0.5), None, SINGLE)
+    assert sol.n_max == 1 and list(sol.modes) == [(1, 0)]
+    with pytest.raises(KeyError):
+        sol.modes[(2, 0)]
+
+
+def test_retained_solution_is_small():
+    """A solution keeps twelve packed values per degree, not six
+    coefficients per mode: 168 modes of 12 degrees stay under 16 KB."""
+    params = CloakParams(1e-6, 1.0, r1=0.5)
+    modal.solve_source(ALL_MODES, None, params)  # fill lazy caches first
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sol = modal.solve_source(ALL_MODES, None, params)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(sol.modes) == 168
+    assert retained < 16 * 1024, retained
+
+
+def _fresh_chains(solution, region, keys=None):
+    """Chains built without the memo: a plain-dict copy is never kept."""
+    copy = dataclasses.replace(solution, modes=dict(solution.modes))
+    return modal.region_chains(copy, region, keys)
+
+
+def test_region_chains_never_stale():
+    sol_a = modal.solve_source(FROZEN_SOURCE, None, CloakParams(1e-2, 1.0, r1=0.5))
+    sol_b = modal.solve_source(FROZEN_SOURCE, None, CloakParams(1e-6, 1.3, r1=0.5))
+    want = {(id(sol), region): _fresh_chains(sol, region)
+            for sol in (sol_a, sol_b) for region in ("layer", "hidden")}
+    for sol in (sol_a, sol_b, sol_a, sol_a, sol_b):
+        for region in ("layer", "hidden"):
+            assert modal.region_chains(sol, region) == want[(id(sol), region)]
+    # keyed calls slice the memo
+    keys = [(1, 0), (3, -2)]
+    for region in ("layer", "hidden"):
+        assert (modal.region_chains(sol_a, region, keys)
+                == _fresh_chains(sol_a, region, keys))
+    # a replaced solution is a new one, whatever the memo holds
+    modal.region_chains(sol_a, "layer")
+    one = dataclasses.replace(sol_a, modes={(2, 1): sol_a.modes[(2, 1)]})
+    assert modal.region_chains(one, "layer").keys == [(2, 1)]
+    faster = dataclasses.replace(sol_a, params=CloakParams(1e-2, 2.0, r1=0.5))
+    assert modal.region_chains(faster, "layer").wavenumber == 2.0
+    assert modal.region_chains(sol_a, "layer").wavenumber == 1.0
+    # a plain dict of modes may change in place between calls
+    assert modal.region_chains(one, "hidden").keys == [(2, 1)]
+    one.modes[(1, 0)] = sol_a.modes[(1, 0)]
+    assert modal.region_chains(one, "hidden").keys == [(1, 0), (2, 1)]
