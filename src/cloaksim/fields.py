@@ -28,8 +28,8 @@ class FieldSample:
     """E/H values at one point, tagged with the coordinate system.
 
     ``E`` and ``H`` are read-only complex 3-vectors over one bytes buffer
-    ``eh`` (E, then H; see ``_pack_eh``), packed like ``ModeCoeffs``: a kept
-    sample holds about 190 bytes instead of the 420 of two arrays.
+    ``eh`` (E, then H; see ``_pack_eh``): a kept sample holds about 190
+    bytes instead of the 420 of two arrays.
     """
 
     point: np.ndarray

@@ -16,25 +16,26 @@ layer, the hidden region and the limit.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import warnings
 from array import array
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
 
 from . import specfun
-from .errors import ConfigError, DomainError, ResonanceError
+from .errors import CapabilityError, ConfigError, DomainError, ResonanceError
 from .geometry import CloakParams
 from .scaled import ScaledArray, ScaledComplex, scaled_real
 
 # a denominator whose magnitude falls below this fraction of its largest
 # term is treated as resonant (frequency inadmissible)
 DENOM_FLOOR = 1e-12
-# floor on |j_n(k omega)| guarding the interior-limit formulas
+# floor on the interior margin of the limit formulas (``_check_interior``)
 INTERIOR_FLOOR = 1e-10
 
 
@@ -49,7 +50,6 @@ class TransferSet:
     """
 
     n: int
-    params: CloakParams
     t1: ScaledComplex
     t2: ScaledComplex
     t3: ScaledComplex
@@ -75,41 +75,25 @@ def _unpack(packed, i: int) -> ScaledComplex:
     return ScaledComplex(log_mag, complex(re, im))
 
 
+@dataclass(frozen=True, slots=True)
 class ModeCoeffs:
-    """Solved field coefficients of one mode, kept in log-magnitude form.
+    """Solved field coefficients of one mode, kept in log-magnitude form."""
 
-    The attributes gamma, eta, c, d, alpha and beta are ScaledComplex, stored
-    packed (``_pack``) in one array, a third of the memory of six
-    ScaledComplex objects.  Values round-trip exactly.
-    """
+    gamma: ScaledComplex
+    eta: ScaledComplex
+    c: ScaledComplex
+    d: ScaledComplex
+    alpha: ScaledComplex
+    beta: ScaledComplex
 
-    __slots__ = ("_packed",)
-    _NAMES = ("gamma", "eta", "c", "d", "alpha", "beta")
-
-    def __init__(self, gamma, eta, c, d, alpha, beta):
-        self._packed = array("d", _pack((gamma, eta, c, d, alpha, beta)))
-
-    gamma = property(lambda self: _unpack(self._packed, 0))
-    eta = property(lambda self: _unpack(self._packed, 1))
-    c = property(lambda self: _unpack(self._packed, 2))
-    d = property(lambda self: _unpack(self._packed, 3))
-    alpha = property(lambda self: _unpack(self._packed, 4))
-    beta = property(lambda self: _unpack(self._packed, 5))
-
-    def __eq__(self, other):
-        if not isinstance(other, ModeCoeffs):
-            return NotImplemented
-        return self._packed == other._packed
-
-    def __hash__(self):
-        return hash(tuple(self._packed))
-
-    def __repr__(self):
-        return "ModeCoeffs(" + ", ".join(
-            f"{k}={getattr(self, k)!r}" for k in self._NAMES) + ")"
+    @property
+    def _packed(self) -> tuple:
+        """The six values as ``_pack`` doubles, in field order."""
+        return tuple(_pack(getattr(self, f.name) for f in fields(self)))
 
     def as_complex(self) -> dict:
-        return {k: getattr(self, k).to_complex() for k in self._NAMES}
+        return {f.name: getattr(self, f.name).to_complex()
+                for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -213,6 +197,37 @@ def _interface_values(n: int, params: CloakParams):
     return [_ladder_values(n, tab.column(i)) for i in range(3)]
 
 
+def _check_margin(n: int, name: str, den, *terms) -> None:
+    """Raise ResonanceError(n, name) when the denominator den, the sum of
+    terms, has cancelled below DENOM_FLOOR of its largest term."""
+    scale = max(term.log_mag for term in terms)
+    if den.is_zero or den.log_mag - scale < math.log(DENOM_FLOOR):
+        raise ResonanceError(n, name)
+
+
+def _check_interior(n: int, lad) -> float:
+    """j_n(t) as a double, from the ladder ``lad`` at t = k omega, once the
+    scale-free margin |t j_n(t) h_n(t)| has passed INTERIOR_FLOOR (else
+    ResonanceError): about 1/(2n + 1) for small t, |sin(t - n pi/2)| for
+    large t, and next to a zero of j_n the distance to it relative to t."""
+    jk = lad.jn(n)
+    margin = jk * lad.hn(n) * lad.t
+    if margin.log_mag < math.log(INTERIOR_FLOOR):
+        raise ResonanceError(n, "t j_n(t) h_n(t) at t = k omega",
+                             margin.magnitude())
+    # j_n underflowed to 0 gives NaN limit values, which _require_finite
+    # rejects as it rejects an overflow
+    return jk.to_complex().real or math.nan
+
+
+def _require_finite(n: int, *values) -> tuple:
+    """values, limit values of degree n, after CapabilityError for one that
+    is not a finite double."""
+    if not all(map(cmath.isfinite, values)):
+        raise CapabilityError(f"mode n={n}: limit value beyond double range")
+    return values
+
+
 def transfer_coeffs(n: int, params: CloakParams) -> TransferSet:
     """Transfer ratios of degree n for the given scenario.
 
@@ -234,11 +249,8 @@ def transfer_coeffs(n: int, params: CloakParams) -> TransferSet:
     dnp_a = se * rho * hr * jjk
     dnp_b = sm * k * hhr * jk
     dnp = dnp_a - dnp_b
-    for name, den, t1_, t2_ in (("dn", dn, dn_a, dn_b),
-                                ("dnp", dnp, dnp_a, dnp_b)):
-        scale = max(t1_.log_mag, t2_.log_mag)
-        if den.is_zero or den.log_mag - scale < math.log(DENOM_FLOOR):
-            raise ResonanceError(n, name)
+    _check_margin(n, "dn", dn, dn_a, dn_b)
+    _check_margin(n, "dnp", dnp, dnp_a, dnp_b)
 
     # cross-product identity: J_n h_n - H_n j_n = -i/t, reused by both
     # primed ratios; the 1/k on t1p balances the eps/mu weights of its chain
@@ -251,7 +263,7 @@ def transfer_coeffs(n: int, params: CloakParams) -> TransferSet:
     t2p = (se * k * hk * hhr - sm * rho * hhk * hr) / dn
     t3p = cross_k / dnp
     t4p = (sm * k * hk * hhr - se * rho * hhk * hr) / dnp
-    return TransferSet(n=n, params=params, t1=t1, t2=t2, t3=t3, t4=t4,
+    return TransferSet(n=n, t1=t1, t2=t2, t3=t3, t4=t4,
                        t1p=t1p, t2p=t2p, t3p=t3p, t4p=t4p, dn=dn, dnp=dnp,
                        outer=outer)
 
@@ -265,14 +277,10 @@ def _degree_ratios(ts: TransferSet) -> tuple:
         ResonanceError: an exterior-boundary denominator below floor.
     """
     j2, h2, jj2, hh2 = ts.outer
-    den_g = ts.t1 * h2 + j2
-    den_e = ts.t3 * hh2 + jj2
-    scale_g = max((ts.t1 * h2).log_mag, j2.log_mag)
-    scale_e = max((ts.t3 * hh2).log_mag, jj2.log_mag)
-    if den_g.is_zero or den_g.log_mag - scale_g < math.log(DENOM_FLOOR):
-        raise ResonanceError(ts.n, "t1*h_n(2w) + j_n(2w)")
-    if den_e.is_zero or den_e.log_mag - scale_e < math.log(DENOM_FLOOR):
-        raise ResonanceError(ts.n, "t3*H_n(2w) + J_n(2w)")
+    t1h2, t3hh2 = ts.t1 * h2, ts.t3 * hh2
+    den_g, den_e = t1h2 + j2, t3hh2 + jj2
+    _check_margin(ts.n, "t1*h_n(2w) + j_n(2w)", den_g, t1h2, j2)
+    _check_margin(ts.n, "t3*H_n(2w) + J_n(2w)", den_e, t3hh2, jj2)
     return (ts.t1, ts.t2, ts.t3, ts.t4, ts.t1p, ts.t2p, ts.t3p, ts.t4p,
             h2, hh2, den_g, den_e)
 
@@ -295,8 +303,7 @@ def _mode_coeffs(ratios, p, q, f1, f2) -> ModeCoeffs:
     return ModeCoeffs(gamma=gamma, eta=eta, c=c, d=d, alpha=alpha, beta=beta)
 
 
-def solve_mode(n: int, p, q, f1, f2, params: CloakParams,
-               transfer: TransferSet | None = None) -> ModeCoeffs:
+def solve_mode(n: int, p, q, f1, f2, params: CloakParams) -> ModeCoeffs:
     """Solve one mode for source data (p, q) and boundary data (f1, f2).
 
     Returns the six field coefficients; m enters only through the data, so
@@ -306,8 +313,8 @@ def solve_mode(n: int, p, q, f1, f2, params: CloakParams,
         ResonanceError: interface determinant or exterior-boundary
             denominator below floor.
     """
-    ts = transfer if transfer is not None else transfer_coeffs(n, params)
-    return _mode_coeffs(_degree_ratios(ts), p, q, f1, f2)
+    return _mode_coeffs(_degree_ratios(transfer_coeffs(n, params)),
+                        p, q, f1, f2)
 
 
 def system_residuals(n: int, p, q, f1, f2, params: CloakParams,
@@ -322,9 +329,7 @@ def system_residuals(n: int, p, q, f1, f2, params: CloakParams,
     sm = scaled_real(params.mu0 ** -0.5)
     ((jr, hr, jjr, hhr), (jk, hk, jjk, hhk),
      (j2, h2, jj2, hh2)) = _interface_values(n, params)
-    g, e = coeffs.gamma, coeffs.eta
-    c, d = coeffs.c, coeffs.d
-    al, be = coeffs.alpha, coeffs.beta
+    g, e, c, d, al, be = (getattr(coeffs, f.name) for f in fields(coeffs))
     p_s, q_s = ScaledComplex.from_complex(p), ScaledComplex.from_complex(q)
     f1_s, f2_s = ScaledComplex.from_complex(f1), ScaledComplex.from_complex(f2)
 
@@ -364,15 +369,14 @@ def _limit_ratios(n: int, q: complex, params: CloakParams, lad):
     """(beta0, sigma) of ``limit_coeffs`` from the ladder at k omega.
 
     Raises:
-        ResonanceError: |j_n(k omega)| below the interior floor.
+        ResonanceError: k omega at a zero of j_n (``_check_interior``).
+        CapabilityError: a value outside double range.
     """
-    jk_c = lad.jn(n).to_complex().real
-    if abs(jk_c) < INTERIOR_FLOOR:
-        raise ResonanceError(n, "j_n(k omega)", abs(jk_c))
+    jk_c = _check_interior(n, lad)
     beta0 = -lad.hn(n).to_complex() / jk_c * q
     sigma = (-1j * math.sqrt(params.mu0) * q
              / (params.k ** 2 * params.omega * jk_c))
-    return beta0, sigma
+    return _require_finite(n, beta0, sigma)
 
 
 def limit_coeffs(n: int, q, params: CloakParams):
@@ -386,20 +390,17 @@ def limit_coeffs(n: int, q, params: CloakParams):
             the exterior normal pairing, -i mu0^(1/2) q / (k^2 w j_n(k w)).
 
     Raises:
-        ResonanceError: |j_n(k omega)| below the interior floor.
+        ResonanceError, CapabilityError: as ``_limit_ratios``.
     """
-    k, om, mu0 = params.k, params.omega, params.mu0
     lad = _interior_ladder(n, params)
     q = complex(q)
     beta0, sigma = _limit_ratios(n, q, params, lad)
     jk, hk, jjk, hhk = _ladder_values(n, lad)
-    # leading coefficient kept in log form: the Gamma factor alone would
-    # underflow doubles for large n even though downstream ratios are O(1)
-    pref = (ScaledComplex.from_log(
-        math.log(2.0 * math.sqrt(math.pi)) - math.lgamma(n + 0.5)
-        + (n + 1) * math.log(om / 2.0), 1j)
-        * (jjk * hk - hhk * jk)
-        * math.sqrt(mu0) / (k * n) / jk.to_complex().real * q)
+    # 1/h_n(omega) in small-argument form, which underflows doubles for
+    # large n: kept in log form, as the ratios downstream are O(1)
+    pref = (1 / specfun.small_arg_leading(n, params.omega)[1]
+            * (jjk * hk - hhk * jk) * math.sqrt(params.mu0) / (params.k * n)
+            / jk.to_complex().real * q)
     return beta0, pref, sigma
 
 
@@ -410,13 +411,13 @@ def sigma_uncollapsed(n: int, q, params: CloakParams) -> complex:
     as the raw combination; agrees with the collapsed sigma to rounding.
     """
     k, mu0 = params.k, params.mu0
-    jk, hk, jjk, hhk = _ladder_values(n, _interior_ladder(n, params))
-    jk_c = jk.to_complex().real
-    if abs(jk_c) < INTERIOR_FLOOR:
-        raise ResonanceError(n, "j_n(k omega)", abs(jk_c))
+    lad = _interior_ladder(n, params)
+    jk_c = _check_interior(n, lad)
+    jk, hk, jjk, hhk = _ladder_values(n, lad)
     s2 = n * (n + 1)
     cross = (jjk * hk - hhk * jk).to_complex()
-    return s2 * math.sqrt(mu0) * cross / (k * n * (n + 1) * jk_c) * complex(q)
+    sigma = s2 * math.sqrt(mu0) * cross / (k * n * (n + 1) * jk_c) * complex(q)
+    return _require_finite(n, sigma)[0]
 
 
 # -- region chains ------------------------------------------------------------
@@ -515,8 +516,8 @@ def _solution_chains(solution: ModalSolution) -> dict:
     over the modes."""
     keys = sorted(solution.modes)
     modes = [solution.modes[key] for key in keys]
-    gamma, eta, c, d, alpha, beta = ([getattr(co, name) for co in modes]
-                                     for name in ModeCoeffs._NAMES)
+    gamma, eta, c, d, alpha, beta = ([getattr(co, f.name) for co in modes]
+                                     for f in fields(ModeCoeffs))
     return {"layer": RegionChains(keys, (gamma, c), (eta, d),
                                   solution.params.omega),
             "hidden": _hidden_chains(

@@ -5,9 +5,9 @@ array of arguments t it runs the ladder of orders -1..n_max, j_n by
 downward Miller recurrence normalised per argument against the closed forms
 at order 0/1, y_n by upward recurrence, both rescaled per argument so the
 stored numbers are log-magnitude/sign pairs valid to n = 200 at arguments
-where plain doubles are hopeless.  ``bessel_ladder`` is its one-argument
-view in ScaledComplex form.  Derivative combinations J_n = j_n + t j_n' and
-H_n = h_n + t h_n' come from the exact recurrence
+where plain doubles are hopeless.  A ``BesselLadder`` is a view of one
+column, read in ScaledComplex form.  Derivative combinations J_n = j_n +
+t j_n' and H_n = h_n + t h_n' come from the exact recurrence
 f_n' = f_{n-1} - (n+1)/t f_n, i.e. J_n = t j_{n-1} - n j_n.
 
 A row of the table at one order (or an array of orders) is a
@@ -145,14 +145,8 @@ class BesselTable:
                         upper[0] + log_n, -upper[1])
 
     def column(self, i: int) -> "BesselLadder":
-        """The ladder at argument t[i] in ScaledComplex form."""
-        j = [scaled_from_log_sign(lm, s) for lm, s in
-             zip(self.j_log[:, i].tolist(), self.j_sign[:, i].tolist())]
-        y = [scaled_from_log_sign(lm, s) for lm, s in
-             zip(self.y_log[:, i].tolist(), self.y_sign[:, i].tolist())]
-        return BesselLadder(n_max=self.n_max, t=float(self.t[i]),
-                            j=tuple(j[1:]), y=tuple(y[1:]), jm1=j[0],
-                            ym1=y[0])
+        """The ladder at argument t[i]: a view of column i of this table."""
+        return BesselLadder(self, i)
 
 
 class _Rescaler:
@@ -273,27 +267,28 @@ def bessel_table(n_max: int, t) -> BesselTable:
                        y_log=y_log, y_sign=y_sign)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class BesselLadder:
-    """All orders 0..n_max of j_n, y_n at one argument, in scaled form.
+    """Column i of a BesselTable: j_n, y_n at one argument t for orders
+    -1..n_max, each read as a ScaledComplex (phase +/-1) when asked for.
+    Views compare by identity."""
 
-    ``j[k]`` and ``y[k]`` are (log-magnitude, sign) pairs wrapped as
-    ScaledComplex with phase +/-1; ``jm1``/``ym1`` hold the order -1 values
-    cos(t)/t and sin(t)/t used by the derivative combinations.
-    """
+    table: BesselTable
+    i: int
 
-    n_max: int
-    t: float
-    j: tuple
-    y: tuple
-    jm1: ScaledComplex
-    ym1: ScaledComplex
+    @property
+    def t(self) -> float:
+        return self.table.t.item(self.i)
 
     def jn(self, n: int) -> ScaledComplex:
-        return self.jm1 if n == -1 else self.j[n]
+        tab = self.table
+        return scaled_from_log_sign(tab.j_log.item(n + 1, self.i),
+                                    tab.j_sign.item(n + 1, self.i))
 
     def yn(self, n: int) -> ScaledComplex:
-        return self.ym1 if n == -1 else self.y[n]
+        tab = self.table
+        return scaled_from_log_sign(tab.y_log.item(n + 1, self.i),
+                                    tab.y_sign.item(n + 1, self.i))
 
     def hn(self, n: int) -> ScaledComplex:
         return self.jn(n) + self.yn(n) * 1j

@@ -67,6 +67,19 @@ class TestConverge:
         err = capsys.readouterr().err
         assert "n=1" in err
 
+    def test_degree_ten_limit_is_solved(self, tmp_path):
+        # |j_10(1)| is 7e-11, but k omega = 1 lies far from its zeros
+        doc = json.loads((SCENARIOS / "converge_single_mode.json").read_text())
+        doc["source"][0]["n"] = 10
+        doc["phi"]["modes"] = [[10, 0]]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert run(["converge", "--config", cfg, "--out", tmp_path]) == 0
+        rows = np.loadtxt(tmp_path / "converge.csv", delimiter=",", skiprows=1)
+        assert rows.shape == (3, 6) and np.all(np.isfinite(rows))
+        summary = read_strict_json(tmp_path / "summary.json")
+        assert abs(summary["fitted_rate"] - 1.0) < 0.1
+
     def test_bad_config_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -70,15 +70,15 @@ class TestScalarY:
                         complex(ref), abs=1e-12)
 
     def test_orthonormality_by_quadrature(self):
+        # one table per direction; the one-row scalar_Y is a row of it
         dirs, w = sphere_quadrature()
-        for n, m in ((1, 0), (2, 1), (3, -2), (6, 4)):
-            vals = np.array([scalar_Y(ModeIndex(n, m), d) for d in dirs])
-            norm = float(np.sum(w * np.abs(vals) ** 2))
+        keys = [(1, 0), (2, 1), (3, -2), (6, 4), (3, 1)]
+        vals = np.array([angular_table(keys, d)[0] for d in dirs])
+        for col in range(4):
+            norm = float(np.sum(w * np.abs(vals[:, col]) ** 2))
             assert norm == pytest.approx(1.0, abs=1e-8)
-        # cross-orthogonality spot check
-        v1 = np.array([scalar_Y(ModeIndex(2, 1), d) for d in dirs])
-        v2 = np.array([scalar_Y(ModeIndex(3, 1), d) for d in dirs])
-        assert abs(np.sum(w * v1 * np.conj(v2))) < 1e-10
+        # cross-orthogonality spot check of (2, 1) and (3, 1)
+        assert abs(np.sum(w * vals[:, 1] * np.conj(vals[:, 4]))) < 1e-10
 
     def test_conjugation_symmetry(self):
         rng = np.random.default_rng(1)
@@ -119,12 +119,12 @@ class TestVectorUV:
                 assert np.max(np.abs(np.cross(d, u) - v)) < 1e-12
 
     def test_unit_norm_by_quadrature(self):
+        # one table per direction; the one-row vector_UV is a row of it
         dirs, w = sphere_quadrature()
-        for n, m in ((1, 0), (2, 2), (4, -3)):
-            total = 0.0
-            for d, wi in zip(dirs, w):
-                u, _ = vector_UV(ModeIndex(n, m), d)
-                total += wi * float(np.real(np.vdot(u, u)))
+        keys = [(1, 0), (2, 2), (4, -3)]
+        u = np.array([angular_table(keys, d)[1] for d in dirs])
+        totals = np.einsum("d,dkc->k", w, np.abs(u) ** 2)
+        for total in totals:
             assert total == pytest.approx(1.0, abs=1e-8)
 
     def test_pole_limits_match_near_pole_values(self):

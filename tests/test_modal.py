@@ -5,13 +5,15 @@ import json
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special as sp
 
-from cloaksim.errors import ConfigError, DomainError, ResonanceError
+from cloaksim.errors import (CapabilityError, ConfigError, DomainError,
+                             ResonanceError)
 from cloaksim.geometry import CloakParams
 from cloaksim import modal
 from cloaksim.quadrature import fit_power_law
@@ -556,3 +558,96 @@ def test_region_chains_never_stale():
     assert modal.region_chains(one, "hidden").keys == [(2, 1)]
     one.modes[(1, 0)] = sol_a.modes[(1, 0)]
     assert modal.region_chains(one, "hidden").keys == [(1, 0), (2, 1)]
+
+
+# -- resonance margins ----------------------------------------------------------
+
+def _mp_values(n, t):
+    """j_n, h_n, J_n, H_n at t from mpmath's Bessel functions."""
+    c = mpmath.sqrt(mpmath.pi / (2 * t))
+    j, y = ([c * f(m + 0.5, t) for m in (n - 1, n)]
+            for f in (mpmath.besselj, mpmath.bessely))
+    h = [a + 1j * b for a, b in zip(j, y)]
+    return j[1], h[1], t * j[0] - n * j[1], t * h[0] - n * h[1]
+
+
+def _mp_denominators(n, omega, rho, eps0):
+    """The four checked denominators of degree n at mu0 = 1, assembled from
+    mpmath values as ``transfer_coeffs`` and the exterior boundary rows
+    assemble them."""
+    k, se = mpmath.sqrt(eps0), 1 / mpmath.sqrt(eps0)
+    jr, hr, jjr, hhr = _mp_values(n, omega * rho)
+    jk, hk, jjk, hhk = _mp_values(n, k * omega)
+    j2, h2, jj2, hh2 = _mp_values(n, 2 * omega)
+    dn = rho * hr * jjk - se * k * hhr * jk
+    dnp = se * rho * hr * jjk - k * hhr * jk
+    t1 = (se * k * jjr * jk - rho * jr * jjk) / dn
+    t3 = (k * jjr * jk - se * rho * jr * jjk) / dnp
+    return {"dn": dn, "dnp": dnp, "t1*h_n(2w) + j_n(2w)": t1 * h2 + j2,
+            "t3*H_n(2w) + J_n(2w)": t3 * hh2 + jj2}
+
+
+@pytest.mark.parametrize("name, n, rho, eps0, guess", [
+    # a root of dn or dnp sits next to a zero of j_n(k omega); its
+    # imaginary part, about (omega rho)^(2n+1), is far below the floor at
+    # degree 5; dn and dnp coincide in vacuum, hence eps0 = 2
+    ("dn", 5, 1e-2, 2.0, 6.6024),
+    ("dnp", 5, 1e-2, 2.0, 6.6089),
+    # the exterior denominators vanish at real cavity frequencies
+    ("t1*h_n(2w) + j_n(2w)", 1, 0.1, 1.0, 3.8093),
+    ("t3*H_n(2w) + J_n(2w)", 1, 0.1, 1.0, 4.6617),
+], ids=["dn", "dnp", "gamma", "eta"])
+def test_each_margin_rejects_its_root(name, n, rho, eps0, guess):
+    with mpmath.workdps(30):
+        root = mpmath.findroot(
+            lambda w: _mp_denominators(n, w, mpmath.mpf(rho), eps0)[name],
+            mpmath.mpc(guess))
+    assert abs(root.imag) < 1e-18 and abs(root.real - guess) < 1e-3
+    source = modal.SourceCoeffs({(n, 0): (1.0, 1.0)}, r1=0.5)
+    omega = float(root.real)
+    with pytest.raises(ResonanceError) as err:
+        modal.solve_source(source, None, CloakParams(
+            rho=rho, omega=omega, eps0=eps0, mu0=1.0, r1=0.5))
+    assert (err.value.n, err.value.quantity) == (n, name)
+    # a millionth away the mode solves
+    modal.solve_source(source, None, CloakParams(
+        rho=rho, omega=omega * (1 + 1e-6), eps0=eps0, mu0=1.0, r1=0.5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 20), t=st.floats(0.1, 30.0),
+       eps0=st.floats(0.25, 4.0))
+@example(n=1, t=4.493409457909063, eps0=1.0)  # the shipped resonance
+@example(n=10, t=1.0, eps0=1.0)
+@example(n=20, t=1.0, eps0=1.0)
+def test_property_limit_rejects_only_zeros_of_jn(n, t, eps0):
+    """The limit path refuses a degree only within 1e-8 (relative) of a
+    zero of j_n(k omega), and gives finite beta0 and sigma elsewhere."""
+    params = CloakParams(rho=0.1, omega=t / math.sqrt(eps0), eps0=eps0,
+                         r1=0.5)
+    t = params.k * params.omega
+    try:
+        beta0, _, sigma = modal.limit_coeffs(n, 1.0, params)
+        raw = modal.sigma_uncollapsed(n, 1.0, params)
+    except ResonanceError as err:
+        assert err.n == n
+        zero = mpmath.findroot(lambda x: mpmath.besselj(n + 0.5, x), t)
+        assert abs(zero - t) <= 1e-8 * t
+    else:
+        assert all(map(cmath.isfinite, (beta0, sigma, raw)))
+
+
+def _one_mode_limit_chains(n, q, params):
+    return modal.limit_chains(modal.SourceCoeffs({(n, 0): (0j, q)}, r1=0.5),
+                              params)
+
+
+# at k omega = 1, beta0 = -h_n/j_n overflows doubles from degree 86 (sigma,
+# about 1/j_n, still fits), and j_n itself underflows to 0 at degree 200
+@pytest.mark.parametrize("n, limit", [
+    (100, modal.limit_coeffs), (100, _one_mode_limit_chains),
+    (200, modal.limit_coeffs), (200, _one_mode_limit_chains),
+    (200, modal.sigma_uncollapsed)])
+def test_limit_beyond_double_range_raises(n, limit):
+    with pytest.raises(CapabilityError):
+        limit(n, 1.0, CloakParams(rho=0.1, omega=1.0, r1=0.5))
