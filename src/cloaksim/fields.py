@@ -54,9 +54,8 @@ def _expand(chains, x, r, space) -> FieldSample:
     """E/H of a region's mode expansion at the point x of radius r: the
     radial factors and the angular table of all modes as arrays, summed
     over the modes by matrix products."""
-    w, xhat = chains.wavenumber, x / r
-    a_j, a_jj, b_j, b_jj = (v[:, 0] for v in chains.expand(chains.table(r)))
-    s_n = np.sqrt(chains.degrees * (chains.degrees + 1.0))
+    w, xhat, s_n = chains.wavenumber, x / r, chains.s_n
+    a_j, a_jj, b_j, b_jj = chains.expand(chains.table(r))[..., 0]
     y_val, u, v = angular_table(chains.key_array, xhat)
     # rows E and H; columns the V and U parts of every mode, then the radial
     e_w, h_w = chains.e_weight, chains.h_weight

@@ -136,8 +136,10 @@ class SolvedModes(Mapping):
     so a solution keeps those, packed, 36 doubles a degree in one array, and
     solves a mode on access from them and the mode's source and boundary
     data with ``solve_mode``'s arithmetic: the coefficients are bit for bit
-    those of ``solve_mode``.  The source and boundary tables are read at
-    access, so they must not change after the solve.
+    those of ``solve_mode``.  ``coefficient_rows`` reads many modes with
+    one unpack per degree, as the region chains do.  The source and
+    boundary tables are read at access, so they must not change after the
+    solve.
     """
 
     __slots__ = ("_source", "_boundary", "_degrees", "_ratios")
@@ -155,11 +157,21 @@ class SolvedModes(Mapping):
     def __getitem__(self, key):
         if key not in self:
             raise KeyError(key)
-        i = self._degrees.index(key[0])
-        row = self._ratios[self._WIDTH * i:self._WIDTH * (i + 1)]
-        return _mode_coeffs([_unpack(row, k) for k in range(self._WIDTH // 3)],
-                            *self._source.get(key, (0j, 0j)),
-                            *self._boundary.get(key, (0j, 0j)))
+        return ModeCoeffs(*next(self.coefficient_rows([key])))
+
+    def coefficient_rows(self, keys):
+        """(gamma, eta, c, d, alpha, beta) of each of the given solved keys
+        in turn, unpacking the ratios of each degree once."""
+        unpacked = {}
+        for key in keys:
+            ratios = unpacked.get(key[0])
+            if ratios is None:
+                i = self._degrees.index(key[0])
+                row = self._ratios[self._WIDTH * i:self._WIDTH * (i + 1)]
+                ratios = unpacked[key[0]] = [
+                    _unpack(row, k) for k in range(self._WIDTH // 3)]
+            yield _mode_values(ratios, *self._source.get(key, (0j, 0j)),
+                               *self._boundary.get(key, (0j, 0j)))
 
     def __iter__(self):
         return iter(sorted(key for key in self._source.keys()
@@ -285,9 +297,9 @@ def _degree_ratios(ts: TransferSet) -> tuple:
             h2, hh2, den_g, den_e)
 
 
-def _mode_coeffs(ratios, p, q, f1, f2) -> ModeCoeffs:
-    """The six coefficients of a mode with data (p, q, f1, f2), from its
-    degree's ``_degree_ratios``."""
+def _mode_values(ratios, p, q, f1, f2) -> tuple:
+    """The six coefficients of a mode with data (p, q, f1, f2), in
+    ModeCoeffs field order, from its degree's ``_degree_ratios``."""
     t1, t2, t3, t4, t1p, t2p, t3p, t4p, h2, hh2, den_g, den_e = ratios
     p_s = ScaledComplex.from_complex(p)
     q_s = ScaledComplex.from_complex(q)
@@ -300,7 +312,7 @@ def _mode_coeffs(ratios, p, q, f1, f2) -> ModeCoeffs:
     alpha = t2 * gamma + t2p * p_s
     d = t3 * eta + t3p * q_s
     beta = t4 * eta + t4p * q_s
-    return ModeCoeffs(gamma=gamma, eta=eta, c=c, d=d, alpha=alpha, beta=beta)
+    return gamma, eta, c, d, alpha, beta
 
 
 def solve_mode(n: int, p, q, f1, f2, params: CloakParams) -> ModeCoeffs:
@@ -313,8 +325,8 @@ def solve_mode(n: int, p, q, f1, f2, params: CloakParams) -> ModeCoeffs:
         ResonanceError: interface determinant or exterior-boundary
             denominator below floor.
     """
-    return _mode_coeffs(_degree_ratios(transfer_coeffs(n, params)),
-                        p, q, f1, f2)
+    return ModeCoeffs(*_mode_values(_degree_ratios(transfer_coeffs(n, params)),
+                                    p, q, f1, f2))
 
 
 def system_residuals(n: int, p, q, f1, f2, params: CloakParams,
@@ -435,6 +447,10 @@ class RegionChains:
     Limit: as hidden with alpha0, beta0 and the interface-layer strength
     sigma per mode in ``surface``.  Coefficients are ScaledComplex lists;
     mode index None takes every mode at once, through ScaledArray columns.
+    The all-modes ``expand`` reads the rows of every order of a table once
+    and forms its four combinations in one ``specfun.combine``; the column
+    arrays and ``s_n`` are kept on the chains, which the one-entry memo of
+    ``region_chains`` keeps no longer than the latest solution.
     """
 
     keys: list
@@ -455,11 +471,25 @@ class RegionChains:
         return self.key_array[:, 0]
 
     @cached_property
+    def s_n(self) -> np.ndarray:
+        """sqrt(n (n + 1)) of every mode."""
+        return np.sqrt(self.degrees * (self.degrees + 1.0))
+
+    @cached_property
     def _columns(self):
         return [ScaledArray(
             np.array([c.log_mag for c in coeffs], dtype=float).reshape(-1, 1),
             np.array([c.phase for c in coeffs], dtype=complex).reshape(-1, 1))
             for coeffs in (*self.a, *self.b)]
+
+    @cached_property
+    def _stacked_columns(self):
+        """The coefficients of f and of g in the four combinations of the
+        all-modes ``expand``: (a0, a0, b0, b0) and (a1, a1, b1, b1)."""
+        a0, a1, b0, b1 = self._columns
+        return [ScaledArray(*(np.stack([x, x, y, y]) for x, y in
+                              zip((c.log_mag, c.phase), (d.log_mag, d.phase))))
+                for c, d in ((a0, b0), (a1, b1))]
 
     @cached_property
     def _index(self) -> dict:
@@ -496,11 +526,24 @@ class RegionChains:
         return specfun.combine(b0, tab.jn(n), b1, tab.hn(n))
 
     def expand(self, tab, i=None):
-        """(A(j, h), A(J, H), B(j, h), B(J, H)) of mode i (or all)."""
+        """(A(j, h), A(J, H), B(j, h), B(J, H)) of mode i, or of all modes
+        as one (4, modes, len(t)) array."""
+        if i is None:
+            n = self.degrees
+            j, h, jj, hh = tab.orders()
+            a, b = self._stacked_columns
+            return specfun.combine(a, _stacked_rows(j, jj, n),
+                                   b, _stacked_rows(h, hh, n))
         n, (a0, a1, b0, b1) = self._at(i)
         j, h, jj, hh = tab.jn(n), tab.hn(n), tab.riccati_j(n), tab.riccati_h(n)
         return (specfun.combine(a0, j, a1, h), specfun.combine(a0, jj, a1, hh),
                 specfun.combine(b0, j, b1, h), specfun.combine(b0, jj, b1, hh))
+
+
+def _stacked_rows(first, second, n):
+    """Rows n of the (log-magnitude, phase) pairs first, second, first,
+    second, stacked into one pair."""
+    return tuple(np.stack([first[k][n], second[k][n]] * 2) for k in (0, 1))
 
 
 def _hidden_chains(keys, alpha, beta, pq, params, surface=None):
@@ -513,11 +556,18 @@ def _hidden_chains(keys, alpha, beta, pq, params, surface=None):
 
 def _solution_chains(solution: ModalSolution) -> dict:
     """The "layer" and "hidden" chains of every solved mode, from one pass
-    over the modes."""
-    keys = sorted(solution.modes)
-    modes = [solution.modes[key] for key in keys]
-    gamma, eta, c, d, alpha, beta = ([getattr(co, f.name) for co in modes]
-                                     for f in fields(ModeCoeffs))
+    over the modes: a ``SolvedModes`` solves them straight into the chain
+    lists, one unpack per degree and no ModeCoeffs per mode."""
+    modes = solution.modes
+    keys = sorted(modes)
+    if isinstance(modes, SolvedModes):
+        rows = modes.coefficient_rows(keys)
+    else:
+        rows = ([getattr(modes[key], f.name) for f in fields(ModeCoeffs)]
+                for key in keys)
+    gamma, eta, c, d, alpha, beta = (
+        [list(column) for column in zip(*rows)]
+        or [[] for _ in range(6)])
     return {"layer": RegionChains(keys, (gamma, c), (eta, d),
                                   solution.params.omega),
             "hidden": _hidden_chains(

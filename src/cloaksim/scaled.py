@@ -5,6 +5,10 @@ overflow (or underflow) doubles long before the ratios of interest do.  A
 ``ScaledComplex`` keeps the natural log of the magnitude separately from a
 unit-modulus phase, so multiplication and division reduce to float additions
 on the log while the phase stays exactly representable.
+
+``ScaledComplex`` is a plain slotted class: a value is immutable by
+convention, not by a guard, and compares and hashes by value.
+``ScaledArray`` is its elementwise array form.
 """
 
 from __future__ import annotations
@@ -17,17 +21,34 @@ import numpy as np
 _NEG_INF = float("-inf")
 
 
-@dataclass(frozen=True, slots=True)
 class ScaledComplex:
     """Value exp(log_mag) * phase with |phase| == 1, or the exact zero.
 
     ``log_mag == -inf`` flags an exact zero (phase is then 0).  Addition of
     two values rescales to the larger magnitude first, so only the relative
     difference of exponents matters.
+
+    A value is immutable by convention: nothing assigns to ``log_mag`` or
+    ``phase`` after construction, and every operator returns a new value or
+    one of its operands.  Values compare and hash by (log_mag, phase), and
+    never equal a plain number.  The class is a plain slotted one, not a
+    frozen dataclass, because the chains of a solution build thousands of
+    values and a guarded construction more than doubles the cost of each.
     """
 
-    log_mag: float
-    phase: complex
+    __slots__ = ("log_mag", "phase")
+
+    def __init__(self, log_mag: float, phase: complex):
+        self.log_mag = log_mag
+        self.phase = phase
+
+    def __eq__(self, other):
+        if other.__class__ is not ScaledComplex:
+            return NotImplemented
+        return (self.log_mag, self.phase) == (other.log_mag, other.phase)
+
+    def __hash__(self):
+        return hash((self.log_mag, self.phase))
 
     # -- constructors ------------------------------------------------------
 
@@ -43,7 +64,7 @@ class ScaledComplex:
     def from_complex(z) -> "ScaledComplex":
         z = complex(z)
         if z == 0:
-            return ScaledComplex.zero()
+            return ScaledComplex(_NEG_INF, 0j)
         m = abs(z)
         return ScaledComplex(math.log(m), z / m)
 
@@ -76,63 +97,65 @@ class ScaledComplex:
         return math.exp(self.log_mag)
 
     # -- arithmetic ---------------------------------------------------------
-
-    @staticmethod
-    def _coerce(other) -> "ScaledComplex":
-        if isinstance(other, ScaledComplex):
-            return other
-        return ScaledComplex.from_complex(other)
+    # an operand that is not a ScaledComplex is read as a complex number
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if self.is_zero or o.is_zero:
-            return ScaledComplex.zero()
-        return ScaledComplex(self.log_mag + o.log_mag, self.phase * o.phase)
+        if other.__class__ is not ScaledComplex:
+            other = ScaledComplex.from_complex(other)
+        if self.log_mag == _NEG_INF or other.log_mag == _NEG_INF:
+            return ScaledComplex(_NEG_INF, 0j)
+        return ScaledComplex(self.log_mag + other.log_mag,
+                             self.phase * other.phase)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o.is_zero:
+        if other.__class__ is not ScaledComplex:
+            other = ScaledComplex.from_complex(other)
+        if other.log_mag == _NEG_INF:
             raise ZeroDivisionError("division by scaled zero")
-        if self.is_zero:
-            return ScaledComplex.zero()
-        return ScaledComplex(self.log_mag - o.log_mag, self.phase / o.phase)
+        if self.log_mag == _NEG_INF:
+            return ScaledComplex(_NEG_INF, 0j)
+        return ScaledComplex(self.log_mag - other.log_mag,
+                             self.phase / other.phase)
 
     def __rtruediv__(self, other):
-        return self._coerce(other) / self
+        return ScaledComplex.from_complex(other) / self
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if self.is_zero:
-            return o
-        if o.is_zero:
+        if other.__class__ is not ScaledComplex:
+            other = ScaledComplex.from_complex(other)
+        if self.log_mag == _NEG_INF:
+            return other
+        if other.log_mag == _NEG_INF:
             return self
-        if self.log_mag >= o.log_mag:
-            hi, lo = self, o
+        if self.log_mag >= other.log_mag:
+            hi, lo = self, other
         else:
-            hi, lo = o, self
+            hi, lo = other, self
         s = hi.phase + lo.phase * math.exp(lo.log_mag - hi.log_mag)
         if s == 0:
-            return ScaledComplex.zero()
+            return ScaledComplex(_NEG_INF, 0j)
         m = abs(s)
         return ScaledComplex(hi.log_mag + math.log(m), s / m)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        if other.__class__ is not ScaledComplex:
+            other = ScaledComplex.from_complex(other)
+        return self + (-other)
 
     def __rsub__(self, other):
-        return self._coerce(other) + (-self)
+        return ScaledComplex.from_complex(other) + (-self)
 
     def __neg__(self):
-        if self.is_zero:
+        if self.log_mag == _NEG_INF:
             return self
         return ScaledComplex(self.log_mag, -self.phase)
 
     def conjugate(self) -> "ScaledComplex":
-        if self.is_zero:
+        if self.log_mag == _NEG_INF:
             return self
         return ScaledComplex(self.log_mag, self.phase.conjugate())
 

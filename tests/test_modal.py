@@ -3,6 +3,7 @@ import dataclasses
 import gc
 import json
 import math
+import struct
 import tracemalloc
 
 import mpmath
@@ -15,7 +16,8 @@ from scipy import special as sp
 from cloaksim.errors import (CapabilityError, ConfigError, DomainError,
                              ResonanceError)
 from cloaksim.geometry import CloakParams
-from cloaksim import modal
+from cloaksim import modal, specfun
+from cloaksim.scaled import ScaledArray, ScaledComplex
 from cloaksim.quadrature import fit_power_law
 
 
@@ -651,3 +653,120 @@ def _one_mode_limit_chains(n, q, params):
 def test_limit_beyond_double_range_raises(n, limit):
     with pytest.raises(CapabilityError):
         limit(n, 1.0, CloakParams(rho=0.1, omega=1.0, r1=0.5))
+
+
+# -- the region chains of a solution ----------------------------------------------
+
+def _bits(values) -> bytes:
+    """The doubles of ScaledComplex values as bytes: equal only bit for bit."""
+    packed = modal._pack(values)
+    return struct.pack(f"{len(packed)}d", *packed)
+
+
+def _assert_chains_are_solve_mode(sol):
+    """Every coefficient of both regions' chains is solve_mode's (or the
+    source datum's) bit for bit."""
+    layer = modal.region_chains(sol, "layer")
+    hidden = modal.region_chains(sol, "hidden")
+    assert layer.keys == hidden.keys == list(sol.modes)
+    for i, key in enumerate(layer.keys):
+        p, q = sol.source.entries.get(key, (0j, 0j))
+        co = modal.solve_mode(key[0], p, q,
+                              *sol.boundary.entries.get(key, (0j, 0j)),
+                              sol.params)
+        want = [co.gamma, co.c, co.eta, co.d, co.alpha,
+                ScaledComplex.from_complex(p), co.beta,
+                ScaledComplex.from_complex(q)]
+        got = [chain[i] for chains in (layer, hidden)
+               for chain in (*chains.a, *chains.b)]
+        assert _bits(got) == _bits(want), key
+
+
+def test_region_chains_are_solve_mode_bit_for_bit():
+    # p = 0 or q = 0 in some modes, a mode with neither, boundary data on a
+    # source mode, two boundary-only modes (one of a degree with no source
+    # mode) and several orders per degree
+    source = modal.SourceCoeffs({
+        (1, -1): (0.5 + 0.2j, 0j), (1, 0): (0j, 1.0 - 1.0j),
+        (1, 1): (0.3, 0.4j), (2, -2): (1e-3j, 0.7), (2, 0): (0j, 0j),
+        (2, 2): (-0.25, 0j), (3, 1): (0.2 - 0.1j, 0.1)}, r1=0.5)
+    boundary = modal.BoundaryCoeffs({(1, 0): (0.1, 0.2j), (2, 1): (0.5j, 0j),
+                                     (4, -3): (0j, 0.3 + 0.3j)})
+    for params in (CloakParams(1e-3, 1.3, eps0=2.0, mu0=0.5, r1=0.5),
+                   CloakParams(1e-6, 1.0, r1=0.5)):
+        sol = modal.solve_source(source, boundary, params)
+        assert set(sol.modes) == set(source.entries) | set(boundary.entries)
+        _assert_chains_are_solve_mode(sol)
+    # a plain dict of ModeCoeffs gives the same chains
+    copy = dataclasses.replace(sol, modes=dict(sol.modes))
+    for region in ("layer", "hidden"):
+        assert (modal.region_chains(copy, region)
+                == modal.region_chains(sol, region))
+
+
+def test_chains_of_an_empty_solution_are_empty():
+    sol = modal.solve_source(modal.SourceCoeffs({}, r1=0.5), None,
+                             CloakParams(1e-2, 1.0, r1=0.5))
+    for region in ("layer", "hidden"):
+        chains = modal.region_chains(sol, region)
+        assert chains.keys == [] and all(c == [] for c in (*chains.a,
+                                                           *chains.b))
+
+
+_BOUNDARY_ROWS = st.lists(st.integers(1, 60).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(-n, n))),
+    max_size=2, unique=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rho=st.floats(1e-6, 0.5), omega=st.floats(0.1, 4.0),
+       eps0=st.floats(0.25, 4.0), mu0=st.floats(0.25, 4.0),
+       r1=st.floats(0.1, 0.9), data=st.data())
+def test_property_chains_keep_every_mode_to_degree_60(
+        rho, omega, eps0, mu0, r1, data):
+    """Degrees up to 60, the range the modal docstring claims, any material
+    and rho down to 1e-6: every source mode up to n_max and every boundary
+    mode is kept, or the solve raises ResonanceError, and the chains of
+    both regions are solve_mode's bit for bit."""
+    params = CloakParams(rho=rho, omega=omega, eps0=eps0, mu0=mu0, r1=r1)
+    source = data.draw(_sources(r1, 60, _ANY_COEFF))
+    boundary = modal.BoundaryCoeffs({
+        key: (data.draw(_ANY_COEFF), data.draw(_ANY_COEFF))
+        for key in data.draw(_BOUNDARY_ROWS)})
+    try:
+        sol = modal.solve_source(source, boundary, params)
+    except ResonanceError:
+        return
+    assert set(sol.modes) == ({key for key in source.entries
+                               if key[0] <= sol.n_max} | set(boundary.entries))
+    _assert_chains_are_solve_mode(sol)
+
+
+def _column(values):
+    return ScaledArray(np.array([v.log_mag for v in values]).reshape(-1, 1),
+                       np.array([v.phase for v in values]).reshape(-1, 1))
+
+
+@pytest.mark.parametrize("region", ["layer", "hidden", "limit"])
+def test_all_modes_expand_is_the_per_degree_combination(region):
+    """One stacked combine over the rows of every order gives, bit for bit,
+    the four combinations of the per-degree rows."""
+    params = CloakParams(1e-6, 1.0, r1=0.5)
+    if region == "limit":
+        chains = modal.limit_chains(ALL_MODES, params)
+    else:
+        chains = modal.region_chains(
+            modal.solve_source(ALL_MODES, None, params), region)
+    a0, a1, b0, b1 = map(_column, (*chains.a, *chains.b))
+    n = chains.degrees
+    for r in (0.55, 0.9, 1.0, 1.7):
+        tab = chains.table(r)
+        j, h, jj, hh = (tab.jn(n), tab.hn(n), tab.riccati_j(n),
+                        tab.riccati_h(n))
+        want = [specfun.combine(a0, j, a1, h), specfun.combine(a0, jj, a1, hh),
+                specfun.combine(b0, j, b1, h), specfun.combine(b0, jj, b1, hh)]
+        got = chains.expand(tab)
+        assert got.shape == (4, 168, 1)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+    assert np.array_equal(chains.s_n, np.sqrt(n * (n + 1.0)))

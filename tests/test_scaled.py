@@ -95,3 +95,80 @@ def test_reflected_operations_with_plain_numbers():
     assert abs((6 - a).to_complex() - (4 - 1j)) < 1e-14
     assert abs((1j * a).to_complex() - (2j - 1)) < 1e-14
     assert abs((3 + a).to_complex() - (5 + 1j)) < 1e-14
+
+
+# -- value semantics -------------------------------------------------------------
+
+# the operators bench/tracer.py counts by patching them in vars(ScaledComplex)
+COUNTED_OPERATORS = ("__mul__", "__rmul__", "__truediv__", "__rtruediv__",
+                     "__add__", "__radd__", "__sub__", "__rsub__", "__neg__",
+                     "conjugate")
+
+
+def test_equality_and_hash_by_value():
+    a = ScaledComplex(1.5, cmath.exp(0.25j))
+    b = ScaledComplex(1.5, cmath.exp(0.25j))
+    assert a is not b and a == b and not a != b
+    assert hash(a) == hash(b) and len({a, b}) == 1
+    assert a != ScaledComplex(1.5, cmath.exp(-0.25j))
+    assert a != ScaledComplex(1.25, cmath.exp(0.25j))
+    assert ScaledComplex.zero() == scaled_real(0.0) == ScaledComplex.from_log(
+        -math.inf)
+    # a ScaledComplex is never equal to a plain number, even of its value
+    one = ScaledComplex.one()
+    for plain in (1, 1.0, 1 + 0j, np.float64(1.0)):
+        assert one != plain and plain != one
+    assert ScaledComplex.zero() != 0j
+    assert {one: "x"}.get(1.0) is None
+
+
+def test_operators_are_patchable_class_attributes():
+    names = vars(ScaledComplex)
+    for name in COUNTED_OPERATORS:
+        assert callable(names[name]), name
+
+
+def _state(values):
+    return [(v.log_mag, v.phase) for v in values]
+
+
+def test_zero_propagates_through_every_counted_operator():
+    zero = ScaledComplex.zero()
+    x = ScaledComplex.from_complex(2.0 - 3.0j)
+    operands = [zero, x]
+    before = _state(operands)
+    results = {
+        "__mul__": (zero * x, x * zero, zero * 2.5),
+        "__rmul__": (2.5 * zero, 0 * x),
+        "__truediv__": (zero / x, zero / 4j),
+        "__rtruediv__": (0 / x,),
+        "__add__": (zero + zero,),
+        "__radd__": (0 + zero, 0j + zero),
+        "__sub__": (x - x, zero - zero, zero - 0),
+        "__rsub__": (0 - zero,),
+        "__neg__": (-zero,),
+        "conjugate": (zero.conjugate(),),
+    }
+    assert set(results) == set(COUNTED_OPERATORS)
+    for name, values in results.items():
+        for value in values:
+            assert value.is_zero and value == zero and value.phase == 0, name
+    # a zero term leaves the other term's value
+    assert zero + x == x and x + zero == x and 0 + x == x
+    assert x - zero == x and zero - x == -x and 0 - x == -x
+    for divide in (lambda: x / zero, lambda: 1 / zero, lambda: zero / zero):
+        with pytest.raises(ZeroDivisionError):
+            divide()
+    assert _state(operands) == before
+
+
+def test_operators_leave_operands_unchanged():
+    a = ScaledComplex.from_complex(1e200 - 2e200j)
+    b = ScaledComplex.from_log(-700.0, cmath.exp(2.0j))
+    before = _state([a, b])
+    for op in (lambda: a * b, lambda: 3 * a, lambda: a / b, lambda: 2j / b,
+               lambda: a + b, lambda: 1 + b, lambda: a - b, lambda: 1 - a,
+               lambda: -a, lambda: b.conjugate()):
+        out = op()
+        assert isinstance(out, ScaledComplex)
+    assert _state([a, b]) == before
