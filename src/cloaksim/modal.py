@@ -448,9 +448,10 @@ class RegionChains:
     sigma per mode in ``surface``.  Coefficients are ScaledComplex lists;
     mode index None takes every mode at once, through ScaledArray columns.
     The all-modes ``expand`` reads the rows of every order of a table once
-    and forms its four combinations in one ``specfun.combine``; the column
-    arrays and ``s_n`` are kept on the chains, which the one-entry memo of
-    ``region_chains`` keeps no longer than the latest solution.
+    and forms its four combinations in one ``specfun.combine``; the stacked
+    coefficient arrays and ``s_n`` are kept on the chains, which the
+    one-entry memo of ``region_chains`` keeps no longer than the latest
+    solution.
     """
 
     keys: list
@@ -476,20 +477,19 @@ class RegionChains:
         return np.sqrt(self.degrees * (self.degrees + 1.0))
 
     @cached_property
-    def _columns(self):
-        return [ScaledArray(
-            np.array([c.log_mag for c in coeffs], dtype=float).reshape(-1, 1),
-            np.array([c.phase for c in coeffs], dtype=complex).reshape(-1, 1))
-            for coeffs in (*self.a, *self.b)]
-
-    @cached_property
     def _stacked_columns(self):
         """The coefficients of f and of g in the four combinations of the
-        all-modes ``expand``: (a0, a0, b0, b0) and (a1, a1, b1, b1)."""
-        a0, a1, b0, b1 = self._columns
-        return [ScaledArray(*(np.stack([x, x, y, y]) for x, y in
-                              zip((c.log_mag, c.phase), (d.log_mag, d.phase))))
-                for c, d in ((a0, b0), (a1, b1))]
+        all-modes ``expand``, (a0, a0, b0, b0) and (a1, a1, b1, b1), as
+        (4, modes, 1) ScaledArrays."""
+        def column(coeffs, kind, dtype):
+            return np.array([getattr(c, kind) for c in coeffs],
+                            dtype=dtype).reshape(-1, 1)
+
+        return [ScaledArray(*(np.stack([column(x, kind, dtype)] * 2
+                                       + [column(y, kind, dtype)] * 2)
+                              for kind, dtype in (("log_mag", float),
+                                                  ("phase", complex))))
+                for x, y in zip(self.a, self.b)]
 
     @cached_property
     def _index(self) -> dict:
@@ -498,7 +498,9 @@ class RegionChains:
     def _at(self, i):
         """Degree(s) and (a0, a1, b0, b1) of mode i, or of all for None."""
         if i is None:
-            return self.degrees, self._columns
+            f, g = self._stacked_columns
+            return self.degrees, [ScaledArray(c.log_mag[k], c.phase[k])
+                                  for k, c in ((0, f), (0, g), (2, f), (2, g))]
         return self.keys[i][0], [c[i] for c in (*self.a, *self.b)]
 
     def take(self, keys) -> "RegionChains":
@@ -530,7 +532,9 @@ class RegionChains:
         as one (4, modes, len(t)) array."""
         if i is None:
             n = self.degrees
-            j, h, jj, hh = tab.orders()
+            every = np.arange(tab.n_max + 1)
+            j, h, jj, hh = (row(every) for row in (
+                tab.jn, tab.hn, tab.riccati_j, tab.riccati_h))
             a, b = self._stacked_columns
             return specfun.combine(a, _stacked_rows(j, jj, n),
                                    b, _stacked_rows(h, hh, n))

@@ -116,22 +116,6 @@ class BesselTable:
     def riccati_h(self, n: int):
         return self._row(self._riccati_h, "H", n)
 
-    def orders(self):
-        """(j, h, J, H) of every order 0..n_max, each a (log-magnitude,
-        phase) pair of (n_max + 1, len(t)) arrays whose row n holds order
-        n: the rows ``jn``, ``hn``, ``riccati_j`` and ``riccati_h`` give,
-        bit for bit, from one pass over the table.  Nothing is kept."""
-        j = (self.j_log, self.j_sign)  # orders -1..n_max, as h below
-        h = _log_add(*j, self.y_log, 1j * self.y_sign)
-        every = np.arange(self.n_max + 1)
-
-        def riccati(f):
-            return self._riccati((f[0][:-1], f[1][:-1]), (f[0][1:], f[1][1:]),
-                                 every)
-
-        return ((j[0][1:], j[1][1:]), (h[0][1:], h[1][1:]),
-                riccati(j), riccati(h))
-
     def _row(self, make, kind, n):
         """make(n), kept read-only for a scalar order n; an array of orders
         is not kept."""

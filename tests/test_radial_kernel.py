@@ -558,23 +558,3 @@ def test_fields_and_traces_reproduce_frozen_values(rho):
         scale = np.max(np.abs(want))
         err = np.max(np.abs(np.array(_flat(value)) - want))
         assert err <= 1e-12 * scale, name
-
-
-# -- every order of a table at once --------------------------------------------
-
-@pytest.mark.parametrize("n_max", [0, 1, 7, 40])
-def test_orders_are_the_single_order_rows_bit_for_bit(n_max):
-    t = np.array([1e-6, 0.4, 3.0, 11.0, 60.0])
-    tab = specfun.bessel_table(n_max, t)
-    rows = tab.orders()
-    every = np.arange(n_max + 1)
-    for name, (log_mag, phase) in zip(
-            ("jn", "hn", "riccati_j", "riccati_h"), rows):
-        assert log_mag.shape == phase.shape == (n_max + 1, t.size)
-        for n in range(n_max + 1):
-            for got, want in zip((log_mag[n], phase[n]),
-                                 getattr(tab, name)(n)):
-                assert got.tobytes() == np.asarray(want, got.dtype).tobytes()
-        for got, want in zip((log_mag, phase), getattr(tab, name)(every)):
-            assert got.tobytes() == np.asarray(want, got.dtype).tobytes()
-
