@@ -104,6 +104,9 @@ def _parse_phi(doc):
             modes, _num(doc, "r_lo", "phi"), _num(doc, "r_hi", "phi"),
             _num(doc, "amplitude", "phi", 1.0))
     if doc["family"] == "spline":
+        if "knots" not in doc:
+            raise ConfigError("phi missing fields: ['knots'] (the spline "
+                              "family needs them)")
         return RadialTestFunction.cubic_spline(modes, doc["knots"])
     raise ConfigError(f"unknown phi family: {doc['family']!r}")
 

@@ -451,7 +451,7 @@ class RegionChains:
     and forms its four combinations in one ``specfun.combine``; the stacked
     coefficient arrays and ``s_n`` are kept on the chains, which the
     one-entry memo of ``region_chains`` keeps no longer than the latest
-    solution.
+    solution; so does ``quadrature_table`` with the tables it builds.
     """
 
     keys: list
@@ -522,6 +522,22 @@ class RegionChains:
         return specfun.bessel_table(int(self.degrees.max(initial=0)),
                                     [self.wavenumber * r])
 
+    def quadrature_table(self, n_max: int, r: np.ndarray):
+        """The BesselTable of orders up to n_max at wavenumber * r, for an
+        array r of quadrature nodes, made read-only and kept with the
+        latest solution's chains under (n_max, arguments): every integrand
+        asking for the same degree at the same arguments reads one table.
+        """
+        t = self.wavenumber * r
+        tables = _latest_chains[2]
+        key = (n_max, t.tobytes())
+        tab = tables.get(key)
+        if tab is None:
+            tab = tables[key] = specfun.bessel_table(n_max, t)
+            for part in (tab.t, tab.j_log, tab.j_sign, tab.y_log, tab.y_sign):
+                part.flags.writeable = False
+        return tab
+
     def normal(self, tab, i=None):
         """B(j, h) of mode i (or all) at the arguments of a BesselTable."""
         n, (_, _, b0, b1) = self._at(i)
@@ -580,9 +596,10 @@ def _solution_chains(solution: ModalSolution) -> dict:
                 solution.params)}
 
 
-# (solution, its chains) of the latest region_chains call: one entry, so it
-# keeps at most one solution alive, and a solution's own fields hold nothing
-_latest_chains = (None, None)
+# (solution, its chains, the quadrature tables read since) of the latest
+# region_chains call: one entry, so it keeps at most one solution and its
+# tables alive, and a solution's own fields hold nothing
+_latest_chains = (None, None, {})
 
 
 def region_chains(solution: ModalSolution, region: str,
@@ -593,16 +610,17 @@ def region_chains(solution: ModalSolution, region: str,
     Both regions' chains over all modes are built in one pass and kept for
     the latest solution passed (compared by identity); a solution whose
     modes are a plain dict, which may be changed in place, is rebuilt on
-    every call.
+    every call.  Reading any other solution drops the quadrature tables of
+    ``RegionChains.quadrature_table``.
     """
     global _latest_chains
     if region not in ("layer", "hidden"):
         raise DomainError(f"region is 'layer' or 'hidden', got {region!r}")
-    latest, chains = _latest_chains
+    latest, chains, _ = _latest_chains
     if latest is not solution:
         chains = _solution_chains(solution)
-        if isinstance(solution.modes, SolvedModes):
-            _latest_chains = (solution, chains)
+        kept = isinstance(solution.modes, SolvedModes)
+        _latest_chains = (solution, chains, {}) if kept else (None, None, {})
     chains = chains[region]
     return chains if keys is None else chains.take(keys)
 

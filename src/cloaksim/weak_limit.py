@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import specfun
 from .errors import AccuracyError, DomainError
 from .geometry import CloakOuterMap, CloakParams
 # limit_coeffs is re-exported: the benchmark's tracer patches it here too
@@ -169,7 +168,7 @@ def _pairing(chains, phi, tol, lo, hi, integrate=integrate_adaptive,
 
         def integrand(r, i=i, n=n, prof=prof,
                       s2w=n * (n + 1) * chains.e_weight):
-            tab = specfun.bessel_table(n, chains.wavenumber * r)
+            tab = chains.quadrature_table(n, r)
             val = s2w * chains.normal(tab, i)
             if radius is None:
                 return val * prof(r) * r
@@ -278,10 +277,10 @@ def tangential_trace_at(solution: ModalSolution) -> dict:
 def _energy_density(chains):
     """Sum over modes of |E|^2 + |H|^2 on the sphere of radius r (the hidden
     material cancels its E, H weights); one table, one mode at a time."""
-    w = chains.wavenumber
+    w, n_max = chains.wavenumber, int(chains.degrees.max(initial=0))
 
     def dens(r):
-        tab = specfun.bessel_table(int(chains.degrees.max(initial=0)), w * r)
+        tab = chains.quadrature_table(n_max, r)
         total = np.zeros(r.shape)
         for i, (n, _) in enumerate(chains.keys):
             s2 = n * (n + 1)

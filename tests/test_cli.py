@@ -122,6 +122,15 @@ class TestConverge:
         assert run(["converge", "--config", cfg, "--out", tmp_path]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_spline_without_knots_exits_2_naming_them(self, tmp_path, capsys):
+        doc = json.loads((SCENARIOS / "converge_single_mode.json").read_text())
+        doc["phi"] = {"family": "spline", "modes": [[1, 0]]}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert run(["converge", "--config", cfg, "--out", tmp_path]) == 2
+        err = capsys.readouterr().err
+        assert "knots" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400"])
     def test_non_finite_source_number_exits_2(self, tmp_path, capsys, token):
         text = (SCENARIOS / "converge_single_mode.json").read_text()

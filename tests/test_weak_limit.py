@@ -1,6 +1,9 @@
+import cmath
 import dataclasses
 import functools
+import gc
 import math
+import weakref
 from bisect import bisect_right
 
 import numpy as np
@@ -10,7 +13,7 @@ from scipy import special as sp
 from cloaksim.errors import AccuracyError, DomainError
 from cloaksim.geometry import CloakParams
 from cloaksim.harmonics import ModeIndex, scalar_Y
-from cloaksim import fields, modal, quadrature, weak_limit
+from cloaksim import fields, modal, quadrature, specfun, weak_limit
 from cloaksim.quadrature import fit_power_law
 from cloaksim.weak_limit import RadialTestFunction
 from test_radial_kernel import FROZEN_SOURCE
@@ -478,3 +481,115 @@ class TestConvergenceStudy:
         params = CloakParams(rho=1e-3, omega=OMEGA, r1=R1)
         n_max = modal.solve_source(SRC, None, params).n_max
         assert [row["n_max"] for row in rows] == [n_max, n_max]
+
+
+# -- shared quadrature tables ----------------------------------------------------
+
+# every mode of degrees 1 and 2
+EIGHT_MODES = modal.SourceCoeffs(entries={
+    (n, m): tuple(4.0 ** -n * cmath.exp(1j * (n + m + k)) for k in (0, 1))
+    for n in (1, 2) for m in range(-n, n + 1)}, r1=R1)
+
+
+def _count_tables(monkeypatch):
+    """The tables specfun.bessel_table builds from now on, in a list."""
+    built, bessel_table = [], specfun.bessel_table
+
+    def counted(n_max, t):
+        built.append(bessel_table(n_max, t))
+        return built[-1]
+
+    monkeypatch.setattr(specfun, "bessel_table", counted)
+    return built
+
+
+def _pair(solution, phi):
+    return (weak_limit.pairing_interior(solution, phi)
+            + weak_limit.pairing_exterior_normal(solution, phi))
+
+
+class TestSharedQuadratureTables:
+    PARAMS = CloakParams(rho=1e-4, omega=OMEGA, r1=R1)
+
+    def test_modes_of_one_degree_share_tables(self, monkeypatch):
+        every, one_per_degree = (
+            modal.solve_source(EIGHT_MODES, None, self.PARAMS)
+            for _ in range(2))
+        built = _count_tables(monkeypatch)
+        _pair(every, RadialTestFunction.polynomial_bump(
+            EIGHT_MODES.modes(), 0.5, 1.5))
+        tables_every = len(built)
+        _pair(one_per_degree, RadialTestFunction.polynomial_bump(
+            [(1, 0), (2, 0)], 0.5, 1.5))
+        assert tables_every == len(built) - tables_every > 0
+
+    def test_limit_reads_the_interior_pairings_tables(self, monkeypatch):
+        sol = modal.solve_source(EIGHT_MODES, None, self.PARAMS)
+        weak_limit.pairing_interior(sol, BUMP)
+        built = _count_tables(monkeypatch)
+        weak_limit.predicted_limit(EIGHT_MODES, BUMP, self.PARAMS)
+        # no table at the quadrature nodes, only one-argument ladders
+        assert all(tab.t.size == 1 for tab in built)
+
+    def test_tables_of_different_n_max_are_not_shared(self):
+        sol = modal.solve_source(EIGHT_MODES, None, self.PARAMS)
+        weak_limit.pairing_interior(sol, BUMP)
+        weak_limit.energy_integral(sol)
+        by_args = {}
+        for (n_max, args), tab in modal._latest_chains[2].items():
+            by_args.setdefault(args, {})[n_max] = tab
+        shared = [tabs for tabs in by_args.values() if {1, 2} <= tabs.keys()]
+        assert shared
+        for tabs in shared:
+            assert tabs[1] is not tabs[2]
+            assert (tabs[1].n_max, tabs[2].n_max) == (1, 2)
+
+    def test_tables_are_read_only(self):
+        sol = modal.solve_source(EIGHT_MODES, None, self.PARAMS)
+        weak_limit.pairing_interior(sol, BUMP)
+        tab = next(iter(modal._latest_chains[2].values()))
+        for part in (tab.t, tab.j_log, tab.j_sign, tab.y_log, tab.y_sign):
+            with pytest.raises(ValueError):
+                part[0] = 0.0
+
+    def test_next_solution_drops_the_tables(self):
+        first, second = (modal.solve_source(EIGHT_MODES, None, self.PARAMS)
+                         for _ in range(2))
+        weak_limit.pairing_interior(first, BUMP)
+        refs = [weakref.ref(tab) for tab in modal._latest_chains[2].values()]
+        assert refs
+        modal.region_chains(second, "hidden")
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+
+    def test_field_point_adds_no_table(self):
+        sol = modal.solve_source(EIGHT_MODES, None, self.PARAMS)
+        weak_limit.pairing_interior(sol, BUMP)
+        held = dict(modal._latest_chains[2])
+        fields.eval_physical(sol, np.array([0.3, 0.4, 0.2]))
+        fields.eval_physical(sol, np.array([0.9, -0.6, 0.4]))
+        now = modal._latest_chains[2]
+        assert now.keys() == held.keys()
+        assert all(now[key] is tab for key, tab in held.items())
+
+    def test_sweep_values_equal_a_fresh_table_per_integrand(self, monkeypatch):
+        phi = RadialTestFunction.cubic_spline(
+            EIGHT_MODES.modes(), [(0.4, 0.0), (0.7, 1.1), (1.0, 0.9),
+                                  (1.4, 1.2)])
+
+        def sweep():
+            values = []
+            for rho in (1e-2, 1e-4, 1e-6):
+                params = CloakParams(rho=rho, omega=OMEGA, r1=R1)
+                sol = modal.solve_source(EIGHT_MODES, None, params)
+                values += [_pair(sol, phi),
+                           weak_limit.predicted_limit(EIGHT_MODES, phi, params),
+                           weak_limit.energy_integral(sol, tol=1e-7)]
+            return values
+
+        shared = sweep()
+        monkeypatch.setattr(
+            modal.RegionChains, "quadrature_table",
+            lambda chains, n_max, r: specfun.bessel_table(
+                n_max, chains.wavenumber * r))
+        assert sweep() == shared
