@@ -64,6 +64,14 @@ def _num(doc, key, where, default=None, kind=float):
     return config_number(doc.get(key, default), f"{where} field {key}", kind)
 
 
+def _tolerance(value, where):
+    """value as a finite number above 0 (ConfigError naming where)."""
+    tol = config_number(value, where)
+    if tol <= 0.0:
+        raise ConfigError(f"{where} must be above 0, got {value!r}")
+    return tol
+
+
 def _num_list(values, where):
     if not isinstance(values, list):
         raise ConfigError(f"{where} must be a list of numbers")
@@ -124,7 +132,7 @@ def _parse_cloak_params(doc, rho):
 def cmd_converge(config_path, out_dir, tol):
     doc = _load_config(config_path)
     _require_keys(doc, {"scenario", "params", "source", "phi"},
-                  {"boundary", "quadrature", "seed"}, "converge config")
+                  {"quadrature", "seed"}, "converge config")
     seed = _seed(doc)
     pdoc = doc["params"]
     _require_keys(pdoc, {"omega", "r1", "rho_list"}, {"eps0", "mu0"},
@@ -134,7 +142,8 @@ def cmd_converge(config_path, out_dir, tol):
         raise ConfigError("rho_list must be non-empty")
     quad = doc.get("quadrature", {})
     _require_keys(quad, set(), {"tol"}, "quadrature")
-    qtol = tol if tol is not None else _num(quad, "tol", "quadrature", 1e-9)
+    configured = _tolerance(quad.get("tol", 1e-9), "quadrature field tol")
+    qtol = configured if tol is None else tol
 
     params = _parse_cloak_params(pdoc, rho_list[0])
     source = modal.parse_source_table(doc["source"], r1=params.r1)
@@ -157,8 +166,7 @@ def cmd_converge(config_path, out_dir, tol):
                                       "abs_err_final": rows[-1]["abs_err"],
                                       "rho_final": rows[-1]["rho"]})
     RunManifest(scenario=doc["scenario"], command="converge", params=pdoc,
-                source=doc["source"], boundary=doc.get("boundary", []),
-                phi=doc["phi"], quadrature={"tol": qtol},
+                source=doc["source"], phi=doc["phi"], quadrature={"tol": qtol},
                 n_max=max(r["n_max"] for r in rows),
                 seed=seed).write(out / "manifest.json")
     return EXIT_OK
@@ -347,7 +355,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     func = _COMMANDS[args.command][0]
     try:
-        return func(args.config, args.out, args.tol)
+        tol = None if args.tol is None else _tolerance(args.tol, "--tol")
+        return func(args.config, args.out, tol)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -96,6 +96,15 @@ class ModeCoeffs:
                 for f in fields(self)}
 
 
+def _check_table(entries: dict, kind: str) -> None:
+    """DomainError for a mode outside n >= 1, |m| <= n or non-finite data."""
+    for (n, m), values in entries.items():
+        if n < 1 or abs(m) > n:
+            raise DomainError(f"invalid mode ({n},{m}) in {kind} table")
+        if not all(cmath.isfinite(v) for v in values):
+            raise DomainError(f"non-finite data at ({n},{m}) in {kind} table")
+
+
 @dataclass(frozen=True)
 class SourceCoeffs:
     """Multipole table of the interior radiating source.
@@ -108,9 +117,7 @@ class SourceCoeffs:
     r1: float
 
     def __post_init__(self):
-        for (n, m), (p, q) in self.entries.items():
-            if n < 1 or abs(m) > n:
-                raise DomainError(f"invalid mode ({n},{m}) in source table")
+        _check_table(self.entries, "source")
         if not 0.0 < self.r1 < 1.0:
             raise DomainError(f"r1 must be in (0,1), got {self.r1}")
 
@@ -123,6 +130,9 @@ class BoundaryCoeffs:
     """Tangential boundary data table: (n, m) -> (f1, f2)."""
 
     entries: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        _check_table(self.entries, "boundary")
 
     def max_degree(self) -> int:
         return max((n for n, _ in self.entries), default=0)
@@ -446,12 +456,10 @@ class RegionChains:
     Hidden: A = (alpha, p), B = (beta, q), k omega, eps0^-1/2, mu0^-1/2.
     Limit: as hidden with alpha0, beta0 and the interface-layer strength
     sigma per mode in ``surface``.  Coefficients are ScaledComplex lists;
-    mode index None takes every mode at once, through ScaledArray columns.
-    The all-modes ``expand`` reads the rows of every order of a table once
-    and forms its four combinations in one ``specfun.combine``; the stacked
-    coefficient arrays and ``s_n`` are kept on the chains, which the
-    one-entry memo of ``region_chains`` keeps no longer than the latest
-    solution; so does ``quadrature_table`` with the tables it builds.
+    ``expand`` reads them as stacked ScaledArray columns, which are kept on
+    the chains with ``s_n``; the one-entry memo of ``region_chains`` keeps
+    the chains no longer than the latest solution, and so does
+    ``quadrature_table`` with the tables it builds.
     """
 
     keys: list
@@ -478,8 +486,8 @@ class RegionChains:
 
     @cached_property
     def _stacked_columns(self):
-        """The coefficients of f and of g in the four combinations of the
-        all-modes ``expand``, (a0, a0, b0, b0) and (a1, a1, b1, b1), as
+        """The coefficients of f and of g in the four combinations of
+        ``expand``, (a0, a0, b0, b0) and (a1, a1, b1, b1), as
         (4, modes, 1) ScaledArrays."""
         def column(coeffs, kind, dtype):
             return np.array([getattr(c, kind) for c in coeffs],
@@ -494,14 +502,6 @@ class RegionChains:
     @cached_property
     def _index(self) -> dict:
         return {key: i for i, key in enumerate(self.keys)}
-
-    def _at(self, i):
-        """Degree(s) and (a0, a1, b0, b1) of mode i, or of all for None."""
-        if i is None:
-            f, g = self._stacked_columns
-            return self.degrees, [ScaledArray(c.log_mag[k], c.phase[k])
-                                  for k, c in ((0, f), (0, g), (2, f), (2, g))]
-        return self.keys[i][0], [c[i] for c in (*self.a, *self.b)]
 
     def take(self, keys) -> "RegionChains":
         """The chains of the given keys (KeyError for one not held), in
@@ -538,32 +538,24 @@ class RegionChains:
                 part.flags.writeable = False
         return tab
 
-    def normal(self, tab, i=None):
-        """B(j, h) of mode i (or all) at the arguments of a BesselTable."""
-        n, (_, _, b0, b1) = self._at(i)
-        return specfun.combine(b0, tab.jn(n), b1, tab.hn(n))
+    def normal(self, tab, i: int):
+        """B(j, h) of mode i at the arguments of a BesselTable."""
+        n = self.keys[i][0]
+        return specfun.combine(self.b[0][i], tab.jn(n), self.b[1][i],
+                               tab.hn(n))
 
     def expand(self, tab, i=None):
-        """(A(j, h), A(J, H), B(j, h), B(J, H)) of mode i, or of all modes
-        as one (4, modes, len(t)) array."""
-        if i is None:
-            n = self.degrees
-            every = np.arange(tab.n_max + 1)
-            j, h, jj, hh = (row(every) for row in (
-                tab.jn, tab.hn, tab.riccati_j, tab.riccati_h))
-            a, b = self._stacked_columns
-            return specfun.combine(a, _stacked_rows(j, jj, n),
-                                   b, _stacked_rows(h, hh, n))
-        n, (a0, a1, b0, b1) = self._at(i)
-        j, h, jj, hh = tab.jn(n), tab.hn(n), tab.riccati_j(n), tab.riccati_h(n)
-        return (specfun.combine(a0, j, a1, h), specfun.combine(a0, jj, a1, hh),
-                specfun.combine(b0, j, b1, h), specfun.combine(b0, jj, b1, hh))
-
-
-def _stacked_rows(first, second, n):
-    """Rows n of the (log-magnitude, phase) pairs first, second, first,
-    second, stacked into one pair."""
-    return tuple(np.stack([first[k][n], second[k][n]] * 2) for k in (0, 1))
+        """(A(j, h), A(J, H), B(j, h), B(J, H)) at the arguments of a
+        BesselTable, of mode i as one (4, len(t)) array or of all modes as
+        one (4, modes, len(t)) array."""
+        pick = slice(None) if i is None else i
+        n = self.degrees[pick]
+        f, g = (tuple(np.stack([first[k], second[k]] * 2) for k in (0, 1))
+                for first, second in ((tab.jn(n), tab.riccati_j(n)),
+                                      (tab.hn(n), tab.riccati_h(n))))
+        a, b = (ScaledArray(c.log_mag[:, pick], c.phase[:, pick])
+                for c in self._stacked_columns)
+        return specfun.combine(a, f, b, g)
 
 
 def _hidden_chains(keys, alpha, beta, pq, params, surface=None):

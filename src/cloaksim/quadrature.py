@@ -75,6 +75,8 @@ def integrate_array(f, breakpoints, tol=1e-9, base_points=16,
     if base_points < 1 or max_points < 2 * base_points:
         raise DomainError(f"need 1 <= base_points and 2 * base_points <= "
                           f"max_points, got {base_points} and {max_points}")
+    if math.isnan(tol):
+        raise DomainError(f"tol must be a number, got {tol}")
     edges = np.asarray(breakpoints, dtype=float)
     if edges.size < 2:
         return 0j

@@ -18,7 +18,8 @@ coefficients a, b and rows f, g, into plain complex values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -82,6 +83,14 @@ def combine(a, f, b, g):
         return np.exp(log_mag) * phase
 
 
+def _kept(*terms):
+    """``_log_add`` of the terms, made read-only."""
+    rows = _log_add(*terms)
+    for part in rows:
+        part.flags.writeable = False
+    return rows
+
+
 @dataclass(frozen=True)
 class BesselTable:
     """j_n, y_n for orders -1..n_max at an array of arguments t.
@@ -91,8 +100,9 @@ class BesselTable:
     ``*_log`` are natural logs of the magnitudes (-inf for an exact zero),
     ``*_sign`` are +1, -1 or 0.  The row accessors return (log-magnitude,
     phase) pairs for ``combine``, of shape (len(n), len(t)) for an array n.
-    A derived row (h_n, J_n, H_n) at a single order is computed once, made
-    read-only and returned again by later calls on the same table.
+    The derived rows h_n, J_n and H_n are computed for every order of the
+    table on the first read of each, kept read-only, and indexed alike for
+    a single order or an array of orders.
     """
 
     n_max: int
@@ -101,48 +111,37 @@ class BesselTable:
     j_sign: np.ndarray
     y_log: np.ndarray
     y_sign: np.ndarray
-    _rows: dict = field(default_factory=dict, init=False, repr=False,
-                        compare=False)
 
     def jn(self, n: int):
         return self.j_log[n + 1], self.j_sign[n + 1]
 
     def hn(self, n: int):
-        return self._row(self._hn, "h", n)
+        return self._h_all[0][n + 1], self._h_all[1][n + 1]
 
     def riccati_j(self, n: int):
-        return self._row(self._riccati_j, "J", n)
+        return self._jj_all[0][n], self._jj_all[1][n]
 
     def riccati_h(self, n: int):
-        return self._row(self._riccati_h, "H", n)
+        return self._hh_all[0][n], self._hh_all[1][n]
 
-    def _row(self, make, kind, n):
-        """make(n), kept read-only for a scalar order n; an array of orders
-        is not kept."""
-        if isinstance(n, np.ndarray):
-            return make(n)
-        row = self._rows.get((kind, n))
-        if row is None:
-            row = self._rows[(kind, n)] = make(n)
-            for part in row:
-                part.flags.writeable = False
-        return row
+    @cached_property
+    def _h_all(self):
+        """h_n = j_n + i y_n at orders -1..n_max."""
+        return _kept(self.j_log, self.j_sign, self.y_log, 1j * self.y_sign)
 
-    def _hn(self, n):
-        return _log_add(self.j_log[n + 1], self.j_sign[n + 1],
-                        self.y_log[n + 1], 1j * self.y_sign[n + 1])
-
-    def _riccati_j(self, n):
+    @cached_property
+    def _jj_all(self):
         # J_n = j_n + t j_n' = t j_{n-1} - n j_n
-        return self._riccati(self.jn(n - 1), self.jn(n), n)
+        return self._riccati(self.j_log, self.j_sign)
 
-    def _riccati_h(self, n):
-        return self._riccati(self.hn(n - 1), self.hn(n), n)
+    @cached_property
+    def _hh_all(self):
+        return self._riccati(*self._h_all)
 
-    def _riccati(self, lower, upper, n):
-        log_n = _LOG_ORDER[n] if np.ndim(n) == 0 else _LOG_ORDER[n][:, None]
-        return _log_add(lower[0] + np.log(self.t), lower[1],
-                        upper[0] + log_n, -upper[1])
+    def _riccati(self, log_mag, phase):
+        """t f_{n-1} - n f_n at orders 0..n_max, from f at orders -1..n_max."""
+        return _kept(log_mag[:-1] + np.log(self.t), phase[:-1],
+                     log_mag[1:] + _LOG_ORDER[:self.n_max + 1, None], -phase[1:])
 
     def column(self, i: int) -> "BesselLadder":
         """The ladder at argument t[i]: a view of column i of this table."""

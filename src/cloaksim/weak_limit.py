@@ -231,7 +231,7 @@ def _normal_trace(chains, r1: float, r: float) -> dict:
     if not r1 < r <= 1.0:
         raise DomainError(f"trace radius must satisfy r1 < r <= 1, got {r}")
     return {(n, m): complex(n * (n + 1) / r * val) for (n, m), val in
-            zip(chains.keys, chains.normal(chains.table(r))[:, 0])}
+            zip(chains.keys, chains.expand(chains.table(r))[2, :, 0])}
 
 
 def _tangential_trace(chains) -> dict:
@@ -284,7 +284,7 @@ def _energy_density(chains):
         total = np.zeros(r.shape)
         for i, (n, _) in enumerate(chains.keys):
             s2 = n * (n + 1)
-            ev, hu, er, eu = (np.abs(v) for v in chains.expand(tab, i))
+            ev, hu, er, eu = np.abs(chains.expand(tab, i))
             total += (s2 * ev * ev * r * r + s2 * eu * eu + s2 ** 2 * er * er
                       + w ** 2 * s2 * er * er * r * r
                       + s2 * hu * hu / w ** 2 + s2 ** 2 * ev * ev / w ** 2)

@@ -11,8 +11,10 @@ import pytest
 import cloaksim
 from cloaksim import modal, specfun
 from cloaksim.cli import _specfun_deviations, main
+from cloaksim.errors import AccuracyError, DomainError
 from cloaksim.geometry import CloakParams
 from cloaksim.manifest import RunManifest, write_json
+from cloaksim.quadrature import integrate_array
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -92,6 +94,20 @@ class TestConverge:
         cfg.write_text(json.dumps(doc))
         assert run(["converge", "--config", cfg, "--out", tmp_path]) == 2
         assert "surprise" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("boundary", [
+        "f1", [], [{"n": 1, "m": 0, "f1_re": 1.0}]])
+    def test_boundary_field_exits_2(self, tmp_path, capsys, boundary):
+        # converge solves without boundary data, so it takes none
+        doc = json.loads((SCENARIOS / "converge_single_mode.json").read_text())
+        doc["boundary"] = boundary
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert run(["converge", "--config", cfg, "--out", out]) == 2
+        assert "unknown fields in converge config: ['boundary']" in (
+            capsys.readouterr().err)
+        assert not out.exists()
 
     def test_manifest_records_the_solve_truncation(self, tmp_path):
         doc = json.loads((SCENARIOS / "converge_single_mode.json").read_text())
@@ -438,6 +454,44 @@ class TestDocumentedExitCodes:
             env=_package_env(), capture_output=True, text=True, timeout=60)
         assert out.returncode == 2
         assert "exceeds supported cap" in out.stderr
+
+
+class TestTolerance:
+    """--tol and quadrature.tol are finite numbers above 0; anything else
+    exits 2 naming it, before any output is written."""
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "0", "-1e-9"])
+    @pytest.mark.parametrize("command, scenario", [
+        ("converge", "converge_single_mode.json"),
+        ("halfspace", "halfspace_sweep.json"),
+        ("check-specfun", None)])
+    def test_bad_flag_exits_2_before_any_output(self, tmp_path, capsys,
+                                                token, command, scenario):
+        config = [] if scenario is None else ["--config", SCENARIOS / scenario]
+        out = tmp_path / "out"
+        assert run([command, *config, "--out", out, f"--tol={token}"]) == 2
+        assert "--tol" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [0, 0.0, -1e-9, "nan", "abc", None])
+    def test_bad_config_tolerance_exits_2_before_any_output(
+            self, tmp_path, capsys, value):
+        doc = json.loads((SCENARIOS / "converge_single_mode.json").read_text())
+        doc["quadrature"]["tol"] = value
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert run(["converge", "--config", cfg, "--out", out]) == 2
+        assert "quadrature field tol" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nan_tolerance_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="tol"):
+            integrate_array(np.cos, [0.0, 1.0], tol=math.nan)
+        # a zero tolerance is accepted: it refines to the cap, where the
+        # sqrt kink at 0 keeps successive levels apart
+        with pytest.raises(AccuracyError):
+            integrate_array(np.sqrt, [0.0, 1.0], tol=0.0, max_points=64)
 
 
 class TestWriteJson:

@@ -224,6 +224,29 @@ class TestTruncationAndTables:
         sol = modal.solve_source(src, None, SINGLE)
         assert sol.modes == {} and sol.n_max == 0
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                     complex(0.0, math.nan),
+                                     complex(math.inf, 1.0)])
+    @pytest.mark.parametrize("slot", [0, 1])
+    def test_non_finite_table_data_is_rejected(self, bad, slot):
+        pair = [0.5 + 0j, 1.0 + 0j]
+        pair[slot] = bad
+        with pytest.raises(DomainError, match=r"non-finite .*\(2,1\) in source"):
+            modal.SourceCoeffs(entries={(1, 0): (0j, 1), (2, 1): tuple(pair)},
+                               r1=0.5)
+        with pytest.raises(DomainError,
+                           match=r"non-finite .*\(2,1\) in boundary"):
+            modal.BoundaryCoeffs({(1, 0): (0j, 1), (2, 1): tuple(pair)})
+
+    @pytest.mark.parametrize("mode", [(1, 5), (2, -3), (0, 0), (-1, 0)])
+    def test_boundary_modes_are_checked_like_source_modes(self, mode):
+        for make, kind in ((lambda e: modal.SourceCoeffs(e, r1=0.5), "source"),
+                           (modal.BoundaryCoeffs, "boundary")):
+            with pytest.raises(DomainError,
+                               match=rf"invalid mode \({mode[0]},{mode[1]}\) "
+                                     rf"in {kind} table"):
+                make({(1, 0): (0j, 1), mode: (0j, 1)})
+
     def test_source_radius_must_match_cloak(self):
         src = modal.SourceCoeffs(entries={(1, 0): (0j, 1)}, r1=0.3)
         params = CloakParams(rho=0.1, omega=1.0, r1=0.5)
@@ -749,8 +772,9 @@ def _column(values):
 
 @pytest.mark.parametrize("region", ["layer", "hidden", "limit"])
 def test_all_modes_expand_is_the_per_degree_combination(region):
-    """One stacked combine over the rows of every order gives, bit for bit,
-    the four combinations of the per-degree rows."""
+    """One stacked combine over the rows of every mode's degree gives, bit
+    for bit, the four combinations of the per-degree rows; so does the
+    combine of one mode, and the one-mode ``normal`` gives its B(j, h)."""
     params = CloakParams(1e-6, 1.0, r1=0.5)
     if region == "limit":
         chains = modal.limit_chains(ALL_MODES, params)
@@ -769,4 +793,7 @@ def test_all_modes_expand_is_the_per_degree_combination(region):
         assert got.shape == (4, 168, 1)
         for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes()
+        for i in range(len(chains.keys)):
+            assert chains.expand(tab, i).tobytes() == got[:, i].tobytes()
+            assert chains.normal(tab, i).tobytes() == got[2, i].tobytes()
     assert np.array_equal(chains.s_n, np.sqrt(n * (n + 1.0)))

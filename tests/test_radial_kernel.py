@@ -231,13 +231,13 @@ class TestServedRows:
         tab = specfun.bessel_table(4, self.T)
         for name in ("hn", "riccati_j", "riccati_h"):
             getattr(tab, name)(4)
-        first = len(calls)  # h_4, J_4, then h_3 and H_4
-        assert first == 4
+        first = len(calls)  # h, J and H, each at every order of the table
+        assert first == 3
         for name in ("hn", "riccati_j", "riccati_h"):
             getattr(tab, name)(4)
             getattr(tab, name)(np.array([4]))
-        # only the array rows are computed again: h, J, and H from two h
-        assert len(calls) == first + 5
+        # scalar and array reads alike index the rows computed once
+        assert len(calls) == first
 
     def test_kept_rows_are_read_only(self):
         # a row served again cannot be changed under a later caller
@@ -246,6 +246,17 @@ class TestServedRows:
             for part in getattr(tab, name)(3):
                 with pytest.raises(ValueError):
                     part[0] = 0.0
+
+    def test_rows_of_every_scalar_order_are_read_only(self):
+        # a scalar order indexes the rows kept on the table, from the first
+        # read on, including order -1 of h and order 0 of J and H
+        tab = specfun.bessel_table(4, self.T)
+        for name, lowest in (("hn", -1), ("riccati_j", 0), ("riccati_h", 0)):
+            for n in range(lowest, 5):
+                for part in getattr(tab, name)(n):
+                    assert not part.flags.writeable, (name, n)
+                    with pytest.raises(ValueError):
+                        part[0] = 0.0
 
     def test_tables_do_not_share_rows(self):
         tabs = [specfun.bessel_table(3, self.T),
