@@ -232,9 +232,12 @@ def cmd_halfspace(config_path, out_dir, tol):
     halfwidth = _num(doc, "pairing_halfwidth", "config", 2.0)
     qtol = tol if tol is not None else 1e-10
     omega, kz = _num(doc, "omega", "config"), _num(doc, "kz", "config")
+    rho_list = _num_list(doc["rho_list"], "config rho_list")
+    if not rho_list:
+        raise ConfigError("rho_list must be non-empty")
     params_list = [halfspace.HalfspaceParams(omega=omega, kz=kz, rho=rho,
                                              hin=hin)
-                   for rho in _num_list(doc["rho_list"], "config rho_list")]
+                   for rho in rho_list]
     rows, exponent = halfspace.limit_study(params_list, phi, halfwidth, tol=qtol)
 
     out = Path(out_dir)
@@ -299,6 +302,9 @@ def cmd_check_specfun(config_path, out_dir, tol):
     t_lo = _num(doc, "t_lo", "config", 0.1)
     t_hi = _num(doc, "t_hi", "config", 50.0)
     t_count = _num(doc, "t_count", "config", 40, int)
+    if t_count < 1:
+        raise ConfigError(f"config field t_count must be at least 1, "
+                          f"got {t_count}")
     threshold = tol if tol is not None else 1e-11
 
     worst_wronskian, worst_cross, worst_recurrence = _specfun_deviations(

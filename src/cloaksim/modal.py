@@ -380,11 +380,12 @@ def system_residuals(n: int, p, q, f1, f2, params: CloakParams,
 # -- closed-form limits -------------------------------------------------------
 
 
-def _interior_ladder(n: int, params: CloakParams):
-    """The ladder of degree n at the interface argument k omega."""
-    if n < 1:
-        raise DomainError(f"degree must be >= 1, got {n}")
-    return specfun.bessel_ladder(n, params.k * params.omega)
+def _read_only(tab):
+    """The BesselTable tab with its arrays made read-only, for a table kept
+    and shared between calls."""
+    for part in (tab.t, tab.j_log, tab.j_sign, tab.y_log, tab.y_sign):
+        part.flags.writeable = False
+    return tab
 
 
 def _limit_ratios(n: int, q: complex, params: CloakParams, lad):
@@ -401,6 +402,40 @@ def _limit_ratios(n: int, q: complex, params: CloakParams, lad):
     return _require_finite(n, beta0, sigma)
 
 
+# (params, {n: ladder at k omega}, {n: (beta0, sigma) at q = 1}) of the
+# latest limit call: one entry, compared by identity, so a new params object
+# starts afresh and nothing outlives the parameter set it was read for
+_latest_limit = (None, {}, {})
+
+
+def _limit_ladder(n: int, params: CloakParams):
+    """The ladder of degree n at the interface argument k omega, built on
+    the first read for the latest params object and kept with it."""
+    global _latest_limit
+    if _latest_limit[0] is not params:
+        _latest_limit = (params, {}, {})
+    ladders = _latest_limit[1]
+    lad = ladders.get(n)
+    if lad is None:
+        if n < 1:
+            raise DomainError(f"degree must be >= 1, got {n}")
+        lad = specfun.bessel_ladder(n, params.k * params.omega)
+        _read_only(lad.table)
+        ladders[n] = lad
+    return lad
+
+
+def _unit_ratios(n: int, params: CloakParams) -> tuple:
+    """``_limit_ratios`` of degree n at q = 1 from the kept ladder, kept
+    beside it; a degree that raises keeps no ratios and raises again on
+    every read."""
+    lad = _limit_ladder(n, params)
+    unit = _latest_limit[2]
+    if n not in unit:
+        unit[n] = _limit_ratios(n, 1 + 0j, params, lad)
+    return unit[n]
+
+
 def limit_coeffs(n: int, q, params: CloakParams):
     """Vanishing-regularisation limits for the q-driven chain of degree n.
 
@@ -414,7 +449,7 @@ def limit_coeffs(n: int, q, params: CloakParams):
     Raises:
         ResonanceError, CapabilityError: as ``_limit_ratios``.
     """
-    lad = _interior_ladder(n, params)
+    lad = _limit_ladder(n, params)
     q = complex(q)
     beta0, sigma = _limit_ratios(n, q, params, lad)
     jk, hk, jjk, hhk = _ladder_values(n, lad)
@@ -433,7 +468,7 @@ def sigma_uncollapsed(n: int, q, params: CloakParams) -> complex:
     as the raw combination; agrees with the collapsed sigma to rounding.
     """
     k, mu0 = params.k, params.mu0
-    lad = _interior_ladder(n, params)
+    lad = _limit_ladder(n, params)
     jk_c = _check_interior(n, lad)
     jk, hk, jjk, hhk = _ladder_values(n, lad)
     s2 = n * (n + 1)
@@ -533,9 +568,7 @@ class RegionChains:
         key = (n_max, t.tobytes())
         tab = tables.get(key)
         if tab is None:
-            tab = tables[key] = specfun.bessel_table(n_max, t)
-            for part in (tab.t, tab.j_log, tab.j_sign, tab.y_log, tab.y_sign):
-                part.flags.writeable = False
+            tab = tables[key] = _read_only(specfun.bessel_table(n_max, t))
         return tab
 
     def normal(self, tab, i: int):
@@ -621,12 +654,12 @@ def limit_chains(source: SourceCoeffs, params: CloakParams,
                  keys=None) -> RegionChains:
     """The rho -> 0 limit of the hidden region, for the given ascending mode
     keys or every source mode: alpha0 = r_n p and beta0 = r_n q with
-    r_n = -h_n(k w)/j_n(k w), and the surface strength sigma, from one
-    ladder per degree (ResonanceError as in ``limit_coeffs``).
+    r_n = -h_n(k w)/j_n(k w), and the surface strength sigma, from the one
+    ladder per degree kept for the latest params object (ResonanceError as
+    in ``limit_coeffs``).
     """
     keys = source.modes() if keys is None else keys
-    unit = {n: _limit_ratios(n, 1 + 0j, params, _interior_ladder(n, params))
-            for n in {n for n, _ in keys}}
+    unit = {n: _unit_ratios(n, params) for n in {n for n, _ in keys}}
     pq = [source.entries[key] for key in keys]
     alpha0, beta0 = ([ScaledComplex.from_complex(unit[n][0] * pair[k])
                       for (n, _), pair in zip(keys, pq)] for k in (0, 1))

@@ -322,6 +322,16 @@ class TestHalfspace:
         summary = read_strict_json(tmp_path / "summary.json")
         assert summary == {"transmitted_mass_exponent": None}
 
+    def test_empty_rho_list_exits_2_before_any_output(self, tmp_path, capsys):
+        doc = json.loads((SCENARIOS / "halfspace_sweep.json").read_text())
+        doc["rho_list"] = []
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert run(["halfspace", "--config", cfg, "--out", out]) == 2
+        assert "rho_list must be non-empty" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rerun_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         run(["halfspace", "--config", SCENARIOS / "halfspace_sweep.json",
@@ -351,6 +361,25 @@ class TestCheckSpecfun:
         cfg.write_text(json.dumps({"n_max": "sixty"}))
         assert run(["check-specfun", "--config", cfg, "--out", tmp_path]) == 2
         assert "n_max" in capsys.readouterr().err
+
+    # no argument at all would pass the identity checks vacuously
+    @pytest.mark.parametrize("t_count", [0, -3])
+    def test_t_count_below_one_exits_2_before_any_output(self, tmp_path,
+                                                         capsys, t_count):
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps({"t_count": t_count}))
+        out = tmp_path / "out"
+        assert run(["check-specfun", "--config", cfg, "--out", out]) == 2
+        assert "t_count" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_single_argument_grid_runs(self, tmp_path):
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps({"n_max": 10, "t_lo": 1.0, "t_hi": 1.0,
+                                   "t_count": 1}))
+        assert run(["check-specfun", "--config", cfg, "--out", tmp_path]) == 0
+        report = read_strict_json(tmp_path / "specfun_report.json")
+        assert report["pass"] is True and report["grid"]["t_count"] == 1
 
     def test_unreachable_threshold_exits_4(self, tmp_path):
         code = run(["check-specfun", "--out", tmp_path, "--tol", "1e-18"])

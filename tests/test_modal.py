@@ -797,3 +797,25 @@ def test_all_modes_expand_is_the_per_degree_combination(region):
             assert chains.expand(tab, i).tobytes() == got[:, i].tobytes()
             assert chains.normal(tab, i).tobytes() == got[2, i].tobytes()
     assert np.array_equal(chains.s_n, np.sqrt(n * (n + 1.0)))
+
+
+# -- the limit's kept ladders ---------------------------------------------------
+
+def test_limit_degree_beyond_double_range_keeps_no_ratios():
+    """A degree whose beta0 overflows raises on every limit call and keeps
+    no ratios; its kept ladder still serves sigma_uncollapsed, which fits
+    doubles, bit for bit as a fresh ladder does."""
+    params = CloakParams(rho=0.1, omega=1.0, r1=0.5)
+    fresh = modal.sigma_uncollapsed(100, 1.0, params)
+    for _ in range(2):
+        with pytest.raises(CapabilityError):
+            _one_mode_limit_chains(100, 1.0, params)
+        with pytest.raises(CapabilityError):
+            modal.limit_coeffs(100, 1.0, params)
+    assert 100 in modal._latest_limit[1] and 100 not in modal._latest_limit[2]
+    kept = modal.sigma_uncollapsed(100, 1.0, params)
+    assert cmath.isfinite(kept) and kept == fresh
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            modal.limit_coeffs(0, 1.0, params)
+    assert 0 not in modal._latest_limit[1]

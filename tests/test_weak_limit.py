@@ -2,15 +2,17 @@ import cmath
 import dataclasses
 import functools
 import gc
+import json
 import math
 import weakref
 from bisect import bisect_right
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import special as sp
 
-from cloaksim.errors import AccuracyError, DomainError
+from cloaksim.errors import AccuracyError, DomainError, ResonanceError
 from cloaksim.geometry import CloakParams
 from cloaksim.harmonics import ModeIndex, scalar_Y
 from cloaksim import fields, modal, quadrature, specfun, weak_limit
@@ -593,3 +595,107 @@ class TestSharedQuadratureTables:
             lambda chains, n_max, r: specfun.bessel_table(
                 n_max, chains.wavenumber * r))
         assert sweep() == shared
+
+
+# -- the limit's one ladder per degree ------------------------------------------
+
+
+def _count_ladders(monkeypatch):
+    """The degrees of the ladders specfun.bessel_ladder builds from now on."""
+    built, bessel_ladder = [], specfun.bessel_ladder
+
+    def counted(n_max, t):
+        built.append(n_max)
+        return bessel_ladder(n_max, t)
+
+    monkeypatch.setattr(specfun, "bessel_ladder", counted)
+    return built
+
+
+def _reset_limit_memo(monkeypatch):
+    monkeypatch.setattr(modal, "_latest_limit", (None, {}, {}))
+
+
+def _exact(value) -> bytes:
+    """The doubles of a limit quantity (complex, ScaledComplex, dict or
+    tuple of them) as bytes: equal only bit for bit."""
+    if isinstance(value, dict):
+        return b"".join(_exact(k) + _exact(v) for k, v in value.items())
+    if isinstance(value, tuple):
+        return b"".join(map(_exact, value))
+    if hasattr(value, "log_mag"):
+        return np.array([value.log_mag, value.phase], dtype=complex).tobytes()
+    return np.array(value, dtype=complex).tobytes()
+
+
+class TestLimitLadders:
+    PHI = RadialTestFunction.polynomial_bump(EIGHT_MODES.modes(), 0.5, 1.5)
+    RESONANT = json.loads((Path(__file__).resolve().parent.parent / "scenarios"
+                           / "resonant_frequency.json").read_text())
+
+    def test_one_ladder_per_degree_per_params_object(self, monkeypatch):
+        params = CloakParams(rho=1e-4, omega=OMEGA, r1=R1)
+        built = _count_ladders(monkeypatch)
+        for _ in range(16):
+            weak_limit.predicted_limit(EIGHT_MODES, self.PHI, params)
+        assert sorted(built) == [1, 2]
+        equal = dataclasses.replace(params)
+        assert equal == params and equal is not params
+        weak_limit.predicted_limit(EIGHT_MODES, self.PHI, equal)
+        weak_limit.predicted_limit(EIGHT_MODES, self.PHI, equal)
+        assert sorted(built) == [1, 1, 2, 2]
+
+    def test_values_are_those_of_a_fresh_ladder(self, monkeypatch):
+        params = CloakParams(rho=1e-4, omega=OMEGA, r1=R1)
+        q = 0.3 - 0.8j
+        quantities = [
+            lambda: weak_limit.predicted_limit(EIGHT_MODES, self.PHI, params),
+            lambda: weak_limit.interior_trace_normal(EIGHT_MODES, params, 0.7),
+            lambda: weak_limit.tangential_trace_limit(EIGHT_MODES, params),
+            *(functools.partial(modal.limit_coeffs, n, q, params)
+              for n in (1, 2)),
+            *(functools.partial(modal.sigma_uncollapsed, n, q, params)
+              for n in (1, 2))]
+        for quantity in quantities:
+            quantity()
+        kept = [_exact(quantity()) for quantity in quantities]
+        fresh = []
+        for quantity in quantities:
+            _reset_limit_memo(monkeypatch)
+            fresh.append(_exact(quantity()))
+        assert kept == fresh
+
+    def test_resonant_degree_raises_on_every_call(self):
+        omega = self.RESONANT["params"]["omega"]
+        params = CloakParams(rho=0.01, omega=omega, r1=R1)
+        for _ in range(2):
+            with pytest.raises(ResonanceError):
+                weak_limit.predicted_limit(SRC, BUMP, params)
+            with pytest.raises(ResonanceError):
+                modal.limit_coeffs(1, 1.0, params)
+        assert modal._latest_limit[0] is params
+        assert 1 not in modal._latest_limit[2]
+
+    def test_new_params_drops_the_old_ladders(self):
+        first = CloakParams(rho=1e-4, omega=OMEGA, r1=R1)
+        second = CloakParams(rho=1e-4, omega=1.3, r1=R1)
+        weak_limit.predicted_limit(EIGHT_MODES, self.PHI, first)
+        refs = [weakref.ref(first)] + [weakref.ref(lad.table) for lad in
+                                       modal._latest_limit[1].values()]
+        weak_limit.tangential_trace_limit(EIGHT_MODES, second)
+        del first
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+        latest, ladders, unit = modal._latest_limit
+        assert latest is second and sorted(ladders) == sorted(unit) == [1, 2]
+        assert all(lad.t == second.k * second.omega
+                   for lad in ladders.values())
+
+    def test_kept_ladders_are_read_only(self):
+        weak_limit.tangential_trace_limit(
+            EIGHT_MODES, CloakParams(rho=1e-4, omega=OMEGA, r1=R1))
+        for lad in modal._latest_limit[1].values():
+            tab = lad.table
+            for part in (tab.t, tab.j_log, tab.j_sign, tab.y_log, tab.y_sign):
+                with pytest.raises(ValueError):
+                    part[0] = 0.0
