@@ -107,6 +107,8 @@ def _parse_phi(doc):
         raise ConfigError(f"phi modes must be [n, m] pairs: {exc}") from exc
     if any(len(mode) != 2 for mode in modes):
         raise ConfigError(f"phi modes must be [n, m] pairs, got {doc['modes']}")
+    if not modes:
+        raise ConfigError("phi modes must be non-empty")
     if doc["family"] == "bump":
         return RadialTestFunction.polynomial_bump(
             modes, _num(doc, "r_lo", "phi"), _num(doc, "r_hi", "phi"),
@@ -149,6 +151,9 @@ def cmd_converge(config_path, out_dir, tol):
     source = modal.parse_source_table(doc["source"], r1=params.r1)
     modal.check_decay_certificate(source, params)
     phi = _parse_phi(doc["phi"])
+    if not phi.profiles.keys() & source.entries.keys():
+        raise ConfigError(f"phi modes {sorted(phi.profiles)} share no mode "
+                          "with the source table")
 
     rows, rate = weak_limit.convergence_study(
         source, phi, rho_list, omega=params.omega, eps0=params.eps0,
@@ -200,6 +205,8 @@ def cmd_fields(config_path, out_dir, tol):
                   for i, p in enumerate(doc["points"])]
     else:
         points = fields.read_points_csv(doc["points_csv"])
+    if not points:
+        raise ConfigError("points must be non-empty")
     evaluate = (fields.eval_virtual_exterior if space == "virtual"
                 else fields.eval_physical)
     samples = [evaluate(solution, p) for p in points]

@@ -19,6 +19,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import struct
 import warnings
 from array import array
 from collections.abc import Mapping
@@ -96,11 +97,16 @@ class ModeCoeffs:
                 for f in fields(self)}
 
 
+def check_mode(n: int, m: int, where: str) -> None:
+    """DomainError naming where for a mode outside n >= 1, |m| <= n."""
+    if n < 1 or abs(m) > n:
+        raise DomainError(f"invalid mode ({n},{m}) in {where}")
+
+
 def _check_table(entries: dict, kind: str) -> None:
     """DomainError for a mode outside n >= 1, |m| <= n or non-finite data."""
     for (n, m), values in entries.items():
-        if n < 1 or abs(m) > n:
-            raise DomainError(f"invalid mode ({n},{m}) in {kind} table")
+        check_mode(n, m, f"{kind} table")
         if not all(cmath.isfinite(v) for v in values):
             raise DomainError(f"non-finite data at ({n},{m}) in {kind} table")
 
@@ -494,7 +500,8 @@ class RegionChains:
     ``expand`` reads them as stacked ScaledArray columns, which are kept on
     the chains with ``s_n``; the one-entry memo of ``region_chains`` keeps
     the chains no longer than the latest solution, and so does
-    ``quadrature_table`` with the tables it builds.
+    ``quadrature_table`` with the tables it builds and ``kept_normal`` with
+    the rows it keeps beside them.
     """
 
     keys: list
@@ -564,11 +571,12 @@ class RegionChains:
         asking for the same degree at the same arguments reads one table.
         """
         t = self.wavenumber * r
-        tables = _latest_chains[2]
+        _, _, tables, rows = _latest_chains
         key = (n_max, t.tobytes())
         tab = tables.get(key)
         if tab is None:
             tab = tables[key] = _read_only(specfun.bessel_table(n_max, t))
+            rows[id(tab)] = {}
         return tab
 
     def normal(self, tab, i: int):
@@ -576,6 +584,25 @@ class RegionChains:
         n = self.keys[i][0]
         return specfun.combine(self.b[0][i], tab.jn(n), self.b[1][i],
                                tab.hn(n))
+
+    def kept_normal(self, tab, i: int):
+        """``normal`` of mode i, kept read-only with a table of
+        ``quadrature_table`` under the degree and the exact doubles of the
+        mode's two B coefficients: chains of the same solution or limit
+        asking for the same row of that table read one array.  A table not
+        kept there gives a fresh ``normal``."""
+        rows = _latest_chains[3].get(id(tab))
+        if rows is None:
+            return self.normal(tab, i)
+        b0, b1 = self.b[0][i], self.b[1][i]
+        key = (self.keys[i][0], struct.pack(
+            "6d", b0.log_mag, b0.phase.real, b0.phase.imag, b1.log_mag,
+            b1.phase.real, b1.phase.imag))
+        row = rows.get(key)
+        if row is None:
+            row = rows[key] = self.normal(tab, i)
+            row.flags.writeable = False
+        return row
 
     def expand(self, tab, i=None):
         """(A(j, h), A(J, H), B(j, h), B(J, H)) at the arguments of a
@@ -621,10 +648,11 @@ def _solution_chains(solution: ModalSolution) -> dict:
                 solution.params)}
 
 
-# (solution, its chains, the quadrature tables read since) of the latest
-# region_chains call: one entry, so it keeps at most one solution and its
-# tables alive, and a solution's own fields hold nothing
-_latest_chains = (None, None, {})
+# (solution, its chains, the quadrature tables read since, {id(table): its
+# kept rows}) of the latest region_chains call: one entry, so it keeps at
+# most one solution, its tables and their rows alive, and a solution's own
+# fields hold nothing; an id is looked up only while its table is held
+_latest_chains = (None, None, {}, {})
 
 
 def region_chains(solution: ModalSolution, region: str,
@@ -636,16 +664,17 @@ def region_chains(solution: ModalSolution, region: str,
     the latest solution passed (compared by identity); a solution whose
     modes are a plain dict, which may be changed in place, is rebuilt on
     every call.  Reading any other solution drops the quadrature tables of
-    ``RegionChains.quadrature_table``.
+    ``RegionChains.quadrature_table`` and the rows kept with them.
     """
     global _latest_chains
     if region not in ("layer", "hidden"):
         raise DomainError(f"region is 'layer' or 'hidden', got {region!r}")
-    latest, chains, _ = _latest_chains
+    latest, chains = _latest_chains[:2]
     if latest is not solution:
         chains = _solution_chains(solution)
         kept = isinstance(solution.modes, SolvedModes)
-        _latest_chains = (solution, chains, {}) if kept else (None, None, {})
+        _latest_chains = ((solution, chains, {}, {}) if kept
+                          else (None, None, {}, {}))
     chains = chains[region]
     return chains if keys is None else chains.take(keys)
 

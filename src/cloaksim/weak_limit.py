@@ -19,8 +19,8 @@ import numpy as np
 from .errors import AccuracyError, DomainError
 from .geometry import CloakOuterMap, CloakParams
 # limit_coeffs is re-exported: the benchmark's tracer patches it here too
-from .modal import (ModalSolution, SourceCoeffs, limit_chains, limit_coeffs,
-                    region_chains, solve_source)
+from .modal import (ModalSolution, SourceCoeffs, check_mode, limit_chains,
+                    limit_coeffs, region_chains, solve_source)
 from .quadrature import (fit_power_law, integrate_adaptive,
                          integrate_boundary_layer)
 
@@ -32,13 +32,15 @@ class RadialTestFunction:
     profiles maps (n, m) -> (phi, dphi), callables on (0, 2) taking a float
     (giving a float) or a numpy array of radii (giving an array).  Profiles
     must vanish at r = 2 (checked) and be square-integrable with weight r
-    against their derivative (automatic for the shipped families).
+    against their derivative (automatic for the shipped families).  A mode
+    outside n >= 1, |m| <= n is rejected with DomainError.
     """
 
     profiles: dict
 
     def __post_init__(self):
         for (n, m), (phi, _) in self.profiles.items():
+            check_mode(n, m, "test function")
             if abs(phi(2.0)) > 1e-12:
                 raise DomainError(
                     f"profile ({n},{m}) must vanish at r=2, got {phi(2.0)!r}")
@@ -161,15 +163,21 @@ def _pairing(chains, phi, tol, lo, hi, integrate=integrate_adaptive,
              radius=None):
     """Sum over the modes i of the chains, in ascending (n, m) order, of the
     integral over (lo, hi) of S^2 e_weight B_i(w r) phi(g) g^2 / r dr, where
-    the physical radius g is radius(r), or r itself for radius None."""
+    the physical radius g is radius(r), or r itself for radius None.
+
+    The first call of each integrand, the base pass, reads its row through
+    ``kept_normal``: its nodes depend on (lo, hi) alone, so a later pairing
+    of the same solution or limit on another test function reads the same
+    row.  Later passes follow phi's convergence and combine afresh."""
     total = 0j
     for i, key in enumerate(chains.keys):
         n, prof = key[0], phi.profiles[key][0]
 
         def integrand(r, i=i, n=n, prof=prof,
-                      s2w=n * (n + 1) * chains.e_weight):
+                      s2w=n * (n + 1) * chains.e_weight,
+                      row=iter([chains.kept_normal])):
             tab = chains.quadrature_table(n, r)
-            val = s2w * chains.normal(tab, i)
+            val = s2w * next(row, chains.normal)(tab, i)
             if radius is None:
                 return val * prof(r) * r
             g = radius(r)

@@ -179,6 +179,23 @@ class TestConverge:
         assert "config error" in err and field in err
         assert not (tmp_path / "converge.csv").exists()
 
+    @pytest.mark.parametrize("modes, named", [
+        ([], "phi modes must be non-empty"),
+        ([[1, 5]], "invalid mode (1,5)"),
+        ([[0, 0]], "invalid mode (0,0)"),
+        ([[3, 0]], "phi modes [(3, 0)] share no mode"),
+    ])
+    def test_phi_pairing_nothing_exits_2_before_any_output(
+            self, tmp_path, capsys, modes, named):
+        doc = json.loads((SCENARIOS / "converge_single_mode.json").read_text())
+        doc["phi"]["modes"] = modes
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert run(["converge", "--config", cfg, "--out", out]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     def test_single_rho_writes_null_rate(self, tmp_path):
         doc = json.loads((SCENARIOS / "converge_single_mode.json").read_text())
         doc["params"]["rho_list"] = [1e-2]
@@ -279,6 +296,24 @@ class TestFields:
         assert run(["fields", "--config", cfg, "--out", tmp_path / "o"]) == 2
         assert "config error: points[0]" in capsys.readouterr().err
         assert not (tmp_path / "o" / "fields.csv").exists()
+
+    @pytest.mark.parametrize("inline", [True, False])
+    def test_no_points_exit_2_before_any_output(self, tmp_path, capsys,
+                                                inline):
+        doc = json.loads((SCENARIOS / "fields_single_mode.json").read_text())
+        if inline:
+            doc["points"] = []
+        else:
+            pts = tmp_path / "pts.csv"
+            pts.write_text("# x,y,z\n\n")
+            del doc["points"]
+            doc["points_csv"] = str(pts)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert run(["fields", "--config", cfg, "--out", out]) == 2
+        assert "points must be non-empty" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_points_and_csv_together_rejected(self, tmp_path):
         doc = json.loads((SCENARIOS / "fields_single_mode.json").read_text())

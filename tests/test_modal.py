@@ -5,6 +5,7 @@ import json
 import math
 import struct
 import tracemalloc
+import weakref
 
 import mpmath
 import numpy as np
@@ -819,3 +820,50 @@ def test_limit_degree_beyond_double_range_keeps_no_ratios():
         with pytest.raises(DomainError):
             modal.limit_coeffs(0, 1.0, params)
     assert 0 not in modal._latest_limit[1]
+
+
+# -- normal rows kept with the quadrature tables --------------------------------
+
+KEPT_NODES = np.linspace(0.55, 0.95, 7)
+
+
+def test_kept_row_is_a_fresh_combine_and_read_only():
+    sol = modal.solve_source(ALL_MODES, None, CloakParams(1e-6, 1.0, r1=0.5))
+    chains = modal.region_chains(sol, "hidden")
+    for i, (n, _) in enumerate(chains.keys):
+        tab = chains.quadrature_table(n, KEPT_NODES)
+        row = chains.kept_normal(tab, i)
+        want = specfun.combine(chains.b[0][i], tab.jn(n), chains.b[1][i],
+                               tab.hn(n))
+        assert row.tobytes() == want.tobytes()
+        assert chains.kept_normal(tab, i) is row
+        with pytest.raises(ValueError):
+            row[0] = 0.0
+    # a table not kept by quadrature_table keeps no row
+    tab = chains.table(0.7)
+    assert chains.kept_normal(tab, 0) is not chains.kept_normal(tab, 0)
+
+
+def test_modes_of_one_degree_keep_their_own_rows():
+    sol = modal.solve_source(ALL_MODES, None, CloakParams(1e-2, 1.0, r1=0.5))
+    chains = modal.region_chains(sol, "hidden", [(3, -1), (3, 2)])
+    assert chains.b[0][0] != chains.b[0][1]
+    tab = chains.quadrature_table(3, KEPT_NODES)
+    rows = [chains.kept_normal(tab, i) for i in (0, 1)]
+    assert rows[0].tobytes() != rows[1].tobytes()
+    assert [row.tobytes() for row in rows] == [
+        chains.normal(tab, i).tobytes() for i in (0, 1)]
+
+
+def test_next_solution_drops_the_kept_rows():
+    params = CloakParams(1e-4, 1.0, r1=0.5)
+    first, second = (modal.solve_source(ALL_MODES, None, params)
+                     for _ in range(2))
+    chains = modal.region_chains(first, "layer")
+    tab = chains.quadrature_table(1, KEPT_NODES)
+    refs = [weakref.ref(chains.kept_normal(tab, i)) for i in range(3)]
+    del tab
+    modal.region_chains(second, "layer")
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+    assert modal._latest_chains[3] == {}

@@ -699,3 +699,72 @@ class TestLimitLadders:
             for part in (tab.t, tab.j_log, tab.j_sign, tab.y_log, tab.y_sign):
                 with pytest.raises(ValueError):
                     part[0] = 0.0
+
+
+# -- the base pass's kept normal rows --------------------------------------------
+
+class TestKeptRows:
+    MODE = (2, -1)
+    SPLINE = RadialTestFunction.cubic_spline(
+        [MODE], [(0.4, 0.0), (0.7, 1.1), (1.0, 0.9), (1.4, 1.2)])
+    BUMP = RadialTestFunction.polynomial_bump([MODE], 0.5, 1.5)
+
+    @staticmethod
+    def _pairings(params, *phis):
+        """Interior, layer and limit pairings of each phi in turn, on one
+        fresh solution, as bytes."""
+        sol = modal.solve_source(EIGHT_MODES, None, params)
+        return [_exact(value) for phi in phis for value in (
+            weak_limit.pairing_interior(sol, phi),
+            weak_limit.pairing_exterior_normal(sol, phi),
+            weak_limit.predicted_limit(EIGHT_MODES, phi, params))]
+
+    @pytest.mark.parametrize("rho", [1e-2, 1e-6])
+    def test_spline_after_a_bump_is_the_spline_alone(self, rho):
+        params = CloakParams(rho=rho, omega=OMEGA, r1=R1)
+        alone = self._pairings(params, self.SPLINE)
+        assert self._pairings(params, self.BUMP, self.SPLINE)[3:] == alone
+
+    def test_spline_after_a_bump_combines_three_rows_fewer(self, monkeypatch):
+        params = CloakParams(rho=1e-4, omega=OMEGA, r1=R1)
+        calls, combine = [], specfun.combine
+
+        def counted(*args):
+            calls.append(1)
+            return combine(*args)
+
+        monkeypatch.setattr(specfun, "combine", counted)
+        self._pairings(params, self.BUMP, self.SPLINE)
+        kept = len(calls)
+        monkeypatch.setattr(modal.RegionChains, "kept_normal",
+                            modal.RegionChains.normal)
+        calls.clear()
+        self._pairings(params, self.BUMP, self.SPLINE)
+        assert len(calls) - kept == 3
+
+    def test_only_the_base_pass_keeps_rows(self):
+        """The spline's interior and limit integrals take a second pass;
+        each of its three integrals keeps one row."""
+        self._pairings(CloakParams(rho=1e-4, omega=OMEGA, r1=R1), self.SPLINE)
+        assert sum(map(len, modal._latest_chains[3].values())) == 3
+
+    def test_rebuilt_profiles_pair_as_the_originals(self):
+        """Profiles wrapped in fresh callables, as a tracer that counts
+        profile evaluations rebuilds them, pair to the same bytes."""
+        def rebuilt(phi):
+            return RadialTestFunction(
+                {mode: tuple(lambda r, f=f: f(r) for f in pair)
+                 for mode, pair in phi.profiles.items()})
+
+        params = CloakParams(rho=1e-6, omega=OMEGA, r1=R1)
+        assert (self._pairings(params, rebuilt(self.BUMP),
+                               rebuilt(self.SPLINE))
+                == self._pairings(params, self.BUMP, self.SPLINE))
+
+
+@pytest.mark.parametrize("mode", [(0, 0), (1, 5), (2, -3), (-1, 0)])
+def test_mode_outside_n_and_m_rule_is_rejected(mode):
+    with pytest.raises(DomainError, match=r"invalid mode"):
+        RadialTestFunction.polynomial_bump([mode], 0.5, 1.5)
+    with pytest.raises(DomainError, match=r"invalid mode"):
+        RadialTestFunction({mode: BUMP.profiles[(1, 0)]})
