@@ -39,10 +39,11 @@ class CloakParams:
     def __post_init__(self):
         if not 0.0 < self.rho < 1.0:
             raise DomainError(f"rho must be in (0,1), got {self.rho}")
-        if self.omega <= 0.0:
-            raise DomainError(f"omega must be positive, got {self.omega}")
-        if self.eps0 <= 0.0 or self.mu0 <= 0.0:
-            raise DomainError("eps0 and mu0 must be positive")
+        for name in ("omega", "eps0", "mu0"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise DomainError(
+                    f"{name} must be positive and finite, got {value}")
         if not 0.0 < self.r1 < 1.0:
             raise DomainError(f"r1 must be in (0,1), got {self.r1}")
 

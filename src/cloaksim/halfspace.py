@@ -10,6 +10,7 @@ the reflection coefficient tends to -1.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -36,8 +37,11 @@ class HalfspaceParams:
     hin: complex = 1.0 + 0j
 
     def __post_init__(self):
-        if self.omega <= 0:
-            raise DomainError(f"omega must be positive, got {self.omega}")
+        if not 0.0 < self.omega < math.inf:
+            raise DomainError(
+                f"omega must be positive and finite, got {self.omega}")
+        if not cmath.isfinite(self.hin):
+            raise DomainError(f"hin must be finite, got {self.hin}")
         if not 0.0 < self.kz < self.omega:
             raise DomainError(
                 f"propagating incidence needs 0 < kz < omega, got kz={self.kz}")

@@ -408,19 +408,41 @@ def _limit_ratios(n: int, q: complex, params: CloakParams, lad):
     return _require_finite(n, beta0, sigma)
 
 
-# (params, {n: ladder at k omega}, {n: (beta0, sigma) at q = 1}) of the
-# latest limit call: one entry, compared by identity, so a new params object
-# starts afresh and nothing outlives the parameter set it was read for
-_latest_limit = (None, {}, {})
+class _Store:
+    """The work kept for one params object: the limit's ladders and unit-q
+    ratios by degree, and the latest solution read with it, its chains, the
+    quadrature tables read since and, under each table's key, its rows."""
+
+    __slots__ = ("params", "solution", "chains", "tables", "rows", "ladders",
+                 "unit")
+
+    def __init__(self, params):
+        self.params, self.solution, self.chains = params, None, None
+        self.tables, self.rows, self.ladders, self.unit = {}, {}, {}, {}
+
+
+_store = _Store(None)
+
+
+def _kept(params: CloakParams, solution=None) -> _Store:
+    """The store of params (and of solution, when given): a new one for a
+    params object not its own or a solution other than the one it holds; a
+    store a limit call made adopts the first solution read with its params.
+    Identity only: ``==`` on a solution would build every mode."""
+    global _store
+    held = _store.solution
+    if _store.params is not params or not (
+            solution is None or held is None or held is solution):
+        _store = _Store(params)
+    if solution is not None and _store.solution is None:
+        _store.solution = solution
+    return _store
 
 
 def _limit_ladder(n: int, params: CloakParams):
     """The ladder of degree n at the interface argument k omega, built on
-    the first read for the latest params object and kept with it."""
-    global _latest_limit
-    if _latest_limit[0] is not params:
-        _latest_limit = (params, {}, {})
-    ladders = _latest_limit[1]
+    the first read and kept in the store of params."""
+    ladders = _kept(params).ladders
     lad = ladders.get(n)
     if lad is None:
         if n < 1:
@@ -436,7 +458,7 @@ def _unit_ratios(n: int, params: CloakParams) -> tuple:
     beside it; a degree that raises keeps no ratios and raises again on
     every read."""
     lad = _limit_ladder(n, params)
-    unit = _latest_limit[2]
+    unit = _kept(params).unit
     if n not in unit:
         unit[n] = _limit_ratios(n, 1 + 0j, params, lad)
     return unit[n]
@@ -498,10 +520,9 @@ class RegionChains:
     Limit: as hidden with alpha0, beta0 and the interface-layer strength
     sigma per mode in ``surface``.  Coefficients are ScaledComplex lists;
     ``expand`` reads them as stacked ScaledArray columns, which are kept on
-    the chains with ``s_n``; the one-entry memo of ``region_chains`` keeps
-    the chains no longer than the latest solution, and so does
-    ``quadrature_table`` with the tables it builds and ``kept_normal`` with
-    the rows it keeps beside them.
+    the chains with ``s_n``.  ``tables`` and ``rows`` are the store's dicts
+    that ``quadrature_table`` and ``kept_normal`` fill; the chains hold the
+    dicts, not the store, so the store that holds the chains forms no cycle.
     """
 
     keys: list
@@ -511,6 +532,8 @@ class RegionChains:
     e_weight: float = 1.0
     h_weight: float = 1.0
     surface: list | None = None
+    tables: dict = field(default_factory=dict, compare=False, repr=False)
+    rows: dict = field(default_factory=dict, compare=False, repr=False)
 
     @cached_property
     def key_array(self) -> np.ndarray:
@@ -541,24 +564,6 @@ class RegionChains:
                                                   ("phase", complex))))
                 for x, y in zip(self.a, self.b)]
 
-    @cached_property
-    def _index(self) -> dict:
-        return {key: i for i, key in enumerate(self.keys)}
-
-    def take(self, keys) -> "RegionChains":
-        """The chains of the given keys (KeyError for one not held), in
-        their order."""
-        rows = [self._index[key] for key in keys]
-
-        def pick(values):
-            return [values[i] for i in rows]
-
-        return RegionChains(list(keys), tuple(map(pick, self.a)),
-                            tuple(map(pick, self.b)), self.wavenumber,
-                            self.e_weight, self.h_weight,
-                            None if self.surface is None
-                            else pick(self.surface))
-
     def table(self, r: float):
         """One BesselTable at wavenumber * r serving every mode."""
         return specfun.bessel_table(int(self.degrees.max(initial=0)),
@@ -566,17 +571,16 @@ class RegionChains:
 
     def quadrature_table(self, n_max: int, r: np.ndarray):
         """The BesselTable of orders up to n_max at wavenumber * r, for an
-        array r of quadrature nodes, made read-only and kept with the
-        latest solution's chains under (n_max, arguments): every integrand
-        asking for the same degree at the same arguments reads one table.
+        array r of quadrature nodes, made read-only and kept in ``tables``
+        under (n_max, arguments): every integrand asking for the same
+        degree at the same arguments reads one table.
         """
         t = self.wavenumber * r
-        _, _, tables, rows = _latest_chains
         key = (n_max, t.tobytes())
-        tab = tables.get(key)
+        tab = self.tables.get(key)
         if tab is None:
-            tab = tables[key] = _read_only(specfun.bessel_table(n_max, t))
-            rows[id(tab)] = {}
+            tab = _read_only(specfun.bessel_table(n_max, t))
+            self.tables[key], self.rows[key] = tab, {}
         return tab
 
     def normal(self, tab, i: int):
@@ -591,9 +595,10 @@ class RegionChains:
         mode's two B coefficients: chains of the same solution or limit
         asking for the same row of that table read one array.  A table not
         kept there gives a fresh ``normal``."""
-        rows = _latest_chains[3].get(id(tab))
-        if rows is None:
+        key = (tab.n_max, tab.t.tobytes())
+        if self.tables.get(key) is not tab:
             return self.normal(tab, i)
+        rows = self.rows[key]
         b0, b1 = self.b[0][i], self.b[1][i]
         key = (self.keys[i][0], struct.pack(
             "6d", b0.log_mag, b0.phase.real, b0.phase.imag, b1.log_mag,
@@ -618,15 +623,17 @@ class RegionChains:
         return specfun.combine(a, f, b, g)
 
 
-def _hidden_chains(keys, alpha, beta, pq, params, surface=None):
+def _hidden_chains(keys, alpha, beta, pq, store, surface=None):
     """Hidden-region chains A = (alpha, p) and B = (beta, q), from the
-    complex (p, q) pairs pq, one per key."""
+    complex (p, q) pairs pq, one per key, reading the store's tables."""
+    params = store.params
     p, q = ([ScaledComplex.from_complex(v[k]) for v in pq] for k in (0, 1))
     return RegionChains(keys, (alpha, p), (beta, q), params.k * params.omega,
-                        params.eps0 ** -0.5, params.mu0 ** -0.5, surface)
+                        params.eps0 ** -0.5, params.mu0 ** -0.5, surface,
+                        store.tables, store.rows)
 
 
-def _solution_chains(solution: ModalSolution) -> dict:
+def _solution_chains(solution: ModalSolution, store: _Store) -> dict:
     """The "layer" and "hidden" chains of every solved mode, from one pass
     over the modes: a ``SolvedModes`` solves them straight into the chain
     lists, one unpack per degree and no ModeCoeffs per mode."""
@@ -641,42 +648,30 @@ def _solution_chains(solution: ModalSolution) -> dict:
         [list(column) for column in zip(*rows)]
         or [[] for _ in range(6)])
     return {"layer": RegionChains(keys, (gamma, c), (eta, d),
-                                  solution.params.omega),
+                                  solution.params.omega, tables=store.tables,
+                                  rows=store.rows),
             "hidden": _hidden_chains(
                 keys, alpha, beta,
                 [solution.source.entries.get(key, (0j, 0j)) for key in keys],
-                solution.params)}
+                store)}
 
 
-# (solution, its chains, the quadrature tables read since, {id(table): its
-# kept rows}) of the latest region_chains call: one entry, so it keeps at
-# most one solution, its tables and their rows alive, and a solution's own
-# fields hold nothing; an id is looked up only while its table is held
-_latest_chains = (None, None, {}, {})
+def region_chains(solution: ModalSolution, region: str) -> RegionChains:
+    """The chains of every solved mode of the "layer" (virtual coordinates)
+    or "hidden" region, in ascending key order.
 
-
-def region_chains(solution: ModalSolution, region: str,
-                  keys=None) -> RegionChains:
-    """The chains of the "layer" (virtual coordinates) or "hidden" region,
-    for the given ascending mode keys or every solved mode.
-
-    Both regions' chains over all modes are built in one pass and kept for
-    the latest solution passed (compared by identity); a solution whose
-    modes are a plain dict, which may be changed in place, is rebuilt on
-    every call.  Reading any other solution drops the quadrature tables of
-    ``RegionChains.quadrature_table`` and the rows kept with them.
+    Both regions' chains are built in one pass and kept in the store with
+    the solution (``_kept``): reading any other solution, or a solution of
+    another params object, starts a new store and drops these chains,
+    their quadrature tables and rows.  A solution whose modes are a plain
+    dict, which may be changed in place, is rebuilt on every call.
     """
-    global _latest_chains
     if region not in ("layer", "hidden"):
         raise DomainError(f"region is 'layer' or 'hidden', got {region!r}")
-    latest, chains = _latest_chains[:2]
-    if latest is not solution:
-        chains = _solution_chains(solution)
-        kept = isinstance(solution.modes, SolvedModes)
-        _latest_chains = ((solution, chains, {}, {}) if kept
-                          else (None, None, {}, {}))
-    chains = chains[region]
-    return chains if keys is None else chains.take(keys)
+    store = _kept(solution.params, solution)
+    if store.chains is None or not isinstance(solution.modes, SolvedModes):
+        store.chains = _solution_chains(solution, store)
+    return store.chains[region]
 
 
 def limit_chains(source: SourceCoeffs, params: CloakParams,
@@ -684,16 +679,25 @@ def limit_chains(source: SourceCoeffs, params: CloakParams,
     """The rho -> 0 limit of the hidden region, for the given ascending mode
     keys or every source mode: alpha0 = r_n p and beta0 = r_n q with
     r_n = -h_n(k w)/j_n(k w), and the surface strength sigma, from the one
-    ladder per degree kept for the latest params object (ResonanceError as
-    in ``limit_coeffs``).
+    ladder per degree kept in the store of params (ResonanceError as in
+    ``limit_coeffs``); the chains share the store's tables.  Only the
+    given degrees are built, so an unpaired degree's resonance never raises.
     """
+    _check_support(source, params)
     keys = source.modes() if keys is None else keys
     unit = {n: _unit_ratios(n, params) for n in {n for n, _ in keys}}
     pq = [source.entries[key] for key in keys]
     alpha0, beta0 = ([ScaledComplex.from_complex(unit[n][0] * pair[k])
                       for (n, _), pair in zip(keys, pq)] for k in (0, 1))
-    return _hidden_chains(keys, alpha0, beta0, pq, params,
+    return _hidden_chains(keys, alpha0, beta0, pq, _kept(params),
                           [unit[n][1] * q for (n, _), (_, q) in zip(keys, pq)])
+
+
+def _check_support(source: SourceCoeffs, params: CloakParams) -> None:
+    """DomainError when the source's support radius is not the cloak's."""
+    if source.r1 != params.r1:
+        raise DomainError(f"source support radius r1={source.r1} differs "
+                          f"from the cloak's r1={params.r1}")
 
 
 def _term_weights(source: SourceCoeffs, params: CloakParams) -> dict:
@@ -720,7 +724,7 @@ def truncation_order(source: SourceCoeffs, params: CloakParams,
     degrees above N perturbs the fields by < tol and no mode driven by
     either chain alone is dropped while its term is above tol.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise DomainError(f"tol must be positive, got {tol}")
     weights = _term_weights(source, params)
     degrees = sorted({n for n, _ in weights})
@@ -754,9 +758,7 @@ def solve_source(source: SourceCoeffs, boundary: BoundaryCoeffs | None,
     source whose support radius differs from params.r1 is rejected with
     DomainError.
     """
-    if source.r1 != params.r1:
-        raise DomainError(f"source support radius r1={source.r1} differs "
-                          f"from the cloak's r1={params.r1}")
+    _check_support(source, params)
     boundary = boundary or BoundaryCoeffs()
     n_max = truncation_order(source, params, tol)
     n_max = max(n_max, boundary.max_degree())

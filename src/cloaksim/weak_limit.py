@@ -154,16 +154,12 @@ def _natural_spline_coeffs(xs, ys):
 # -- pairings ------------------------------------------------------------------
 
 
-def _shared(modes, phi):
-    """The keys of modes that phi has a profile for, ascending."""
-    return sorted(phi.profiles.keys() & modes)
-
-
 def _pairing(chains, phi, tol, lo, hi, integrate=integrate_adaptive,
              radius=None):
-    """Sum over the modes i of the chains, in ascending (n, m) order, of the
-    integral over (lo, hi) of S^2 e_weight B_i(w r) phi(g) g^2 / r dr, where
-    the physical radius g is radius(r), or r itself for radius None.
+    """Sum over the modes i of the chains that phi has a profile for, in
+    ascending (n, m) order, of the integral over (lo, hi) of
+    S^2 e_weight B_i(w r) phi(g) g^2 / r dr, where the physical radius g is
+    radius(r), or r itself for radius None.
 
     The first call of each integrand, the base pass, reads its row through
     ``kept_normal``: its nodes depend on (lo, hi) alone, so a later pairing
@@ -171,6 +167,8 @@ def _pairing(chains, phi, tol, lo, hi, integrate=integrate_adaptive,
     row.  Later passes follow phi's convergence and combine afresh."""
     total = 0j
     for i, key in enumerate(chains.keys):
+        if key not in phi.profiles:
+            continue
         n, prof = key[0], phi.profiles[key][0]
 
         def integrand(r, i=i, n=n, prof=prof,
@@ -194,8 +192,8 @@ def pairing_interior(solution: ModalSolution, phi: RadialTestFunction,
     Sums over the modes shared by the solution and the test function, in
     ascending (n, m) order for reproducibility.
     """
-    chains = region_chains(solution, "hidden", _shared(solution.modes, phi))
-    return _pairing(chains, phi, tol, solution.params.r1, 1.0)
+    return _pairing(region_chains(solution, "hidden"), phi, tol,
+                    solution.params.r1, 1.0)
 
 
 def pairing_exterior_normal(solution: ModalSolution, phi: RadialTestFunction,
@@ -208,9 +206,8 @@ def pairing_exterior_normal(solution: ModalSolution, phi: RadialTestFunction,
     substitution of the boundary-layer quadrature.
     """
     params = solution.params
-    chains = region_chains(solution, "layer", _shared(solution.modes, phi))
-    return _pairing(chains, phi, tol, params.rho, 2.0,
-                    integrate_boundary_layer, CloakOuterMap(params).g)
+    return _pairing(region_chains(solution, "layer"), phi, tol, params.rho,
+                    2.0, integrate_boundary_layer, CloakOuterMap(params).g)
 
 
 def predicted_limit_parts(source: SourceCoeffs, phi: RadialTestFunction,
@@ -220,7 +217,8 @@ def predicted_limit_parts(source: SourceCoeffs, phi: RadialTestFunction,
     The measurable part is the interior pairing on the limit chains; the
     surface part is sum of sigma * phi(1) over modes.
     """
-    chains = limit_chains(source, params, _shared(source.entries, phi))
+    chains = limit_chains(source, params,
+                          sorted(phi.profiles.keys() & source.entries))
     surface = sum((sigma * phi.profiles[key][0](1.0)
                    for key, sigma in zip(chains.keys, chains.surface)), 0j)
     return _pairing(chains, phi, tol, params.r1, 1.0), surface

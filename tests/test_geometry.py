@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,14 @@ class TestCloakParams:
         base = dict(rho=0.1, omega=1.0)
         base.update(kw)
         with pytest.raises(DomainError):
+            geo.CloakParams(**base)
+
+    @pytest.mark.parametrize("name", ["rho", "omega", "eps0", "mu0", "r1"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_are_rejected(self, name, value):
+        base = dict(rho=0.1, omega=1.0)
+        base[name] = value
+        with pytest.raises(DomainError, match=rf"^{name} must be"):
             geo.CloakParams(**base)
 
 

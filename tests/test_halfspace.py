@@ -39,6 +39,15 @@ class TestDispersion:
         with pytest.raises(DomainError):
             hs.HalfspaceParams(omega=1.0, kz=1.0, rho=0.1)
 
+    @pytest.mark.parametrize("name, value", [
+        ("omega", math.inf), ("omega", math.nan), ("kz", math.nan),
+        ("rho", math.nan), ("hin", math.nan), ("hin", complex(1.0, math.inf))])
+    def test_non_finite_values_are_rejected(self, name, value):
+        base = dict(omega=1.0, kz=0.5, rho=0.1, hin=1.0 + 0j)
+        base[name] = value
+        with pytest.raises(DomainError, match=name):
+            hs.HalfspaceParams(**base)
+
 
 class TestAmplitudes:
     @pytest.mark.parametrize("rho", [0.2, 0.05, 1e-3, 1e-5])

@@ -254,6 +254,18 @@ class TestTruncationAndTables:
         with pytest.raises(DomainError, match=r"r1=0\.3.*r1=0\.5"):
             modal.solve_source(src, None, params)
 
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-12])
+    def test_tolerance_must_be_positive(self, tol):
+        """A NaN tol fails ``tol <= 0`` but would certify nothing: the
+        degree-5 mode that the default tolerance drops would be kept."""
+        src = modal.SourceCoeffs(entries={(1, 0): (0j, 1),
+                                          (5, 0): (0j, 1e-30)}, r1=0.5)
+        assert modal.solve_source(src, None, SINGLE).n_max == 1
+        with pytest.raises(DomainError, match="tol must be positive"):
+            modal.truncation_order(src, SINGLE, tol)
+        with pytest.raises(DomainError, match="tol must be positive"):
+            modal.solve_source(src, None, SINGLE, tol=tol)
+
     def test_synthetic_decay_truncation(self):
         # |q_n| = r1^n / |h_n(k w r1)| makes the weighted tail sum to
         # sum n(n+1) r1^n; first N with tail below 1e-10 is 45 (oracle:
@@ -554,10 +566,10 @@ def test_retained_solution_is_small():
     assert retained < 16 * 1024, retained
 
 
-def _fresh_chains(solution, region, keys=None):
-    """Chains built without the memo: a plain-dict copy is never kept."""
+def _fresh_chains(solution, region):
+    """Chains built without the store: a plain-dict copy is never kept."""
     copy = dataclasses.replace(solution, modes=dict(solution.modes))
-    return modal.region_chains(copy, region, keys)
+    return modal.region_chains(copy, region)
 
 
 def test_region_chains_never_stale():
@@ -568,11 +580,6 @@ def test_region_chains_never_stale():
     for sol in (sol_a, sol_b, sol_a, sol_a, sol_b):
         for region in ("layer", "hidden"):
             assert modal.region_chains(sol, region) == want[(id(sol), region)]
-    # keyed calls slice the memo
-    keys = [(1, 0), (3, -2)]
-    for region in ("layer", "hidden"):
-        assert (modal.region_chains(sol_a, region, keys)
-                == _fresh_chains(sol_a, region, keys))
     # a replaced solution is a new one, whatever the memo holds
     modal.region_chains(sol_a, "layer")
     one = dataclasses.replace(sol_a, modes={(2, 1): sol_a.modes[(2, 1)]})
@@ -813,13 +820,13 @@ def test_limit_degree_beyond_double_range_keeps_no_ratios():
             _one_mode_limit_chains(100, 1.0, params)
         with pytest.raises(CapabilityError):
             modal.limit_coeffs(100, 1.0, params)
-    assert 100 in modal._latest_limit[1] and 100 not in modal._latest_limit[2]
+    assert 100 in modal._store.ladders and 100 not in modal._store.unit
     kept = modal.sigma_uncollapsed(100, 1.0, params)
     assert cmath.isfinite(kept) and kept == fresh
     for _ in range(2):
         with pytest.raises(DomainError):
             modal.limit_coeffs(0, 1.0, params)
-    assert 0 not in modal._latest_limit[1]
+    assert 0 not in modal._store.ladders
 
 
 # -- normal rows kept with the quadrature tables --------------------------------
@@ -846,13 +853,14 @@ def test_kept_row_is_a_fresh_combine_and_read_only():
 
 def test_modes_of_one_degree_keep_their_own_rows():
     sol = modal.solve_source(ALL_MODES, None, CloakParams(1e-2, 1.0, r1=0.5))
-    chains = modal.region_chains(sol, "hidden", [(3, -1), (3, 2)])
-    assert chains.b[0][0] != chains.b[0][1]
+    chains = modal.region_chains(sol, "hidden")
+    pair = [chains.keys.index(key) for key in ((3, -1), (3, 2))]
+    assert chains.b[0][pair[0]] != chains.b[0][pair[1]]
     tab = chains.quadrature_table(3, KEPT_NODES)
-    rows = [chains.kept_normal(tab, i) for i in (0, 1)]
+    rows = [chains.kept_normal(tab, i) for i in pair]
     assert rows[0].tobytes() != rows[1].tobytes()
     assert [row.tobytes() for row in rows] == [
-        chains.normal(tab, i).tobytes() for i in (0, 1)]
+        chains.normal(tab, i).tobytes() for i in pair]
 
 
 def test_next_solution_drops_the_kept_rows():
@@ -862,8 +870,8 @@ def test_next_solution_drops_the_kept_rows():
     chains = modal.region_chains(first, "layer")
     tab = chains.quadrature_table(1, KEPT_NODES)
     refs = [weakref.ref(chains.kept_normal(tab, i)) for i in range(3)]
-    del tab
+    del tab, chains  # the chains hold the store's rows
     modal.region_chains(second, "layer")
     gc.collect()
     assert all(ref() is None for ref in refs)
-    assert modal._latest_chains[3] == {}
+    assert modal._store.rows == {}

@@ -538,7 +538,7 @@ class TestSharedQuadratureTables:
         weak_limit.pairing_interior(sol, BUMP)
         weak_limit.energy_integral(sol)
         by_args = {}
-        for (n_max, args), tab in modal._latest_chains[2].items():
+        for (n_max, args), tab in modal._store.tables.items():
             by_args.setdefault(args, {})[n_max] = tab
         shared = [tabs for tabs in by_args.values() if {1, 2} <= tabs.keys()]
         assert shared
@@ -549,7 +549,7 @@ class TestSharedQuadratureTables:
     def test_tables_are_read_only(self):
         sol = modal.solve_source(EIGHT_MODES, None, self.PARAMS)
         weak_limit.pairing_interior(sol, BUMP)
-        tab = next(iter(modal._latest_chains[2].values()))
+        tab = next(iter(modal._store.tables.values()))
         for part in (tab.t, tab.j_log, tab.j_sign, tab.y_log, tab.y_sign):
             with pytest.raises(ValueError):
                 part[0] = 0.0
@@ -558,7 +558,7 @@ class TestSharedQuadratureTables:
         first, second = (modal.solve_source(EIGHT_MODES, None, self.PARAMS)
                          for _ in range(2))
         weak_limit.pairing_interior(first, BUMP)
-        refs = [weakref.ref(tab) for tab in modal._latest_chains[2].values()]
+        refs = [weakref.ref(tab) for tab in modal._store.tables.values()]
         assert refs
         modal.region_chains(second, "hidden")
         gc.collect()
@@ -567,10 +567,10 @@ class TestSharedQuadratureTables:
     def test_field_point_adds_no_table(self):
         sol = modal.solve_source(EIGHT_MODES, None, self.PARAMS)
         weak_limit.pairing_interior(sol, BUMP)
-        held = dict(modal._latest_chains[2])
+        held = dict(modal._store.tables)
         fields.eval_physical(sol, np.array([0.3, 0.4, 0.2]))
         fields.eval_physical(sol, np.array([0.9, -0.6, 0.4]))
-        now = modal._latest_chains[2]
+        now = modal._store.tables
         assert now.keys() == held.keys()
         assert all(now[key] is tab for key, tab in held.items())
 
@@ -613,7 +613,7 @@ def _count_ladders(monkeypatch):
 
 
 def _reset_limit_memo(monkeypatch):
-    monkeypatch.setattr(modal, "_latest_limit", (None, {}, {}))
+    monkeypatch.setattr(modal, "_store", modal._Store(None))
 
 
 def _exact(value) -> bytes:
@@ -673,20 +673,21 @@ class TestLimitLadders:
                 weak_limit.predicted_limit(SRC, BUMP, params)
             with pytest.raises(ResonanceError):
                 modal.limit_coeffs(1, 1.0, params)
-        assert modal._latest_limit[0] is params
-        assert 1 not in modal._latest_limit[2]
+        assert modal._store.params is params
+        assert 1 not in modal._store.unit
 
     def test_new_params_drops_the_old_ladders(self):
         first = CloakParams(rho=1e-4, omega=OMEGA, r1=R1)
         second = CloakParams(rho=1e-4, omega=1.3, r1=R1)
         weak_limit.predicted_limit(EIGHT_MODES, self.PHI, first)
         refs = [weakref.ref(first)] + [weakref.ref(lad.table) for lad in
-                                       modal._latest_limit[1].values()]
+                                       modal._store.ladders.values()]
         weak_limit.tangential_trace_limit(EIGHT_MODES, second)
         del first
         gc.collect()
         assert all(ref() is None for ref in refs)
-        latest, ladders, unit = modal._latest_limit
+        store = modal._store
+        latest, ladders, unit = store.params, store.ladders, store.unit
         assert latest is second and sorted(ladders) == sorted(unit) == [1, 2]
         assert all(lad.t == second.k * second.omega
                    for lad in ladders.values())
@@ -694,7 +695,7 @@ class TestLimitLadders:
     def test_kept_ladders_are_read_only(self):
         weak_limit.tangential_trace_limit(
             EIGHT_MODES, CloakParams(rho=1e-4, omega=OMEGA, r1=R1))
-        for lad in modal._latest_limit[1].values():
+        for lad in modal._store.ladders.values():
             tab = lad.table
             for part in (tab.t, tab.j_log, tab.j_sign, tab.y_log, tab.y_sign):
                 with pytest.raises(ValueError):
@@ -746,7 +747,7 @@ class TestKeptRows:
         """The spline's interior and limit integrals take a second pass;
         each of its three integrals keeps one row."""
         self._pairings(CloakParams(rho=1e-4, omega=OMEGA, r1=R1), self.SPLINE)
-        assert sum(map(len, modal._latest_chains[3].values())) == 3
+        assert sum(map(len, modal._store.rows.values())) == 3
 
     def test_rebuilt_profiles_pair_as_the_originals(self):
         """Profiles wrapped in fresh callables, as a tracer that counts
@@ -760,6 +761,100 @@ class TestKeptRows:
         assert (self._pairings(params, rebuilt(self.BUMP),
                                rebuilt(self.SPLINE))
                 == self._pairings(params, self.BUMP, self.SPLINE))
+
+
+# -- the one store of kept work ----------------------------------------------------
+
+class TestKeptStore:
+    PARAMS = CloakParams(rho=1e-4, omega=OMEGA, r1=R1)
+    SPLINE = TestKeptRows.SPLINE
+
+    def test_new_params_frees_the_old_store_without_the_collector(self):
+        """The store holds the chains, and the chains hold only the store's
+        dicts, so a superseded store is freed by reference counting."""
+        params = CloakParams(rho=1e-4, omega=OMEGA, r1=R1)
+        sol = modal.solve_source(EIGHT_MODES, None, params)
+        _pair(sol, self.SPLINE)
+        weak_limit.predicted_limit(EIGHT_MODES, self.SPLINE, params)
+        store = modal._store
+        assert store.solution is sol
+        rows = [row for kept in store.rows.values() for row in kept.values()]
+        ladder = next(iter(store.ladders.values()))
+        refs = [weakref.ref(obj) for obj in (
+            next(iter(store.tables.values())), rows[0], ladder.table,
+            store.chains["hidden"])]
+        del ladder
+        del store, rows, sol
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            _pair(modal.solve_source(EIGHT_MODES, None, CloakParams(
+                rho=1e-4, omega=1.3, r1=R1)), self.SPLINE)
+            assert [ref() is None for ref in refs] == [True] * 4
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_store_compares_solutions_by_identity_only(self, monkeypatch):
+        def refuse(self, other):
+            raise AssertionError("SolvedModes compared with ==")
+
+        first, second = (modal.solve_source(EIGHT_MODES, None, self.PARAMS)
+                         for _ in range(2))
+        monkeypatch.setattr(modal.SolvedModes, "__eq__", refuse)
+        for sol in (first, second, first, first):
+            _pair(sol, BUMP)
+            weak_limit.predicted_limit(EIGHT_MODES, BUMP, self.PARAMS)
+            assert modal._store.solution is sol
+
+    def test_solutions_of_one_params_object_share_no_rows(self):
+        first, second = (modal.solve_source(EIGHT_MODES, None, self.PARAMS)
+                         for _ in range(2))
+        _pair(first, self.SPLINE)
+        rows = modal._store.rows
+        kept = {id(row) for table in rows.values() for row in table.values()}
+        assert kept
+        _pair(second, self.SPLINE)
+        assert modal._store.rows is not rows
+        assert not kept & {id(row) for table in modal._store.rows.values()
+                           for row in table.values()}
+
+    def test_chains_of_an_earlier_store_pair_the_same(self):
+        sol = modal.solve_source(EIGHT_MODES, None, self.PARAMS)
+        chains = modal.region_chains(sol, "hidden")
+        before = _exact(weak_limit._pairing(chains, self.SPLINE, 1e-9, R1,
+                                            1.0))
+        _pair(modal.solve_source(EIGHT_MODES, None, self.PARAMS), self.SPLINE)
+        assert chains.tables is not modal._store.tables
+        after = _exact(weak_limit._pairing(chains, self.SPLINE, 1e-9, R1,
+                                           1.0))
+        assert after == before
+        assert _exact(weak_limit.pairing_interior(sol, self.SPLINE)) == before
+
+
+class TestSourceSupport:
+    """The limit path, like ``solve_source``, takes only a source whose
+    support radius is the cloak's r1."""
+    SOURCE = modal.SourceCoeffs({(1, 0): (0j, 1.0)}, r1=0.3)
+    PARAMS = CloakParams(rho=0.01, omega=1.0, r1=0.5)
+
+    @pytest.mark.parametrize("call", [
+        lambda src, params: modal.solve_source(src, None, params),
+        lambda src, params: weak_limit.predicted_limit(src, BUMP, params),
+        weak_limit.tangential_trace_limit,
+        lambda src, params: weak_limit.interior_trace_normal(src, params, 0.4),
+        modal.limit_chains,
+    ], ids=["solve", "predicted_limit", "tangential_trace", "normal_trace",
+            "limit_chains"])
+    def test_other_support_radius_is_rejected(self, call):
+        with pytest.raises(DomainError, match=r"r1=0\.3 .*r1=0\.5"):
+            call(self.SOURCE, self.PARAMS)
+
+    def test_same_support_radius_is_accepted(self):
+        source = modal.SourceCoeffs(self.SOURCE.entries, r1=0.5)
+        assert weak_limit.tangential_trace_limit(source, self.PARAMS)
+        assert cmath.isfinite(
+            weak_limit.predicted_limit(source, BUMP, self.PARAMS))
 
 
 @pytest.mark.parametrize("mode", [(0, 0), (1, 5), (2, -3), (-1, 0)])
