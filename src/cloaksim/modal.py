@@ -519,8 +519,9 @@ class RegionChains:
     Hidden: A = (alpha, p), B = (beta, q), k omega, eps0^-1/2, mu0^-1/2.
     Limit: as hidden with alpha0, beta0 and the interface-layer strength
     sigma per mode in ``surface``.  Coefficients are ScaledComplex lists;
-    ``expand`` reads them as stacked ScaledArray columns, which are kept on
-    the chains with ``s_n``.  ``tables`` and ``rows`` are the store's dicts
+    ``expand`` reads them as stacked ScaledArray columns, and
+    ``squared_sums`` as Gram sums per degree, both kept on the chains with
+    ``s_n``.  ``tables`` and ``rows`` are the store's dicts
     that ``quadrature_table`` and ``kept_normal`` fill; the chains hold the
     dicts, not the store, so the store that holds the chains forms no cycle.
     """
@@ -550,19 +551,21 @@ class RegionChains:
         return np.sqrt(self.degrees * (self.degrees + 1.0))
 
     @cached_property
+    def _columns(self):
+        """a[0], a[1], b[0], b[1] as (log-magnitude, phase) array pairs."""
+        return [(np.array([c.log_mag for c in coeffs], dtype=float),
+                 np.array([c.phase for c in coeffs], dtype=complex))
+                for coeffs in (*self.a, *self.b)]
+
+    @cached_property
     def _stacked_columns(self):
         """The coefficients of f and of g in the four combinations of
         ``expand``, (a0, a0, b0, b0) and (a1, a1, b1, b1), as
         (4, modes, 1) ScaledArrays."""
-        def column(coeffs, kind, dtype):
-            return np.array([getattr(c, kind) for c in coeffs],
-                            dtype=dtype).reshape(-1, 1)
-
-        return [ScaledArray(*(np.stack([column(x, kind, dtype)] * 2
-                                       + [column(y, kind, dtype)] * 2)
-                              for kind, dtype in (("log_mag", float),
-                                                  ("phase", complex))))
-                for x, y in zip(self.a, self.b)]
+        a0, a1, b0, b1 = self._columns
+        return [ScaledArray(*(np.stack([x[k], x[k], y[k], y[k]])[..., None]
+                              for k in (0, 1)))
+                for x, y in ((a0, b0), (a1, b1))]
 
     def table(self, r: float):
         """One BesselTable at wavenumber * r serving every mode."""
@@ -609,18 +612,76 @@ class RegionChains:
             row.flags.writeable = False
         return row
 
-    def expand(self, tab, i=None):
-        """(A(j, h), A(J, H), B(j, h), B(J, H)) at the arguments of a
-        BesselTable, of mode i as one (4, len(t)) array or of all modes as
-        one (4, modes, len(t)) array."""
-        pick = slice(None) if i is None else i
-        n = self.degrees[pick]
+    def expand(self, tab):
+        """(A(j, h), A(J, H), B(j, h), B(J, H)) of every mode at the
+        arguments of a BesselTable, as one (4, modes, len(t)) array."""
+        n = self.degrees
         f, g = (tuple(np.stack([first[k], second[k]] * 2) for k in (0, 1))
                 for first, second in ((tab.jn(n), tab.riccati_j(n)),
                                       (tab.hn(n), tab.riccati_h(n))))
-        a, b = (ScaledArray(c.log_mag[:, pick], c.phase[:, pick])
-                for c in self._stacked_columns)
+        a, b = self._stacked_columns
         return specfun.combine(a, f, b, g)
+
+    @cached_property
+    def runs(self):
+        """(degree, first mode index) of each run of equal degrees: one run
+        per distinct degree, ascending, as the keys are ascending."""
+        starts = np.flatnonzero(np.diff(self.degrees, prepend=-1))
+        return self.degrees[starts], starts
+
+    @cached_property
+    def _gram_sums(self):
+        """For chain A, then B, with coefficients (x, y): the Gram sums
+        sum |x|^2, sum |y|^2 and sum x conj(y) over the modes of each run,
+        each a (log-magnitude, phase) pair of (runs, 1) columns."""
+        starts, ones = self.runs[1], np.ones(len(self.keys))
+        a0, a1, b0, b1 = self._columns
+        return [tuple(_run_sums(log_mag, phase, starts)
+                      for log_mag, phase in ((2 * lx, ones), (2 * ly, ones),
+                                             (lx + ly, px * py.conj())))
+                for (lx, px), (ly, py) in ((a0, a1), (b0, b1))]
+
+    def squared_sums(self, tab):
+        """sum |A(j, h)|^2, sum |A(J, H)|^2, sum |B(j, h)|^2 and
+        sum |B(J, H)|^2 over the modes of each degree of ``runs``, at the
+        arguments of a BesselTable, as one (4, runs, len(t)) array.
+
+        Within a degree every mode reads the same rows (f, g), so
+        sum_i |x_i f + y_i g|^2 = S_xx |f|^2 + S_yy |g|^2 + 2 Re(S_xy f g*)
+        with the Gram sums of ``_gram_sums``; only the rows of the distinct
+        degrees are read, and no mode is combined on its own.
+        """
+        n = self.runs[0]
+        rows = ((tab.jn(n), tab.hn(n)), (tab.riccati_j(n), tab.riccati_h(n)))
+        return np.stack([_gram_row(sums, f, g) for sums in self._gram_sums
+                         for f, g in rows])
+
+
+def _run_sums(log_mag, phase, starts):
+    """(log-magnitude, phase) of the sums of exp(log_mag) phase over the
+    runs of entries that begin at ``starts``, as columns; the sum of a run
+    of zeros, or one that cancels exactly, is the zero (-inf, 0)."""
+    peak = np.maximum.reduceat(log_mag, starts)
+    shift = np.where(peak == -np.inf, 0.0, peak)
+    lengths = np.diff(starts, append=len(log_mag))
+    total = np.add.reduceat(
+        phase * np.exp(log_mag - np.repeat(shift, lengths)), starts)
+    size = np.abs(total)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return ((shift + np.log(size))[:, None],
+                np.where(size > 0.0, total / size, 0j)[:, None])
+
+
+def _gram_row(sums, f, g):
+    """S_xx |f|^2 + S_yy |g|^2 + 2 Re(S_xy f g*) for the Gram sums of one
+    chain and rows f, g; a zero sum adds an exact 0.  Where the modes
+    cancel to rounding (the layer's tangential rows at r = 2) the sum can
+    round below 0, and is read as 0."""
+    (l_xx, _), (l_yy, _), (l_xy, p_xy) = sums
+    with np.errstate(over="ignore"):
+        return np.maximum(np.exp(l_xx + 2 * f[0]) + np.exp(l_yy + 2 * g[0])
+                          + 2 * np.exp(l_xy + f[0] + g[0])
+                          * (p_xy * f[1] * g[1].conj()).real, 0.0)
 
 
 def _hidden_chains(keys, alpha, beta, pq, store, surface=None):

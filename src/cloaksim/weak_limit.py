@@ -41,7 +41,7 @@ class RadialTestFunction:
     def __post_init__(self):
         for (n, m), (phi, _) in self.profiles.items():
             check_mode(n, m, "test function")
-            if abs(phi(2.0)) > 1e-12:
+            if not abs(phi(2.0)) <= 1e-12:  # a NaN fails too
                 raise DomainError(
                     f"profile ({n},{m}) must vanish at r=2, got {phi(2.0)!r}")
 
@@ -50,6 +50,8 @@ class RadialTestFunction:
         """C^1 bump amplitude*(r-r_lo)^2*(r_hi-r)^2 on [r_lo, r_hi]."""
         if not 0.0 < r_lo < r_hi <= 2.0:
             raise DomainError("bump support must satisfy 0 < r_lo < r_hi <= 2")
+        if not np.isfinite(amplitude):
+            raise DomainError(f"bump amplitude must be finite, got {amplitude}")
 
         # float_power is C pow for floats and arrays alike; array ** 2 squares
         def phi(r, _lo=r_lo, _hi=r_hi, _a=amplitude):
@@ -282,19 +284,16 @@ def tangential_trace_at(solution: ModalSolution) -> dict:
 
 def _energy_density(chains):
     """Sum over modes of |E|^2 + |H|^2 on the sphere of radius r (the hidden
-    material cancels its E, H weights); one table, one mode at a time."""
-    w, n_max = chains.wavenumber, int(chains.degrees.max(initial=0))
+    material cancels its E, H weights); one table, one row pass per degree
+    from the Gram sums of ``squared_sums``."""
+    w, n = chains.wavenumber, chains.runs[0]
+    s2, n_max = (n * (n + 1.0))[:, None], int(n.max(initial=0))
 
     def dens(r):
-        tab = chains.quadrature_table(n_max, r)
-        total = np.zeros(r.shape)
-        for i, (n, _) in enumerate(chains.keys):
-            s2 = n * (n + 1)
-            ev, hu, er, eu = np.abs(chains.expand(tab, i))
-            total += (s2 * ev * ev * r * r + s2 * eu * eu + s2 ** 2 * er * er
-                      + w ** 2 * s2 * er * er * r * r
-                      + s2 * hu * hu / w ** 2 + s2 ** 2 * ev * ev / w ** 2)
-        return total
+        ev, hu, er, eu = chains.squared_sums(chains.quadrature_table(n_max, r))
+        return (s2 * ev * r * r + s2 * eu + s2 ** 2 * er
+                + w ** 2 * s2 * er * r * r + s2 * hu / w ** 2
+                + s2 ** 2 * ev / w ** 2).sum(axis=0)
 
     return dens
 
@@ -311,15 +310,19 @@ def energy_integral(solution: ModalSolution, delta: float = 0.0,
     region is one integral of the density summed over its modes, so tol
     bounds that sum, and an AccuracyError names the region.
     """
-    if delta < 0:
-        raise DomainError(f"delta must be >= 0, got {delta}")
+    if not (math.isfinite(delta) and delta >= 0):
+        raise DomainError(f"delta must be finite and >= 0, got {delta}")
     params = solution.params
     total = 0.0
-    # layer: the pre-image field beyond 1 + delta; hidden: physical radii
+    # layer: the pre-image field beyond 1 + delta, from rho itself at
+    # delta = 0 (inverse_radius(1) rounds above it), so the layer integral
+    # reads the pairings' tables; hidden: physical radii
+    layer_lo = params.rho
+    if delta > 0:
+        layer_lo = max(layer_lo,
+                       CloakOuterMap(params).inverse_radius(1.0 + delta))
     for region, integrate, lo, hi in (
-            ("layer", integrate_boundary_layer,
-             max(params.rho, CloakOuterMap(params).inverse_radius(1.0 + delta)),
-             2.0),
+            ("layer", integrate_boundary_layer, layer_lo, 2.0),
             ("hidden", integrate_adaptive, params.r1, 1.0 - delta)):
         if lo >= hi:
             continue

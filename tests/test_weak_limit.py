@@ -61,6 +61,15 @@ class TestTestFunctions:
         with pytest.raises(DomainError):
             RadialTestFunction({(1, 0): (lambda r: 1.0, lambda r: 0.0)})
 
+    def test_nan_outer_value_rejected(self):
+        with pytest.raises(DomainError, match="vanish at r=2"):
+            RadialTestFunction({(1, 0): (lambda r: math.nan, lambda r: 0.0)})
+
+    @pytest.mark.parametrize("amplitude", [math.nan, math.inf, -math.inf])
+    def test_non_finite_bump_amplitude_rejected(self, amplitude):
+        with pytest.raises(DomainError, match="amplitude"):
+            RadialTestFunction.polynomial_bump([(1, 0)], 0.5, 1.5, amplitude)
+
 
 class TestSplineAgainstScipy:
     """The numpy-free natural spline against scipy's CubicSpline oracle."""
@@ -430,6 +439,37 @@ class TestEnergy:
         with pytest.raises(DomainError):
             weak_limit.energy_integral(sol, delta=-0.1)
 
+    @pytest.mark.parametrize("delta", [math.nan, math.inf])
+    def test_non_finite_delta_rejected(self, delta):
+        sol = make_solution(0.1)
+        with pytest.raises(DomainError, match="delta"):
+            weak_limit.energy_integral(sol, delta=delta)
+
+    @pytest.mark.parametrize("rho", [1e-2, 1e-4, 1e-6])
+    def test_energy_at_delta_zero_reads_the_pairing_tables(self, rho):
+        """At delta = 0 the layer integral starts at rho itself, where the
+        exterior pairing starts, so it builds no table of its own."""
+        params = CloakParams(rho=rho, omega=OMEGA, r1=R1)
+        sol = modal.solve_source(SRC, None, params)
+        weak_limit.pairing_interior(sol, BUMP)
+        weak_limit.pairing_exterior_normal(sol, BUMP)
+        held = set(modal._store.tables)
+        weak_limit.energy_integral(sol)
+        assert set(modal._store.tables) == held
+
+    def test_energy_combines_no_mode(self, monkeypatch):
+        calls, combine = [], specfun.combine
+
+        def counted(*args):
+            calls.append(1)
+            return combine(*args)
+
+        monkeypatch.setattr(specfun, "combine", counted)
+        params = CloakParams(rho=1e-4, omega=OMEGA, r1=R1)
+        weak_limit.energy_integral(
+            modal.solve_source(EIGHT_MODES, None, params), delta=0.05)
+        assert calls == []
+
     @pytest.mark.parametrize("rho", [1e-2, 1e-6])
     @pytest.mark.parametrize("delta", [0.0, 0.05])
     def test_one_integral_matches_per_mode_sum(self, rho, delta):
@@ -456,6 +496,82 @@ class TestEnergy:
                             lambda *args, **kwargs: 0j)
         with pytest.raises(AccuracyError, match="^hidden energy"):
             weak_limit.energy_integral(sol)
+
+
+def _per_mode_density(chains, r):
+    """The energy density of ``weak_limit._energy_density``, one combine
+    per mode: each mode's four rows squared and weighted on their own."""
+    w = chains.wavenumber
+    tab = specfun.bessel_table(int(chains.degrees.max(initial=0)), w * r)
+    total = np.zeros(r.shape)
+    for i, (n, _) in enumerate(chains.keys):
+        s2 = n * (n + 1)
+        ev, hu, er, eu = (
+            np.abs(specfun.combine(x[i], f, y[i], g))
+            for x, y in (chains.a, chains.b)
+            for f, g in ((tab.jn(n), tab.hn(n)),
+                         (tab.riccati_j(n), tab.riccati_h(n))))
+        total += (s2 * ev * ev * r * r + s2 * eu * eu + s2 ** 2 * er * er
+                  + w ** 2 * s2 * er * er * r * r
+                  + s2 * hu * hu / w ** 2 + s2 ** 2 * ev * ev / w ** 2)
+    return total
+
+
+# three modes of each degree, from 1 up to 60
+DENSITY_KEYS = [(n, m) for n in (1, 2, 5, 12, 25, 40, 60) for m in (-n, 0, n)]
+
+
+def _density_solution(kind, rho):
+    """A solution on DENSITY_KEYS driven by p and q, by p only, by q only,
+    by boundary data only, or by nothing (every coefficient zero)."""
+    params = CloakParams(rho=rho, omega=OMEGA, r1=R1)
+    pq = {(n, m): tuple(2.0 ** -n * cmath.exp(1j * (n + m + k))
+                        for k in (0, 1)) for n, m in DENSITY_KEYS}
+    if kind == "p":
+        pq = {key: (p, 0j) for key, (p, _) in pq.items()}
+    elif kind == "q":
+        pq = {key: (0j, q) for key, (_, q) in pq.items()}
+    if kind in ("pq", "p", "q"):
+        return modal.solve_source(modal.SourceCoeffs(pq, R1), None, params)
+    data = pq if kind == "boundary" else dict.fromkeys(pq, (0j, 0j))
+    return modal.solve_source(modal.SourceCoeffs({}, R1),
+                              modal.BoundaryCoeffs(data), params)
+
+
+class TestEnergyDensityPerDegree:
+    """The density summed per degree from Gram sums of the coefficients
+    against the same density summed mode by mode."""
+
+    @pytest.mark.parametrize("region", ["layer", "hidden"])
+    @pytest.mark.parametrize("rho", [1e-2, 1e-4, 1e-6])
+    @pytest.mark.parametrize("kind", ["pq", "p", "q", "boundary", "zero"])
+    def test_matches_the_per_mode_density(self, kind, rho, region):
+        sol = _density_solution(kind, rho)
+        assert sorted(sol.modes) == DENSITY_KEYS
+        chains = modal.region_chains(sol, region)
+        r = (np.geomspace(rho, 2.0, 201)[1:-1] if region == "layer"
+             else np.linspace(R1, 1.0, 201)[1:-1])
+        want = _per_mode_density(chains, r)
+        got = weak_limit._energy_density(chains)(r)
+        assert np.all(np.isfinite(got))
+        assert np.array_equal(got == 0.0, want == 0.0)
+        assert (kind == "zero") == np.all(want == 0.0)
+        assert np.all(np.abs(got - want) <= 1e-13 * want)
+
+    def test_sums_run_over_each_degree(self):
+        chains = modal.region_chains(_density_solution("pq", 1e-4), "layer")
+        degrees, starts = chains.runs
+        assert degrees.tolist() == [1, 2, 5, 12, 25, 40, 60]
+        assert starts.tolist() == list(range(0, 21, 3))
+        tab = chains.table(1.3)
+        got = chains.squared_sums(tab)
+        assert got.shape == (4, 7, 1) and np.all(got >= 0.0)
+        modes = np.abs(chains.expand(tab)) ** 2
+        # one row alone cancels more than the density (B(J, H) vanishes at
+        # r = 2), so its bound is looser
+        for k, start in enumerate(starts):
+            want = modes[:, start:start + 3].sum(axis=1)
+            assert np.all(np.abs(got[:, k] - want) <= 1e-12 * want)
 
 
 class TestDeltaStrengthConsistency:
