@@ -837,18 +837,28 @@ def solve_source(source: SourceCoeffs, boundary: BoundaryCoeffs | None,
 # -- JSON tables --------------------------------------------------------------
 
 def config_number(value, field: str, kind=float):
-    """A configuration value converted by ``kind`` (float or int).
+    """A configuration value as a finite float, or as an int when ``kind``
+    is int.
 
     Raises:
-        ConfigError: naming ``field``, when the value is not a finite
-            number (strings that spell one are accepted, as float() does).
+        ConfigError: naming ``field``, when the value is a JSON boolean, not
+            a finite number (strings that spell one are accepted, as float()
+            does), or, for an int, not integral (2.0 is, 1.6 is not).
     """
+    if isinstance(value, bool):
+        raise ConfigError(f"{field} must be a number, got {value!r}")
+    if kind is int and isinstance(value, int):
+        return value
     try:
-        number = kind(value)
+        number = float(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{field} must be a number, got {value!r}") from exc
     if not math.isfinite(number):
         raise ConfigError(f"{field} must be finite, got {value!r}")
+    if kind is int:
+        if not number.is_integer():
+            raise ConfigError(f"{field} must be an integer, got {value!r}")
+        return int(number)
     return number
 
 

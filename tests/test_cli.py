@@ -11,7 +11,7 @@ import pytest
 import cloaksim
 from cloaksim import modal, specfun
 from cloaksim.cli import _specfun_deviations, main
-from cloaksim.errors import AccuracyError, DomainError
+from cloaksim.errors import AccuracyError, ConfigError, DomainError
 from cloaksim.geometry import CloakParams
 from cloaksim.manifest import RunManifest, write_json
 from cloaksim.quadrature import integrate_array
@@ -556,6 +556,112 @@ class TestTolerance:
         # sqrt kink at 0 keeps successive levels apart
         with pytest.raises(AccuracyError):
             integrate_array(np.sqrt, [0.0, 1.0], tol=0.0, max_points=64)
+
+
+class TestIntegerFields:
+    """Degrees, orders, counts and seeds are integers: a non-integral number
+    or a JSON boolean there exits 2 naming the field, before any output is
+    written; an integral float such as 2.0 is accepted.  A boolean is no
+    number in a float field either."""
+
+    @staticmethod
+    def _run(tmp_path, command, doc):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        return run([command, "--config", cfg, "--out", out]), out
+
+    @pytest.mark.parametrize("value", [1.6, 0.5, True, False])
+    @pytest.mark.parametrize("edit, field", [
+        (lambda doc, v: doc["source"][0].update(n=v), "source row field n"),
+        (lambda doc, v: doc["source"][0].update(m=v), "source row field m"),
+        (lambda doc, v: doc["phi"].update(modes=[[v, 0]]), "phi modes entry"),
+        (lambda doc, v: doc["phi"].update(modes=[[1, v]]), "phi modes entry"),
+        (lambda doc, v: doc.update(seed=v), "config field seed"),
+    ])
+    def test_converge_exits_2_before_any_output(self, tmp_path, capsys,
+                                                edit, field, value):
+        doc = json.loads((SCENARIOS / "converge_single_mode.json").read_text())
+        edit(doc, value)
+        code, out = self._run(tmp_path, "converge", doc)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and field in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["n", "m"])
+    @pytest.mark.parametrize("value", [1.5, True])
+    def test_boundary_row_exits_2_before_any_output(self, tmp_path, capsys,
+                                                    key, value):
+        doc = json.loads((SCENARIOS / "fields_single_mode.json").read_text())
+        doc["boundary"] = [{"n": 1, "m": 0, "f1_re": 1.0, key: value}]
+        code, out = self._run(tmp_path, "fields", doc)
+        assert code == 2
+        assert f"boundary row field {key}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid, field", [
+        ({"n_max": 5.9, "t_count": 4}, "n_max"),
+        ({"n_max": 5, "t_count": 4.7}, "t_count"),
+        ({"n_max": True}, "n_max"),
+        ({"t_count": True}, "t_count"),
+        ({"seed": 0.5}, "seed"),
+    ])
+    def test_check_specfun_exits_2_before_any_output(self, tmp_path, capsys,
+                                                     grid, field):
+        code, out = self._run(tmp_path, "check-specfun", grid)
+        assert code == 2
+        assert f"config field {field}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda doc: doc["params"].update(omega=True), "omega"),
+        (lambda doc: doc["params"].update(rho_list=[1e-2, False]), "rho_list"),
+        (lambda doc: doc["source"][0].update(q_re=True), "q_re"),
+    ])
+    def test_boolean_in_a_float_field_exits_2(self, tmp_path, capsys, edit,
+                                              field):
+        doc = json.loads((SCENARIOS / "converge_single_mode.json").read_text())
+        edit(doc)
+        code, out = self._run(tmp_path, "converge", doc)
+        assert code == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integral_floats_are_accepted(self, tmp_path):
+        doc = json.loads((SCENARIOS / "converge_single_mode.json").read_text())
+        doc["source"][0].update(n=1.0, m=0.0)
+        doc["phi"]["modes"] = [[1.0, 0.0]]
+        doc["seed"] = 2.0
+        code, out = self._run(tmp_path, "converge", doc)
+        assert code == 0
+        reference = tmp_path / "reference"
+        assert run(["converge", "--config",
+                    SCENARIOS / "converge_single_mode.json",
+                    "--out", reference]) == 0
+        assert ((out / "converge.csv").read_bytes()
+                == (reference / "converge.csv").read_bytes())
+
+        grid = {"n_max": 5.0, "t_lo": 0.5, "t_hi": 2.0, "t_count": 3.0}
+        code, out = self._run(tmp_path, "check-specfun", grid)
+        assert code == 0
+        report = read_strict_json(out / "specfun_report.json")
+        assert report["grid"]["n_max"] == 5 and report["grid"]["t_count"] == 3
+
+    def test_library_values(self):
+        assert modal.config_number(2.0, "k", int) == 2
+        assert type(modal.config_number(2.0, "k", int)) is int
+        assert modal.config_number(2 ** 60 + 1, "k", int) == 2 ** 60 + 1
+        assert modal.config_number("7", "k", int) == 7
+        assert modal.config_number(3, "x") == 3.0
+        for value, message in [(1.6, "must be an integer"),
+                               (True, "must be a number"),
+                               ("5.5", "must be an integer"),
+                               (math.inf, "must be finite")]:
+            with pytest.raises(ConfigError, match=f"k {message}"):
+                modal.config_number(value, "k", int)
+        with pytest.raises(ConfigError, match="x must be a number"):
+            modal.config_number(False, "x")
 
 
 class TestWriteJson:

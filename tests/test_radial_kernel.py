@@ -8,6 +8,8 @@ region chains replaced.
 """
 
 import math
+import warnings
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -170,6 +172,84 @@ def test_property_columns_independent_and_wronskian(n_max, t):
             tab.j_log[n] + tab.y_log[n + 1] + log_t2)
         assert np.all(np.abs(a - b - 1.0) <= 1e-11 * (1.0 + np.abs(a)
                                                         + np.abs(b)))
+
+
+TABLE_PARTS = ("j_log", "j_sign", "y_log", "y_sign")
+# arguments that widen a table past the float-loop cut-off
+WIDENING_T = [1e-7, 3e-3, 0.9, 7.6, 40.0, 300.0, 1e3, 2e-5, 0.05]
+
+
+def _column_bytes(tab, i):
+    return tuple(getattr(tab, name)[:, i].tobytes() for name in TABLE_PARTS)
+
+
+def _columns_match_a_wide_table(n_max, t):
+    """Each column of the table of the few arguments t, byte for byte the
+    same column of one table of more arguments than the cut-off."""
+    small = specfun.bessel_table(n_max, t)
+    wide_t = list(t) + WIDENING_T
+    assert len(wide_t) > specfun._FLOAT_COLUMNS
+    wide = specfun.bessel_table(n_max, wide_t)
+    for i in range(len(t)):
+        assert _column_bytes(small, i) == _column_bytes(wide, i), (n_max, t[i])
+
+
+def _no_array_loop(*args):
+    raise AssertionError("the array loop ran")
+
+
+class TestFloatLoop:
+    """A table of at most ``_FLOAT_COLUMNS`` arguments runs its recurrences
+    on Python floats; it must hold the doubles of the array loop."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_max=st.integers(0, 200),
+           t=st.lists(st.floats(1e-8, 1e3), min_size=1, max_size=6))
+    def test_property_columns_equal_the_array_loop(self, n_max, t):
+        t = t[:specfun._FLOAT_COLUMNS]
+        with mock.patch.object(specfun, "_array_recurrences", _no_array_loop):
+            specfun.bessel_table(n_max, t)  # served by the float loop
+        _columns_match_a_wide_table(n_max, t)
+
+    @pytest.mark.parametrize("n_max", [60, 200])
+    @pytest.mark.parametrize("t", [[1e-6], [1e-6, 1e-8, 2.0]])
+    def test_rescaling_columns(self, n_max, t):
+        # both recurrences pass the rescale threshold at t = 1e-6: the float
+        # loop rescales at the array loop's steps, or its columns differ (and
+        # without a rescale they overflow and leave the float loop)
+        with mock.patch.object(specfun, "_array_recurrences", _no_array_loop):
+            tab = specfun.bessel_table(n_max, t)
+        assert np.min(tab.j_log[:, 0]) < -700.0
+        assert np.max(tab.y_log[:, 0]) > 700.0
+        _columns_match_a_wide_table(n_max, t)
+
+    @pytest.mark.parametrize("n_max", [0, 1, 5, 60])
+    @pytest.mark.parametrize("t", [[1e-150], [1e-300], [1e-300, 1.0]])
+    def test_arguments_out_of_double_range_keep_their_values(self, n_max, t):
+        # such a column leaves double range, so its table takes the array
+        # loop, warnings and all
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            _columns_match_a_wide_table(n_max, t)
+
+    def test_rescale_logs_are_numpys(self, monkeypatch):
+        # numpy's SIMD log and exp need not round as the C library's do, so
+        # a shift the float loop adds is np.log's: a math.log that rounds
+        # differently moves no value
+        want = specfun.bessel_table(200, [1e-6, 3e-4])
+
+        class OtherLibm:
+            def __getattr__(self, name):
+                return getattr(math, name)
+
+            @staticmethod
+            def log(x, *base):
+                return math.nextafter(math.log(x, *base), math.inf)
+
+        monkeypatch.setattr(specfun, "math", OtherLibm())
+        got = specfun.bessel_table(200, [1e-6, 3e-4])
+        for i in range(2):
+            assert _column_bytes(got, i) == _column_bytes(want, i)
 
 
 def _direct_rows(tab, n):
