@@ -2,7 +2,8 @@
 
 The exterior solution lives naturally in the pre-image (virtual) annulus;
 physical-layer values are its 1-form transport through the regularised map.
-Both regions evaluate one mode expansion of their ``RegionChains``.  A small
+Both regions evaluate one mode expansion of their ``RegionChains``, summed
+per degree against the angular scalars in the local spherical frame.  A small
 finite-difference toolbox backs the curl/residual diagnostics.
 """
 
@@ -16,7 +17,7 @@ from . import geometry
 from .errors import DomainError, SingularityError
 # angular_basis is not called here: bench/tracer.py counts its calls by
 # patching this module's binding
-from .harmonics import angular_basis, angular_table  # noqa: F401
+from .harmonics import angular_basis, angular_scalars  # noqa: F401
 from .manifest import write_csv
 from .modal import ModalSolution, region_chains
 
@@ -50,22 +51,50 @@ def _pack_eh(eh) -> bytes:
     return np.asarray(eh, dtype=complex).reshape(2, 3).tobytes()
 
 
+def _point(p):
+    """p as a float 3-vector and its norm.
+
+    Raises:
+        DomainError: naming the shape, for anything but three numbers.
+    """
+    x = np.asarray(p, dtype=float)
+    if x.shape != (3,):
+        raise DomainError(f"a point is 3 numbers, got shape {x.shape}")
+    return x, float(np.linalg.norm(x))
+
+
 def _expand(chains, x, r, space) -> FieldSample:
-    """E/H of a region's mode expansion at the point x of radius r: the
-    radial factors and the angular table of all modes as arrays, summed
-    over the modes by matrix products."""
-    w, xhat, s_n = chains.wavenumber, x / r, chains.s_n
-    a_j, a_jj, b_j, b_jj = chains.expand(chains.table(r))[..., 0]
-    y_val, u, v = angular_table(chains.key_array, xhat)
-    # rows E and H; columns the V and U parts of every mode, then the radial
-    e_w, h_w = chains.e_weight, chains.h_weight
-    tangential = np.stack([
-        e_w * np.concatenate([-s_n * a_j, s_n / r * b_jj]),
-        h_w * np.concatenate([1j * w * s_n * b_j, -1j / w * s_n / r * a_jj])])
-    radial = np.stack([e_w * s_n ** 2 / r * b_j,
-                       h_w * -1j / w * s_n ** 2 / r * a_j]) @ y_val
-    eh = tangential @ np.concatenate([v, u]) + np.outer(radial, xhat)
-    return FieldSample(point=x, eh=_pack_eh(eh), space=space)
+    """E/H of a region's mode expansion at the point x of radius r, summed
+    per degree: the rows depend on the degree alone, so each degree's
+    coefficients meet its modes' angular scalars (Y, U_theta, U_phi) first,
+    then the degree's rows, giving six spherical components that the local
+    frame turns Cartesian."""
+    w, (n, starts) = chains.wavenumber, chains.runs
+    ang, frame = angular_scalars(chains.key_array, x / r)
+    ang[:, 0] *= chains.s_n  # the radial parts carry s_n^2, the others s_n
+    peaks, scaled = chains.degree_form
+    # sums[k, d]: coefficient column k (a0, a1, b0, b1) against the angular
+    # scalars, over the modes of degree d
+    sums = np.add.reduceat(scaled[:, :, None] * ang, starts, axis=1)
+    tab = chains.table(r)
+    rows = (tab.jn(n), tab.hn(n), tab.riccati_j(n), tab.riccati_h(n))
+    # weights[chain, (j, h) or (J, H), f or g, d]: s_n exp(peak + row log)
+    # row phase, the product ``combine`` exponentiates per mode, with the
+    # mode's share of the peak left in ``scaled``
+    log_mag, phase = (np.reshape([row[k] for row in rows], (2, 2, n.size))
+                      for k in (0, 1))
+    with np.errstate(over="ignore"):
+        weights = (np.exp(peaks.reshape(2, 1, 2, -1) + log_mag)
+                   * (phase * chains.s_n[starts]))
+    (a_j, a_jj), (b_j, b_jj) = (weights.reshape(2, 2, -1)
+                                @ sums.reshape(2, -1, 3)).tolist()
+    e_w, h_w, c = chains.e_weight, chains.h_weight, -1j / (w * r)
+    spherical = np.array([
+        [e_w * b_j[0] / r, e_w * (b_jj[1] / r + a_j[2]),
+         e_w * (b_jj[2] / r - a_j[1])],
+        [h_w * c * a_j[0], h_w * (c * a_jj[1] - 1j * w * b_j[2]),
+         h_w * (c * a_jj[2] + 1j * w * b_j[1])]])
+    return FieldSample(point=x, eh=_pack_eh(spherical @ frame), space=space)
 
 
 def eval_virtual_exterior(solution: ModalSolution, y) -> FieldSample:
@@ -73,8 +102,7 @@ def eval_virtual_exterior(solution: ModalSolution, y) -> FieldSample:
 
     Valid on rho < |y| < 2.
     """
-    y = np.asarray(y, dtype=float)
-    r = float(np.linalg.norm(y))
+    y, r = _point(y)
     if not solution.params.rho < r < 2.0:
         raise DomainError(
             f"virtual exterior is rho < |y| < 2, got |y|={r:.6g}")
@@ -88,8 +116,7 @@ def eval_physical(solution: ModalSolution, x) -> FieldSample:
     regularised map; interface values are reserved for the one-sided trace
     operations.
     """
-    x = np.asarray(x, dtype=float)
-    r = float(np.linalg.norm(x))
+    x, r = _point(x)
     params = solution.params
     if r == 1.0:
         raise SingularityError(
@@ -114,8 +141,7 @@ def eval_ideal_exterior(e_background, h_background, x) -> FieldSample:
             on the punctured ball of radius 2.
         x: physical point with 1 < |x| < 2.
     """
-    x = np.asarray(x, dtype=float)
-    r = float(np.linalg.norm(x))
+    x, r = _point(x)
     if not 1.0 < r < 2.0:
         raise DomainError(f"ideal layer is 1 < |x| < 2, got |x|={r:.6g}")
     fmap = geometry.BlowupMap()

@@ -2,11 +2,13 @@
 
 Conventions: fully orthonormal complex harmonics on the unit sphere with
 Condon-Shortley phase, so Y(n,-m) = (-1)^m conj(Y(n,m)).  The tangent pair is
-U = Grad Y / sqrt(n(n+1)) and V = xhat x U.  ``angular_table`` gives Y, U
-and V of many modes at one direction from one table of normalised
-associated Legendre values (sectoral seeds, then the upward recurrence in
-degree for every order at once, stable past n = 150); ``angular_basis``,
-``scalar_Y`` and ``vector_UV`` are its one-row views.
+U = Grad Y / sqrt(n(n+1)) and V = xhat x U.  ``angular_scalars`` gives Y
+and the spherical components U_theta, U_phi of many modes at one direction,
+with the local frame (xhat, theta_hat, phi_hat), from one table of
+normalised associated Legendre values (sectoral seeds, then the upward
+recurrence in degree for every order at once, stable past n = 150);
+``angular_table`` builds the vectors U and V from them, and
+``angular_basis``, ``scalar_Y`` and ``vector_UV`` are its one-row views.
 """
 
 from __future__ import annotations
@@ -109,16 +111,20 @@ def _legendre_table(n_max: int, m_max: int, x: float, s: float):
     return p, dp
 
 
-def angular_table(keys, direction):
-    """(Y, U, V) of every mode (n, m) of keys at one unit direction.
+def angular_scalars(keys, direction):
+    """(ang, frame): the scalars Y, U_theta and U_phi of every mode (n, m)
+    of keys at one unit direction, and the local spherical frame there.
 
-    Returns arrays of shape (K,), (K, 3) and (K, 3) for K keys (a sequence
-    of pairs or a (K, 2) integer array), from one normalised Legendre table
-    for all n <= max n and 0 <= m <= max |m|.  With signed m,
-    Y = sign P(n,|m|) exp(i m phi), sign = (-1)^m for m < 0, and
-    Grad Y = dY/dtheta theta_hat + i m Y / sin(theta) phi_hat; V = xhat x U
-    is built from the same components, U_theta phi_hat - U_phi theta_hat.
-    At a pole only m = +/-1 has a gradient, lambda_n (m, i, 0).
+    ``ang`` is a (K, 3) complex array with columns Y, U_theta and U_phi for
+    K keys (a sequence of pairs or a (K, 2) integer array), from one
+    normalised Legendre table for all n <= max n and 0 <= m <= max |m|;
+    ``frame`` is a (3, 3) array with rows xhat, theta_hat and phi_hat.  With
+    signed m, Y = sign P(n,|m|) exp(i m phi), sign = (-1)^m for m < 0, and
+    Grad Y = dY/dtheta theta_hat + i m Y / sin(theta) phi_hat, so
+    U = U_theta theta_hat + U_phi phi_hat.  At a pole only m = +/-1 has a
+    gradient, the Cartesian limit lambda_n (m, i, 0); in the frame at the
+    direction's phi that is U_theta = cos(theta) lambda_n m exp(i m phi) and
+    U_phi = i lambda_n exp(i m phi).
     """
     d = _check_unit(direction)
     keys = np.asarray(keys, dtype=int).reshape(-1, 2)
@@ -135,26 +141,37 @@ def angular_table(keys, direction):
     sign = (-1.0) ** np.minimum(m, 0)  # (-1)^m for m < 0
     p = sign * p_tab[n, m_abs]
     eim = np.exp(1j * phi * m)
+    ang = np.empty((n.size, 3), dtype=complex)
+    ang[:, 0] = p * eim
     if abs(s) < _POLE_SIN:
-        # U of m = +/-1 tends to lam (m, i, 0), lam = -sqrt((2n+1)/pi)/4 at
-        # the north pole and (-1)^(n+1) lam at the south; other orders have
-        # no gradient there
+        # lambda_n = -sqrt((2n+1)/pi)/4 at the north pole and
+        # (-1)^(n+1) lambda_n at the south; cos(theta) is +/-1 exactly here
         lam = np.where(m_abs == 1, -0.25 * np.sqrt((2.0 * n + 1.0) / math.pi),
                        0.0)
         if d[2] < 0:
             lam = lam * (-1.0) ** (n + 1)
-        u = np.zeros((n.size, 3), dtype=complex)
-        u[:, 0], u[:, 1] = lam * m, 1j * lam
-        v = np.stack([d[1] * u[:, 2] - d[2] * u[:, 1],
-                      d[2] * u[:, 0] - d[0] * u[:, 2],
-                      d[0] * u[:, 1] - d[1] * u[:, 0]], axis=1)
-        return p * eim, u, v
-    theta_hat = np.array([x * math.cos(phi), x * math.sin(phi), -s])
-    phi_hat = np.array([-math.sin(phi), math.cos(phi), 0.0])
-    w = eim / np.sqrt(n * (n + 1.0))
-    u_theta = (w * sign * dp_tab[n, m_abs])[:, None]
-    u_phi = ((1j / s) * m * w * p)[:, None]
-    return (p * eim, u_theta * theta_hat + u_phi * phi_hat,
+        ang[:, 1] = x * lam * m * eim
+        ang[:, 2] = 1j * lam * eim
+    else:
+        w = eim / np.sqrt(n * (n + 1.0))
+        ang[:, 1] = w * sign * dp_tab[n, m_abs]
+        ang[:, 2] = (1j / s) * m * w * p
+    cos_phi, sin_phi = math.cos(phi), math.sin(phi)
+    frame = np.array([d, [x * cos_phi, x * sin_phi, -s],
+                      [-sin_phi, cos_phi, 0.0]])
+    return ang, frame
+
+
+def angular_table(keys, direction):
+    """(Y, U, V) of every mode (n, m) of keys at one unit direction.
+
+    Returns arrays of shape (K,), (K, 3) and (K, 3) for K keys, built from
+    the scalars and frame of ``angular_scalars``: U = U_theta theta_hat +
+    U_phi phi_hat and V = xhat x U = U_theta phi_hat - U_phi theta_hat.
+    """
+    ang, (_, theta_hat, phi_hat) = angular_scalars(keys, direction)
+    u_theta, u_phi = ang[:, 1:2], ang[:, 2:3]
+    return (ang[:, 0], u_theta * theta_hat + u_phi * phi_hat,
             u_theta * phi_hat - u_phi * theta_hat)
 
 

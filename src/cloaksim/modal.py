@@ -519,8 +519,9 @@ class RegionChains:
     Hidden: A = (alpha, p), B = (beta, q), k omega, eps0^-1/2, mu0^-1/2.
     Limit: as hidden with alpha0, beta0 and the interface-layer strength
     sigma per mode in ``surface``.  Coefficients are ScaledComplex lists;
-    ``expand`` reads them as stacked ScaledArray columns, and
-    ``squared_sums`` as Gram sums per degree, both kept on the chains with
+    ``expand`` reads them as stacked ScaledArray columns, ``degree_form``
+    as each degree's peak and the modes' shifted values, and
+    ``squared_sums`` as Gram sums per degree, all kept on the chains with
     ``s_n``.  ``tables`` and ``rows`` are the store's dicts
     that ``quadrature_table`` and ``kept_normal`` fill; the chains hold the
     dicts, not the store, so the store that holds the chains forms no cycle.
@@ -630,6 +631,17 @@ class RegionChains:
         return self.degrees[starts], starts
 
     @cached_property
+    def degree_form(self):
+        """a0, a1, b0, b1 per run of ``runs``: each run's peak
+        log-magnitude, a (4, runs) array, -inf for a run of zeros, and each
+        mode's phase exp(log_mag - peak), a (4, modes) complex array in
+        which a run of zeros reads 0."""
+        peaks, scaled = zip(*(_run_scaled(log_mag, phase, self.runs[1])[::2]
+                              for log_mag, phase in self._columns))
+        return (np.reshape(peaks, (4, len(self.runs[0]))),
+                np.array(scaled))
+
+    @cached_property
     def _gram_sums(self):
         """For chain A, then B, with coefficients (x, y): the Gram sums
         sum |x|^2, sum |y|^2 and sum x conj(y) over the modes of each run,
@@ -657,15 +669,22 @@ class RegionChains:
                          for f, g in rows])
 
 
+def _run_scaled(log_mag, phase, starts):
+    """Per run of entries that begin at ``starts``: its peak of log_mag,
+    -inf for a run of zeros, and the shift, the peak or 0 for a run of
+    zeros; and per entry exp(log_mag - shift) phase, at most 1 in size."""
+    peak = np.maximum.reduceat(log_mag, starts)
+    shift = np.where(peak == -np.inf, 0.0, peak)
+    lengths = np.diff(starts, append=len(log_mag))
+    return peak, shift, phase * np.exp(log_mag - np.repeat(shift, lengths))
+
+
 def _run_sums(log_mag, phase, starts):
     """(log-magnitude, phase) of the sums of exp(log_mag) phase over the
     runs of entries that begin at ``starts``, as columns; the sum of a run
     of zeros, or one that cancels exactly, is the zero (-inf, 0)."""
-    peak = np.maximum.reduceat(log_mag, starts)
-    shift = np.where(peak == -np.inf, 0.0, peak)
-    lengths = np.diff(starts, append=len(log_mag))
-    total = np.add.reduceat(
-        phase * np.exp(log_mag - np.repeat(shift, lengths)), starts)
+    _, shift, scaled = _run_scaled(log_mag, phase, starts)
+    total = np.add.reduceat(scaled, starts)
     size = np.abs(total)
     with np.errstate(divide="ignore", invalid="ignore"):
         return ((shift + np.log(size))[:, None],

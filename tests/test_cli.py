@@ -222,17 +222,19 @@ class TestFields:
         assert code == 0
         lines = (tmp_path / "fields.csv").read_text().strip().splitlines()
         assert len(lines) == 6
-        # spot check: first row equals the library call
-        from cloaksim import fields as f, modal
-        from cloaksim.geometry import CloakParams
+        # every row and every value column equals the library call
+        from cloaksim import fields as f
         doc = json.loads((SCENARIOS / "fields_single_mode.json").read_text())
         params = CloakParams(rho=0.1, omega=1.0, r1=0.5)
         src = modal.parse_source_table(doc["source"], r1=0.5)
         sol = modal.solve_source(src, None, params)
-        sample = f.eval_physical(sol, doc["points"][0])
-        row = lines[1].split(",")
-        assert float(row[4]) == sample.E[0].real
-        assert float(row[5]) == sample.E[0].imag
+        for point, line in zip(doc["points"], lines[1:], strict=True):
+            sample = f.eval_physical(sol, point)
+            row = line.split(",")
+            assert [float(v) for v in row[:3]] == point and row[3] == "physical"
+            assert [float(v) for v in row[4:]] == [
+                part for value in (*sample.E, *sample.H)
+                for part in (value.real, value.imag)]
 
     def test_rerun_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from scipy import special as sp
 
 from cloaksim.errors import DomainError, SingularityError
 from cloaksim.geometry import CloakParams, CloakOuterMap, cloak_layer_tensor, ideal_cloak_tensor
-from cloaksim.harmonics import ModeIndex, scalar_Y, wave_MN
+from cloaksim.harmonics import _POLE_SIN, ModeIndex, angular_table, scalar_Y, wave_MN
 from cloaksim import fields, geometry, modal
 
 
@@ -188,6 +189,127 @@ class TestPhysical:
         assert not s.E.flags.writeable and not s.H.flags.writeable
         assert np.array_equal(np.concatenate([s.E, s.H]),
                               np.frombuffer(s.eh, dtype=complex))
+
+
+@pytest.mark.parametrize("evaluate", [fields.eval_physical,
+                                      fields.eval_virtual_exterior])
+@pytest.mark.parametrize("point", [[0.6, 0.1], [[0.6, 0.0, 0.0]],
+                                   [0.6, 0.0, 0.0, 0.0], 0.7])
+def test_point_of_wrong_shape_names_it(evaluate, point):
+    with pytest.raises(DomainError,
+                       match=re.escape(f"got shape {np.shape(point)}")):
+        evaluate(SOL, point)
+
+
+# -- the per-degree kernel against the per-mode sum ---------------------------
+
+
+def per_mode_expand(chains, x, r):
+    """(2, 3) E/H rows of a region's expansion at x, |x| = r, mode by mode:
+    every mode's chains combined on their own, then summed with its U, V
+    and Y vectors."""
+    w, s_n = chains.wavenumber, chains.s_n
+    a_j, a_jj, b_j, b_jj = chains.expand(chains.table(r))[..., 0]
+    y_val, u, v = angular_table(chains.key_array, x / r)
+    e_w, h_w = chains.e_weight, chains.h_weight
+    tangential = np.stack([
+        e_w * np.concatenate([-s_n * a_j, s_n / r * b_jj]),
+        h_w * np.concatenate([1j * w * s_n * b_j, -1j / w * s_n / r * a_jj])])
+    radial = np.stack([e_w * s_n ** 2 / r * b_j,
+                       h_w * -1j / w * s_n ** 2 / r * a_j]) @ y_val
+    return tangential @ np.concatenate([v, u]) + np.outer(radial, x / r)
+
+
+def per_mode_sample(solution, kind, x):
+    """The per-mode E/H rows of eval_physical (hidden, layer) or of
+    eval_virtual_exterior (virtual) at x."""
+    if kind == "hidden":
+        return per_mode_expand(modal.region_chains(solution, "hidden"), x,
+                               np.linalg.norm(x))
+    if kind == "virtual":
+        return per_mode_expand(modal.region_chains(solution, "layer"), x,
+                               np.linalg.norm(x))
+    fmap = CloakOuterMap(solution.params)
+    y = fmap.inverse(x)
+    virt = per_mode_sample(solution, "virtual", y)
+    return geometry.pushforward_field(fmap, y, virt.T)[1].T
+
+
+REGION_RADII = {"hidden": 0.8, "layer": 1.4, "virtual": 0.5}
+
+
+def assert_matches_per_mode(solution, directions):
+    for kind, radius in REGION_RADII.items():
+        evaluate = (fields.eval_virtual_exterior if kind == "virtual"
+                    else fields.eval_physical)
+        for d in directions:
+            x = radius * np.asarray(d, dtype=float) / np.linalg.norm(d)
+            sample = evaluate(solution, x)
+            got = np.stack([sample.E, sample.H])
+            want = per_mode_sample(solution, kind, x)
+            scale = np.max(np.abs(want))
+            assert scale > 0.0, (kind, d)
+            assert np.max(np.abs(got - want)) <= 1e-13 * scale, (kind, d)
+
+
+def all_modes_source(n_max=12, seed=5):
+    rng = np.random.default_rng(seed)
+
+    def coeff(n):
+        return 2.0 ** -n * np.exp(2j * np.pi * rng.uniform())
+
+    return modal.SourceCoeffs(
+        {(n, m): (coeff(n), coeff(n))
+         for n in range(1, n_max + 1) for m in range(-n, n + 1)}, r1=0.5)
+
+
+# on each pole, the pole with a negative zero x, and just outside and just
+# inside the pole band sin(theta) < _POLE_SIN, where U takes its limit
+POLE_DIRECTIONS = [
+    (0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (-0.0, 0.0, 1.0),
+    (1.5 * _POLE_SIN, 0.0, 1.0), (0.0, -1.5 * _POLE_SIN, -1.0),
+    (0.5 * _POLE_SIN, 0.0, -1.0), (0.0, 0.5 * _POLE_SIN, 1.0)]
+
+
+class TestPerDegreeKernel:
+    @pytest.mark.parametrize("rho", [1e-2, 1e-6])
+    def test_every_mode_to_degree_12(self, rho):
+        solution = modal.solve_source(
+            all_modes_source(), None, CloakParams(rho=rho, omega=1.0, r1=0.5))
+        assert len(solution.modes) == 168
+        rng = np.random.default_rng(11)
+        assert_matches_per_mode(
+            solution, [*rng.normal(size=(50, 3)), *POLE_DIRECTIONS])
+
+    @pytest.mark.parametrize("rho", [1e-2, 1e-6])
+    def test_gapped_degrees_and_a_boundary_only_mode(self, rho):
+        # degrees 5 and 160 are boundary data alone: their p, q runs are
+        # all zeros, and at degree 160 the rows h, H overflow at r = 0.8
+        source = modal.SourceCoeffs(
+            {(1, 0): (0.3 + 0j, 1.0 + 0j), (1, -1): (0j, 0.5j),
+             (3, 2): (0.2 - 0.1j, 0j), (3, -3): (0.1j, 0.4 + 0j),
+             (7, 0): (0.01 + 0j, 0.02j), (7, 6): (0j, 0.03 + 0j)}, r1=0.5)
+        boundary = modal.BoundaryCoeffs({(5, 1): (0.2 + 0j, 0.1j),
+                                         (160, 1): (0.3j, 0.1 + 0j)})
+        solution = modal.solve_source(
+            source, boundary, CloakParams(rho=rho, omega=1.0, r1=0.5))
+        assert [n for n, _ in sorted(solution.modes)] == [
+            1, 1, 3, 3, 5, 7, 7, 160]
+        rng = np.random.default_rng(12)
+        assert_matches_per_mode(
+            solution, [*rng.normal(size=(10, 3)), *POLE_DIRECTIONS])
+
+    def test_one_mode(self):
+        rng = np.random.default_rng(13)
+        assert_matches_per_mode(
+            SOL, [*rng.normal(size=(10, 3)), (0.0, 0.3, 0.8)])
+
+    def test_empty_solution_is_zero(self):
+        solution = modal.solve_source(modal.SourceCoeffs({}, r1=0.5), None,
+                                      CloakParams(rho=0.1, omega=1.0))
+        for x in ([0.7, 0.0, 0.0], [0.0, 1.5, 0.2]):
+            sample = fields.eval_physical(solution, x)
+            assert not np.any(sample.E) and not np.any(sample.H)
 
 
 class TestIdealExterior:
