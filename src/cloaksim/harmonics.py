@@ -53,34 +53,31 @@ def _check_unit(direction):
     return d
 
 
-def _angles(d):
-    theta = math.atan2(math.hypot(d[0], d[1]), d[2])
-    phi = math.atan2(d[1], d[0])
-    return theta, phi
-
-
 @functools.lru_cache(maxsize=16)
 def _legendre_coeffs(n_max: int, m_max: int):
     """Coefficients of the normalised Legendre table, read-only arrays.
 
-    a, b, c are (n_max + 1, m_max + 1) arrays indexed [n, m], zero for
-    m >= n: P(n) = a (x P(n-1) - b P(n-2)) and
-    sin(theta) dP(n)/dtheta = n x P(n) - c P(n-1).  The sectoral value is
+    a, b are (n_max + 1, m_max + 2) arrays indexed [n, m], zero for
+    m >= n: P(n) = a (x P(n-1) - b P(n-2)).  up, down are
+    (n_max + 1, m_max + 1) arrays, zero for m > n:
+    dP(n,m)/dtheta = up P(n,m+1) - down P(n,m-1).  The sectoral value is
     P(m, m) = seed[m] sin(theta)^m.
     """
     n = np.arange(n_max + 1, dtype=float)[:, None]
-    m = np.arange(m_max + 1, dtype=float)[None, :]
+    m = np.arange(m_max + 2, dtype=float)[None, :]
     below = m < n
     with np.errstate(divide="ignore", invalid="ignore"):
         a = np.sqrt((4.0 * n * n - 1.0) / (n * n - m * m))
         b = np.sqrt(((n - 1.0) ** 2 - m * m) / (4.0 * (n - 1.0) ** 2 - 1.0))
-        c = np.sqrt((n * n - m * m) * (2.0 * n + 1.0) / (2.0 * n - 1.0))
     k = m[0, 1:]
     seed = np.cumprod(np.concatenate(([1.0 / math.sqrt(4.0 * math.pi)],
                                       -np.sqrt((2.0 * k + 1.0) / (2.0 * k)))))
     # b vanishes at n = m + 1, where P(n-2, m) is not defined
-    coeffs = (np.where(below, a, 0.0), np.where(below & (m < n - 1), b, 0.0),
-              np.where(below, c, 0.0), seed)
+    a, b = np.where(below, a, 0.0), np.where(below & (m < n - 1), b, 0.0)
+    m = m[:, :-1]
+    up, down = (0.5 * np.sqrt(np.maximum(v, 0.0)) for v in
+                ((n - m) * (n + m + 1.0), (n + m) * (n - m + 1.0)))
+    coeffs = (a, b, up, down, seed)
     for arr in coeffs:
         arr.flags.writeable = False
     return coeffs
@@ -92,23 +89,23 @@ def _legendre_table(n_max: int, m_max: int, x: float, s: float):
     x = cos theta and s = sin theta.
 
     Normalisation absorbs sqrt((2n+1)/(4 pi) (n-m)!/(n+m)!) so that
-    Y = P * exp(i m phi).  Every order climbs in degree at once from its
-    sectoral seed (Holmes & Featherstone, J. Geodesy 76, 2002).  At the
-    poles dP/dtheta is left 0: the gradient there is the analytic
-    m = +/-1 limit.
+    Y = P * exp(i m phi).  Every order up to m_max + 1 climbs in degree at
+    once from its sectoral seed (Holmes & Featherstone, J. Geodesy 76,
+    2002).  dP/dtheta comes from the neighbouring orders,
+    1/2 [sqrt((n-m)(n+m+1)) P(n,m+1) - sqrt((n+m)(n-m+1)) P(n,m-1)] with
+    P(n,-1) = -P(n,1) (Condon-Shortley), which divides by nothing and so
+    keeps its accuracy up to the poles.
     """
-    a, b, c, seed = _legendre_coeffs(n_max, m_max)
-    p = np.zeros((n_max + 1, m_max + 1))
-    np.fill_diagonal(p, seed * s ** np.arange(m_max + 1))
-    prev = curr = np.zeros(m_max + 1)  # P(n-2) and P(n-1)
+    a, b, up, down, seed = _legendre_coeffs(n_max, m_max)
+    p = np.zeros((n_max + 1, m_max + 2))
+    d = np.arange(min(n_max, m_max + 1) + 1)
+    p[d, d] = seed[d] * s ** d
+    prev = curr = np.zeros(m_max + 2)  # P(n-2) and P(n-1)
     for a_n, b_n, p_n in zip(a, b, p):
         p_n += a_n * (x * curr - b_n * prev)  # a_n is 0 from the diagonal on
         prev, curr = curr, p_n
-    dp = np.zeros_like(p)
-    if abs(s) >= _POLE_SIN:
-        dp[1:] = (np.arange(1.0, n_max + 1.0)[:, None] * x * p[1:]
-                  - c[1:] * p[:-1]) / s
-    return p, dp
+    lower = np.concatenate((-p[:, 1:2], p[:, :-2]), axis=1)  # P(n,m-1)
+    return p[:, :-1], up * p[:, 1:] - down * lower
 
 
 def angular_scalars(keys, direction):
@@ -135,8 +132,11 @@ def angular_scalars(keys, direction):
         n_bad, m_bad = keys[(n < 1) | (n > specfun.N_CAP) | (m_abs > n)][0]
         raise DomainError(f"invalid mode (n,m)=({n_bad},{m_bad}): need "
                           f"1 <= n <= {specfun.N_CAP} and |m| <= n")
-    theta, phi = _angles(d)
-    x, s = math.cos(theta), math.sin(theta)
+    # cos and sin of theta straight from the direction: through the angle
+    # itself, sin(theta) next to the south pole would carry pi's rounding
+    xy = math.hypot(d[0], d[1])
+    r = math.hypot(xy, d[2])
+    x, s, phi = d[2] / r, xy / r, math.atan2(d[1], d[0])
     p_tab, dp_tab = _legendre_table(n_top, int(m_abs.max(initial=0)), x, s)
     sign = (-1.0) ** np.minimum(m, 0)  # (-1)^m for m < 0
     p = sign * p_tab[n, m_abs]

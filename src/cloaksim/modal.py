@@ -19,7 +19,6 @@ from __future__ import annotations
 import cmath
 import json
 import math
-import struct
 import warnings
 from array import array
 from collections.abc import Mapping
@@ -410,15 +409,14 @@ def _limit_ratios(n: int, q: complex, params: CloakParams, lad):
 
 class _Store:
     """The work kept for one params object: the limit's ladders and unit-q
-    ratios by degree, and the latest solution read with it, its chains, the
-    quadrature tables read since and, under each table's key, its rows."""
+    ratios by degree, and the latest solution read with it, its chains and
+    the quadrature tables read since."""
 
-    __slots__ = ("params", "solution", "chains", "tables", "rows", "ladders",
-                 "unit")
+    __slots__ = ("params", "solution", "chains", "tables", "ladders", "unit")
 
     def __init__(self, params):
         self.params, self.solution, self.chains = params, None, None
-        self.tables, self.rows, self.ladders, self.unit = {}, {}, {}, {}
+        self.tables, self.ladders, self.unit = {}, {}, {}
 
 
 _store = _Store(None)
@@ -522,9 +520,9 @@ class RegionChains:
     ``expand`` reads them as stacked ScaledArray columns, ``degree_form``
     as each degree's peak and the modes' shifted values, and
     ``squared_sums`` as Gram sums per degree, all kept on the chains with
-    ``s_n``.  ``tables`` and ``rows`` are the store's dicts
-    that ``quadrature_table`` and ``kept_normal`` fill; the chains hold the
-    dicts, not the store, so the store that holds the chains forms no cycle.
+    ``s_n``.  ``tables`` is the store's dict that ``quadrature_table``
+    fills; the chains hold the dict, not the store, so the store that holds
+    the chains forms no cycle.
     """
 
     keys: list
@@ -535,7 +533,6 @@ class RegionChains:
     h_weight: float = 1.0
     surface: list | None = None
     tables: dict = field(default_factory=dict, compare=False, repr=False)
-    rows: dict = field(default_factory=dict, compare=False, repr=False)
 
     @cached_property
     def key_array(self) -> np.ndarray:
@@ -577,14 +574,14 @@ class RegionChains:
         """The BesselTable of orders up to n_max at wavenumber * r, for an
         array r of quadrature nodes, made read-only and kept in ``tables``
         under (n_max, arguments): every integrand asking for the same
-        degree at the same arguments reads one table.
+        degree at the same arguments, of any mode or test function, reads
+        one table and combines its own row from it.
         """
         t = self.wavenumber * r
         key = (n_max, t.tobytes())
         tab = self.tables.get(key)
         if tab is None:
-            tab = _read_only(specfun.bessel_table(n_max, t))
-            self.tables[key], self.rows[key] = tab, {}
+            tab = self.tables[key] = _read_only(specfun.bessel_table(n_max, t))
         return tab
 
     def normal(self, tab, i: int):
@@ -592,26 +589,6 @@ class RegionChains:
         n = self.keys[i][0]
         return specfun.combine(self.b[0][i], tab.jn(n), self.b[1][i],
                                tab.hn(n))
-
-    def kept_normal(self, tab, i: int):
-        """``normal`` of mode i, kept read-only with a table of
-        ``quadrature_table`` under the degree and the exact doubles of the
-        mode's two B coefficients: chains of the same solution or limit
-        asking for the same row of that table read one array.  A table not
-        kept there gives a fresh ``normal``."""
-        key = (tab.n_max, tab.t.tobytes())
-        if self.tables.get(key) is not tab:
-            return self.normal(tab, i)
-        rows = self.rows[key]
-        b0, b1 = self.b[0][i], self.b[1][i]
-        key = (self.keys[i][0], struct.pack(
-            "6d", b0.log_mag, b0.phase.real, b0.phase.imag, b1.log_mag,
-            b1.phase.real, b1.phase.imag))
-        row = rows.get(key)
-        if row is None:
-            row = rows[key] = self.normal(tab, i)
-            row.flags.writeable = False
-        return row
 
     def expand(self, tab):
         """(A(j, h), A(J, H), B(j, h), B(J, H)) of every mode at the
@@ -710,7 +687,7 @@ def _hidden_chains(keys, alpha, beta, pq, store, surface=None):
     p, q = ([ScaledComplex.from_complex(v[k]) for v in pq] for k in (0, 1))
     return RegionChains(keys, (alpha, p), (beta, q), params.k * params.omega,
                         params.eps0 ** -0.5, params.mu0 ** -0.5, surface,
-                        store.tables, store.rows)
+                        store.tables)
 
 
 def _solution_chains(solution: ModalSolution, store: _Store) -> dict:
@@ -728,8 +705,7 @@ def _solution_chains(solution: ModalSolution, store: _Store) -> dict:
         [list(column) for column in zip(*rows)]
         or [[] for _ in range(6)])
     return {"layer": RegionChains(keys, (gamma, c), (eta, d),
-                                  solution.params.omega, tables=store.tables,
-                                  rows=store.rows),
+                                  solution.params.omega, tables=store.tables),
             "hidden": _hidden_chains(
                 keys, alpha, beta,
                 [solution.source.entries.get(key, (0j, 0j)) for key in keys],
@@ -742,9 +718,9 @@ def region_chains(solution: ModalSolution, region: str) -> RegionChains:
 
     Both regions' chains are built in one pass and kept in the store with
     the solution (``_kept``): reading any other solution, or a solution of
-    another params object, starts a new store and drops these chains,
-    their quadrature tables and rows.  A solution whose modes are a plain
-    dict, which may be changed in place, is rebuilt on every call.
+    another params object, starts a new store and drops these chains and
+    their quadrature tables.  A solution whose modes are a plain dict,
+    which may be changed in place, is rebuilt on every call.
     """
     if region not in ("layer", "hidden"):
         raise DomainError(f"region is 'layer' or 'hidden', got {region!r}")

@@ -85,11 +85,14 @@ def _log_add(l1, p1, l2, p2):
 
 def combine(a, f, b, g):
     """a f + b g as a plain complex array, for rows f, g of a BesselTable
-    and ScaledComplex or ScaledArray coefficients a, b."""
-    log_mag, phase = _log_add(a.log_mag + f[0], a.phase * f[1],
-                              b.log_mag + g[0], b.phase * g[1])
+    and ScaledComplex or ScaledArray coefficients a, b.
+
+    Each product is exponentiated on its own, from the sum of its logs, so
+    a product inside double range is finite however large its factors; a
+    zero coefficient or row adds an exact 0."""
     with np.errstate(over="ignore"):
-        return np.exp(log_mag) * phase
+        return (np.exp(a.log_mag + f[0]) * (a.phase * f[1])
+                + np.exp(b.log_mag + g[0]) * (b.phase * g[1]))
 
 
 def _kept(*terms):

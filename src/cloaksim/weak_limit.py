@@ -161,12 +161,8 @@ def _pairing(chains, phi, tol, lo, hi, integrate=integrate_adaptive,
     """Sum over the modes i of the chains that phi has a profile for, in
     ascending (n, m) order, of the integral over (lo, hi) of
     S^2 e_weight B_i(w r) phi(g) g^2 / r dr, where the physical radius g is
-    radius(r), or r itself for radius None.
-
-    The first call of each integrand, the base pass, reads its row through
-    ``kept_normal``: its nodes depend on (lo, hi) alone, so a later pairing
-    of the same solution or limit on another test function reads the same
-    row.  Later passes follow phi's convergence and combine afresh."""
+    radius(r), or r itself for radius None.  Every pass combines its
+    mode's row afresh from the degree's table of ``quadrature_table``."""
     total = 0j
     for i, key in enumerate(chains.keys):
         if key not in phi.profiles:
@@ -174,10 +170,8 @@ def _pairing(chains, phi, tol, lo, hi, integrate=integrate_adaptive,
         n, prof = key[0], phi.profiles[key][0]
 
         def integrand(r, i=i, n=n, prof=prof,
-                      s2w=n * (n + 1) * chains.e_weight,
-                      row=iter([chains.kept_normal])):
-            tab = chains.quadrature_table(n, r)
-            val = s2w * next(row, chains.normal)(tab, i)
+                      s2w=n * (n + 1) * chains.e_weight):
+            val = s2w * chains.normal(chains.quadrature_table(n, r), i)
             if radius is None:
                 return val * prof(r) * r
             g = radius(r)

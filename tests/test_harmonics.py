@@ -1,13 +1,14 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import special as sp
 
 from cloaksim.errors import DomainError, SingularityError
-from cloaksim.harmonics import (ModeIndex, angular_basis, angular_table,
-                                scalar_Y, vector_UV, wave_MN)
+from cloaksim.harmonics import (ModeIndex, angular_basis, angular_scalars,
+                                angular_table, scalar_Y, vector_UV, wave_MN)
 
 
 def sphere_quadrature(n_theta=64, n_phi=128):
@@ -318,6 +319,27 @@ class TestAngularTable:
                     d /= np.linalg.norm(d)
                     for values in angular_table(ALL_KEYS_20, d):
                         assert np.all(np.isfinite(values))
+
+    @pytest.mark.parametrize("zsign", [1.0, -1.0])
+    @pytest.mark.parametrize("sin_theta", [2e-10, 1e-8, 1e-6])
+    def test_zonal_gradient_next_to_a_pole_matches_mpmath(self, zsign,
+                                                          sin_theta):
+        # U_theta of an m = 0 mode is O(sin theta); a derivative divided by
+        # sin(theta) loses it to cancellation near a pole
+        d = np.array([sin_theta, 0.0, zsign * math.sqrt(1.0 - sin_theta ** 2)])
+        keys = [(n, 0) for n in range(1, 13)]
+        u_theta = angular_scalars(keys, d)[0][:, 1]
+        with mpmath.workdps(50):
+            theta = mpmath.atan2(mpmath.mpf(d[0]), mpmath.mpf(d[2]))
+            x = mpmath.cos(theta)
+            for (n, _), got in zip(keys, u_theta):
+                # dP_n(cos theta)/dtheta = -sin(theta) P_n'(x)
+                dp = (-mpmath.sin(theta) * n * (x * mpmath.legendre(n, x)
+                                                - mpmath.legendre(n - 1, x))
+                      / (x * x - 1))
+                want = complex(mpmath.sqrt((2 * n + 1) / (4 * mpmath.pi))
+                               * dp / mpmath.sqrt(n * (n + 1)))
+                assert abs(got - want) <= 1e-12 * abs(want), (n, got, want)
 
     @pytest.mark.parametrize("keys", [[(0, 0)], [(1, 2)], [(2, -3)],
                                       [(201, 0)], [(1, 0), (2, 5)]])

@@ -828,49 +828,21 @@ def test_limit_degree_beyond_double_range_keeps_no_ratios():
     assert 0 not in modal._store.ladders
 
 
-# -- normal rows kept with the quadrature tables --------------------------------
+# -- quadrature tables kept with the solution ------------------------------------
 
 KEPT_NODES = np.linspace(0.55, 0.95, 7)
 
 
-def test_kept_row_is_a_fresh_combine_and_read_only():
-    sol = modal.solve_source(ALL_MODES, None, CloakParams(1e-6, 1.0, r1=0.5))
-    chains = modal.region_chains(sol, "hidden")
-    for i, (n, _) in enumerate(chains.keys):
-        tab = chains.quadrature_table(n, KEPT_NODES)
-        row = chains.kept_normal(tab, i)
-        want = specfun.combine(chains.b[0][i], tab.jn(n), chains.b[1][i],
-                               tab.hn(n))
-        assert row.tobytes() == want.tobytes()
-        assert chains.kept_normal(tab, i) is row
-        with pytest.raises(ValueError):
-            row[0] = 0.0
-    # a table not kept by quadrature_table keeps no row
-    tab = chains.table(0.7)
-    assert chains.kept_normal(tab, 0) is not chains.kept_normal(tab, 0)
-
-
-def test_modes_of_one_degree_keep_their_own_rows():
-    sol = modal.solve_source(ALL_MODES, None, CloakParams(1e-2, 1.0, r1=0.5))
-    chains = modal.region_chains(sol, "hidden")
-    pair = [chains.keys.index(key) for key in ((3, -1), (3, 2))]
-    assert chains.b[0][pair[0]] != chains.b[0][pair[1]]
-    tab = chains.quadrature_table(3, KEPT_NODES)
-    rows = [chains.kept_normal(tab, i) for i in pair]
-    assert rows[0].tobytes() != rows[1].tobytes()
-    assert [row.tobytes() for row in rows] == [
-        chains.normal(tab, i).tobytes() for i in pair]
-
-
-def test_next_solution_drops_the_kept_rows():
+def test_next_solution_drops_the_kept_tables():
     params = CloakParams(1e-4, 1.0, r1=0.5)
     first, second = (modal.solve_source(ALL_MODES, None, params)
                      for _ in range(2))
     chains = modal.region_chains(first, "layer")
-    tab = chains.quadrature_table(1, KEPT_NODES)
-    refs = [weakref.ref(chains.kept_normal(tab, i)) for i in range(3)]
-    del tab, chains  # the chains hold the store's rows
+    refs = [weakref.ref(chains.quadrature_table(n, KEPT_NODES))
+            for n in (1, 2, 3)]
+    assert all(ref() is not None for ref in refs)
+    del chains  # the chains hold the store's tables
     modal.region_chains(second, "layer")
     gc.collect()
     assert all(ref() is None for ref in refs)
-    assert modal._store.rows == {}
+    assert modal._store.tables == {}

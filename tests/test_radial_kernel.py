@@ -23,7 +23,7 @@ from cloaksim.errors import AccuracyError, CapabilityError, DomainError
 from cloaksim.geometry import CloakParams
 from cloaksim.quadrature import (gauss_legendre, integrate_array,
                                  integrate_panels)
-from cloaksim.scaled import ScaledComplex
+from cloaksim.scaled import ScaledArray, ScaledComplex
 from cloaksim.weak_limit import RadialTestFunction
 
 EXTREME_T = [1e-8, 1e-5, 1e-2, 0.3, 1.0, 7.0, 7.6, 20.0, 50.0]
@@ -354,7 +354,45 @@ class TestServedRows:
             assert all(x is not y for x, y in zip(a, b))
 
 
+def _log_space_combine(a, f, b, g):
+    """The former rule of ``combine``: the two products added in log space,
+    scaled to the larger one, and exponentiated once."""
+    log_mag, phase = specfun._log_add(a.log_mag + f[0], a.phase * f[1],
+                                      b.log_mag + g[0], b.phase * g[1])
+    with np.errstate(over="ignore"):
+        return np.exp(log_mag) * phase
+
+
 class TestCombine:
+    @pytest.mark.parametrize("n_max", [0, 1, 7, 60, 200])
+    def test_agrees_with_the_log_space_rule(self, n_max):
+        """Both rules round the log sum of each product, so they may differ
+        by about 2.2e-16 (1 + L) of the larger product, L the larger log sum
+        in size; the coefficients keep every product inside double range
+        and include pairs that cancel."""
+        rng = np.random.default_rng(n_max)
+        tab = specfun.bessel_table(n_max, np.geomspace(1e-6, 1e3, 37))
+        n = np.arange(n_max + 1)
+        shape = (n.size, tab.t.size)
+        for f, g in ((tab.jn(n), tab.hn(n)), (tab.riccati_j(n),
+                                               tab.riccati_h(n))):
+            for cancel in (False, True):
+                # the log magnitude and angle each product is to have
+                log_af, log_bg = rng.uniform(-700.0, 700.0, (2,) + shape)
+                ang_af, ang_bg = rng.uniform(-math.pi, math.pi, (2,) + shape)
+                if cancel:
+                    log_bg, ang_bg = log_af + 1e-9, ang_af + math.pi
+                a = ScaledArray(log_af - f[0], np.exp(1j * ang_af) / f[1])
+                b = ScaledArray(log_bg - g[0], np.exp(1j * ang_bg) / g[1])
+                got = specfun.combine(a, f, b, g)
+                want = _log_space_combine(a, f, b, g)
+                size = np.maximum(np.abs(a.log_mag) + np.abs(f[0]),
+                                  np.abs(b.log_mag) + np.abs(g[0]))
+                bound = 2.2e-16 * (1.0 + size) * np.exp(np.maximum(log_af,
+                                                                   log_bg))
+                assert np.all(np.isfinite(got))
+                assert np.all(np.abs(got - want) <= bound)
+
     def test_matches_scaled_arithmetic(self):
         tab = specfun.bessel_table(6, [1e-7, 0.2, 4.0, 30.0])
         a = ScaledComplex.from_complex(0.3 - 2.0j) * ScaledComplex.from_log(

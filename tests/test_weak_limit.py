@@ -818,9 +818,9 @@ class TestLimitLadders:
                     part[0] = 0.0
 
 
-# -- the base pass's kept normal rows --------------------------------------------
+# -- a pairing does not depend on the pairings before it --------------------------
 
-class TestKeptRows:
+class TestPairingsInTurn:
     MODE = (2, -1)
     SPLINE = RadialTestFunction.cubic_spline(
         [MODE], [(0.4, 0.0), (0.7, 1.1), (1.0, 0.9), (1.4, 1.2)])
@@ -842,29 +842,6 @@ class TestKeptRows:
         alone = self._pairings(params, self.SPLINE)
         assert self._pairings(params, self.BUMP, self.SPLINE)[3:] == alone
 
-    def test_spline_after_a_bump_combines_three_rows_fewer(self, monkeypatch):
-        params = CloakParams(rho=1e-4, omega=OMEGA, r1=R1)
-        calls, combine = [], specfun.combine
-
-        def counted(*args):
-            calls.append(1)
-            return combine(*args)
-
-        monkeypatch.setattr(specfun, "combine", counted)
-        self._pairings(params, self.BUMP, self.SPLINE)
-        kept = len(calls)
-        monkeypatch.setattr(modal.RegionChains, "kept_normal",
-                            modal.RegionChains.normal)
-        calls.clear()
-        self._pairings(params, self.BUMP, self.SPLINE)
-        assert len(calls) - kept == 3
-
-    def test_only_the_base_pass_keeps_rows(self):
-        """The spline's interior and limit integrals take a second pass;
-        each of its three integrals keeps one row."""
-        self._pairings(CloakParams(rho=1e-4, omega=OMEGA, r1=R1), self.SPLINE)
-        assert sum(map(len, modal._store.rows.values())) == 3
-
     def test_rebuilt_profiles_pair_as_the_originals(self):
         """Profiles wrapped in fresh callables, as a tracer that counts
         profile evaluations rebuilds them, pair to the same bytes."""
@@ -883,30 +860,30 @@ class TestKeptRows:
 
 class TestKeptStore:
     PARAMS = CloakParams(rho=1e-4, omega=OMEGA, r1=R1)
-    SPLINE = TestKeptRows.SPLINE
+    SPLINE = TestPairingsInTurn.SPLINE
 
     def test_new_params_frees_the_old_store_without_the_collector(self):
         """The store holds the chains, and the chains hold only the store's
-        dicts, so a superseded store is freed by reference counting."""
+        dict of tables, so a superseded store is freed by reference
+        counting."""
         params = CloakParams(rho=1e-4, omega=OMEGA, r1=R1)
         sol = modal.solve_source(EIGHT_MODES, None, params)
         _pair(sol, self.SPLINE)
         weak_limit.predicted_limit(EIGHT_MODES, self.SPLINE, params)
         store = modal._store
         assert store.solution is sol
-        rows = [row for kept in store.rows.values() for row in kept.values()]
         ladder = next(iter(store.ladders.values()))
         refs = [weakref.ref(obj) for obj in (
-            next(iter(store.tables.values())), rows[0], ladder.table,
+            next(iter(store.tables.values())), ladder.table,
             store.chains["hidden"])]
         del ladder
-        del store, rows, sol
+        del store, sol
         enabled = gc.isenabled()
         gc.disable()
         try:
             _pair(modal.solve_source(EIGHT_MODES, None, CloakParams(
                 rho=1e-4, omega=1.3, r1=R1)), self.SPLINE)
-            assert [ref() is None for ref in refs] == [True] * 4
+            assert [ref() is None for ref in refs] == [True] * 3
         finally:
             if enabled:
                 gc.enable()
@@ -923,17 +900,17 @@ class TestKeptStore:
             weak_limit.predicted_limit(EIGHT_MODES, BUMP, self.PARAMS)
             assert modal._store.solution is sol
 
-    def test_solutions_of_one_params_object_share_no_rows(self):
+    def test_solutions_of_one_params_object_share_no_tables(self):
         first, second = (modal.solve_source(EIGHT_MODES, None, self.PARAMS)
                          for _ in range(2))
         _pair(first, self.SPLINE)
-        rows = modal._store.rows
-        kept = {id(row) for table in rows.values() for row in table.values()}
+        tables = modal._store.tables  # keeps the first tables and their ids
+        kept = set(map(id, tables.values()))
         assert kept
         _pair(second, self.SPLINE)
-        assert modal._store.rows is not rows
-        assert not kept & {id(row) for table in modal._store.rows.values()
-                           for row in table.values()}
+        assert modal._store.tables is not tables
+        assert modal._store.tables.keys() == tables.keys()
+        assert not kept & set(map(id, modal._store.tables.values()))
 
     def test_chains_of_an_earlier_store_pair_the_same(self):
         sol = modal.solve_source(EIGHT_MODES, None, self.PARAMS)
