@@ -26,7 +26,6 @@ from . import __version__, fields, halfspace, modal, specfun, weak_limit
 from .errors import AccuracyError, CloakSimError, ConfigError, ResonanceError
 from .geometry import CloakParams
 from .manifest import RunManifest, write_csv, write_json
-from .modal import config_number
 from .scaled import ScaledArray
 from .weak_limit import RadialTestFunction
 
@@ -58,13 +57,39 @@ def _load_config(path):
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
 
 
+def config_number(value, field, kind=float):
+    """A configuration value as a finite float, or as an int when ``kind``
+    is int.
+
+    Raises:
+        ConfigError: naming ``field``, when the value is a JSON boolean, not
+            a finite number (strings that spell one are accepted, as float()
+            does), or, for an int, not integral (2.0 is, 1.6 is not).
+    """
+    if isinstance(value, bool):
+        raise ConfigError(f"{field} must be a number, got {value!r}")
+    if kind is int and isinstance(value, int):
+        return value
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{field} must be a number, got {value!r}") from exc
+    if not math.isfinite(number):
+        raise ConfigError(f"{field} must be finite, got {value!r}")
+    if kind is int:
+        if not number.is_integer():
+            raise ConfigError(f"{field} must be an integer, got {value!r}")
+        return int(number)
+    return number
+
+
 def _num(doc, key, where, default=None, kind=float):
     """doc[key], or default when absent, as a finite number (ConfigError
     naming the field otherwise)."""
     return config_number(doc.get(key, default), f"{where} field {key}", kind)
 
 
-def _tolerance(value, where):
+def _positive(value, where):
     """value as a finite number above 0 (ConfigError naming where)."""
     tol = config_number(value, where)
     if tol <= 0.0:
@@ -76,6 +101,21 @@ def _num_list(values, where):
     if not isinstance(values, list):
         raise ConfigError(f"{where} must be a list of numbers")
     return [config_number(v, f"{where} entry") for v in values]
+
+
+def _numbers(cells, size, where, kind=float):
+    """cells as a tuple of ``size`` config numbers (ConfigError naming where
+    otherwise)."""
+    if not isinstance(cells, (list, tuple)) or len(cells) != size:
+        raise ConfigError(f"{where}: expected {size} values, got {cells!r}")
+    return tuple(config_number(v, where, kind) for v in cells)
+
+
+def _num_tuples(values, size, where, kind=float):
+    """values as a list of ``_numbers`` tuples named "<where> entry"."""
+    if not isinstance(values, list):
+        raise ConfigError(f"{where} must be a list of {size}-number lists")
+    return [_numbers(v, size, f"{where} entry", kind) for v in values]
 
 
 def _finite_or_none(x):  # JSON null for NaN or inf, e.g. an unfitted rate
@@ -97,16 +137,50 @@ def _require_keys(doc, required, optional, where):
         raise ConfigError(f"{where} missing fields: {sorted(missing)}")
 
 
+def _parse_table(rows, names, kind):
+    """{(n, m): complex values of names} from rows {n, m, <name>_re/_im}."""
+    if not isinstance(rows, list):
+        raise ConfigError(f"{kind} table must be a list of row objects")
+    where, entries = f"{kind} row", {}
+    value_keys = {f"{x}_{part}" for x in names for part in ("re", "im")}
+    for row in rows:
+        _require_keys(row, {"n", "m"}, value_keys, where)
+        n, m = _num(row, "n", where, kind=int), _num(row, "m", where, kind=int)
+        if (n, m) in entries:
+            raise ConfigError(f"duplicate mode ({n},{m}) in {kind} table")
+        entries[(n, m)] = tuple(complex(_num(row, f"{x}_re", where, 0.0),
+                                        _num(row, f"{x}_im", where, 0.0))
+                                for x in names)
+    return entries
+
+
+def parse_source_table(rows, r1: float) -> modal.SourceCoeffs:
+    """Source table from JSON rows {n, m, p_re, p_im, q_re, q_im}."""
+    return modal.SourceCoeffs(_parse_table(rows, ("p", "q"), "source"), r1)
+
+
+def parse_boundary_table(rows) -> modal.BoundaryCoeffs:
+    """Boundary table from JSON rows {n, m, f1_re, f1_im, f2_re, f2_im}."""
+    return modal.BoundaryCoeffs(_parse_table(rows, ("f1", "f2"), "boundary"))
+
+
+def read_points_csv(path):
+    """Points from a CSV file with one x,y,z triple per row.
+
+    Raises:
+        ConfigError: naming file:line, for a row that is not three finite
+            numbers.
+    """
+    with open(path, encoding="utf-8") as fh:
+        return [_numbers(line.split(","), 3, f"{path}:{line_no}")
+                for line_no, line in enumerate(map(str.strip, fh), 1)
+                if line and not line.startswith("#")]
+
+
 def _parse_phi(doc):
     _require_keys(doc, {"family", "modes"},
                   {"r_lo", "r_hi", "amplitude", "knots"}, "phi")
-    try:
-        modes = [tuple(config_number(v, "phi modes entry", int) for v in mode)
-                 for mode in doc["modes"]]
-    except TypeError as exc:
-        raise ConfigError(f"phi modes must be [n, m] pairs: {exc}") from exc
-    if any(len(mode) != 2 for mode in modes):
-        raise ConfigError(f"phi modes must be [n, m] pairs, got {doc['modes']}")
+    modes = _num_tuples(doc["modes"], 2, "phi modes", int)
     if not modes:
         raise ConfigError("phi modes must be non-empty")
     if doc["family"] == "bump":
@@ -117,7 +191,8 @@ def _parse_phi(doc):
         if "knots" not in doc:
             raise ConfigError("phi missing fields: ['knots'] (the spline "
                               "family needs them)")
-        return RadialTestFunction.cubic_spline(modes, doc["knots"])
+        return RadialTestFunction.cubic_spline(
+            modes, _num_tuples(doc["knots"], 2, "phi knots"))
     raise ConfigError(f"unknown phi family: {doc['family']!r}")
 
 
@@ -144,11 +219,11 @@ def cmd_converge(config_path, out_dir, tol):
         raise ConfigError("rho_list must be non-empty")
     quad = doc.get("quadrature", {})
     _require_keys(quad, set(), {"tol"}, "quadrature")
-    configured = _tolerance(quad.get("tol", 1e-9), "quadrature field tol")
+    configured = _positive(quad.get("tol", 1e-9), "quadrature field tol")
     qtol = configured if tol is None else tol
 
     params = _parse_cloak_params(pdoc, rho_list[0])
-    source = modal.parse_source_table(doc["source"], r1=params.r1)
+    source = parse_source_table(doc["source"], r1=params.r1)
     modal.check_decay_certificate(source, params)
     phi = _parse_phi(doc["phi"])
     if not phi.profiles.keys() & source.entries.keys():
@@ -190,8 +265,8 @@ def cmd_fields(config_path, out_dir, tol):
     pdoc = doc["params"]
     _require_keys(pdoc, {"omega", "r1", "rho"}, {"eps0", "mu0"}, "fields params")
     params = _parse_cloak_params(pdoc, _num(pdoc, "rho", "params"))
-    source = modal.parse_source_table(doc["source"], r1=params.r1)
-    boundary = modal.parse_boundary_table(doc.get("boundary", []))
+    source = parse_source_table(doc["source"], r1=params.r1)
+    boundary = parse_boundary_table(doc.get("boundary", []))
     solution = modal.solve_source(source, boundary, params)
     space = doc["space"]
     if space not in ("virtual", "physical"):
@@ -201,10 +276,10 @@ def cmd_fields(config_path, out_dir, tol):
     if "points" in doc:
         if not isinstance(doc["points"], list):
             raise ConfigError("points must be a list of [x, y, z] triples")
-        points = [fields.parse_point(p, f"points[{i}]", ConfigError)
+        points = [_numbers(p, 3, f"points[{i}]")
                   for i, p in enumerate(doc["points"])]
     else:
-        points = fields.read_points_csv(doc["points_csv"])
+        points = read_points_csv(doc["points_csv"])
     if not points:
         raise ConfigError("points must be non-empty")
     evaluate = (fields.eval_virtual_exterior if space == "virtual"
@@ -236,7 +311,8 @@ def cmd_halfspace(config_path, out_dir, tol):
                                    _num(phi_doc, "amplitude", "phi", 1.0))
     hin = complex(_num(doc, "hin_re", "config", 1.0),
                   _num(doc, "hin_im", "config", 0.0))
-    halfwidth = _num(doc, "pairing_halfwidth", "config", 2.0)
+    halfwidth = _positive(doc.get("pairing_halfwidth", 2.0),
+                          "config field pairing_halfwidth")
     qtol = tol if tol is not None else 1e-10
     omega, kz = _num(doc, "omega", "config"), _num(doc, "kz", "config")
     rho_list = _num_list(doc["rho_list"], "config rho_list")
@@ -368,7 +444,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     func = _COMMANDS[args.command][0]
     try:
-        tol = None if args.tol is None else _tolerance(args.tol, "--tol")
+        tol = None if args.tol is None else _positive(args.tol, "--tol")
         return func(args.config, args.out, tol)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

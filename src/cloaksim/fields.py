@@ -186,34 +186,7 @@ def maxwell_residuals(e_field, h_field, x, omega, eps_tensor=None,
     return float(np.max(np.abs(res_e))), float(np.max(np.abs(res_h)))
 
 
-# -- CSV exchange --------------------------------------------------------------
-
-
-def parse_point(cells, where, error=DomainError) -> np.ndarray:
-    """A point from a list of exactly three finite numbers; anything else
-    raises ``error`` (DomainError by default) naming ``where``."""
-    if not isinstance(cells, (list, tuple)) or len(cells) != 3:
-        raise error(f"{where}: expected 3 values, got {cells!r}")
-    try:
-        point = np.array([float(v) for v in cells])
-    except (TypeError, ValueError):
-        raise error(f"{where}: non-numeric value in {cells!r}") from None
-    if not np.all(np.isfinite(point)):
-        raise error(f"{where}: non-finite value in {cells!r}")
-    return point
-
-
-def read_points_csv(path):
-    """Points from a CSV file with one x,y,z triple per row.
-
-    Raises:
-        DomainError: naming file:line, for a row that is not three finite
-            numbers.
-    """
-    with open(path, encoding="utf-8") as fh:
-        return [parse_point(line.split(","), f"{path}:{line_no}")
-                for line_no, line in enumerate(map(str.strip, fh), 1)
-                if line and not line.startswith("#")]
+# -- CSV output ----------------------------------------------------------------
 
 
 def write_samples_csv(path, samples):

@@ -150,6 +150,13 @@ class TestFunction1D:
     x_hi: float
     amplitude: float = 1.0
 
+    def __post_init__(self):
+        if not self.x_lo < self.x_hi:
+            raise DomainError("support must satisfy x_lo < x_hi, got "
+                              f"({self.x_lo}, {self.x_hi})")
+        if not math.isfinite(self.amplitude):
+            raise DomainError(f"amplitude must be finite, got {self.amplitude}")
+
     def __call__(self, x):
         value = np.where((x > self.x_lo) & (x < self.x_hi), self.amplitude
                          * (x - self.x_lo) ** 2 * (self.x_hi - x) ** 2, 0.0)
@@ -203,7 +210,8 @@ def limit_study(params_list, phi, halfwidth: float, tol: float = 1e-10):
     """Pairing table over a regularisation sweep.
 
     Returns (rows, mass_exponent): per-rho amplitudes, pairings on both
-    sides, and the fitted power of |transmitted mass| against rho.
+    sides, and the fitted power of |transmitted mass| against rho (NaN
+    when fewer than two masses are nonzero).
     """
     rows = []
     for params in params_list:
@@ -212,7 +220,7 @@ def limit_study(params_list, phi, halfwidth: float, tol: float = 1e-10):
         rows.append({"rho": params.rho, "h_plus": h_plus, "h_sc": h_sc,
                      "transmitted_mass": mass, "reflected_pairing":
                      reflected_pairing(params, phi, -halfwidth, tol)})
-    if len(rows) < 2:
+    masses = [abs(row["transmitted_mass"]) for row in rows]
+    if sum(mass > 0 for mass in masses) < 2:
         return rows, math.nan
-    return rows, fit_power_law([row["rho"] for row in rows],
-                               [abs(row["transmitted_mass"]) for row in rows])
+    return rows, fit_power_law([row["rho"] for row in rows], masses)

@@ -17,7 +17,6 @@ layer, the hidden region and the limit.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 import warnings
 from array import array
@@ -28,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from . import specfun
-from .errors import CapabilityError, ConfigError, DomainError, ResonanceError
+from .errors import CapabilityError, DomainError, ResonanceError
 from .geometry import CloakParams
 from .scaled import ScaledArray, ScaledComplex, scaled_real
 
@@ -827,81 +826,3 @@ def solve_source(source: SourceCoeffs, boundary: BoundaryCoeffs | None,
                         ratios)
     return ModalSolution(params=params, source=source, boundary=boundary,
                          modes=modes, n_max=n_max)
-
-
-# -- JSON tables --------------------------------------------------------------
-
-def config_number(value, field: str, kind=float):
-    """A configuration value as a finite float, or as an int when ``kind``
-    is int.
-
-    Raises:
-        ConfigError: naming ``field``, when the value is a JSON boolean, not
-            a finite number (strings that spell one are accepted, as float()
-            does), or, for an int, not integral (2.0 is, 1.6 is not).
-    """
-    if isinstance(value, bool):
-        raise ConfigError(f"{field} must be a number, got {value!r}")
-    if kind is int and isinstance(value, int):
-        return value
-    try:
-        number = float(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{field} must be a number, got {value!r}") from exc
-    if not math.isfinite(number):
-        raise ConfigError(f"{field} must be finite, got {value!r}")
-    if kind is int:
-        if not number.is_integer():
-            raise ConfigError(f"{field} must be an integer, got {value!r}")
-        return int(number)
-    return number
-
-
-def _complex_field(row, name, kind):
-    return complex(config_number(row.get(f"{name}_re", 0.0),
-                                 f"{kind} row field {name}_re"),
-                   config_number(row.get(f"{name}_im", 0.0),
-                                 f"{kind} row field {name}_im"))
-
-
-def _parse_rows(rows, allowed, kind):
-    if not isinstance(rows, list):
-        raise ConfigError(f"{kind} table must be a list of row objects")
-    entries = {}
-    for row in rows:
-        if not isinstance(row, dict):
-            raise ConfigError(f"{kind} row must be an object, got {type(row).__name__}")
-        unknown = set(row) - allowed
-        if unknown:
-            raise ConfigError(f"unknown fields in {kind} row: {sorted(unknown)}")
-        missing = {"n", "m"} - set(row)
-        if missing:
-            raise ConfigError(f"{kind} row missing fields: {sorted(missing)}")
-        n = config_number(row["n"], f"{kind} row field n", int)
-        m = config_number(row["m"], f"{kind} row field m", int)
-        if (n, m) in entries:
-            raise ConfigError(f"duplicate mode ({n},{m}) in {kind} table")
-        entries[(n, m)] = row
-    return entries
-
-
-def _parse_table(rows, names, kind):
-    """{(n, m): complex values of names} from rows {n, m, <name>_re/_im}."""
-    allowed = {"n", "m"} | {f"{x}_{ri}" for x in names for ri in ("re", "im")}
-    return {key: tuple(_complex_field(row, x, kind) for x in names)
-            for key, row in _parse_rows(rows, allowed, kind).items()}
-
-
-def parse_source_table(rows, r1: float) -> SourceCoeffs:
-    """Source table from JSON rows {n, m, p_re, p_im, q_re, q_im}."""
-    return SourceCoeffs(_parse_table(rows, ("p", "q"), "source"), r1)
-
-
-def parse_boundary_table(rows) -> BoundaryCoeffs:
-    """Boundary table from JSON rows {n, m, f1_re, f1_im, f2_re, f2_im}."""
-    return BoundaryCoeffs(entries=_parse_table(rows, ("f1", "f2"), "boundary"))
-
-
-def load_source_table(path, r1: float) -> SourceCoeffs:
-    with open(path, encoding="utf-8") as fh:
-        return parse_source_table(json.load(fh), r1)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import cloaksim
-from cloaksim import modal, specfun
+from cloaksim import cli, modal, specfun
 from cloaksim.cli import _specfun_deviations, main
 from cloaksim.errors import AccuracyError, ConfigError, DomainError
 from cloaksim.geometry import CloakParams
@@ -120,7 +120,7 @@ class TestConverge:
         pdoc = doc["params"]
         params = CloakParams(rho=pdoc["rho_list"][-1], omega=pdoc["omega"],
                              r1=pdoc["r1"])
-        source = modal.parse_source_table(doc["source"], r1=pdoc["r1"])
+        source = cli.parse_source_table(doc["source"], r1=pdoc["r1"])
         n_max = modal.solve_source(source, None, params).n_max
         assert n_max == 6
         assert RunManifest.read(tmp_path / "manifest.json").n_max == n_max
@@ -129,6 +129,7 @@ class TestConverge:
         [[0.4, 0.0], [1.0, 1.0], [1.0, 0.5]],
         [[0.4, 0.0], [1.0, 1.0], [0.7, 2.0], [0.7, 1.0]],
         [[2.0, 0.0]],
+        [[0.4, 0.0], [True, 0.5], [1.4, 0.3]],  # a boolean is no radius
     ])
     def test_bad_spline_knots_exit_2(self, tmp_path, capsys, knots):
         doc = json.loads((SCENARIOS / "converge_single_mode.json").read_text())
@@ -226,7 +227,7 @@ class TestFields:
         from cloaksim import fields as f
         doc = json.loads((SCENARIOS / "fields_single_mode.json").read_text())
         params = CloakParams(rho=0.1, omega=1.0, r1=0.5)
-        src = modal.parse_source_table(doc["source"], r1=0.5)
+        src = cli.parse_source_table(doc["source"], r1=0.5)
         sol = modal.solve_source(src, None, params)
         for point, line in zip(doc["points"], lines[1:], strict=True):
             sample = f.eval_physical(sol, point)
@@ -289,6 +290,7 @@ class TestFields:
         [["a", 1.2, 0.1]],            # non-numeric coordinate
         [1.2, 0.1, 0.3],              # one point, not a list of points
         [[[1.2, 0.1, 0.3]]],          # nested one level too deep
+        [[True, 0.0, 0.7]],           # a boolean is no coordinate
     ])
     def test_malformed_inline_points_exit_2(self, tmp_path, capsys, points):
         doc = json.loads((SCENARIOS / "fields_single_mode.json").read_text())
@@ -358,6 +360,19 @@ class TestHalfspace:
         assert run(["halfspace", "--config", cfg, "--out", tmp_path]) == 0
         summary = read_strict_json(tmp_path / "summary.json")
         assert summary == {"transmitted_mass_exponent": None}
+
+    @pytest.mark.parametrize("halfwidth", [0, -1.0])
+    def test_halfwidth_not_above_0_exits_2_before_any_output(
+            self, tmp_path, capsys, halfwidth):
+        doc = json.loads((SCENARIOS / "halfspace_sweep.json").read_text())
+        doc["pairing_halfwidth"] = halfwidth
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert run(["halfspace", "--config", cfg, "--out", out]) == 2
+        assert ("config field pairing_halfwidth must be above 0"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_empty_rho_list_exits_2_before_any_output(self, tmp_path, capsys):
         doc = json.loads((SCENARIOS / "halfspace_sweep.json").read_text())
@@ -651,19 +666,19 @@ class TestIntegerFields:
         assert report["grid"]["n_max"] == 5 and report["grid"]["t_count"] == 3
 
     def test_library_values(self):
-        assert modal.config_number(2.0, "k", int) == 2
-        assert type(modal.config_number(2.0, "k", int)) is int
-        assert modal.config_number(2 ** 60 + 1, "k", int) == 2 ** 60 + 1
-        assert modal.config_number("7", "k", int) == 7
-        assert modal.config_number(3, "x") == 3.0
+        assert cli.config_number(2.0, "k", int) == 2
+        assert type(cli.config_number(2.0, "k", int)) is int
+        assert cli.config_number(2 ** 60 + 1, "k", int) == 2 ** 60 + 1
+        assert cli.config_number("7", "k", int) == 7
+        assert cli.config_number(3, "x") == 3.0
         for value, message in [(1.6, "must be an integer"),
                                (True, "must be a number"),
                                ("5.5", "must be an integer"),
                                (math.inf, "must be finite")]:
             with pytest.raises(ConfigError, match=f"k {message}"):
-                modal.config_number(value, "k", int)
+                cli.config_number(value, "k", int)
         with pytest.raises(ConfigError, match="x must be a number"):
-            modal.config_number(False, "x")
+            cli.config_number(False, "x")
 
 
 class TestWriteJson:

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from scipy import special as sp
 
-from cloaksim.errors import DomainError, SingularityError
+from cloaksim.errors import ConfigError, DomainError, SingularityError
 from cloaksim.geometry import CloakParams, CloakOuterMap, cloak_layer_tensor, ideal_cloak_tensor
 from cloaksim.harmonics import _POLE_SIN, ModeIndex, angular_table, scalar_Y, wave_MN
-from cloaksim import fields, geometry, modal
+from cloaksim import cli, fields, geometry, modal
 
 
 def single_mode_solution(rho=0.1, omega=1.0, eps0=1.0, mu0=1.0, q=1.0):
@@ -380,7 +380,7 @@ class TestCsv:
     def test_point_and_sample_round_trip(self, tmp_path):
         pts_file = tmp_path / "pts.csv"
         pts_file.write_text("1.2,0.0,0.3\n0.0,0.9,0.0\n")
-        pts = fields.read_points_csv(pts_file)
+        pts = cli.read_points_csv(pts_file)
         assert len(pts) == 2
         samples = [fields.eval_physical(SOL, p) for p in pts]
         out = tmp_path / "fields.csv"
@@ -395,18 +395,18 @@ class TestCsv:
     def test_malformed_points_rejected(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("1.0,2.0\n")
-        with pytest.raises(DomainError):
-            fields.read_points_csv(bad)
+        with pytest.raises(ConfigError, match=f"{bad}:1: expected 3 values"):
+            cli.read_points_csv(bad)
 
     def test_non_numeric_cell_names_file_and_line(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("# x,y,z\n1.0,0.0,0.0\n1.0,one,0.0\n")
-        with pytest.raises(DomainError, match=f"{bad}:3: non-numeric"):
-            fields.read_points_csv(bad)
+        with pytest.raises(ConfigError, match=f"{bad}:3 must be a number"):
+            cli.read_points_csv(bad)
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
     def test_non_finite_cell_rejected_at_parse(self, tmp_path, cell):
         bad = tmp_path / "bad.csv"
         bad.write_text(f"1.2,0.0,0.3\n0.0,{cell},0.0\n")
-        with pytest.raises(DomainError, match=f"{bad}:2: non-finite"):
-            fields.read_points_csv(bad)
+        with pytest.raises(ConfigError, match=f"{bad}:2 must be finite"):
+            cli.read_points_csv(bad)

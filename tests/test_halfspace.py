@@ -146,6 +146,26 @@ class TestLimitStudy:
                                np.linspace(-0.5, 0.0, 9), tol=1e-12)
         assert abs(got - ref) <= 0.01 * max(abs(ref), 1e-6)
 
+    def test_no_incident_field_gives_nan_exponent(self):
+        # every transmitted mass is 0: no power law to fit
+        params_list = [make(r, hin=0j) for r in (1e-2, 3e-3, 1e-3)]
+        rows, exponent = hs.limit_study(params_list, hs.TestFunction1D(-1.0, 1.0),
+                                        halfwidth=2.0)
+        assert [row["transmitted_mass"] for row in rows] == [0j] * 3
+        assert math.isnan(exponent)
+
+    @pytest.mark.parametrize("x_lo, x_hi, amplitude, named", [
+        (-0.2, -1.5, 1.0, "x_lo < x_hi"),          # reversed support
+        (0.5, 0.5, 1.0, "x_lo < x_hi"),            # empty support
+        (math.nan, 0.5, 1.0, "x_lo < x_hi"),
+        (-1.5, -0.2, math.inf, "amplitude must be finite"),
+        (-1.5, -0.2, math.nan, "amplitude must be finite"),
+    ])
+    def test_test_function_rejects_bad_profile(self, x_lo, x_hi, amplitude,
+                                               named):
+        with pytest.raises(DomainError, match=named):
+            hs.TestFunction1D(x_lo, x_hi, amplitude)
+
     def test_transmitted_pairing_vanishes(self):
         phi = hs.TestFunction1D(0.05, 1.0)
         vals = []

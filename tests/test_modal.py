@@ -1,7 +1,6 @@
 import cmath
 import dataclasses
 import gc
-import json
 import math
 import struct
 import tracemalloc
@@ -17,7 +16,7 @@ from scipy import special as sp
 from cloaksim.errors import (CapabilityError, ConfigError, DomainError,
                              ResonanceError)
 from cloaksim.geometry import CloakParams
-from cloaksim import modal, specfun
+from cloaksim import cli, modal, specfun
 from cloaksim.scaled import ScaledArray, ScaledComplex
 from cloaksim.quadrature import fit_power_law
 
@@ -308,25 +307,17 @@ class TestTruncationAndTables:
         with pytest.warns(UserWarning, match="tail is growing"):
             modal.check_decay_certificate(src, SINGLE)
 
-    def test_source_json_round_trip(self, tmp_path):
-        rows = [{"n": 1, "m": 0, "p_re": 0.0, "p_im": 0.0,
-                 "q_re": 1.0, "q_im": 0.0}]
-        path = tmp_path / "src.json"
-        path.write_text(json.dumps(rows))
-        src = modal.load_source_table(path, r1=0.5)
-        assert src.entries[(1, 0)] == (0j, 1 + 0j)
-
     def test_unknown_fields_rejected(self):
         with pytest.raises(ConfigError, match="unknown fields"):
-            modal.parse_source_table(
+            cli.parse_source_table(
                 [{"n": 1, "m": 0, "q_re": 1.0, "bogus": 2}], r1=0.5)
         with pytest.raises(ConfigError, match="unknown fields"):
-            modal.parse_boundary_table([{"n": 1, "m": 0, "p_re": 1.0}])
+            cli.parse_boundary_table([{"n": 1, "m": 0, "p_re": 1.0}])
 
     def test_duplicate_mode_rejected(self):
         rows = [{"n": 1, "m": 0, "q_re": 1.0}, {"n": 1, "m": 0, "q_re": 2.0}]
         with pytest.raises(ConfigError, match="duplicate"):
-            modal.parse_source_table(rows, r1=0.5)
+            cli.parse_source_table(rows, r1=0.5)
 
     def test_solve_source_covers_boundary_modes(self):
         src = modal.SourceCoeffs(entries={(1, 0): (0j, 1 + 0j)}, r1=0.5)
