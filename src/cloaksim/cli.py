@@ -168,13 +168,21 @@ def read_points_csv(path):
     """Points from a CSV file with one x,y,z triple per row.
 
     Raises:
-        ConfigError: naming file:line, for a row that is not three finite
-            numbers.
+        ConfigError: naming points_csv and the path, for a file that cannot
+            be read as UTF-8 text; naming file:line, for a row that is not
+            three finite numbers.
     """
-    with open(path, encoding="utf-8") as fh:
-        return [_numbers(line.split(","), 3, f"{path}:{line_no}")
-                for line_no, line in enumerate(map(str.strip, fh), 1)
-                if line and not line.startswith("#")]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = list(enumerate(map(str.strip, fh), 1))
+    except OSError as exc:
+        raise ConfigError(f"points_csv {str(path)!r} cannot be read: "
+                          f"{exc.strerror or exc}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"points_csv {str(path)!r} is not UTF-8 text"
+                          ) from None
+    return [_numbers(line.split(","), 3, f"{path}:{line_no}")
+            for line_no, line in lines if line and not line.startswith("#")]
 
 
 def _parse_phi(doc):
@@ -279,6 +287,10 @@ def cmd_fields(config_path, out_dir, tol):
         points = [_numbers(p, 3, f"points[{i}]")
                   for i, p in enumerate(doc["points"])]
     else:
+        # a number would be opened as a file descriptor
+        if not isinstance(doc["points_csv"], str):
+            raise ConfigError("points_csv must be a file path, got "
+                              f"{doc['points_csv']!r}")
         points = read_points_csv(doc["points_csv"])
     if not points:
         raise ConfigError("points must be non-empty")

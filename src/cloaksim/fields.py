@@ -68,24 +68,40 @@ def _expand(chains, x, r, space) -> FieldSample:
     per degree: the rows depend on the degree alone, so each degree's
     coefficients meet its modes' angular scalars (Y, U_theta, U_phi) first,
     then the degree's rows, giving six spherical components that the local
-    frame turns Cartesian."""
+    frame turns Cartesian.  The rows come from j and y at orders n - 1 and
+    n alone: h = j + i y, J = t j_{n-1} - n j_n and H = J + i (t y_{n-1} -
+    n y_n), formed from the coefficient-row products, so the point's table
+    builds none of its derived rows."""
     w, (n, starts) = chains.wavenumber, chains.runs
-    ang, frame = angular_scalars(chains.key_array, x / r)
-    ang[:, 0] *= chains.s_n  # the radial parts carry s_n^2, the others s_n
+    modes = chains.mode_factors
+    ang, frame = angular_scalars(modes, x / r)
+    ang[:, 0] *= modes.s_n  # the radial parts carry s_n^2, the others s_n
     peaks, scaled = chains.degree_form
     # sums[k, d]: coefficient column k (a0, a1, b0, b1) against the angular
     # scalars, over the modes of degree d
     sums = np.add.reduceat(scaled[:, :, None] * ang, starts, axis=1)
     tab = chains.table(r)
-    rows = (tab.jn(n), tab.hn(n), tab.riccati_j(n), tab.riccati_h(n))
-    # weights[chain, (j, h) or (J, H), f or g, d]: s_n exp(peak + row log)
-    # row phase, the product ``combine`` exponentiates per mode, with the
-    # mode's share of the peak left in ``scaled``
-    log_mag, phase = (np.reshape([row[k] for row in rows], (2, 2, n.size))
-                      for k in (0, 1))
+    # base[order, d, (j log, y log, j sign, y sign)] at orders n - 1 and n,
+    # rows n and n + 1 of the table
+    base = np.concatenate((tab.j_log, tab.y_log, tab.j_sign, tab.y_sign),
+                          axis=1)[np.array((n, n + 1))]
+    s_n = modes.s_n[starts]
+    # products[chain, order, f or g, d]: s_n exp(peak + row log) row sign,
+    # the product ``combine`` exponentiates per mode, with the mode's share
+    # of the peak left in ``scaled``; the f columns (a0, b0) read j, the g
+    # columns (a1, b1) h = j + i y, and no other product is formed: a
+    # column of zeros against an overflowing y row would not stay finite
+    products = np.empty((2, 2, 2, n.size), dtype=complex)
+    weights = np.empty_like(products)  # [chain, (j, h) or (J, H), f or g, d]
     with np.errstate(over="ignore"):
-        weights = (np.exp(peaks.reshape(2, 1, 2, -1) + log_mag)
-                   * (phase * chains.s_n[starts]))
+        products[:, :, 0] = (np.exp(peaks[0::2, None] + base[..., 0])
+                             * (base[..., 2] * s_n))
+        # j and y products side by side: the real and imaginary parts of h
+        h = (np.exp(peaks[1::2, None, :, None] + base[..., :2])
+             * (base[..., 2:] * s_n[:, None]))
+        products[:, :, 1] = h.view(complex)[..., 0]
+        weights[:, 0] = products[:, 1]
+        weights[:, 1] = tab.t[0] * products[:, 0] - n * products[:, 1]
     (a_j, a_jj), (b_j, b_jj) = (weights.reshape(2, 2, -1)
                                 @ sums.reshape(2, -1, 3)).tolist()
     e_w, h_w, c = chains.e_weight, chains.h_weight, -1j / (w * r)

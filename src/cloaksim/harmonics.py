@@ -9,6 +9,9 @@ normalised associated Legendre values (sectoral seeds, then the upward
 recurrence in degree for every order at once, stable past n = 150);
 ``angular_table`` builds the vectors U and V from them, and
 ``angular_basis``, ``scalar_Y`` and ``vector_UV`` are its one-row views.
+``ModeFactors`` checks a list of modes once and keeps what the scalars
+read of each mode besides the direction, so a caller that evaluates the
+same modes at many directions passes it instead of the keys.
 """
 
 from __future__ import annotations
@@ -43,6 +46,48 @@ class ModeIndex:
     @property
     def s_n(self) -> float:
         return math.sqrt(self.n * (self.n + 1))
+
+
+@dataclass(frozen=True, eq=False)
+class ModeFactors:
+    """The modes (n, m) of a key list, checked, with what the angular
+    scalars read of them: |m|, the Condon-Shortley sign (-1)^m for m < 0
+    and 1 otherwise, s_n = sqrt(n(n+1)), and the top degree and order.
+
+    The arrays are read-only; build one with ``of``.
+    """
+
+    n: np.ndarray
+    m: np.ndarray
+    m_abs: np.ndarray
+    sign: np.ndarray
+    s_n: np.ndarray
+    n_top: int
+    m_top: int
+
+    @classmethod
+    def of(cls, keys) -> "ModeFactors":
+        """The factors of keys, a sequence of (n, m) pairs or a (K, 2)
+        integer array.
+
+        Raises:
+            DomainError: naming the first mode with n < 1, n > N_CAP or
+                |m| > n.
+        """
+        keys = np.array(keys, dtype=int).reshape(-1, 2)
+        n, m = keys[:, 0], keys[:, 1]
+        m_abs = np.abs(m)
+        n_top = int(n.max(initial=1))
+        if n.min(initial=1) < 1 or n_top > specfun.N_CAP or (m_abs > n).any():
+            n_bad, m_bad = keys[(n < 1) | (n > specfun.N_CAP) | (m_abs > n)][0]
+            raise DomainError(f"invalid mode (n,m)=({n_bad},{m_bad}): need "
+                              f"1 <= n <= {specfun.N_CAP} and |m| <= n")
+        factors = cls(n, m, m_abs, (-1.0) ** np.minimum(m, 0),
+                      np.sqrt(n * (n + 1.0)), n_top,
+                      int(m_abs.max(initial=0)))
+        for arr in (n, m, m_abs, factors.sign, factors.s_n):
+            arr.flags.writeable = False
+        return factors
 
 
 def _check_unit(direction):
@@ -108,12 +153,13 @@ def _legendre_table(n_max: int, m_max: int, x: float, s: float):
     return p[:, :-1], up * p[:, 1:] - down * lower
 
 
-def angular_scalars(keys, direction):
+def angular_scalars(modes, direction):
     """(ang, frame): the scalars Y, U_theta and U_phi of every mode (n, m)
-    of keys at one unit direction, and the local spherical frame there.
+    of modes at one unit direction, and the local spherical frame there.
 
-    ``ang`` is a (K, 3) complex array with columns Y, U_theta and U_phi for
-    K keys (a sequence of pairs or a (K, 2) integer array), from one
+    ``modes`` is a ``ModeFactors`` or K keys (a sequence of pairs or a
+    (K, 2) integer array), checked as ``ModeFactors.of`` does.  ``ang`` is
+    a (K, 3) complex array with columns Y, U_theta and U_phi, from one
     normalised Legendre table for all n <= max n and 0 <= m <= max |m|;
     ``frame`` is a (3, 3) array with rows xhat, theta_hat and phi_hat.  With
     signed m, Y = sign P(n,|m|) exp(i m phi), sign = (-1)^m for m < 0, and
@@ -124,21 +170,15 @@ def angular_scalars(keys, direction):
     U_phi = i lambda_n exp(i m phi).
     """
     d = _check_unit(direction)
-    keys = np.asarray(keys, dtype=int).reshape(-1, 2)
-    n, m = keys[:, 0], keys[:, 1]
-    m_abs = np.abs(m)
-    n_top = int(n.max(initial=1))
-    if n.min(initial=1) < 1 or n_top > specfun.N_CAP or (m_abs > n).any():
-        n_bad, m_bad = keys[(n < 1) | (n > specfun.N_CAP) | (m_abs > n)][0]
-        raise DomainError(f"invalid mode (n,m)=({n_bad},{m_bad}): need "
-                          f"1 <= n <= {specfun.N_CAP} and |m| <= n")
+    if not isinstance(modes, ModeFactors):
+        modes = ModeFactors.of(modes)
+    n, m, m_abs, sign = modes.n, modes.m, modes.m_abs, modes.sign
     # cos and sin of theta straight from the direction: through the angle
     # itself, sin(theta) next to the south pole would carry pi's rounding
     xy = math.hypot(d[0], d[1])
     r = math.hypot(xy, d[2])
     x, s, phi = d[2] / r, xy / r, math.atan2(d[1], d[0])
-    p_tab, dp_tab = _legendre_table(n_top, int(m_abs.max(initial=0)), x, s)
-    sign = (-1.0) ** np.minimum(m, 0)  # (-1)^m for m < 0
+    p_tab, dp_tab = _legendre_table(modes.n_top, modes.m_top, x, s)
     p = sign * p_tab[n, m_abs]
     eim = np.exp(1j * phi * m)
     ang = np.empty((n.size, 3), dtype=complex)
@@ -153,7 +193,7 @@ def angular_scalars(keys, direction):
         ang[:, 1] = x * lam * m * eim
         ang[:, 2] = 1j * lam * eim
     else:
-        w = eim / np.sqrt(n * (n + 1.0))
+        w = eim / modes.s_n
         ang[:, 1] = w * sign * dp_tab[n, m_abs]
         ang[:, 2] = (1j / s) * m * w * p
     cos_phi, sin_phi = math.cos(phi), math.sin(phi)
@@ -163,7 +203,8 @@ def angular_scalars(keys, direction):
 
 
 def angular_table(keys, direction):
-    """(Y, U, V) of every mode (n, m) of keys at one unit direction.
+    """(Y, U, V) of every mode (n, m) of keys (or of a ``ModeFactors``) at
+    one unit direction.
 
     Returns arrays of shape (K,), (K, 3) and (K, 3) for K keys, built from
     the scalars and frame of ``angular_scalars``: U = U_theta theta_hat +

@@ -29,6 +29,7 @@ import numpy as np
 from . import specfun
 from .errors import CapabilityError, DomainError, ResonanceError
 from .geometry import CloakParams
+from .harmonics import ModeFactors
 from .scaled import ScaledArray, ScaledComplex, scaled_real
 
 # a denominator whose magnitude falls below this fraction of its largest
@@ -519,9 +520,9 @@ class RegionChains:
     ``expand`` reads them as stacked ScaledArray columns, ``degree_form``
     as each degree's peak and the modes' shifted values, and
     ``squared_sums`` as Gram sums per degree, all kept on the chains with
-    ``s_n``.  ``tables`` is the store's dict that ``quadrature_table``
-    fills; the chains hold the dict, not the store, so the store that holds
-    the chains forms no cycle.
+    the modes' ``mode_factors``.  ``tables`` is the store's dict that
+    ``quadrature_table`` fills; the chains hold the dict, not the store, so
+    the store that holds the chains forms no cycle.
     """
 
     keys: list
@@ -543,9 +544,15 @@ class RegionChains:
         return self.key_array[:, 0]
 
     @cached_property
+    def mode_factors(self) -> ModeFactors:
+        """The keys checked once, with the factors the angular scalars
+        read at every direction."""
+        return ModeFactors.of(self.key_array)
+
+    @property
     def s_n(self) -> np.ndarray:
         """sqrt(n (n + 1)) of every mode."""
-        return np.sqrt(self.degrees * (self.degrees + 1.0))
+        return self.mode_factors.s_n
 
     @cached_property
     def _columns(self):

@@ -277,6 +277,24 @@ class TestFields:
         assert run(["fields", "--config", cfg, "--out", tmp_path / "o"]) == 2
         assert f"{pts}:2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["missing", "not_utf8", 7])
+    def test_unreadable_points_csv_exits_2(self, tmp_path, capsys, value):
+        # a missing file, a file that is not UTF-8 text, and a number, which
+        # open() would take for a file descriptor
+        path = value if value == 7 else str(tmp_path / f"{value}.csv")
+        if value == "not_utf8":
+            (tmp_path / "not_utf8.csv").write_bytes(b"\xff\xfe0.7,0,0\n")
+        doc = json.loads((SCENARIOS / "fields_single_mode.json").read_text())
+        del doc["points"]
+        doc["points_csv"] = path
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert run(["fields", "--config", cfg, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "config error: points_csv" in err and repr(path) in err
+        assert not out.exists()
+
     def test_non_numeric_fields_param_exits_2(self, tmp_path, capsys):
         doc = json.loads((SCENARIOS / "fields_single_mode.json").read_text())
         doc["params"]["rho"] = "tiny"

@@ -7,8 +7,9 @@ from scipy import special as sp
 
 from cloaksim.errors import ConfigError, DomainError, SingularityError
 from cloaksim.geometry import CloakParams, CloakOuterMap, cloak_layer_tensor, ideal_cloak_tensor
-from cloaksim.harmonics import _POLE_SIN, ModeIndex, angular_table, scalar_Y, wave_MN
-from cloaksim import cli, fields, geometry, modal
+from cloaksim.harmonics import (_POLE_SIN, ModeIndex, angular_scalars,
+                                angular_table, scalar_Y, wave_MN)
+from cloaksim import cli, fields, geometry, modal, specfun
 
 
 def single_mode_solution(rho=0.1, omega=1.0, eps0=1.0, mu0=1.0, q=1.0):
@@ -271,6 +272,9 @@ POLE_DIRECTIONS = [
     (0.5 * _POLE_SIN, 0.0, -1.0), (0.0, 0.5 * _POLE_SIN, 1.0)]
 
 
+# an overflow outside np.errstate, as a product of a column of zeros and the
+# y rows of degree 160, fails these tests
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestPerDegreeKernel:
     @pytest.mark.parametrize("rho", [1e-2, 1e-6])
     def test_every_mode_to_degree_12(self, rho):
@@ -310,6 +314,46 @@ class TestPerDegreeKernel:
         for x in ([0.7, 0.0, 0.0], [0.0, 1.5, 0.2]):
             sample = fields.eval_physical(solution, x)
             assert not np.any(sample.E) and not np.any(sample.H)
+
+
+class TestPointWork:
+    """What a field point reads of its solution and its table."""
+
+    SOLUTION = modal.solve_source(all_modes_source(n_max=4), None,
+                                  CloakParams(rho=1e-2, omega=1.0, r1=0.5))
+
+    def test_a_point_builds_no_derived_rows(self, monkeypatch):
+        tables = []
+        table = modal.RegionChains.table
+
+        def recorded(chains, r):
+            tables.append(table(chains, r))
+            return tables[-1]
+
+        monkeypatch.setattr(modal.RegionChains, "table", recorded)
+        fields.eval_physical(self.SOLUTION, [0.3, -0.4, 0.5])
+        fields.eval_physical(self.SOLUTION, [1.2, 0.1, -0.3])
+        fields.eval_virtual_exterior(self.SOLUTION, [0.2, 0.6, 0.1])
+        assert len(tables) == 3
+        for tab in tables:
+            assert not {"_h_all", "_jj_all", "_hh_all"} & set(vars(tab))
+
+    def test_mode_factors_give_the_scalars_of_the_keys(self):
+        chains = modal.region_chains(self.SOLUTION, "hidden")
+        rng = np.random.default_rng(21)
+        directions = [d / np.linalg.norm(d) for d in rng.normal(size=(20, 3))]
+        for d in [*directions, (0.0, 0.0, 1.0), (0.0, 0.0, -1.0)]:
+            got, got_frame = angular_scalars(chains.mode_factors, d)
+            want, want_frame = angular_scalars(chains.keys, d)
+            assert np.array_equal(got, want) and np.array_equal(got_frame,
+                                                                want_frame)
+        assert chains.s_n is chains.mode_factors.s_n
+
+    @pytest.mark.parametrize("key", [(0, 0), (2, 3), (2, -3),
+                                     (specfun.N_CAP + 1, 0)])
+    def test_invalid_key_still_rejected(self, key):
+        with pytest.raises(DomainError, match=re.escape(f"({key[0]},{key[1]})")):
+            angular_table([(1, 0), key], (0.0, 0.6, 0.8))
 
 
 class TestIdealExterior:
