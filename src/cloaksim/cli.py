@@ -8,8 +8,8 @@ Subcommands:
 
 Every run takes a JSON config (check-specfun has a built-in default) and
 writes its outputs plus a reproducibility manifest into --out.  Exit codes:
-0 success, 2 config error, 3 inadmissible frequency (resonant mode),
-4 requested accuracy not reached.
+0 success, 2 config error (an --out that cannot be written too),
+3 inadmissible frequency (resonant mode), 4 requested accuracy not reached.
 """
 
 from __future__ import annotations
@@ -53,6 +53,11 @@ def _load_config(path):
                              parse_float=_finite_float)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
+    except OSError as exc:
+        raise ConfigError(f"config {str(path)!r} cannot be read: "
+                          f"{exc.strerror or exc}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"config {str(path)!r} is not UTF-8 text") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
 
@@ -373,10 +378,15 @@ def _specfun_deviations(table):
         jp = j[:-1] - (n[:, None] + 1) / t * j[1:]
         yp = y[:-1] - (n[:, None] + 1) / t * y[1:]
         wronskian = np.abs(t * t * (j[1:] * yp - jp * y[1:]) - 1.0)
-        rj, rh = table.riccati_j(n), table.riccati_h(n)
-        cross = np.abs(specfun.combine(ScaledArray(*rj), table.hn(n),
-                                       ScaledArray(rh[0], -rh[1]),
-                                       table.jn(n)) + 1j / t)
+        # J h - H j with h and j as log-form coefficients, so it stays
+        # finite where h_n or j_n alone leaves double range
+        j_log, y_log = table.j_log[1:], table.y_log[1:]
+        h_log = 0.5 * np.logaddexp(2 * j_log, 2 * y_log)
+        h = ScaledArray(h_log, table.j_sign[1:] * np.exp(j_log - h_log)
+                        + 1j * table.y_sign[1:] * np.exp(y_log - h_log))
+        cross = np.abs(specfun.combine_riccati(
+            h, ScaledArray(j_log, -table.j_sign[1:]), table, n)
+            + 1j / t)
 
         lo, mid, up = j[1:-2], j[2:-1], j[3:]  # orders n - 1, n, n + 1
         recurrence = np.abs(lo + up - (2 * n[1:-1, None] + 1) / t * mid) / (
@@ -452,14 +462,30 @@ def build_parser():
     return parser
 
 
+def _check_out(out_dir) -> None:
+    """ConfigError for an --out that cannot become a directory: an existing
+    file, or a path below one.  Nothing is created."""
+    path = Path(out_dir)
+    for part in (path, *path.parents):
+        if part.exists():
+            if not part.is_dir():
+                raise ConfigError(f"--out {str(out_dir)!r}: {str(part)!r} "
+                                  "is not a directory")
+            return
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     func = _COMMANDS[args.command][0]
     try:
         tol = None if args.tol is None else _positive(args.tol, "--tol")
+        _check_out(args.out)
         return func(args.config, args.out, tol)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:  # configs and point files raise ConfigError
+        print(f"cannot write outputs: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ResonanceError as exc:
         print(f"inadmissible frequency: {exc}", file=sys.stderr)

@@ -66,43 +66,21 @@ def _point(p):
 def _expand(chains, x, r, space) -> FieldSample:
     """E/H of a region's mode expansion at the point x of radius r, summed
     per degree: the rows depend on the degree alone, so each degree's
-    coefficients meet its modes' angular scalars (Y, U_theta, U_phi) first,
-    then the degree's rows, giving six spherical components that the local
-    frame turns Cartesian.  The rows come from j and y at orders n - 1 and
-    n alone: h = j + i y, J = t j_{n-1} - n j_n and H = J + i (t y_{n-1} -
-    n y_n), formed from the coefficient-row products, so the point's table
-    builds none of its derived rows."""
-    w, (n, starts) = chains.wavenumber, chains.runs
+    coefficients meet its modes' angular scalars (Y, U_theta, U_phi) and
+    s_n first, then the degree's rows of ``RegionChains.degree_rows``,
+    giving six spherical components that the local frame turns Cartesian.
+    """
+    w, starts = chains.wavenumber, chains.runs[1]
     modes = chains.mode_factors
     ang, frame = angular_scalars(modes, x / r)
+    ang *= modes.s_n[:, None]
     ang[:, 0] *= modes.s_n  # the radial parts carry s_n^2, the others s_n
-    peaks, scaled = chains.degree_form
-    # sums[k, d]: coefficient column k (a0, a1, b0, b1) against the angular
-    # scalars, over the modes of degree d
-    sums = np.add.reduceat(scaled[:, :, None] * ang, starts, axis=1)
-    tab = chains.table(r)
-    # base[order, d, (j log, y log, j sign, y sign)] at orders n - 1 and n,
-    # rows n and n + 1 of the table
-    base = np.concatenate((tab.j_log, tab.y_log, tab.j_sign, tab.y_sign),
-                          axis=1)[np.array((n, n + 1))]
-    s_n = modes.s_n[starts]
-    # products[chain, order, f or g, d]: s_n exp(peak + row log) row sign,
-    # the product ``combine`` exponentiates per mode, with the mode's share
-    # of the peak left in ``scaled``; the f columns (a0, b0) read j, the g
-    # columns (a1, b1) h = j + i y, and no other product is formed: a
-    # column of zeros against an overflowing y row would not stay finite
-    products = np.empty((2, 2, 2, n.size), dtype=complex)
-    weights = np.empty_like(products)  # [chain, (j, h) or (J, H), f or g, d]
-    with np.errstate(over="ignore"):
-        products[:, :, 0] = (np.exp(peaks[0::2, None] + base[..., 0])
-                             * (base[..., 2] * s_n))
-        # j and y products side by side: the real and imaginary parts of h
-        h = (np.exp(peaks[1::2, None, :, None] + base[..., :2])
-             * (base[..., 2:] * s_n[:, None]))
-        products[:, :, 1] = h.view(complex)[..., 0]
-        weights[:, 0] = products[:, 1]
-        weights[:, 1] = tab.t[0] * products[:, 0] - n * products[:, 1]
-    (a_j, a_jj), (b_j, b_jj) = (weights.reshape(2, 2, -1)
+    # sums[k, d]: coefficient column k (a0, a1, b0, b1), shifted by its
+    # degree's peak, against the angular scalars, over the modes of degree d
+    sums = np.add.reduceat(chains.degree_form[1][:, :, None] * ang, starts,
+                           axis=1)
+    rows = chains.degree_rows(chains.table(r))[..., 0]
+    (a_j, a_jj), (b_j, b_jj) = (rows.reshape(2, 2, -1)
                                 @ sums.reshape(2, -1, 3)).tolist()
     e_w, h_w, c = chains.e_weight, chains.h_weight, -1j / (w * r)
     spherical = np.array([

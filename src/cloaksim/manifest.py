@@ -9,7 +9,7 @@ path-dependent enters the documents.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 from . import __version__
 from .errors import ConfigError
@@ -60,12 +60,26 @@ class RunManifest:
 
     @staticmethod
     def from_json(text: str) -> "RunManifest":
-        data = json.loads(text)
-        known = {"scenario", "command", "params", "source", "boundary",
-                 "phi", "quadrature", "n_max", "seed", "tool_version"}
-        unknown = set(data) - known
+        """The manifest of a JSON document.
+
+        Raises:
+            ConfigError: for text that is not a JSON object, or an object
+                with unknown fields or without a required one, naming them.
+        """
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"manifest is not valid JSON: {exc}") from None
+        if not isinstance(data, dict):
+            raise ConfigError("a manifest must be a JSON object")
+        known = fields(RunManifest)
+        unknown = set(data) - {f.name for f in known}
         if unknown:
             raise ConfigError(f"unknown manifest fields: {sorted(unknown)}")
+        missing = [f.name for f in known if f.name not in data
+                   and f.default is MISSING and f.default_factory is MISSING]
+        if missing:
+            raise ConfigError(f"manifest missing fields: {missing}")
         return RunManifest(**data)
 
     def write(self, path) -> None:

@@ -517,9 +517,9 @@ class RegionChains:
     Hidden: A = (alpha, p), B = (beta, q), k omega, eps0^-1/2, mu0^-1/2.
     Limit: as hidden with alpha0, beta0 and the interface-layer strength
     sigma per mode in ``surface``.  Coefficients are ScaledComplex lists;
-    ``expand`` reads them as stacked ScaledArray columns, ``degree_form``
-    as each degree's peak and the modes' shifted values, and
-    ``squared_sums`` as Gram sums per degree, all kept on the chains with
+    ``expand`` reads them as ScaledArray columns, ``degree_form`` as each
+    degree's peak and the modes' shifted values, which ``degree_rows`` and
+    the Gram sums of ``squared_sums`` read, all kept on the chains with
     the modes' ``mode_factors``.  ``tables`` is the store's dict that
     ``quadrature_table`` fills; the chains hold the dict, not the store, so
     the store that holds the chains forms no cycle.
@@ -561,16 +561,6 @@ class RegionChains:
                  np.array([c.phase for c in coeffs], dtype=complex))
                 for coeffs in (*self.a, *self.b)]
 
-    @cached_property
-    def _stacked_columns(self):
-        """The coefficients of f and of g in the four combinations of
-        ``expand``, (a0, a0, b0, b0) and (a1, a1, b1, b1), as
-        (4, modes, 1) ScaledArrays."""
-        a0, a1, b0, b1 = self._columns
-        return [ScaledArray(*(np.stack([x[k], x[k], y[k], y[k]])[..., None]
-                              for k in (0, 1)))
-                for x, y in ((a0, b0), (a1, b1))]
-
     def table(self, r: float):
         """One BesselTable at wavenumber * r serving every mode."""
         return specfun.bessel_table(int(self.degrees.max(initial=0)),
@@ -592,19 +582,19 @@ class RegionChains:
 
     def normal(self, tab, i: int):
         """B(j, h) of mode i at the arguments of a BesselTable."""
-        n = self.keys[i][0]
-        return specfun.combine(self.b[0][i], tab.jn(n), self.b[1][i],
-                               tab.hn(n))
+        return specfun.combine(self.b[0][i], self.b[1][i], tab,
+                               self.keys[i][0])
 
     def expand(self, tab):
         """(A(j, h), A(J, H), B(j, h), B(J, H)) of every mode at the
-        arguments of a BesselTable, as one (4, modes, len(t)) array."""
+        arguments of a BesselTable, each mode combined on its own, as one
+        (4, modes, len(t)) array."""
         n = self.degrees
-        f, g = (tuple(np.stack([first[k], second[k]] * 2) for k in (0, 1))
-                for first, second in ((tab.jn(n), tab.riccati_j(n)),
-                                      (tab.hn(n), tab.riccati_h(n))))
-        a, b = self._stacked_columns
-        return specfun.combine(a, f, b, g)
+        a0, a1, b0, b1 = (ScaledArray(log_mag[:, None], phase[:, None])
+                          for log_mag, phase in self._columns)
+        return np.stack([combine(x, y, tab, n) for x, y in ((a0, a1), (b0, b1))
+                         for combine in (specfun.combine,
+                                         specfun.combine_riccati)])
 
     @cached_property
     def runs(self):
@@ -619,71 +609,78 @@ class RegionChains:
         log-magnitude, a (4, runs) array, -inf for a run of zeros, and each
         mode's phase exp(log_mag - peak), a (4, modes) complex array in
         which a run of zeros reads 0."""
-        peaks, scaled = zip(*(_run_scaled(log_mag, phase, self.runs[1])[::2]
+        peaks, scaled = zip(*(_run_scaled(log_mag, phase, self.runs[1])
                               for log_mag, phase in self._columns))
         return (np.reshape(peaks, (4, len(self.runs[0]))),
                 np.array(scaled))
 
+    def degree_rows(self, tab):
+        """X j, Y h, X J and Y H of each chain and run of ``runs`` at the
+        arguments of a BesselTable, X and Y the run's peaks of
+        ``degree_form`` (of a0 and a1, or b0 and b1), as one complex array
+        [chain, (j, h) or (J, H), X or Y, run, t].
+
+        The rule of ``specfun.combine``: each product of a peak with a j or
+        y row at order n - 1 or n is exponentiated on its own, and only the
+        products a column uses are formed.  The X column reads no y row, so
+        a run of zeros stays an exact 0 against a y row beyond double range.
+        """
+        n = self.runs[0]
+        k = np.add.outer((0, 1), n)  # the rows of orders n - 1 and n
+        peaks = self.degree_form[0].reshape(2, 2, 1, -1, 1)
+        rows = np.empty((2, 2, 2, n.size, tab.t.size), dtype=complex)
+        with np.errstate(over="ignore"):
+            # [chain, X j or Y j, order n - 1 or n, run, t], and Y y alone
+            j = np.exp(peaks + tab.j_log[k]) * tab.j_sign[k]
+            y = np.exp(peaks[:, 1] + tab.y_log[k]) * tab.y_sign[k]
+        rows[:, 0] = j[:, :, 1]
+        rows[:, 1] = tab.t * j[:, :, 0] - n[:, None] * j[:, :, 1]
+        rows[:, 0, 1].imag = y[:, 1]
+        rows[:, 1, 1].imag = tab.t * y[:, 0] - n[:, None] * y[:, 1]
+        return rows
+
     @cached_property
-    def _gram_sums(self):
-        """For chain A, then B, with coefficients (x, y): the Gram sums
-        sum |x|^2, sum |y|^2 and sum x conj(y) over the modes of each run,
-        each a (log-magnitude, phase) pair of (runs, 1) columns."""
-        starts, ones = self.runs[1], np.ones(len(self.keys))
-        a0, a1, b0, b1 = self._columns
-        return [tuple(_run_sums(log_mag, phase, starts)
-                      for log_mag, phase in ((2 * lx, ones), (2 * ly, ones),
-                                             (lx + ly, px * py.conj())))
-                for (lx, px), (ly, py) in ((a0, a1), (b0, b1))]
+    def _run_grams(self):
+        """sum |x|^2, sum |y|^2 and sum x conj(y) over the modes of each run
+        of ``runs``, for the scaled values of ``degree_form`` of each chain
+        (x, y the a0, a1 or b0, b1 of a mode), as (chain, 1, run, 1)
+        arrays."""
+        scaled = self.degree_form[1]
+        x, y = scaled[0::2], scaled[1::2]
+        return [np.add.reduceat(v, self.runs[1], axis=1)[:, None, :, None]
+                for v in ((x * x.conj()).real, (y * y.conj()).real,
+                          x * y.conj())]
 
     def squared_sums(self, tab):
         """sum |A(j, h)|^2, sum |A(J, H)|^2, sum |B(j, h)|^2 and
         sum |B(J, H)|^2 over the modes of each degree of ``runs``, at the
         arguments of a BesselTable, as one (4, runs, len(t)) array.
 
-        Within a degree every mode reads the same rows (f, g), so
-        sum_i |x_i f + y_i g|^2 = S_xx |f|^2 + S_yy |g|^2 + 2 Re(S_xy f g*)
-        with the Gram sums of ``_gram_sums``; only the rows of the distinct
-        degrees are read, and no mode is combined on its own.
+        Within a run, mode i has the coefficients x_i X and y_i Y of
+        ``degree_form``, so sum_i |x_i X f + y_i Y g|^2 is
+        S_xx |X f|^2 + S_yy |Y g|^2 + 2 Re(S_xy X f conj(Y g)), with the
+        Gram sums of ``_run_grams`` and the real X f and complex Y g of
+        ``degree_rows``; no mode is combined on its own.  Where the modes
+        cancel to rounding (the layer's tangential rows at r = 2) the sum
+        can round below 0, and is read as 0.
         """
-        n = self.runs[0]
-        rows = ((tab.jn(n), tab.hn(n)), (tab.riccati_j(n), tab.riccati_h(n)))
-        return np.stack([_gram_row(sums, f, g) for sums in self._gram_sums
-                         for f, g in rows])
+        s_xx, s_yy, s_xy = self._run_grams
+        rows = self.degree_rows(tab)
+        f, g = rows[:, :, 0].real, rows[:, :, 1]
+        with np.errstate(over="ignore"):
+            total = (s_xx * f * f + s_yy * (g.real ** 2 + g.imag ** 2)
+                     + 2 * f * (s_xy.real * g.real + s_xy.imag * g.imag))
+        return np.maximum(total, 0.0).reshape(4, *total.shape[2:])
 
 
 def _run_scaled(log_mag, phase, starts):
     """Per run of entries that begin at ``starts``: its peak of log_mag,
-    -inf for a run of zeros, and the shift, the peak or 0 for a run of
-    zeros; and per entry exp(log_mag - shift) phase, at most 1 in size."""
+    -inf for a run of zeros; and per entry exp(log_mag - peak) phase, at
+    most 1 in size, 0 in a run of zeros."""
     peak = np.maximum.reduceat(log_mag, starts)
     shift = np.where(peak == -np.inf, 0.0, peak)
     lengths = np.diff(starts, append=len(log_mag))
-    return peak, shift, phase * np.exp(log_mag - np.repeat(shift, lengths))
-
-
-def _run_sums(log_mag, phase, starts):
-    """(log-magnitude, phase) of the sums of exp(log_mag) phase over the
-    runs of entries that begin at ``starts``, as columns; the sum of a run
-    of zeros, or one that cancels exactly, is the zero (-inf, 0)."""
-    _, shift, scaled = _run_scaled(log_mag, phase, starts)
-    total = np.add.reduceat(scaled, starts)
-    size = np.abs(total)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return ((shift + np.log(size))[:, None],
-                np.where(size > 0.0, total / size, 0j)[:, None])
-
-
-def _gram_row(sums, f, g):
-    """S_xx |f|^2 + S_yy |g|^2 + 2 Re(S_xy f g*) for the Gram sums of one
-    chain and rows f, g; a zero sum adds an exact 0.  Where the modes
-    cancel to rounding (the layer's tangential rows at r = 2) the sum can
-    round below 0, and is read as 0."""
-    (l_xx, _), (l_yy, _), (l_xy, p_xy) = sums
-    with np.errstate(over="ignore"):
-        return np.maximum(np.exp(l_xx + 2 * f[0]) + np.exp(l_yy + 2 * g[0])
-                          + 2 * np.exp(l_xy + f[0] + g[0])
-                          * (p_xy * f[1] * g[1].conj()).real, 0.0)
+    return peak, phase * np.exp(log_mag - np.repeat(shift, lengths))
 
 
 def _hidden_chains(keys, alpha, beta, pq, store, surface=None):
@@ -770,9 +767,10 @@ def _term_weights(source: SourceCoeffs, params: CloakParams) -> dict:
     degrees = sorted({n for n, _ in source.entries})
     tab = specfun.bessel_table(degrees[-1],
                                [params.k * params.omega * source.r1])
-    with np.errstate(over="ignore"):
-        h_mag = dict(zip(degrees, np.exp(
-            tab.hn(np.array(degrees))[0][:, 0]).tolist()))
+    k = np.array(degrees) + 1
+    with np.errstate(over="ignore"):  # |h_n| = (j_n^2 + y_n^2)^(1/2)
+        h_mag = dict(zip(degrees, np.exp(0.5 * np.logaddexp(
+            2 * tab.j_log[k, 0], 2 * tab.y_log[k, 0])).tolist()))
     return {(n, m): n * (n + 1) * (abs(p) + abs(q)) * h_mag[n]
             for (n, m), (p, q) in sorted(source.entries.items())}
 

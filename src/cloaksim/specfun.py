@@ -12,16 +12,15 @@ Derivative combinations J_n = j_n + t j_n' and H_n = h_n + t h_n' come
 from the exact recurrence f_n' = f_{n-1} - (n+1)/t f_n, i.e.
 J_n = t j_{n-1} - n j_n.
 
-A row of the table at one order (or an array of orders) is a
-(log-magnitude, phase) pair of arrays; ``combine`` turns a f + b g, with
-coefficients a, b and rows f, g, into plain complex values.
+A table holds the j and y rows alone.  ``combine`` and ``combine_riccati``
+form a j_n + b h_n and a J_n + b H_n, for log-form coefficients a, b, from
+products of the coefficients with those rows, h being j + i y.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -40,7 +39,6 @@ _LEAD_CHECK = math.exp(_RESCALE_LOG - 1.0)
 # small n_max and t, where a column takes few steps
 _FLOAT_COLUMNS = 6
 _SQRT_PI = math.sqrt(math.pi)
-_LOG_ORDER = np.array([-math.inf] + [math.log(n) for n in range(1, N_CAP + 1)])
 
 
 def _require_args(n: int, t) -> None:
@@ -68,39 +66,34 @@ def miller_start_order(n: int, t):
     return n + np.maximum(15, np.ceil(2.0 * t) + 10).astype(np.int64)
 
 
-def _log_add(l1, p1, l2, p2):
-    """(log-magnitude, phase) of exp(l1) p1 + exp(l2) p2, elementwise.
+def combine(a, b, tab, n):
+    """a j_n + b h_n at the arguments of the BesselTable tab, as a plain
+    complex array, for ScaledComplex or ScaledArray coefficients a, b and
+    an order n or an array of orders (rows of shape (len(n), len(t))).
 
-    Like ScaledComplex addition, both terms are scaled to the larger
-    magnitude before they are added; an exact zero has log-magnitude -inf
-    and phase 0.
-    """
-    hi = np.maximum(l1, l2)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        s = p1 * np.exp(l1 - hi) + p2 * np.exp(l2 - hi)
-        s = np.where(hi == -np.inf, 0j, s)
-        m = np.abs(s)
-        return hi + np.log(m), np.where(m > 0.0, s / m, 0j)
-
-
-def combine(a, f, b, g):
-    """a f + b g as a plain complex array, for rows f, g of a BesselTable
-    and ScaledComplex or ScaledArray coefficients a, b.
-
-    Each product is exponentiated on its own, from the sum of its logs, so
-    a product inside double range is finite however large its factors; a
-    zero coefficient or row adds an exact 0."""
+    As h = j + i y, the value is a j + b j + i b y, each product
+    exponentiated on its own from the sum of its logs: a product inside
+    double range is finite however large its factors, and a zero
+    coefficient adds an exact 0."""
+    k = n + 1
+    j_log, j_sign = tab.j_log[k], tab.j_sign[k]
     with np.errstate(over="ignore"):
-        return (np.exp(a.log_mag + f[0]) * (a.phase * f[1])
-                + np.exp(b.log_mag + g[0]) * (b.phase * g[1]))
+        aj, bj = np.exp(a.log_mag + j_log), np.exp(b.log_mag + j_log)
+        by = np.exp(b.log_mag + tab.y_log[k])
+    aj *= j_sign  # signs on the real products, then each phase once
+    bj *= j_sign
+    by *= tab.y_sign[k]
+    value = aj * a.phase
+    value += bj * b.phase
+    value += by * (1j * b.phase)
+    return value
 
 
-def _kept(*terms):
-    """``_log_add`` of the terms, made read-only."""
-    rows = _log_add(*terms)
-    for part in rows:
-        part.flags.writeable = False
-    return rows
+def combine_riccati(a, b, tab, n):
+    """a J_n + b H_n, as ``combine``: J_n = t j_{n-1} - n j_n and H_n alike,
+    so it is t times ``combine`` at order n - 1 less n times it at n."""
+    return (tab.t * combine(a, b, tab, n - 1)
+            - np.expand_dims(n, -1) * combine(a, b, tab, n))
 
 
 @dataclass(frozen=True)
@@ -110,11 +103,9 @@ class BesselTable:
     Row n + 1 of the (n_max + 2, len(t)) arrays holds order n; row 0 holds
     order -1, cos(t)/t and sin(t)/t, used by the derivative combinations.
     ``*_log`` are natural logs of the magnitudes (-inf for an exact zero),
-    ``*_sign`` are +1, -1 or 0.  The row accessors return (log-magnitude,
-    phase) pairs for ``combine``, of shape (len(n), len(t)) for an array n.
-    The derived rows h_n, J_n and H_n are computed for every order of the
-    table on the first read of each, kept read-only, and indexed alike for
-    a single order or an array of orders.
+    ``*_sign`` are +1, -1 or 0.  ``jn`` reads the j row of an order as a
+    (log-magnitude, sign) pair; ``combine`` and ``combine_riccati`` form
+    h_n, J_n and H_n from the j and y rows.
     """
 
     n_max: int
@@ -126,34 +117,6 @@ class BesselTable:
 
     def jn(self, n: int):
         return self.j_log[n + 1], self.j_sign[n + 1]
-
-    def hn(self, n: int):
-        return self._h_all[0][n + 1], self._h_all[1][n + 1]
-
-    def riccati_j(self, n: int):
-        return self._jj_all[0][n], self._jj_all[1][n]
-
-    def riccati_h(self, n: int):
-        return self._hh_all[0][n], self._hh_all[1][n]
-
-    @cached_property
-    def _h_all(self):
-        """h_n = j_n + i y_n at orders -1..n_max."""
-        return _kept(self.j_log, self.j_sign, self.y_log, 1j * self.y_sign)
-
-    @cached_property
-    def _jj_all(self):
-        # J_n = j_n + t j_n' = t j_{n-1} - n j_n
-        return self._riccati(self.j_log, self.j_sign)
-
-    @cached_property
-    def _hh_all(self):
-        return self._riccati(*self._h_all)
-
-    def _riccati(self, log_mag, phase):
-        """t f_{n-1} - n f_n at orders 0..n_max, from f at orders -1..n_max."""
-        return _kept(log_mag[:-1] + np.log(self.t), phase[:-1],
-                     log_mag[1:] + _LOG_ORDER[:self.n_max + 1, None], -phase[1:])
 
     def column(self, i: int) -> "BesselLadder":
         """The ladder at argument t[i]: a view of column i of this table."""

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import cloaksim
-from cloaksim import cli, modal, specfun
+from cloaksim import cli, halfspace, modal, specfun, weak_limit
 from cloaksim.cli import _specfun_deviations, main
 from cloaksim.errors import AccuracyError, ConfigError, DomainError
 from cloaksim.geometry import CloakParams
@@ -214,6 +215,15 @@ class TestConverge:
         text = m1.to_json()
         m2 = RunManifest.from_json(text)
         assert m1 == m2 and m2.to_json() == text
+
+    @pytest.mark.parametrize("text, named", [
+        ("{}", "missing fields: ['scenario', 'command', 'params']"),
+        ('{"scenario": 1}', "missing fields: ['command', 'params']"),
+        ("[]", "must be a JSON object"),
+        ("{", "not valid JSON")])
+    def test_bad_manifest_is_a_config_error(self, text, named):
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            RunManifest.from_json(text)
 
 
 class TestFields:
@@ -493,8 +503,9 @@ class TestCheckSpecfun:
                         lad.yn(n).to_complex().real)
                 jp = lad.jn(n - 1).to_complex().real - (n + 1) / t * j
                 yp = lad.yn(n - 1).to_complex().real - (n + 1) / t * y
-                cross = (lad.riccati_j(n) * lad.hn(n)
-                         - lad.riccati_h(n) * lad.jn(n)).to_complex()
+                # J h - H j with h and -j as coefficients of the rows
+                cross = specfun.combine_riccati(
+                    lad.hn(n), -lad.jn(n), table, n)[i]
                 devs = [abs(t * t * (j * yp - jp * y) - 1.0),
                         abs(cross + 1j / t), 0.0]
                 if 1 <= n < 30:
@@ -506,6 +517,55 @@ class TestCheckSpecfun:
         got = _specfun_deviations(table)
         # the maxima are rounding noise; they agree to a few units of 1e-16
         assert got == pytest.approx(worst, rel=0.0, abs=2e-15)
+
+
+class TestUnusablePaths:
+    """A config that cannot be read and an --out that cannot be a directory
+    exit 2 naming the path, before any output is written or any work is
+    done; an output that cannot be written exits 2 as well."""
+
+    @pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, kind):
+        cfg = tmp_path / "cfg.json"
+        if kind == "directory":
+            cfg.mkdir()
+        else:
+            cfg.write_bytes(b"\xff\xfe{}")
+        out = tmp_path / "out"
+        assert run(["converge", "--config", cfg, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and repr(str(cfg)) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("below", [False, True])
+    @pytest.mark.parametrize("command, scenario", [
+        ("converge", "converge_single_mode.json"),
+        ("fields", "fields_single_mode.json"),
+        ("halfspace", "halfspace_sweep.json"),
+        ("check-specfun", None)])
+    def test_out_that_is_no_directory_exits_2_before_any_work(
+            self, tmp_path, capsys, monkeypatch, command, scenario, below):
+        def work(*args, **kwargs):
+            raise AssertionError("work done before --out was checked")
+
+        for owner, name in ((weak_limit, "convergence_study"),
+                            (modal, "solve_source"),
+                            (halfspace, "limit_study"),
+                            (specfun, "bessel_table")):
+            monkeypatch.setattr(owner, name, work)
+        blocker = tmp_path / "file"
+        blocker.write_text("kept")
+        out = blocker / "x" if below else blocker
+        config = [] if scenario is None else ["--config", SCENARIOS / scenario]
+        assert run([command, *config, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "config error: --out" in err and repr(str(blocker)) in err
+        assert blocker.read_text() == "kept"
+
+    def test_output_that_cannot_be_written_exits_2(self, tmp_path, capsys):
+        (tmp_path / "specfun_report.json").mkdir()
+        assert run(["check-specfun", "--out", tmp_path]) == 2
+        assert "cannot write outputs" in capsys.readouterr().err
 
 
 class TestDocumentedExitCodes:

@@ -335,8 +335,9 @@ class TestPointWork:
         fields.eval_physical(self.SOLUTION, [1.2, 0.1, -0.3])
         fields.eval_virtual_exterior(self.SOLUTION, [0.2, 0.6, 0.1])
         assert len(tables) == 3
-        for tab in tables:
-            assert not {"_h_all", "_jj_all", "_hh_all"} & set(vars(tab))
+        for tab in tables:  # its j and y rows, and nothing formed from them
+            assert set(vars(tab)) == {"n_max", "t", "j_log", "j_sign",
+                                      "y_log", "y_sign"}
 
     def test_mode_factors_give_the_scalars_of_the_keys(self):
         chains = modal.region_chains(self.SOLUTION, "hidden")

@@ -771,9 +771,9 @@ def _column(values):
 
 @pytest.mark.parametrize("region", ["layer", "hidden", "limit"])
 def test_all_modes_expand_is_the_per_degree_combination(region):
-    """One stacked combine over the rows of every mode's degree gives, bit
-    for bit, the four combinations of the per-degree rows, and the one-mode
-    ``normal`` gives its B(j, h)."""
+    """The expansion of every mode gives, bit for bit, the four
+    combinations of each mode's coefficient columns with the rows of its
+    degree, and the one-mode ``normal`` gives its B(j, h)."""
     params = CloakParams(1e-6, 1.0, r1=0.5)
     if region == "limit":
         chains = modal.limit_chains(ALL_MODES, params)
@@ -784,10 +784,10 @@ def test_all_modes_expand_is_the_per_degree_combination(region):
     n = chains.degrees
     for r in (0.55, 0.9, 1.0, 1.7):
         tab = chains.table(r)
-        j, h, jj, hh = (tab.jn(n), tab.hn(n), tab.riccati_j(n),
-                        tab.riccati_h(n))
-        want = [specfun.combine(a0, j, a1, h), specfun.combine(a0, jj, a1, hh),
-                specfun.combine(b0, j, b1, h), specfun.combine(b0, jj, b1, hh)]
+        want = [specfun.combine(a0, a1, tab, n),
+                specfun.combine_riccati(a0, a1, tab, n),
+                specfun.combine(b0, b1, tab, n),
+                specfun.combine_riccati(b0, b1, tab, n)]
         got = chains.expand(tab)
         assert got.shape == (4, 168, 1)
         for g, w in zip(got, want):

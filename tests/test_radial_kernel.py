@@ -61,15 +61,20 @@ class TestKernelAgainstScalarLadder:
     def test_rows_match_scalar_combinations(self):
         t = np.array([1e-6, 0.4, 3.0, 11.0])
         tab = specfun.bessel_table(12, t)
+        one, zero = ScaledComplex.one(), ScaledComplex.zero()
         for i, ti in enumerate(t):
             lad = specfun.bessel_ladder(12, float(ti))
             for n in (0, 1, 5, 12):
-                for row, scalar in ((tab.hn(n), lad.hn(n)),
-                                    (tab.riccati_j(n), lad.riccati_j(n)),
-                                    (tab.riccati_h(n), lad.riccati_h(n))):
-                    assert row[0][i] == pytest.approx(scalar.log_mag,
-                                                      rel=1e-15, abs=1e-15)
-                    assert abs(row[1][i] - scalar.phase) < 1e-15
+                for row, scalar in (
+                        (specfun.combine(zero, one, tab, n), lad.hn(n)),
+                        (specfun.combine_riccati(one, zero, tab, n),
+                         lad.riccati_j(n)),
+                        (specfun.combine_riccati(zero, one, tab, n),
+                         lad.riccati_h(n))):
+                    size = abs(row[i])
+                    assert math.log(size) == pytest.approx(
+                        scalar.log_mag, rel=1e-15, abs=1e-15)
+                    assert abs(row[i] / size - scalar.phase) < 1e-15
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(DomainError):
@@ -252,144 +257,72 @@ class TestFloatLoop:
             assert _column_bytes(got, i) == _column_bytes(want, i)
 
 
-def _direct_rows(tab, n):
-    """hn, riccati_j and riccati_h of a table at order(s) n, straight from
-    ``_log_add`` on its j/y rows, as the row accessors define them."""
-    def h(k):
-        return specfun._log_add(tab.j_log[k + 1], tab.j_sign[k + 1],
-                                tab.y_log[k + 1], 1j * tab.y_sign[k + 1])
-
-    def riccati(lower, upper):
-        log_n = specfun._LOG_ORDER[n]
-        if np.ndim(n):
-            log_n = log_n[:, None]
-        return specfun._log_add(lower[0] + np.log(tab.t), lower[1],
-                                upper[0] + log_n, -upper[1])
-
-    def j(k):
-        return tab.j_log[k + 1], tab.j_sign[k + 1]
-
-    return {"hn": h(n), "riccati_j": riccati(j(n - 1), j(n)),
-            "riccati_h": riccati(h(n - 1), h(n))}
-
-
-def _same_row(got, want):
-    return all(np.array_equal(g, w) and g.shape == w.shape
-               for g, w in zip(got, want))
-
-
-class TestServedRows:
-    T = np.array([1e-7, 3e-3, 0.4, 2.0, 9.0, 41.0])
-
-    @pytest.mark.parametrize("n_max", [1, 2, 7, 60])
-    def test_rows_equal_direct_computation(self, n_max):
-        tab = specfun.bessel_table(n_max, self.T)
-        orders = [0, 1, n_max // 2, n_max]
-        for n in orders + [np.array(orders), np.arange(n_max + 1)]:
-            want = _direct_rows(tab, n)
-            for name, row in want.items():
-                assert _same_row(getattr(tab, name)(n), row), (name, n)
-
-    def test_repeated_calls_return_the_same_values(self):
-        tab = specfun.bessel_table(5, self.T)
-        for name in ("hn", "riccati_j", "riccati_h"):
-            for n in (0, 3, 5, np.array([1, 5, 2])):
-                first = getattr(tab, name)(n)
-                first = tuple(np.copy(x) for x in first)
-                for _ in range(2):
-                    assert _same_row(getattr(tab, name)(n), first)
-
-    def test_single_order_rows_are_computed_once(self, monkeypatch):
-        calls = []
-        log_add = specfun._log_add
-
-        def counted(*args):
-            calls.append(1)
-            return log_add(*args)
-
-        monkeypatch.setattr(specfun, "_log_add", counted)
-        tab = specfun.bessel_table(4, self.T)
-        for name in ("hn", "riccati_j", "riccati_h"):
-            getattr(tab, name)(4)
-        first = len(calls)  # h, J and H, each at every order of the table
-        assert first == 3
-        for name in ("hn", "riccati_j", "riccati_h"):
-            getattr(tab, name)(4)
-            getattr(tab, name)(np.array([4]))
-        # scalar and array reads alike index the rows computed once
-        assert len(calls) == first
-
-    def test_kept_rows_are_read_only(self):
-        # a row served again cannot be changed under a later caller
-        tab = specfun.bessel_table(3, self.T)
-        for name in ("hn", "riccati_j", "riccati_h"):
-            for part in getattr(tab, name)(3):
-                with pytest.raises(ValueError):
-                    part[0] = 0.0
-
-    def test_rows_of_every_scalar_order_are_read_only(self):
-        # a scalar order indexes the rows kept on the table, from the first
-        # read on, including order -1 of h and order 0 of J and H
-        tab = specfun.bessel_table(4, self.T)
-        for name, lowest in (("hn", -1), ("riccati_j", 0), ("riccati_h", 0)):
-            for n in range(lowest, 5):
-                for part in getattr(tab, name)(n):
-                    assert not part.flags.writeable, (name, n)
-                    with pytest.raises(ValueError):
-                        part[0] = 0.0
-
-    def test_tables_do_not_share_rows(self):
-        tabs = [specfun.bessel_table(3, self.T),
-                specfun.bessel_table(3, self.T[::-1] * 1.5),
-                specfun.bessel_table(3, self.T)]
-        for name in ("hn", "riccati_j", "riccati_h"):
-            for tab in tabs:
-                for n in (1, 3):
-                    assert _same_row(getattr(tab, name)(n),
-                                     _direct_rows(tab, n)[name])
-        # equal tables serve equal rows, each its own
-        for name in ("hn", "riccati_j", "riccati_h"):
-            a, b = getattr(tabs[0], name)(2), getattr(tabs[2], name)(2)
-            assert _same_row(a, b)
-            assert all(x is not y for x, y in zip(a, b))
-
-
-def _log_space_combine(a, f, b, g):
-    """The former rule of ``combine``: the two products added in log space,
-    scaled to the larger one, and exponentiated once."""
-    log_mag, phase = specfun._log_add(a.log_mag + f[0], a.phase * f[1],
-                                      b.log_mag + g[0], b.phase * g[1])
-    with np.errstate(over="ignore"):
-        return np.exp(log_mag) * phase
+def _ladder_rows(tab, name, orders):
+    """The ScaledComplex values of a BesselLadder method (jn, hn,
+    riccati_j or riccati_h) at every order and column of tab, as
+    (log-magnitude, phase) arrays of shape (len(orders), len(t)) and the
+    values themselves."""
+    values = [[getattr(tab.column(i), name)(k) for i in range(tab.t.size)]
+              for k in orders]
+    return (np.array([[v.log_mag for v in row] for row in values]),
+            np.array([[v.phase for v in row] for row in values]), values)
 
 
 class TestCombine:
     @pytest.mark.parametrize("n_max", [0, 1, 7, 60, 200])
-    def test_agrees_with_the_log_space_rule(self, n_max):
-        """Both rules round the log sum of each product, so they may differ
-        by about 2.2e-16 (1 + L) of the larger product, L the larger log sum
-        in size; the coefficients keep every product inside double range
-        and include pairs that cancel."""
+    def test_agrees_with_scaled_arithmetic(self, n_max):
+        """The coefficients give the largest product each of them forms
+        with the rows a log magnitude in +-700 (a meets the j row, b the j
+        and y rows, at order n, and for J and H at n - 1 too, before the
+        factor t or n), or give b g = -(1 + 1e-9) a f (f, g = j_n, h_n or
+        J_n, H_n): a sum that cancels.  Every product the rule forms rounds
+        its log sum, as ScaledComplex arithmetic does, so they may differ
+        by about 2.2e-16 (1 + L) of the largest product, with its factor,
+        for each product, L the largest log sum in size."""
         rng = np.random.default_rng(n_max)
         tab = specfun.bessel_table(n_max, np.geomspace(1e-6, 1e3, 37))
         n = np.arange(n_max + 1)
         shape = (n.size, tab.t.size)
-        for f, g in ((tab.jn(n), tab.hn(n)), (tab.riccati_j(n),
-                                               tab.riccati_h(n))):
+        for combine, factors, f_name, g_name in (
+                (specfun.combine, [(n, 1.0)], "jn", "hn"),
+                (specfun.combine_riccati,
+                 [(n - 1, tab.t), (n, np.maximum(n, 1)[:, None])],
+                 "riccati_j", "riccati_h")):
+            def products(a, b):
+                """The log magnitudes of the products the rule forms, and
+                of the factor each is multiplied by."""
+                return [(c.log_mag + row[k + 1], np.log(factor))
+                        for c, rows in ((a, (tab.j_log,)),
+                                        (b, (tab.j_log, tab.y_log)))
+                        for row in rows for k, factor in factors]
+
+            unit = ScaledArray(np.zeros(shape), np.ones(shape))
+            scales = [log_mag for log_mag, _ in products(unit, unit)]
+            a_scale, b_scale = (np.max(scales[:len(factors)], axis=0),
+                                np.max(scales[len(factors):], axis=0))
+            f_log, f_phase, f = _ladder_rows(tab, f_name, n)
+            g_log, g_phase, g = _ladder_rows(tab, g_name, n)
             for cancel in (False, True):
-                # the log magnitude and angle each product is to have
-                log_af, log_bg = rng.uniform(-700.0, 700.0, (2,) + shape)
-                ang_af, ang_bg = rng.uniform(-math.pi, math.pi, (2,) + shape)
+                log_a, log_b = rng.uniform(-700.0, 700.0, (2,) + shape)
+                ang_a, ang_b = rng.uniform(-math.pi, math.pi, (2,) + shape)
+                a = ScaledArray(log_a - a_scale, np.exp(1j * ang_a))
+                b = ScaledArray(log_b - b_scale, np.exp(1j * ang_b))
                 if cancel:
-                    log_bg, ang_bg = log_af + 1e-9, ang_af + math.pi
-                a = ScaledArray(log_af - f[0], np.exp(1j * ang_af) / f[1])
-                b = ScaledArray(log_bg - g[0], np.exp(1j * ang_bg) / g[1])
-                got = specfun.combine(a, f, b, g)
-                want = _log_space_combine(a, f, b, g)
-                size = np.maximum(np.abs(a.log_mag) + np.abs(f[0]),
-                                  np.abs(b.log_mag) + np.abs(g[0]))
-                bound = 2.2e-16 * (1.0 + size) * np.exp(np.maximum(log_af,
-                                                                   log_bg))
+                    b = ScaledArray(a.log_mag + f_log - g_log + 1e-9,
+                                    -a.phase * f_phase / g_phase)
+                got = combine(a, b, tab, n)
+                coefficients = (a.log_mag.tolist(), a.phase.tolist(),
+                                b.log_mag.tolist(), b.phase.tolist())
+                want = np.array([[
+                    (ScaledComplex(la, pa) * fv + ScaledComplex(lb, pb) * gv
+                     ).to_complex() for la, pa, lb, pb, fv, gv in zip(*row)]
+                    for row in zip(*coefficients, f, g)])
+                sums = products(a, b)
+                size = np.max([np.abs(log_mag) for log_mag, _ in sums], axis=0)
+                largest = np.max([log_mag + log_factor
+                                  for log_mag, log_factor in sums], axis=0)
+                bound = (2.2e-16 * len(sums) * (1.0 + size)
+                         * np.exp(largest))
                 assert np.all(np.isfinite(got))
                 assert np.all(np.abs(got - want) <= bound)
 
@@ -399,7 +332,7 @@ class TestCombine:
             -40.0)
         b = ScaledComplex.from_complex(-1.5 + 0.25j)
         for n in (1, 6):
-            got = specfun.combine(a, tab.hn(n), b, tab.jn(n))
+            got = specfun.combine(b, a, tab, n)
             for i in range(4):
                 lad = tab.column(i)
                 want = (a * lad.hn(n) + b * lad.jn(n)).to_complex()
@@ -408,9 +341,10 @@ class TestCombine:
     def test_zero_coefficients(self):
         tab = specfun.bessel_table(3, [0.5, 2.0])
         zero = ScaledComplex.zero()
-        assert np.all(specfun.combine(zero, tab.jn(2), zero, tab.hn(2)) == 0)
+        for combine in (specfun.combine, specfun.combine_riccati):
+            assert np.all(combine(zero, zero, tab, 2) == 0)
         one = ScaledComplex.one()
-        got = specfun.combine(zero, tab.hn(2), one, tab.jn(2))
+        got = specfun.combine(one, zero, tab, 2)
         assert np.allclose(got, sp.spherical_jn(2, [0.5, 2.0]), rtol=1e-14)
 
 

@@ -507,10 +507,9 @@ def _per_mode_density(chains, r):
     for i, (n, _) in enumerate(chains.keys):
         s2 = n * (n + 1)
         ev, hu, er, eu = (
-            np.abs(specfun.combine(x[i], f, y[i], g))
+            np.abs(combine(x[i], y[i], tab, n))
             for x, y in (chains.a, chains.b)
-            for f, g in ((tab.jn(n), tab.hn(n)),
-                         (tab.riccati_j(n), tab.riccati_h(n))))
+            for combine in (specfun.combine, specfun.combine_riccati))
         total += (s2 * ev * ev * r * r + s2 * eu * eu + s2 ** 2 * er * er
                   + w ** 2 * s2 * er * er * r * r
                   + s2 * hu * hu / w ** 2 + s2 ** 2 * ev * ev / w ** 2)
@@ -523,7 +522,10 @@ DENSITY_KEYS = [(n, m) for n in (1, 2, 5, 12, 25, 40, 60) for m in (-n, 0, n)]
 
 def _density_solution(kind, rho):
     """A solution on DENSITY_KEYS driven by p and q, by p only, by q only,
-    by boundary data only, or by nothing (every coefficient zero)."""
+    by boundary data only, or by nothing (every coefficient zero); or
+    driven by p and q beside a boundary-only mode of degree 160, whose y
+    rows overflow double range, so its zero p and q columns must stay an
+    exact 0."""
     params = CloakParams(rho=rho, omega=OMEGA, r1=R1)
     pq = {(n, m): tuple(2.0 ** -n * cmath.exp(1j * (n + m + k))
                         for k in (0, 1)) for n, m in DENSITY_KEYS}
@@ -531,8 +533,11 @@ def _density_solution(kind, rho):
         pq = {key: (p, 0j) for key, (p, _) in pq.items()}
     elif kind == "q":
         pq = {key: (0j, q) for key, (_, q) in pq.items()}
-    if kind in ("pq", "p", "q"):
-        return modal.solve_source(modal.SourceCoeffs(pq, R1), None, params)
+    if kind in ("pq", "p", "q", "pq160"):
+        boundary = modal.BoundaryCoeffs(
+            {(160, 1): (0.3j, 0.1)} if kind == "pq160" else {})
+        return modal.solve_source(modal.SourceCoeffs(pq, R1), boundary,
+                                  params)
     data = pq if kind == "boundary" else dict.fromkeys(pq, (0j, 0j))
     return modal.solve_source(modal.SourceCoeffs({}, R1),
                               modal.BoundaryCoeffs(data), params)
@@ -544,10 +549,12 @@ class TestEnergyDensityPerDegree:
 
     @pytest.mark.parametrize("region", ["layer", "hidden"])
     @pytest.mark.parametrize("rho", [1e-2, 1e-4, 1e-6])
-    @pytest.mark.parametrize("kind", ["pq", "p", "q", "boundary", "zero"])
+    @pytest.mark.parametrize("kind", ["pq", "p", "q", "boundary", "zero",
+                                      "pq160"])
     def test_matches_the_per_mode_density(self, kind, rho, region):
         sol = _density_solution(kind, rho)
-        assert sorted(sol.modes) == DENSITY_KEYS
+        extra = [(160, 1)] if kind == "pq160" else []
+        assert sorted(sol.modes) == DENSITY_KEYS + extra
         chains = modal.region_chains(sol, region)
         r = (np.geomspace(rho, 2.0, 201)[1:-1] if region == "layer"
              else np.linspace(R1, 1.0, 201)[1:-1])
