@@ -2,9 +2,13 @@
 
 One driver, ``integrate_array``, evaluates every node of every panel of a
 pass with one call of a vectorised integrand; ``integrate_panels`` adapts
-a scalar integrand to it.  Boundary-layer integrands concentrated like
-r**-(n+1) near an inner radius are handled through the substitution
-r = r_lo * exp(u), which flattens them onto unit panels in u.
+a scalar integrand to it.  The nodes and flat panel weights of a call are
+planned once per breakpoints and levels and kept in a bounded memo, so the
+node array an integrand receives is shared and read-only; the stopping
+rule, and what ``tol`` means, do not depend on the memo.  Boundary-layer
+integrands concentrated like r**-(n+1) near an inner radius are handled
+through the substitution r = r_lo * exp(u), which flattens them onto unit
+panels in u.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ def gauss_legendre(npts: int):
     x = np.cos(np.pi * (np.arange(1, (npts + 1) // 2 + 1) - 0.25)
                / (npts + 0.5))
     for _ in range(20):  # converges in about five steps
-        p, p_lo, _ = _legendre(npts, x)
+        p, p_lo = _legendre_pair(npts, x)
         step = p * (1.0 - x) * (1.0 + x) / (npts * (p_lo - x * p))
         x = x - step
         if not np.max(np.abs(step)) > 1e-16:
@@ -44,6 +48,14 @@ def gauss_legendre(npts: int):
     return np.concatenate([-x, x[::-1]]), np.concatenate([w, w[::-1]])
 
 
+def _legendre_pair(n, x):
+    """P_n(x) and P_{n-1}(x), by recurrence: all that a Newton step reads."""
+    p_lo, p = np.ones_like(x), x
+    for k in range(1, n):
+        p_lo, p = p, ((2 * k + 1) * x * p - k * p_lo) / (k + 1)
+    return p, p_lo
+
+
 def _legendre(n, x):
     """P_n(x), P_{n-1}(x) and sum_{k<n} (2k+1) P_k(x)^2, by recurrence."""
     p_lo, p = np.ones_like(x), x
@@ -52,6 +64,28 @@ def _legendre(n, x):
         total = total + (2 * k + 1) * p * p
         p_lo, p = p, ((2 * k + 1) * x * p - k * p_lo) / (k + 1)
     return p, p_lo, total
+
+
+@lru_cache(maxsize=64)
+def _plan(edges: tuple, levels: tuple):
+    """The nodes of the given Gauss-Legendre levels on every panel of
+    edges, concatenated level after level and read-only, with one
+    (slice, flat weights) pair per level: the estimate of a level is the
+    dot product of its slice of the values with its weights."""
+    e = np.array(edges, dtype=float)
+    mid = (0.5 * (e[:-1] + e[1:]))[:, None]
+    half = 0.5 * (e[1:] - e[:-1])
+    nodes, weights, start = [], [], 0
+    for npts in levels:
+        t, w = gauss_legendre(npts)
+        x = (mid + half[:, None] * t).ravel()
+        weights.append((slice(start, start + x.size),
+                        (half[:, None] * w).ravel()))
+        nodes.append(x)
+        start += x.size
+    nodes = np.concatenate(nodes)
+    nodes.flags.writeable = False
+    return nodes, tuple(weights)
 
 
 def integrate_array(f, breakpoints, tol=1e-9, base_points=16,
@@ -63,7 +97,9 @@ def integrate_array(f, breakpoints, tol=1e-9, base_points=16,
             same length of complex (or float) values, each from its node
             alone.  The first call takes the nodes of the base_points and
             2 * base_points rules of every panel (every integral needs both
-            levels), each later pass the nodes of the doubled rule.
+            levels), each later pass the nodes of the doubled rule.  The
+            node array is read-only and shared by every integral over the
+            same breakpoints: f must not write into it.
         breakpoints: increasing panel edges.
         tol: stop when successive estimates differ by < tol * max(1, |I|).
         base_points: Gauss-Legendre points per panel for the first level.
@@ -71,28 +107,25 @@ def integrate_array(f, breakpoints, tol=1e-9, base_points=16,
 
     Returns:
         The converged integral value.
+
+    The nodes and panel weights of each call are built once per
+    breakpoints and levels and kept in a memo of at most 64 plans; the
+    stopping rule, and so what tol means, is the same with a warm memo as
+    with a cold one.
     """
     if base_points < 1 or max_points < 2 * base_points:
         raise DomainError(f"need 1 <= base_points and 2 * base_points <= "
                           f"max_points, got {base_points} and {max_points}")
     if math.isnan(tol):
         raise DomainError(f"tol must be a number, got {tol}")
-    edges = np.asarray(breakpoints, dtype=float)
-    if edges.size < 2:
+    edges = tuple(map(float, breakpoints))
+    if len(edges) < 2:
         return 0j
-    mid = (0.5 * (edges[:-1] + edges[1:]))[:, None]
-    half = 0.5 * (edges[1:] - edges[:-1])
 
     def estimates(*levels):
-        rules = [gauss_legendre(npts) for npts in levels]
-        nodes = [mid + half[:, None] * t for t, _ in rules]
-        values = np.asarray(f(np.concatenate(nodes, axis=None)))
-        out, start = [], 0
-        for x, (_, w) in zip(nodes, rules):
-            v = values[start:start + x.size].reshape(x.shape)
-            out.append(complex((half * (v * w).sum(axis=1)).sum()))
-            start += x.size
-        return out
+        nodes, weights = _plan(edges, levels)
+        values = np.asarray(f(nodes))
+        return [complex(values[sl] @ hw) for sl, hw in weights]
 
     npts = base_points * 2
     prev, curr = estimates(base_points, npts)
@@ -140,6 +173,12 @@ def integrate_boundary_layer(f, r_lo, r_hi, tol=1e-9, base_points=16,
                            max_points=max_points)
 
 
+@lru_cache(maxsize=64)
+def _linspace(a, b, num):
+    """np.linspace(a, b, num) as a tuple of floats."""
+    return tuple(np.linspace(a, b, num).tolist())
+
+
 def integrate_adaptive(f, a, b, tol=1e-9, base_points=16, max_points=1024,
                        n_panels=4):
     """Integral of a smooth f on [a, b] by panel-doubling refinement.
@@ -147,9 +186,8 @@ def integrate_adaptive(f, a, b, tol=1e-9, base_points=16, max_points=1024,
     f maps an array of points to an array of values, as in
     ``integrate_array``.
     """
-    edges = np.linspace(a, b, n_panels + 1)
-    return integrate_array(f, edges, tol=tol, base_points=base_points,
-                           max_points=max_points)
+    return integrate_array(f, _linspace(a, b, n_panels + 1), tol=tol,
+                           base_points=base_points, max_points=max_points)
 
 
 def fit_power_law(xs, ys):

@@ -103,8 +103,7 @@ class BesselTable:
     Row n + 1 of the (n_max + 2, len(t)) arrays holds order n; row 0 holds
     order -1, cos(t)/t and sin(t)/t, used by the derivative combinations.
     ``*_log`` are natural logs of the magnitudes (-inf for an exact zero),
-    ``*_sign`` are +1, -1 or 0.  ``jn`` reads the j row of an order as a
-    (log-magnitude, sign) pair; ``combine`` and ``combine_riccati`` form
+    ``*_sign`` are +1, -1 or 0.  ``combine`` and ``combine_riccati`` form
     h_n, J_n and H_n from the j and y rows.
     """
 
@@ -114,9 +113,6 @@ class BesselTable:
     j_sign: np.ndarray
     y_log: np.ndarray
     y_sign: np.ndarray
-
-    def jn(self, n: int):
-        return self.j_log[n + 1], self.j_sign[n + 1]
 
     def column(self, i: int) -> "BesselLadder":
         """The ladder at argument t[i]: a view of column i of this table."""

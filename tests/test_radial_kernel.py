@@ -397,8 +397,8 @@ class TestArrayQuadrature:
         def level_alone(npts):
             x, w = gauss_legendre(npts)
             nodes = mid[:, None] + half[:, None] * x
-            values = self._oscillating(nodes.ravel()).reshape(nodes.shape)
-            return complex(np.sum(half * np.sum(values * w, axis=1)))
+            values = self._oscillating(nodes.ravel())
+            return complex(values @ (half[:, None] * w).ravel())
 
         # each cap stops integrate_array after its last level; the error
         # carries that level's estimate and its difference from the one before
@@ -420,10 +420,56 @@ class TestArrayQuadrature:
             return gauss_legendre(npts)
 
         monkeypatch.setattr(quadrature, "gauss_legendre", counted)
+        # an earlier integral over these edges would have left its plans
+        quadrature._plan.cache_clear()
         with pytest.raises(AccuracyError):
             integrate_array(self._oscillating, [0.0, 1.0, 2.0], tol=0.0,
                             base_points=8, max_points=64)
         assert requested == [8, 16, 32, 64]
+
+    def test_a_planned_integral_builds_no_rule(self, monkeypatch):
+        requested = []
+
+        def counted(npts):
+            requested.append(npts)
+            return gauss_legendre(npts)
+
+        monkeypatch.setattr(quadrature, "gauss_legendre", counted)
+        edges = [0.0, 0.25, 1.0]
+        first = integrate_array(self._oscillating, edges, base_points=4)
+        requested.clear()
+        assert integrate_array(self._oscillating, edges,
+                               base_points=4) == first
+        assert requested == []
+
+    def test_writing_into_the_nodes_raises_and_spoils_no_plan(self):
+        edges = [0.0, 0.75, 1.5]
+        want = integrate_array(self._oscillating, edges)
+
+        def writer(x):
+            x *= 2.0
+            return self._oscillating(x)
+
+        with pytest.raises(ValueError, match="read-only"):
+            integrate_array(writer, edges)
+        assert integrate_array(self._oscillating, edges) == want
+
+    def test_breakpoint_containers_integrate_alike(self):
+        values = set()
+        for edges in ([0.0, 0.5, 2.0], (0.0, 0.5, 2.0), [0, 0.5, 2],
+                      np.array([0.0, 0.5, 2.0])):
+            quadrature._plan.cache_clear()  # each container plans afresh
+            values.add(integrate_array(self._oscillating, edges))
+        assert len(values) == 1
+
+    def test_memo_stays_within_its_maxsize(self):
+        for memo in (quadrature._plan, quadrature._linspace):
+            assert memo.cache_info().maxsize is not None
+        for k in range(200):
+            quadrature.integrate_adaptive(np.cos, 0.0, 1.0 + k / 200)
+        for memo in (quadrature._plan, quadrature._linspace):
+            info = memo.cache_info()
+            assert 0 < info.currsize <= info.maxsize
 
     @pytest.mark.parametrize("base_points, max_points",
                              [(16, 16), (16, 31), (0, 64), (-4, 64)])
