@@ -4,7 +4,9 @@ The exterior solution lives naturally in the pre-image (virtual) annulus;
 physical-layer values are its 1-form transport through the regularised map.
 Both regions evaluate one mode expansion of their ``RegionChains``, summed
 per degree against the angular scalars in the local spherical frame.  A small
-finite-difference toolbox backs the curl/residual diagnostics.
+finite-difference toolbox backs the curl/residual diagnostics.  Only the
+regularised cloak is evaluated; the transport of a smooth background
+through the singular map is a test reference, in ``tests/oracle.py``.
 """
 
 from __future__ import annotations
@@ -124,24 +126,6 @@ def eval_physical(solution: ModalSolution, x) -> FieldSample:
     y = fmap.inverse(x)
     virt = eval_virtual_exterior(solution, y)
     _, eh = geometry.pushforward_field(fmap, y, np.stack([virt.E, virt.H], 1))
-    return FieldSample(point=x, eh=_pack_eh(eh.T), space="physical")
-
-
-def eval_ideal_exterior(e_background, h_background, x) -> FieldSample:
-    """Transport of a smooth background solution through the singular map.
-
-    Args:
-        e_background, h_background: callables y -> complex 3-vector, smooth
-            on the punctured ball of radius 2.
-        x: physical point with 1 < |x| < 2.
-    """
-    x, r = _point(x)
-    if not 1.0 < r < 2.0:
-        raise DomainError(f"ideal layer is 1 < |x| < 2, got |x|={r:.6g}")
-    fmap = geometry.BlowupMap()
-    y = fmap.inverse(x)
-    _, eh = geometry.pushforward_field(
-        fmap, y, np.stack([e_background(y), h_background(y)], 1))
     return FieldSample(point=x, eh=_pack_eh(eh.T), space="physical")
 
 

@@ -1,10 +1,11 @@
-"""Radial coordinate maps, their Jacobians, and tensor/field transport.
+"""Radial coordinate maps, their Jacobians, and tensor and field transport.
 
 Two maps matter: the singular blow-up of the origin onto the unit sphere
 (g(r) = 1 + r/2) and its regularisation that blows a small ball of radius
 rho onto the unit ball (outer branch g(r) = a + b r, inner branch x = y/rho).
-Material tensors move by M.T-congruence divided by det(M); field 1-forms by
-M^-T; current 2-forms by M/det(M).
+Material tensors move by M.T-congruence divided by det(M), field 1-forms
+by M^-T.  Only the forward direction is kept: a map's ``inverse`` finds the
+virtual point of a physical one, and the library transports nothing back.
 """
 
 from __future__ import annotations
@@ -118,13 +119,6 @@ class RadialMap:
         return self.dg(r) * (self.g(r) / r) ** 2
 
 
-class IdentityMap(RadialMap):
-    name = "identity"
-
-    def __init__(self):
-        super().__init__(0.0, 1.0, 0.0, math.inf)
-
-
 class BlowupMap(RadialMap):
     """Singular map of the punctured ball of radius 2 onto the shell 1 < |x| < 2."""
 
@@ -171,10 +165,6 @@ def map_blowup(y):
     return BlowupMap().apply(y)
 
 
-def map_blowup_inverse(x):
-    return BlowupMap().inverse(x)
-
-
 def map_regularized(params: CloakParams, y):
     """Total regularised map on the ball of radius 2 (both branches)."""
     y = np.asarray(y, dtype=float)
@@ -186,17 +176,7 @@ def map_regularized(params: CloakParams, y):
     return CloakOuterMap(params).apply(y)
 
 
-def map_regularized_inverse(params: CloakParams, x):
-    x = np.asarray(x, dtype=float)
-    big_r = _radius(x)
-    if big_r > 2.0:
-        raise DomainError(f"point outside the design ball: |x|={big_r:.6g}")
-    if big_r <= 1.0:
-        return CloakInnerMap(params).inverse(x)
-    return CloakOuterMap(params).inverse(x)
-
-
-# -- transport of tensors, fields, currents ----------------------------------
+# -- transport of tensors and fields ------------------------------------------
 
 
 def pushforward_tensor(fmap, y, tensor=None):
@@ -228,28 +208,6 @@ def pushforward_field(fmap, y, field_value):
     mat = fmap.jacobian(y)
     value = np.linalg.solve(mat.T, np.asarray(field_value, dtype=complex))
     return fmap.apply(y), value
-
-
-def pullback_field(fmap, y, field_value_at_image):
-    """Inverse of ``pushforward_field``: M^T E-tilde evaluated at F(y)."""
-    mat = fmap.jacobian(y)
-    return mat.T @ np.asarray(field_value_at_image, dtype=complex)
-
-
-def pushforward_current(fmap, y, current_value):
-    """Transport a current-density 2-form from y to x = F(y): M J / det(M)."""
-    mat = fmap.jacobian(y)
-    det = fmap.det_jacobian(y)
-    if abs(det) < 1e-300:
-        raise DegenerateMapError(f"{fmap.name}: singular Jacobian")
-    return fmap.apply(y), (mat @ np.asarray(current_value, dtype=complex)) / det
-
-
-def pullback_current(fmap, y, current_value_at_image):
-    """Inverse of ``pushforward_current``: det(M) M^{-1} J-tilde at F(y)."""
-    mat = fmap.jacobian(y)
-    det = fmap.det_jacobian(y)
-    return det * np.linalg.solve(mat, np.asarray(current_value_at_image, dtype=complex))
 
 
 # -- closed forms -------------------------------------------------------------

@@ -5,7 +5,10 @@ A magnetic field polarised along y hits the interface x = 0 from vacuum
 permeability, mimicking the degenerate cloak material near its interface.
 For small rho the transmitted wavenumber is imaginary and the transmitted
 wave collapses onto a boundary layer of width ~rho at the interface, while
-the reflection coefficient tends to -1.
+the reflection coefficient tends to -1.  The module gives the dispersion,
+the closed-form amplitudes, the field and the pairing sweeps; the jump and
+wave-equation residuals that check the amplitudes live in
+``tests/oracle.py``.
 """
 
 from __future__ import annotations
@@ -19,8 +22,6 @@ import numpy as np
 from .errors import DomainError
 # integrate_panels stays bound here: bench/tracer.py patches it by name
 from .quadrature import fit_power_law, integrate_array, integrate_panels  # noqa: F401
-
-_EPS_TANGENTIAL = 2.0  # eps_y = eps_z = mu_y = mu_z in the anisotropic side
 
 
 @dataclass(frozen=True)
@@ -47,10 +48,6 @@ class HalfspaceParams:
                 f"propagating incidence needs 0 < kz < omega, got kz={self.kz}")
         if not 0.0 < self.rho < 1.0:
             raise DomainError(f"rho must be in (0,1), got {self.rho}")
-
-    @property
-    def evanescent(self) -> bool:
-        return 4.0 * self.omega ** 2 < (self.kz / self.rho) ** 2
 
 
 def dispersion_kx(params: HalfspaceParams):
@@ -103,38 +100,6 @@ def eval_H(params: HalfspaceParams, x, z):
               + h_sc * np.exp(1j * (-kx_minus * x + kz_z)))
     value = np.where(x > 0, inside, vacuum)
     return complex(value) if value.ndim == 0 else value
-
-
-def transmission_residuals(params: HalfspaceParams):
-    """(|[H_y]|, |[E_z]|) jumps of the one-sided limits at x = 0, relative.
-
-    Tangential H matches as h_in + h_sc = h_plus; tangential E as
-    kx- (h_in - h_sc) = kx+ h_plus / 2 (the eps_z = 2 of the anisotropic
-    side divides its normal derivative).
-    """
-    kx_minus, kx_plus = dispersion_kx(params)
-    h_plus, h_sc = solve_amplitudes(params)
-    jump_h = params.hin + h_sc - h_plus
-    scale_h = max(abs(params.hin), abs(h_plus), 1e-300)
-    lhs_e = kx_minus * (params.hin - h_sc)
-    rhs_e = 0.5 * kx_plus * h_plus
-    scale_e = max(abs(lhs_e), abs(rhs_e), 1e-300)
-    return abs(jump_h) / scale_h, abs(lhs_e - rhs_e) / scale_e
-
-
-def pde_residual(params: HalfspaceParams, x: float, z: float,
-                 step: float = 1e-4) -> float:
-    """Central-difference residual of the anisotropic wave equation at (x, z)."""
-    om = params.omega
-    if x > 0:
-        eps_x, eps_z, mu_y = 2.0 * params.rho ** 2, _EPS_TANGENTIAL, _EPS_TANGENTIAL
-    else:
-        eps_x = eps_z = mu_y = 1.0
-    offsets = step * np.array([[0, 1, -1, 0, 0], [0, 0, 0, 1, -1]])
-    h, h_xp, h_xm, h_zp, h_zm = eval_H(params, x + offsets[0], z + offsets[1])
-    d2x = (h_xp - 2 * h + h_xm) / step ** 2
-    d2z = (h_zp - 2 * h + h_zm) / step ** 2
-    return float(abs((d2x / eps_z + d2z / eps_x) / mu_y + om * om * h))
 
 
 # -- distributional limit study -------------------------------------------------

@@ -1,4 +1,4 @@
-"""Orthonormal spherical harmonics, tangent vector harmonics, and wave fields.
+"""Orthonormal spherical harmonics and tangent vector harmonics.
 
 Conventions: fully orthonormal complex harmonics on the unit sphere with
 Condon-Shortley phase, so Y(n,-m) = (-1)^m conj(Y(n,m)).  The tangent pair is
@@ -8,7 +8,8 @@ with the local frame (xhat, theta_hat, phi_hat), from one table of
 normalised associated Legendre values (sectoral seeds, then the upward
 recurrence in degree for every order at once, stable past n = 150);
 ``angular_table`` builds the vectors U and V from them, and
-``angular_basis``, ``scalar_Y`` and ``vector_UV`` are its one-row views.
+``angular_basis`` is its one-row view (the benchmark's tracer counts its
+calls through the binding in ``fields``).
 ``ModeFactors`` checks a list of modes once and keeps what the scalars
 read of each mode besides the direction, so a caller that evaluates the
 same modes at many directions passes it instead of the keys.
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .errors import DomainError, SingularityError
+from .errors import DomainError
 
 _POLE_SIN = 1e-10
 
@@ -220,51 +221,3 @@ def angular_basis(mode: ModeIndex, direction):
     """(Y, U, V) of one mode at one direction: a row of ``angular_table``."""
     y_val, u, v = angular_table([(mode.n, mode.m)], direction)
     return complex(y_val[0]), u[0], v[0]
-
-
-def scalar_Y(mode: ModeIndex, direction) -> complex:
-    """Orthonormal spherical harmonic at a unit direction."""
-    return angular_basis(mode, direction)[0]
-
-
-def vector_UV(mode: ModeIndex, direction):
-    """Tangent pair (U, V): U = Grad Y / sqrt(n(n+1)), V = xhat x U."""
-    _, u, v = angular_basis(mode, direction)
-    return u, v
-
-
-def wave_MN(mode: ModeIndex, omega: float, x, kind: str = "regular"):
-    """Divergence-free vector wave field and its curl at a point.
-
-    Args:
-        mode: multipole index.
-        omega: wavenumber of the radial factor (> 0).
-        x: evaluation point, |x| > 0.
-        kind: "regular" uses j_n (entire), "radiating" uses h_n (outgoing).
-
-    Returns:
-        (value, curl): complex 3-vectors.  value = -S_n f_n(omega |x|) V;
-        curl = S_n F_n(omega |x|)/|x| U + S_n^2 f_n(omega |x|)/|x| Y xhat,
-        where F_n is the f_n + t f_n' combination.
-    """
-    if omega <= 0:
-        raise DomainError(f"omega must be positive, got {omega}")
-    x = np.asarray(x, dtype=float)
-    r = float(np.linalg.norm(x))
-    if r == 0.0:
-        raise SingularityError("wave fields are undefined at the origin")
-    xhat = x / r
-    y_val, u, v = angular_basis(mode, xhat)
-    lad = specfun.bessel_ladder(mode.n, omega * r)
-    if kind == "regular":
-        f = lad.jn(mode.n).to_complex()
-        fc = lad.riccati_j(mode.n).to_complex()
-    elif kind == "radiating":
-        f = lad.hn(mode.n).to_complex()
-        fc = lad.riccati_h(mode.n).to_complex()
-    else:
-        raise DomainError(f"kind must be 'regular' or 'radiating', got {kind!r}")
-    s_n = mode.s_n
-    value = -s_n * f * v
-    curl = s_n * fc / r * u + s_n ** 2 * f / r * y_val * xhat
-    return value, curl

@@ -55,9 +55,6 @@ class RunManifest:
     seed: int = 0
     tool_version: str = __version__
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
-
     @staticmethod
     def from_json(text: str) -> "RunManifest":
         """The manifest of a JSON document.

@@ -91,10 +91,6 @@ class ModeCoeffs:
         """The six values as ``_pack`` doubles, in field order."""
         return tuple(_pack(getattr(self, f.name) for f in fields(self)))
 
-    def as_complex(self) -> dict:
-        return {f.name: getattr(self, f.name).to_complex()
-                for f in fields(self)}
-
 
 def check_mode(n: int, m: int, where: str) -> None:
     """DomainError naming where for a mode outside n >= 1, |m| <= n."""
@@ -348,8 +344,10 @@ def system_residuals(n: int, p, q, f1, f2, params: CloakParams,
                      coeffs: ModeCoeffs) -> list:
     """Relative residuals of the six matching equations for one mode.
 
-    Each residual is |lhs - rhs| over the largest participating term, so a
-    value near machine epsilon certifies the solve.
+    Each residual is |lhs - rhs| over the largest single product of its
+    equation (a coefficient times a radial value and its material factors),
+    so a value near machine epsilon certifies the solve.  A side is not the
+    scale: the right side of the last equation cancels by about 1/rho.
     """
     rho, k = params.rho, params.k
     se = scaled_real(params.eps0 ** -0.5)
@@ -361,18 +359,17 @@ def system_residuals(n: int, p, q, f1, f2, params: CloakParams,
     f1_s, f2_s = ScaledComplex.from_complex(f1), ScaledComplex.from_complex(f2)
 
     equations = [
-        ([c * h2, g * j2], f1_s),
-        ([d * hh2, e * jj2], f2_s * 2.0),
-        ([c * hr * rho, g * jr * rho], se * (al * jk + p_s * hk)),
-        ([d * hhr, e * jjr], se * (be * jjk + q_s * hhk)),
-        ([c * hhr * k, g * jjr * k], sm * (al * jjk + p_s * hhk)),
-        ([d * hr * rho, e * jr * rho], sm * k * (be * jk + q_s * hk)),
+        ([c * h2, g * j2], [f1_s]),
+        ([d * hh2, e * jj2], [f2_s * 2.0]),
+        ([c * hr * rho, g * jr * rho], [se * al * jk, se * p_s * hk]),
+        ([d * hhr, e * jjr], [se * be * jjk, se * q_s * hhk]),
+        ([c * hhr * k, g * jjr * k], [sm * al * jjk, sm * p_s * hhk]),
+        ([d * hr * rho, e * jr * rho], [sm * k * be * jk, sm * k * q_s * hk]),
     ]
     out = []
-    for terms, rhs in equations:
-        lhs = terms[0] + terms[1]
-        resid = lhs - rhs
-        scale = max([t.log_mag for t in terms] + [rhs.log_mag])
+    for lhs, rhs in equations:
+        resid = lhs[0] + lhs[1] - sum(rhs[1:], rhs[0])
+        scale = max(term.log_mag for term in lhs + rhs)
         if scale == float("-inf"):
             out.append(0.0 if resid.is_zero else math.inf)
         elif resid.is_zero:

@@ -57,10 +57,6 @@ class ScaledComplex:
         return ScaledComplex(_NEG_INF, 0j)
 
     @staticmethod
-    def one() -> "ScaledComplex":
-        return ScaledComplex(0.0, 1 + 0j)
-
-    @staticmethod
     def from_complex(z) -> "ScaledComplex":
         z = complex(z)
         if z == 0:

@@ -14,7 +14,10 @@ J_n = t j_{n-1} - n j_n.
 
 A table holds the j and y rows alone.  ``combine`` and ``combine_riccati``
 form a j_n + b h_n and a J_n + b H_n, for log-form coefficients a, b, from
-products of the coefficients with those rows, h being j + i y.
+products of the coefficients with those rows, h being j + i y.  Besides the
+kernel there are only ``sph_bessel_scaled`` (j_n, y_n, h_n of one ladder)
+and ``small_arg_leading`` (their leading forms for n >> t); plain-double
+views are read off a ladder, ``bessel_ladder(n, t).jn(n).to_complex()``.
 """
 
 from __future__ import annotations
@@ -346,52 +349,10 @@ def bessel_ladder(n_max: int, t: float) -> BesselLadder:
     return bessel_table(n_max, [t]).column(0)
 
 
-# -- plain-double and scaled views ------------------------------------------
-
-
-def sph_bessel(n: int, t: float):
-    """j_n(t), y_n(t), h_n(t) as plain doubles (h complex).
-
-    Values outside float range collapse to 0/inf; use ``sph_bessel_scaled``
-    where that matters.
-    """
-    lad = bessel_ladder(n, t)
-    jn = lad.jn(n).to_complex().real
-    yn = lad.yn(n).to_complex().real
-    return jn, yn, complex(jn, yn)
-
-
 def sph_bessel_scaled(n: int, t: float):
     """j_n(t), y_n(t), h_n(t) as ScaledComplex."""
     lad = bessel_ladder(n, t)
     return lad.jn(n), lad.yn(n), lad.hn(n)
-
-
-def riccati_combo(n: int, t: float):
-    """J_n(t) = j_n + t j_n' (real) and H_n(t) = h_n + t h_n' (complex)."""
-    lad = bessel_ladder(n, t)
-    return lad.riccati_j(n).to_complex().real, lad.riccati_h(n).to_complex()
-
-
-def riccati_combo_scaled(n: int, t: float):
-    lad = bessel_ladder(n, t)
-    return lad.riccati_j(n), lad.riccati_h(n)
-
-
-def gamma_half_int(n: int) -> float:
-    """Gamma(n + 1/2) = (2n-1)!!/2^n * sqrt(pi); inf above n ~ 150."""
-    if n < 0:
-        raise DomainError(f"need n >= 0, got {n}")
-    try:
-        return math.exp(math.lgamma(n + 0.5))
-    except OverflowError:
-        return math.inf
-
-
-def gamma_half_int_scaled(n: int) -> ScaledComplex:
-    if n < 0:
-        raise DomainError(f"need n >= 0, got {n}")
-    return scaled_from_log_sign(math.lgamma(n + 0.5), 1.0)
 
 
 def small_arg_leading(n: int, t: float):

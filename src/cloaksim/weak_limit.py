@@ -252,12 +252,6 @@ def interior_trace_normal(source: SourceCoeffs, params: CloakParams,
     return _normal_trace(limit_chains(source, params), source.r1, r)
 
 
-def interior_trace_normal_at(solution: ModalSolution, r: float) -> dict:
-    """Finite-regularisation counterpart of ``interior_trace_normal``."""
-    return _normal_trace(region_chains(solution, "hidden"),
-                         solution.params.r1, r)
-
-
 def tangential_trace_limit(source: SourceCoeffs, params: CloakParams) -> dict:
     """Per-mode limits (T1, T2) of the interface tangential traces.
 
@@ -266,11 +260,6 @@ def tangential_trace_limit(source: SourceCoeffs, params: CloakParams) -> dict:
     which cancels identically for vanishing boundary data.
     """
     return _tangential_trace(limit_chains(source, params))
-
-
-def tangential_trace_at(solution: ModalSolution) -> dict:
-    """Finite-regularisation interface traces (T1, T2) per mode."""
-    return _tangential_trace(region_chains(solution, "hidden"))
 
 
 # -- energy diagnostic ----------------------------------------------------------

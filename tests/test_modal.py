@@ -19,6 +19,7 @@ from cloaksim.geometry import CloakParams
 from cloaksim import cli, modal, specfun
 from cloaksim.scaled import ScaledArray, ScaledComplex
 from cloaksim.quadrature import fit_power_law
+from oracle import as_complex, gamma_half_int
 
 
 def ref_funcs(n, t):
@@ -91,8 +92,7 @@ class TestTransferSet:
         n, rho, om = 2, 1e-3, 1.0
         params = CloakParams(rho=rho, omega=om, r1=0.5)
         ts = modal.transfer_coeffs(n, params)
-        g12 = math.exp(math.lgamma(n + 0.5))
-        g32 = math.exp(math.lgamma(n + 1.5))
+        g12, g32 = gamma_half_int(n), gamma_half_int(n + 1)
         lead = 1j * math.pi * (n + 1) / (g12 * g32 * n) * (om / 2) ** (2 * n + 1) \
             * rho ** (2 * n + 1)
         assert abs(ts.t3.to_complex() / lead - 1) < 0.05
@@ -101,11 +101,11 @@ class TestTransferSet:
 class TestSolveMode:
     def test_homogeneous_data_gives_zero(self):
         co = modal.solve_mode(1, 0, 0, 0, 0, SINGLE)
-        for v in co.as_complex().values():
+        for v in as_complex(co).values():
             assert v == 0
 
     def test_against_direct_2x2_oracle(self):
-        co = modal.solve_mode(1, 0, 1.0, 0, 0, SINGLE).as_complex()
+        co = as_complex(modal.solve_mode(1, 0, 1.0, 0, 0, SINGLE))
         ref = oracle_solve(1, 0, 1.0, 0, 0, SINGLE)
         for got, want in zip(
                 [co["gamma"], co["eta"], co["c"], co["d"], co["alpha"], co["beta"]],
@@ -115,27 +115,33 @@ class TestSolveMode:
     def test_oracle_with_boundary_and_both_sources(self):
         params = CloakParams(rho=0.07, omega=1.3, eps0=3.0, mu0=0.7, r1=0.4)
         data = dict(p=0.4 - 0.2j, q=1.1 + 0.3j, f1=0.2j, f2=-0.1 + 0.05j)
-        co = modal.solve_mode(2, data["p"], data["q"], data["f1"], data["f2"],
-                              params).as_complex()
+        co = as_complex(modal.solve_mode(2, data["p"], data["q"], data["f1"],
+                                         data["f2"], params))
         ref = oracle_solve(2, data["p"], data["q"], data["f1"], data["f2"], params)
         for got, want in zip(
                 [co["gamma"], co["eta"], co["c"], co["d"], co["alpha"], co["beta"]],
                 ref):
             assert got == pytest.approx(want, rel=1e-9, abs=1e-13)
 
-    @pytest.mark.parametrize("rho", [0.2, 0.05, 1e-3])
+    @pytest.mark.parametrize("rho", [0.2, 0.05, 1e-3, 1e-6])
     def test_system_residuals(self, rho):
         params = CloakParams(rho=rho, omega=1.0, r1=0.5)
-        for n in (1, 2, 7, 20):
+        for n in (1, 2, 7, 20, 200):
             co = modal.solve_mode(n, 0, 1.0, 0, 0, params)
             res = modal.system_residuals(n, 0, 1.0, 0, 0, params, co)
-            assert max(res) < 1e-10
+            assert max(res) < max(1e-10, 1e-14 / rho), n
 
     def test_residuals_with_general_material(self):
-        params = CloakParams(rho=0.05, omega=1.1, eps0=2.5, mu0=0.8, r1=0.5)
-        co = modal.solve_mode(3, 0.5, 1.0 - 0.4j, 0.1, 0.2j, params)
-        res = modal.system_residuals(3, 0.5, 1.0 - 0.4j, 0.1, 0.2j, params, co)
-        assert max(res) < 1e-10
+        for params, n, data in [
+                (CloakParams(rho=0.05, omega=1.1, eps0=2.5, mu0=0.8, r1=0.5),
+                 3, (0.5, 1.0 - 0.4j, 0.1, 0.2j)),
+                # the right side of the last equation is 1.4e5 times smaller
+                # than its products here
+                (CloakParams(rho=1e-5, omega=2.0, eps0=2.0, r1=0.5), 2,
+                 (0, 1.0, 0, 0))]:
+            co = modal.solve_mode(n, *data, params)
+            res = modal.system_residuals(n, *data, params, co)
+            assert max(res) < max(1e-10, 1e-14 / params.rho), params
 
     def test_linearity_in_data(self):
         rng = np.random.default_rng(3)
@@ -143,9 +149,9 @@ class TestSolveMode:
         d1 = rng.normal(size=4) + 1j * rng.normal(size=4)
         d2 = rng.normal(size=4) + 1j * rng.normal(size=4)
         lam = 0.7 - 0.3j
-        a = modal.solve_mode(2, *d1, params).as_complex()
-        b = modal.solve_mode(2, *d2, params).as_complex()
-        c = modal.solve_mode(2, *(d1 + lam * d2), params).as_complex()
+        a = as_complex(modal.solve_mode(2, *d1, params))
+        b = as_complex(modal.solve_mode(2, *d2, params))
+        c = as_complex(modal.solve_mode(2, *(d1 + lam * d2), params))
         for key in a:
             combined = a[key] + lam * b[key]
             assert c[key] == pytest.approx(combined, rel=1e-12, abs=1e-14)
@@ -167,7 +173,7 @@ class TestSolveMode:
         errs, rhos = [], (1e-2, 1e-3, 1e-4)
         for rho in rhos:
             params = CloakParams(rho=rho, omega=1.0, r1=0.5)
-            co = modal.solve_mode(1, 0, 1.0, 0, 0, params).as_complex()
+            co = as_complex(modal.solve_mode(1, 0, 1.0, 0, 0, params))
             errs.append(abs(co["beta"] - beta0))
         slope = fit_power_law(rhos, errs)
         assert abs(slope - 1.0) < 0.15
@@ -198,7 +204,7 @@ class TestLimitCoeffs:
         errs = []
         for rho in rhos:
             params = CloakParams(rho=rho, omega=1.0, r1=0.5)
-            d = modal.solve_mode(n, 0, 1.0, 0, 0, params).as_complex()["d"]
+            d = as_complex(modal.solve_mode(n, 0, 1.0, 0, 0, params))["d"]
             ratio = d / (pref_c * rho ** (n + 1))
             errs.append(abs(ratio - 1.0))
         assert errs[-1] < 2e-4
@@ -386,26 +392,27 @@ FROZEN_PACKED = {
     },
 }
 
-# system_residuals of the same solves, frozen alongside
+# system_residuals of the same solves, frozen alongside: each residual
+# over the largest single product of its equation
 FROZEN_RESIDUALS = {
     1e-2: {
         (1, 0): [1.5273134415180827e-15, 1.1443916996305574e-16,
-                 1.1656809940177913e-14, 9.694595325496662e-16,
-                 4.0029660424867086e-16, 7.437872845547678e-15],
-        (2, 1): [1.7235296186091149e-15, 0.0, 1.8654517056954e-14,
-                 3.4331750988731736e-16, 1.1102422797698452e-15,
-                 1.0642842806564263e-14],
-        (3, -2): [0.0, 1.1102230246251573e-16, 2.1849192634714528e-13,
+                 2.688902702408121e-16, 9.694595325496662e-16,
+                 4.0029681915245844e-16, 1.7157145684964293e-16],
+        (2, 1): [1.7235296186091149e-15, 0.0, 4.111468810809306e-16,
+                 3.4331750988731736e-16, 1.110242279783532e-15,
+                 2.3456901148849347e-16],
+        (3, -2): [0.0, 1.1102230246251573e-16, 4.7965084432824e-15,
                   1.6653345369377366e-15, 1.3322686193917935e-15,
-                  2.2161036066058883e-13],
+                  4.864966792130001e-15],
     },
     1e-6: {
-        (1, 0): [0.0, 0.0, 9.603577562467519e-10, 9.550499576785494e-16,
-                 1.6910413304902245e-15, 9.308709350861832e-10],
-        (2, 1): [0.0, 0.0, 1.0058985904635317e-09, 2.6461124136767567e-15,
-                 4.2189178738605984e-15, 8.026875048045628e-10],
-        (3, -2): [0.0, 0.0, 3.6470387484216524e-10, 1.0161421993128882e-14,
-                  6.661338152545479e-15, 3.341599839409557e-10],
+        (1, 0): [0.0, 0.0, 2.2547970988431185e-15, 9.550499576785494e-16,
+                 1.6910413304902245e-15, 2.1855658166730258e-15],
+        (2, 1): [0.0, 0.0, 2.248613209510108e-15, 2.6461124136767567e-15,
+                 4.2189178738605984e-15, 1.7943495926501066e-15],
+        (3, -2): [0.0, 0.0, 8.109959971881979e-16, 1.0161421993128954e-14,
+                  6.661338152545526e-15, 7.430752127705491e-16],
     },
 }
 
@@ -424,9 +431,6 @@ def test_solve_source_reproduces_frozen_doubles(rho):
 
 _ANY_COEFF = st.complex_numbers(max_magnitude=2.0, allow_nan=False,
                                 allow_infinity=False)
-# zero, or a magnitude in [1e-3, 2] at any phase
-_MODERATE_COEFF = st.one_of(st.just(0j), st.builds(
-    cmath.rect, st.floats(1e-3, 2.0), st.floats(0.0, 2.0 * math.pi)))
 
 
 @st.composite
@@ -454,12 +458,11 @@ def _solved_modes(params, source):
 @given(rho=st.floats(1e-6, 0.5), r1=st.floats(0.1, 0.9), data=st.data())
 def test_property_solve_source_keeps_every_mode_or_raises(rho, r1, data):
     """Vacuum at omega = 1 (the benchmark's material), degrees up to 3 and
-    coefficients of magnitude 1e-3 to 2: every source mode up to n_max is
-    kept and meets the matching-residual bound max(1e-10, 1e-14 / rho), or
-    the solve raises ResonanceError.  Outside that domain the bound fails;
-    see the next test."""
+    any coefficient of magnitude up to 2, subnormals included: every source
+    mode up to n_max is kept and meets the matching-residual bound
+    max(1e-10, 1e-14 / rho), or the solve raises ResonanceError."""
     params = CloakParams(rho=rho, omega=1.0, r1=r1)
-    source = data.draw(_sources(r1, 3, _MODERATE_COEFF))
+    source = data.draw(_sources(r1, 3, _ANY_COEFF))
     for (n, _), p, q, co in _solved_modes(params, source):
         worst = max(modal.system_residuals(n, p, q, 0j, 0j, params, co))
         assert worst < max(1e-10, 1e-14 / rho), (n, worst)
@@ -472,24 +475,20 @@ def test_property_solve_source_keeps_every_mode_or_raises(rho, r1, data):
 def test_property_solve_source_any_material_keeps_every_mode(
         rho, omega, eps0, mu0, r1, data):
     """Any material, frequency, degree up to 6 and coefficient magnitude up
-    to 2: every source mode up to n_max is kept with finite matching
-    residuals, or the solve raises ResonanceError.
+    to 2: every source mode up to n_max is kept and meets the
+    matching-residual bound max(1e-10, 1e-14 / rho), or the solve raises
+    ResonanceError.
 
-    The 1e-14 / rho bound does not hold here.  ``system_residuals`` divides
-    by the largest side of an equation, and a side can cancel by about
-    1/rho.  At rho = 1e-5, omega = eps0 = 2, mode (2, 0) with q = 1, the
-    last equation's right side is 1.4e5 times smaller than its products
-    and the residual reads 1.2e-9 (mpmath: 7e-15 of the largest product).
-    In vacuum at omega = 1: degree 5 at rho = 1.79e-6 reads 5.7e-9 against
-    5.6e-9; degree 2 at rho = 1e-4 with p = 1, q = 8.8e-91 reads 1.4e-10
-    against 1e-10 (1.0e-11 for q = 1), because ScaledComplex keeps
-    magnitudes as logarithms, so a product of magnitude x carries a
-    relative error of about 1e-16 |ln x|."""
+    ``system_residuals`` scales each equation by its largest single
+    product, so the bound holds where a side cancels: the right side of
+    the last equation is about rho times its products (1.4e5 times smaller
+    at rho = 1e-5, omega = eps0 = 2, mode (2, 0), q = 1, which reads
+    8.2e-15)."""
     params = CloakParams(rho=rho, omega=omega, eps0=eps0, mu0=mu0, r1=r1)
     source = data.draw(_sources(r1, 6, _ANY_COEFF))
     for (n, _), p, q, co in _solved_modes(params, source):
-        assert all(math.isfinite(v) for v in modal.system_residuals(
-            n, p, q, 0j, 0j, params, co))
+        worst = max(modal.system_residuals(n, p, q, 0j, 0j, params, co))
+        assert worst < max(1e-10, 1e-14 / rho), (n, worst)
 
 
 # -- the per-degree solution --------------------------------------------------

@@ -26,7 +26,7 @@ def test_phase_is_unit_modulus():
     rng = np.random.default_rng(3)
     vals = [ScaledComplex.from_complex(complex(rng.normal(), rng.normal()))
             for _ in range(50)]
-    acc = ScaledComplex.one()
+    acc = ScaledComplex.from_complex(1)
     for v in vals:
         acc = acc * v
     for v in vals + [acc]:
@@ -42,7 +42,7 @@ def test_product_adds_log_magnitudes_exactly():
 
 def test_no_overflow_for_factorial_scale_products():
     # (2n-1)!! * t^-(n+1) style growth at n = 200 stays finite in log space
-    acc = ScaledComplex.one()
+    acc = ScaledComplex.from_complex(1)
     for k in range(1, 401, 2):
         acc = acc * k
     acc = acc * ScaledComplex.from_log(201 * math.log(1e6))
@@ -86,7 +86,7 @@ def test_subtraction_and_negation():
 
 def test_division_by_zero_raises():
     with pytest.raises(ZeroDivisionError):
-        ScaledComplex.one() / ScaledComplex.zero()
+        ScaledComplex.from_complex(1) / ScaledComplex.zero()
 
 
 def test_reflected_operations_with_plain_numbers():
@@ -115,7 +115,7 @@ def test_equality_and_hash_by_value():
     assert ScaledComplex.zero() == scaled_real(0.0) == ScaledComplex.from_log(
         -math.inf)
     # a ScaledComplex is never equal to a plain number, even of its value
-    one = ScaledComplex.one()
+    one = ScaledComplex.from_complex(1)
     for plain in (1, 1.0, 1 + 0j, np.float64(1.0)):
         assert one != plain and plain != one
     assert ScaledComplex.zero() != 0j

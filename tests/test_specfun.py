@@ -6,6 +6,7 @@ from scipy import special as sp
 
 from cloaksim.errors import CapabilityError, DomainError
 from cloaksim import specfun
+from oracle import gamma_half_int, gamma_half_int_scaled
 
 SQRT_PI = 1.7724538509055159
 
@@ -19,36 +20,37 @@ def double_factorial_gamma_half(n):
 
 
 class TestGammaHalfInt:
+    """The lgamma reference against the direct double-factorial product."""
+
     def test_base_cases(self):
-        assert specfun.gamma_half_int(0) == pytest.approx(SQRT_PI, rel=1e-14)
-        assert specfun.gamma_half_int(1) == pytest.approx(SQRT_PI / 2, rel=1e-14)
+        assert gamma_half_int(0) == pytest.approx(SQRT_PI, rel=1e-14)
+        assert gamma_half_int(1) == pytest.approx(SQRT_PI / 2, rel=1e-14)
 
     def test_n5_matches_double_factorial_oracle(self):
         # oracle value: 945/32 * sqrt(pi)
         assert double_factorial_gamma_half(5) == pytest.approx(
             52.342777784553520, rel=1e-14)
-        assert specfun.gamma_half_int(5) == pytest.approx(
-            52.342777784553520, rel=1e-13)
+        assert gamma_half_int(5) == pytest.approx(52.342777784553520, rel=1e-13)
 
     @pytest.mark.parametrize("n", [0, 1, 2, 7, 20, 80, 140])
     def test_matches_oracle_over_range(self, n):
-        assert specfun.gamma_half_int(n) == pytest.approx(
+        assert gamma_half_int(n) == pytest.approx(
             double_factorial_gamma_half(n), rel=1e-12)
 
     def test_scaled_form_finite_past_overflow(self):
-        assert not math.isfinite(specfun.gamma_half_int(180))
-        sc = specfun.gamma_half_int_scaled(180)
+        assert not math.isfinite(gamma_half_int(180))
+        sc = gamma_half_int_scaled(180)
         assert math.isfinite(sc.log_mag)
         assert sc.log_mag == pytest.approx(math.lgamma(180.5), rel=1e-15)
 
 
 class TestSphBessel:
     def test_closed_forms_at_low_order(self):
-        j0, _, _ = specfun.sph_bessel(0, 1.0)
+        j0 = specfun.bessel_ladder(0, 1.0).jn(0).to_complex().real
         assert j0 == pytest.approx(0.8414709848078965, abs=1e-15)
-        j0_pi, _, _ = specfun.sph_bessel(0, math.pi)
+        j0_pi = specfun.bessel_ladder(0, math.pi).jn(0).to_complex().real
         assert abs(j0_pi) < 1e-15
-        _, _, h0 = specfun.sph_bessel(0, math.pi / 2)
+        h0 = specfun.bessel_ladder(0, math.pi / 2).hn(0).to_complex()
         assert h0.real == pytest.approx(2.0 / math.pi, abs=1e-15)
         assert abs(h0.imag) < 1e-15
 
@@ -66,11 +68,11 @@ class TestSphBessel:
 
     def test_domain_and_capability_errors(self):
         with pytest.raises(DomainError):
-            specfun.sph_bessel(2, 0.0)
+            specfun.bessel_ladder(2, 0.0)
         with pytest.raises(DomainError):
-            specfun.sph_bessel(2, -1.0)
+            specfun.bessel_ladder(2, -1.0)
         with pytest.raises(CapabilityError):
-            specfun.sph_bessel(specfun.N_CAP + 1, 1.0)
+            specfun.bessel_ladder(specfun.N_CAP + 1, 1.0)
 
     def test_scaled_values_where_doubles_fail(self):
         # j_150(1e-4) underflows, y_150(1e-4) overflows; logs must stay finite
@@ -84,18 +86,20 @@ class TestSphBessel:
 class TestRiccatiCombos:
     @pytest.mark.parametrize("t", [0.3, 1.0, 2.7, 9.0])
     def test_order0_equals_cos(self, t):
-        jj, _ = specfun.riccati_combo(0, t)
+        jj = specfun.bessel_ladder(0, t).riccati_j(0).to_complex().real
         assert jj == pytest.approx(math.cos(t), abs=1e-14)
 
     def test_order3_at_2_matches_series_oracle(self):
         # frozen 50-digit values from the power-series representations
-        jj, hh = specfun.riccati_combo(3, 2.0)
+        lad = specfun.bessel_ladder(3, 2.0)
+        jj, hh = lad.riccati_j(3).to_complex().real, lad.riccati_h(3).to_complex()
         assert jj == pytest.approx(0.21472960512566867126, rel=1e-13)
         assert hh.real == pytest.approx(0.21472960512566867126, rel=1e-13)
         assert hh.imag == pytest.approx(2.9851168229539316317, rel=1e-13)
 
     def test_j3_y3_at_2_match_series_oracle(self):
-        j, y, _ = specfun.sph_bessel(3, 2.0)
+        lad = specfun.bessel_ladder(3, 2.0)
+        j, y = lad.jn(3).to_complex().real, lad.yn(3).to_complex().real
         assert j == pytest.approx(0.060722097662874828461, rel=1e-13)
         assert y == pytest.approx(-1.4843665574430799239, rel=1e-13)
 
@@ -140,7 +144,8 @@ class TestSmallArgLeading:
     @pytest.mark.parametrize("n,t,tol", [(10, 0.01, 1e-4), (25, 0.05, 1e-4)])
     def test_ratios_approach_one(self, n, t, tol):
         j, y, h = specfun.sph_bessel_scaled(n, t)
-        jj, hh = specfun.riccati_combo_scaled(n, t)
+        lad = specfun.bessel_ladder(n, t)
+        jj, hh = lad.riccati_j(n), lad.riccati_h(n)
         lead_j, lead_h, lead_jj, lead_hh = specfun.small_arg_leading(n, t)
         assert abs((j / lead_j).to_complex() - 1) < tol
         assert abs((h / lead_h).to_complex() - 1) < tol
