@@ -235,7 +235,8 @@ def cmd_converge(config_path, out_dir, tol):
     configured = _positive(quad.get("tol", 1e-9), "quadrature field tol")
     qtol = configured if tol is None else tol
 
-    params = _parse_cloak_params(pdoc, rho_list[0])
+    # every rho's params are checked before any work
+    params, *_ = [_parse_cloak_params(pdoc, rho) for rho in rho_list]
     source = parse_source_table(doc["source"], r1=params.r1)
     modal.check_decay_certificate(source, params)
     phi = _parse_phi(doc["phi"])
@@ -280,7 +281,6 @@ def cmd_fields(config_path, out_dir, tol):
     params = _parse_cloak_params(pdoc, _num(pdoc, "rho", "params"))
     source = parse_source_table(doc["source"], r1=params.r1)
     boundary = parse_boundary_table(doc.get("boundary", []))
-    solution = modal.solve_source(source, boundary, params)
     space = doc["space"]
     if space not in ("virtual", "physical"):
         raise ConfigError(f"space must be 'virtual' or 'physical', got {space!r}")
@@ -299,6 +299,7 @@ def cmd_fields(config_path, out_dir, tol):
         points = read_points_csv(doc["points_csv"])
     if not points:
         raise ConfigError("points must be non-empty")
+    solution = modal.solve_source(source, boundary, params)
     evaluate = (fields.eval_virtual_exterior if space == "virtual"
                 else fields.eval_physical)
     samples = [evaluate(solution, p) for p in points]

@@ -147,20 +147,15 @@ def fd_curl(field, x, step=None):
     return out
 
 
-def maxwell_residuals(e_field, h_field, x, omega, eps_tensor=None,
-                      mu_tensor=None, step=None):
-    """Residuals of the curl equations at a source-free point.
+def maxwell_residuals(e_field, h_field, x, omega):
+    """Residuals of the vacuum curl equations at a source-free point.
 
-    Returns (|curl E - i w mu H|, |curl H + i w eps E|) as max-norms, with
-    identity material when tensors are omitted.
+    Returns (|curl E - i w H|, |curl H + i w E|) as max-norms, the curls
+    by ``fd_curl`` at its default step.
     """
     x = np.asarray(x, dtype=float)
-    eps = np.eye(3) if eps_tensor is None else np.asarray(eps_tensor)
-    mu = np.eye(3) if mu_tensor is None else np.asarray(mu_tensor)
-    curl_e = fd_curl(e_field, x, step)
-    curl_h = fd_curl(h_field, x, step)
-    res_e = curl_e - 1j * omega * (mu @ h_field(x))
-    res_h = curl_h + 1j * omega * (eps @ e_field(x))
+    res_e = fd_curl(e_field, x) - 1j * omega * h_field(x)
+    res_h = fd_curl(h_field, x) + 1j * omega * e_field(x)
     return float(np.max(np.abs(res_e))), float(np.max(np.abs(res_h)))
 
 

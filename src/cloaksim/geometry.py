@@ -142,22 +142,11 @@ class CloakOuterMap(RadialMap):
 class CloakInnerMap:
     """Inner branch x = y/rho, a uniform dilation of the small ball."""
 
-    name = "cloak-inner"
-
     def __init__(self, params: CloakParams):
         self.params = params
 
     def apply(self, y):
         return np.asarray(y, dtype=float) / self.params.rho
-
-    def inverse(self, x):
-        return np.asarray(x, dtype=float) * self.params.rho
-
-    def jacobian(self, y):
-        return _EYE / self.params.rho
-
-    def det_jacobian(self, y):
-        return self.params.rho ** -3
 
 
 def map_blowup(y):
@@ -179,13 +168,12 @@ def map_regularized(params: CloakParams, y):
 # -- transport of tensors and fields ------------------------------------------
 
 
-def pushforward_tensor(fmap, y, tensor=None):
-    """Transport a material tensor along the map: (M @ T @ M.T) / det(M).
+def pushforward_tensor(fmap, y):
+    """Transport vacuum along the map: (M @ M.T) / det(M).
 
     Args:
         fmap: a map object with ``jacobian``/``det_jacobian``/``apply``.
         y: point in the map's source coordinates.
-        tensor: 3x3 array; identity (vacuum) when omitted.
 
     Returns:
         (x, T_pushed): image point and the transported tensor at it.
@@ -194,8 +182,7 @@ def pushforward_tensor(fmap, y, tensor=None):
     det = fmap.det_jacobian(y)
     if abs(det) < 1e-300:
         raise DegenerateMapError(f"{fmap.name}: singular Jacobian at |y|={_radius(y):.6g}")
-    t = _EYE if tensor is None else np.asarray(tensor, dtype=float)
-    return fmap.apply(y), (mat @ t @ mat.T) / det
+    return fmap.apply(y), (mat @ mat.T) / det
 
 
 def pushforward_field(fmap, y, field_value):

@@ -44,10 +44,6 @@ class ModeIndex:
         if abs(self.m) > self.n:
             raise DomainError(f"|m| must be <= n, got (n,m)=({self.n},{self.m})")
 
-    @property
-    def s_n(self) -> float:
-        return math.sqrt(self.n * (self.n + 1))
-
 
 @dataclass(frozen=True, eq=False)
 class ModeFactors:

@@ -37,6 +37,7 @@ from .scaled import ScaledArray, ScaledComplex, scaled_real
 DENOM_FLOOR = 1e-12
 # floor on the interior margin of the limit formulas (``_check_interior``)
 INTERIOR_FLOOR = 1e-10
+TRUNCATION_TOL = 1e-12  # bound on the series tail ``solve_source`` drops
 
 
 @dataclass(frozen=True)
@@ -85,11 +86,6 @@ class ModeCoeffs:
     d: ScaledComplex
     alpha: ScaledComplex
     beta: ScaledComplex
-
-    @property
-    def _packed(self) -> tuple:
-        """The six values as ``_pack`` doubles, in field order."""
-        return tuple(_pack(getattr(self, f.name) for f in fields(self)))
 
 
 def check_mode(n: int, m: int, where: str) -> None:
@@ -197,12 +193,13 @@ class SolvedModes(Mapping):
 
 @dataclass(frozen=True, slots=True)
 class ModalSolution:
-    """All solved modes for one parameter set plus the data that produced them."""
+    """The solved modes of one parameter set and their data: what
+    ``solve_source`` returns."""
 
     params: CloakParams
     source: SourceCoeffs
     boundary: BoundaryCoeffs
-    modes: Mapping  # (n, m) -> ModeCoeffs, SolvedModes from solve_source
+    modes: SolvedModes  # (n, m) -> ModeCoeffs
     n_max: int
 
 
@@ -546,11 +543,6 @@ class RegionChains:
         read at every direction."""
         return ModeFactors.of(self.key_array)
 
-    @property
-    def s_n(self) -> np.ndarray:
-        """sqrt(n (n + 1)) of every mode."""
-        return self.mode_factors.s_n
-
     @cached_property
     def _columns(self):
         """a[0], a[1], b[0], b[1] as (log-magnitude, phase) array pairs."""
@@ -692,18 +684,12 @@ def _hidden_chains(keys, alpha, beta, pq, store, surface=None):
 
 def _solution_chains(solution: ModalSolution, store: _Store) -> dict:
     """The "layer" and "hidden" chains of every solved mode, from one pass
-    over the modes: a ``SolvedModes`` solves them straight into the chain
-    lists, one unpack per degree and no ModeCoeffs per mode."""
-    modes = solution.modes
-    keys = sorted(modes)
-    if isinstance(modes, SolvedModes):
-        rows = modes.coefficient_rows(keys)
-    else:
-        rows = ([getattr(modes[key], f.name) for f in fields(ModeCoeffs)]
-                for key in keys)
+    over the modes: they are solved straight into the chain lists, one
+    unpack per degree and no ModeCoeffs per mode."""
+    keys = list(solution.modes)
+    rows = solution.modes.coefficient_rows(keys)
     gamma, eta, c, d, alpha, beta = (
-        [list(column) for column in zip(*rows)]
-        or [[] for _ in range(6)])
+        [list(column) for column in zip(*rows)] or [[] for _ in range(6)])
     return {"layer": RegionChains(keys, (gamma, c), (eta, d),
                                   solution.params.omega, tables=store.tables),
             "hidden": _hidden_chains(
@@ -719,13 +705,11 @@ def region_chains(solution: ModalSolution, region: str) -> RegionChains:
     Both regions' chains are built in one pass and kept in the store with
     the solution (``_kept``): reading any other solution, or a solution of
     another params object, starts a new store and drops these chains and
-    their quadrature tables.  A solution whose modes are a plain dict,
-    which may be changed in place, is rebuilt on every call.
-    """
+    their quadrature tables."""
     if region not in ("layer", "hidden"):
         raise DomainError(f"region is 'layer' or 'hidden', got {region!r}")
     store = _kept(solution.params, solution)
-    if store.chains is None or not isinstance(solution.modes, SolvedModes):
+    if store.chains is None:
         store.chains = _solution_chains(solution, store)
     return store.chains[region]
 
@@ -806,18 +790,18 @@ def check_decay_certificate(source: SourceCoeffs, params: CloakParams) -> None:
 
 
 def solve_source(source: SourceCoeffs, boundary: BoundaryCoeffs | None,
-                 params: CloakParams, tol: float = 1e-12) -> ModalSolution:
+                 params: CloakParams) -> ModalSolution:
     """Solve every mode carried by the source/boundary tables.
 
-    Modes above the truncation degree are dropped; boundary-only modes are
-    always kept.  The solve runs once per degree (every resonance check
-    raises here); the modes come from the returned ``SolvedModes``.  A
-    source whose support radius differs from params.r1 is rejected with
-    DomainError.
+    Modes above the truncation degree of ``TRUNCATION_TOL`` are dropped;
+    boundary-only modes are always kept.  The solve runs once per degree
+    (every resonance check raises here); the modes come from the returned
+    ``SolvedModes``.  A source whose support radius differs from params.r1
+    is rejected with DomainError.
     """
     _check_support(source, params)
     boundary = boundary or BoundaryCoeffs()
-    n_max = truncation_order(source, params, tol)
+    n_max = truncation_order(source, params, TRUNCATION_TOL)
     n_max = max(n_max, boundary.max_degree())
     degrees = sorted({n for n, _ in source.entries.keys()
                       | boundary.entries.keys() if n <= n_max})

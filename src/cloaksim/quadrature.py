@@ -5,10 +5,10 @@ pass with one call of a vectorised integrand; ``integrate_panels`` adapts
 a scalar integrand to it.  The nodes and flat panel weights of a call are
 planned once per breakpoints and levels and kept in a bounded memo, so the
 node array an integrand receives is shared and read-only; the stopping
-rule, and what ``tol`` means, do not depend on the memo.  Boundary-layer
-integrands concentrated like r**-(n+1) near an inner radius are handled
-through the substitution r = r_lo * exp(u), which flattens them onto unit
-panels in u.
+rule, and what ``tol`` means, do not depend on the memo.  A panel's rule
+doubles from ``BASE_POINTS`` to ``MAX_POINTS``, read at each call.  An
+integrand concentrated like r**-(n+1) near an inner radius is flattened
+onto unit panels in u by the substitution r = r_lo * exp(u).
 """
 
 from __future__ import annotations
@@ -19,6 +19,10 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import AccuracyError, DomainError
+
+BASE_POINTS = 16  # Gauss-Legendre points per panel at the first level
+MAX_POINTS = 1024  # refinement cap per panel; exceeded -> AccuracyError
+ADAPTIVE_PANELS = 4  # equal panels of ``integrate_adaptive``
 
 
 @lru_cache(maxsize=64)
@@ -88,22 +92,21 @@ def _plan(edges: tuple, levels: tuple):
     return nodes, tuple(weights)
 
 
-def integrate_array(f, breakpoints, tol=1e-9, base_points=16,
-                    max_points=1024):
+def integrate_array(f, breakpoints, tol=1e-9):
     """Integrate f over consecutive panels, doubling points until converged.
 
     Args:
         f: callable mapping a 1-D float array of nodes to an array of the
             same length of complex (or float) values, each from its node
-            alone.  The first call takes the nodes of the base_points and
-            2 * base_points rules of every panel (every integral needs both
-            levels), each later pass the nodes of the doubled rule.  The
-            node array is read-only and shared by every integral over the
-            same breakpoints: f must not write into it.
+            alone.  The first call takes the nodes of the ``BASE_POINTS``
+            and 2 * ``BASE_POINTS`` rules of every panel (every integral
+            needs both levels), each later pass the nodes of the doubled
+            rule.  The node array is read-only and shared by every integral
+            over the same breakpoints: f must not write into it.
         breakpoints: increasing panel edges.
-        tol: stop when successive estimates differ by < tol * max(1, |I|).
-        base_points: Gauss-Legendre points per panel for the first level.
-        max_points: refinement cap, >= 2 * base_points; exceeded -> AccuracyError.
+        tol: stop when successive estimates differ by < tol * max(1, |I|);
+            a number >= 0, else DomainError before f is called.  Past
+            ``MAX_POINTS`` points a panel raises AccuracyError.
 
     Returns:
         The converged integral value.
@@ -113,11 +116,8 @@ def integrate_array(f, breakpoints, tol=1e-9, base_points=16,
     stopping rule, and so what tol means, is the same with a warm memo as
     with a cold one.
     """
-    if base_points < 1 or max_points < 2 * base_points:
-        raise DomainError(f"need 1 <= base_points and 2 * base_points <= "
-                          f"max_points, got {base_points} and {max_points}")
-    if math.isnan(tol):
-        raise DomainError(f"tol must be a number, got {tol}")
+    if not tol >= 0:  # a NaN fails this too
+        raise DomainError(f"tol must be a number >= 0, got {tol}")
     edges = tuple(map(float, breakpoints))
     if len(edges) < 2:
         return 0j
@@ -127,36 +127,33 @@ def integrate_array(f, breakpoints, tol=1e-9, base_points=16,
         values = np.asarray(f(nodes))
         return [complex(values[sl] @ hw) for sl, hw in weights]
 
-    npts = base_points * 2
-    prev, curr = estimates(base_points, npts)
+    npts = BASE_POINTS * 2
+    prev, curr = estimates(BASE_POINTS, npts)
     while abs(curr - prev) > tol * max(1.0, abs(curr)):
         npts *= 2
-        if npts > max_points:
+        if npts > MAX_POINTS:
             raise AccuracyError(f"quadrature did not converge to tol={tol:g} "
-                                f"within {max_points} points/panel",
+                                f"within {MAX_POINTS} points/panel",
                                 estimate=curr, achieved=abs(curr - prev))
         prev, (curr,) = curr, estimates(npts)
     return curr
 
 
-def integrate_panels(f, breakpoints, tol=1e-9, base_points=16, max_points=1024):
+def integrate_panels(f, breakpoints, tol=1e-9):
     """``integrate_array`` for a callable f mapping a float to a complex
     (or float) value; f is called once per node."""
     return integrate_array(
-        lambda nodes: np.array([f(x) for x in nodes.tolist()]), breakpoints,
-        tol=tol, base_points=base_points, max_points=max_points)
+        lambda x: np.array([f(v) for v in x.tolist()]), breakpoints, tol)
 
 
 def log_panel_edges(r_lo: float, r_hi: float):
     """Panel edges in u for r = r_lo * exp(u), one panel per unit of u."""
     u_hi = math.log(r_hi / r_lo)
     n_panels = max(1, math.ceil(u_hi))
-    edges = [u_hi * i / n_panels for i in range(n_panels + 1)]
-    return edges
+    return [u_hi * i / n_panels for i in range(n_panels + 1)]
 
 
-def integrate_boundary_layer(f, r_lo, r_hi, tol=1e-9, base_points=16,
-                             max_points=1024):
+def integrate_boundary_layer(f, r_lo, r_hi, tol=1e-9):
     """Integral of f(r) dr on [r_lo, r_hi] resolved near r_lo.
 
     f maps an array of radii to an array of values, as in
@@ -169,25 +166,18 @@ def integrate_boundary_layer(f, r_lo, r_hi, tol=1e-9, base_points=16,
         r = r_lo * np.exp(u)
         return f(r) * r
 
-    return integrate_array(g, edges, tol=tol, base_points=base_points,
-                           max_points=max_points)
+    return integrate_array(g, edges, tol=tol)
 
 
-@lru_cache(maxsize=64)
-def _linspace(a, b, num):
-    """np.linspace(a, b, num) as a tuple of floats."""
-    return tuple(np.linspace(a, b, num).tolist())
-
-
-def integrate_adaptive(f, a, b, tol=1e-9, base_points=16, max_points=1024,
-                       n_panels=4):
-    """Integral of a smooth f on [a, b] by panel-doubling refinement.
+def integrate_adaptive(f, a, b, tol=1e-9):
+    """Integral of a smooth f on [a, b] over ``ADAPTIVE_PANELS`` panels.
 
     f maps an array of points to an array of values, as in
     ``integrate_array``.
     """
-    return integrate_array(f, _linspace(a, b, n_panels + 1), tol=tol,
-                           base_points=base_points, max_points=max_points)
+    step = (b - a) / ADAPTIVE_PANELS
+    edges = [a + i * step for i in range(ADAPTIVE_PANELS)] + [b]
+    return integrate_array(f, edges, tol=tol)
 
 
 def fit_power_law(xs, ys):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapabilityError, DomainError
-from .scaled import ScaledComplex, scaled_from_log_sign
+from .scaled import ScaledArray, ScaledComplex, scaled_from_log_sign
 
 N_CAP = 200
 T_CAP = 1e4  # the Miller start order grows as 2 t, so a table takes O(t) steps
@@ -42,6 +42,9 @@ _LEAD_CHECK = math.exp(_RESCALE_LOG - 1.0)
 # small n_max and t, where a column takes few steps
 _FLOAT_COLUMNS = 6
 _SQRT_PI = math.sqrt(math.pi)
+_LN2 = math.log(2.0)
+# a sum of up to eight products below exp(_LOG_SUM_MAX) stays a double
+_LOG_SUM_MAX = math.log(np.finfo(float).max / 8)
 
 
 def _require_args(n: int, t) -> None:
@@ -94,9 +97,23 @@ def combine(a, b, tab, n):
 
 def combine_riccati(a, b, tab, n):
     """a J_n + b H_n, as ``combine``: J_n = t j_{n-1} - n j_n and H_n alike,
-    so it is t times ``combine`` at order n - 1 less n times it at n."""
-    return (tab.t * combine(a, b, tab, n - 1)
-            - np.expand_dims(n, -1) * combine(a, b, tab, n))
+    so it is t times ``combine`` at order n - 1 less n times it at n.  An
+    entry whose finite products (times t or n) would pass exp(_LOG_SUM_MAX),
+    as t j_{n-1} can next to a zero of J_n, forms them 2^-s times their size
+    and is scaled back by 2^s, exactly; elsewhere s = 0 and no bit changes."""
+    n_col = np.expand_dims(n, -1)
+    rows = ((a, tab.j_log), (b, np.maximum(tab.j_log, tab.y_log)))
+    with np.errstate(invalid="ignore"):  # a zero (-inf) against an inf row
+        peak = np.maximum.reduce([
+            c.log_mag + row[k] + np.log(np.maximum(factor, 1.0))
+            for k, factor in ((n, tab.t), (n + 1, n_col)) for c, row in rows])
+    s = np.where((peak > _LOG_SUM_MAX) & (peak < np.inf),
+                 np.ceil((peak - _LOG_SUM_MAX) / _LN2), 0.0)
+    a, b = (ScaledArray(c.log_mag - s * _LN2, c.phase) for c in (a, b))
+    value = tab.t * combine(a, b, tab, n - 1) - n_col * combine(a, b, tab, n)
+    value.real, value.imag = (np.ldexp(part, s.astype(int))
+                              for part in (value.real, value.imag))
+    return value
 
 
 @dataclass(frozen=True)

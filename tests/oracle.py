@@ -4,7 +4,8 @@ Nothing in ``src/cloaksim`` calls these: vector wave fields from one Bessel
 ladder and one angular row (not the degree sums of ``fields``), the
 half-space jump and wave-equation residuals, the singular-map transport of
 a smooth background, the one-sided traces of a finite solution, a mode's
-coefficients as complex numbers, and Gamma(n + 1/2) from ``math.lgamma``.  Not collected; import by name.
+coefficients as complex numbers or as packed doubles, and Gamma(n + 1/2)
+from ``math.lgamma``.  Not collected; import by name.
 """
 
 import math
@@ -18,7 +19,7 @@ from cloaksim.fields import FieldSample, _pack_eh, _point
 from cloaksim.halfspace import (HalfspaceParams, dispersion_kx, eval_H,
                                 solve_amplitudes)
 from cloaksim.harmonics import ModeIndex, angular_basis
-from cloaksim.modal import ModalSolution, ModeCoeffs, region_chains
+from cloaksim.modal import ModalSolution, ModeCoeffs, _pack, region_chains
 from cloaksim.scaled import ScaledComplex, scaled_from_log_sign
 from cloaksim.weak_limit import _normal_trace, _tangential_trace
 
@@ -29,6 +30,12 @@ def as_complex(coeffs: ModeCoeffs) -> dict:
     """The six coefficients of a mode as plain complex numbers, by name."""
     return {f.name: getattr(coeffs, f.name).to_complex()
             for f in fields(coeffs)}
+
+
+def packed(coeffs: ModeCoeffs) -> tuple:
+    """The six coefficients of a mode as ``modal._pack`` doubles, in field
+    order: equal tuples are equal coefficients, bit for bit."""
+    return tuple(_pack(getattr(coeffs, f.name) for f in fields(coeffs)))
 
 
 def gamma_half_int(n: int) -> float:
@@ -78,7 +85,7 @@ def wave_MN(mode: ModeIndex, omega: float, x, kind: str = "regular"):
         fc = lad.riccati_h(mode.n).to_complex()
     else:
         raise DomainError(f"kind must be 'regular' or 'radiating', got {kind!r}")
-    s_n = mode.s_n
+    s_n = math.sqrt(mode.n * (mode.n + 1))
     value = -s_n * f * v
     curl = s_n * fc / r * u + s_n ** 2 * f / r * y_val * xhat
     return value, curl

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import cloaksim
-from cloaksim import cli, halfspace, modal, specfun, weak_limit
+from cloaksim import cli, halfspace, modal, quadrature, specfun, weak_limit
 from cloaksim.cli import _specfun_deviations, main
 from cloaksim.errors import AccuracyError, ConfigError, DomainError
 from cloaksim.geometry import CloakParams
@@ -32,6 +32,19 @@ def _package_env():
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in [env.get("PYTHONPATH")] if p])
     return env
+
+
+def _count_solves(monkeypatch):
+    """A list that records each call of ``solve_source`` (modal's binding,
+    which ``fields`` calls, and weak_limit's) and ``predicted_limit``."""
+    calls = []
+    for module, name in ((modal, "solve_source"), (weak_limit, "solve_source"),
+                         (weak_limit, "predicted_limit")):
+        def counted(*args, _call=getattr(module, name), **kwargs):
+            calls.append(_call.__name__)
+            return _call(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 def _refuse(token):
@@ -82,6 +95,18 @@ class TestConverge:
         assert rows.shape == (3, 6) and np.all(np.isfinite(rows))
         summary = read_strict_json(tmp_path / "summary.json")
         assert abs(summary["fitted_rate"] - 1.0) < 0.1
+
+    def test_out_of_range_later_rho_exits_2_before_any_solve(
+            self, tmp_path, capsys, monkeypatch):
+        calls = _count_solves(monkeypatch)
+        doc = json.loads((SCENARIOS / "converge_single_mode.json").read_text())
+        doc["params"]["rho_list"] = [0.01, 0.003, 1.5]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert run(["converge", "--config", cfg, "--out", out]) == 2
+        assert "got 1.5" in capsys.readouterr().err
+        assert calls == [] and not out.exists()
 
     def test_bad_config_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -267,6 +292,24 @@ class TestFields:
         assert run(["fields", "--config", cfg, "--out", tmp_path / "o"]) == 0
         lines = (tmp_path / "o" / "fields.csv").read_text().strip().splitlines()
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("change, message", [
+        ({"space": "virtal"}, "space must be"),
+        ({"points": []}, "points must be non-empty"),
+        ({"points": [[0.7, 0.0]]}, "points[0]"),
+        ({"points_csv": "pts.csv"}, "exactly one of")],
+        ids=["space", "no_points", "short_point", "both_point_sources"])
+    def test_point_config_exits_2_before_the_solve(
+            self, tmp_path, capsys, monkeypatch, change, message):
+        calls = _count_solves(monkeypatch)
+        doc = json.loads((SCENARIOS / "fields_single_mode.json").read_text())
+        doc.update(change)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert run(["fields", "--config", cfg, "--out", out]) == 2
+        assert message in capsys.readouterr().err
+        assert calls == [] and not out.exists()
 
     def test_tol_flag_exits_2(self, tmp_path, capsys):
         code = run(["fields", "--config", SCENARIOS / "fields_single_mode.json",
@@ -645,13 +688,19 @@ class TestTolerance:
         assert "quadrature field tol" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_nan_tolerance_is_a_domain_error(self):
-        with pytest.raises(DomainError, match="tol"):
-            integrate_array(np.cos, [0.0, 1.0], tol=math.nan)
+    def test_nan_tolerance_is_a_domain_error(self, monkeypatch):
+        # a NaN or negative tolerance fails before any integrand call
+        for tol in (math.nan, -1e-9):
+            calls = []
+            with pytest.raises(DomainError, match="tol"):
+                integrate_array(lambda x: calls.append(x) or np.cos(x),
+                                [0.0, 1.0], tol=tol)
+            assert calls == []
         # a zero tolerance is accepted: it refines to the cap, where the
         # sqrt kink at 0 keeps successive levels apart
+        monkeypatch.setattr(quadrature, "MAX_POINTS", 64)
         with pytest.raises(AccuracyError):
-            integrate_array(np.sqrt, [0.0, 1.0], tol=0.0, max_points=64)
+            integrate_array(np.sqrt, [0.0, 1.0], tol=0.0)
 
 
 class TestIntegerFields:

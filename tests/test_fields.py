@@ -210,7 +210,7 @@ def per_mode_expand(chains, x, r):
     """(2, 3) E/H rows of a region's expansion at x, |x| = r, mode by mode:
     every mode's chains combined on their own, then summed with its U, V
     and Y vectors."""
-    w, s_n = chains.wavenumber, chains.s_n
+    w, s_n = chains.wavenumber, chains.mode_factors.s_n
     a_j, a_jj, b_j, b_jj = chains.expand(chains.table(r))[..., 0]
     y_val, u, v = angular_table(chains.key_array, x / r)
     e_w, h_w = chains.e_weight, chains.h_weight
@@ -349,7 +349,6 @@ class TestPointWork:
             want, want_frame = angular_scalars(chains.keys, d)
             assert np.array_equal(got, want) and np.array_equal(got_frame,
                                                                 want_frame)
-        assert chains.s_n is chains.mode_factors.s_n
 
     @pytest.mark.parametrize("key", [(0, 0), (2, 3), (2, -3),
                                      (specfun.N_CAP + 1, 0)])
@@ -405,14 +404,15 @@ class TestIdealExterior:
         def h_field(pt):
             return eval_ideal_exterior(e_bg, h_bg, pt).H
 
+        # curl E = i mu H and curl H = -i eps E at omega = 1, with the
+        # singular tensor as eps and mu
+        mat = ideal_cloak_tensor(x0)
         errs = []
         steps = (1e-3, 5e-4, 2.5e-4)
         for h in steps:
-            res_e, res_h = fields.maxwell_residuals(
-                e_field, h_field, x0, 1.0,
-                eps_tensor=ideal_cloak_tensor(x0),
-                mu_tensor=ideal_cloak_tensor(x0), step=h)
-            errs.append(max(res_e, res_h))
+            res_e = fields.fd_curl(e_field, x0, h) - 1j * (mat @ h_field(x0))
+            res_h = fields.fd_curl(h_field, x0, h) + 1j * (mat @ e_field(x0))
+            errs.append(max(np.max(np.abs(res_e)), np.max(np.abs(res_h))))
         order = np.polyfit(np.log(steps), np.log(errs), 1)[0]
         assert abs(order - 2.0) < 0.25
 

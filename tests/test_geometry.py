@@ -106,19 +106,16 @@ class TestRegularizedMap:
         rng = np.random.default_rng(9)
         for y in random_points(rng, 20, 0.01, 1.99):
             x = geo.map_regularized(p, y)
-            branch = (geo.CloakInnerMap(p) if np.linalg.norm(x) <= 1.0
-                      else geo.CloakOuterMap(p))
-            back = branch.inverse(x)
+            # the inner branch is the dilation x = y / rho
+            back = (x * p.rho if np.linalg.norm(x) <= 1.0
+                    else geo.CloakOuterMap(p).inverse(x))
             assert np.linalg.norm(back - y) < 1e-13
 
 
 class TestPushforwardTensor:
     def test_identity_map_fixes_tensor(self):
-        rng = np.random.default_rng(2)
-        m = rng.normal(size=(3, 3))
-        m = m + m.T
-        _, t = geo.pushforward_tensor(IDENTITY, [0.3, 0.4, 0.5], m)
-        assert np.allclose(t, m, atol=1e-14)
+        _, t = geo.pushforward_tensor(IDENTITY, [0.3, 0.4, 0.5])
+        assert np.allclose(t, np.eye(3), atol=1e-14)
 
     def test_blowup_matches_closed_form_at_200_points(self):
         rng = np.random.default_rng(12)
@@ -159,12 +156,10 @@ class TestPushforwardTensor:
         rng = np.random.default_rng(21)
         fmap = geo.BlowupMap()
         for y in random_points(rng, 30, 0.1, 1.9):
-            m = rng.normal(size=(3, 3))
-            m = m @ m.T + np.eye(3)
-            _, t = geo.pushforward_tensor(fmap, y, m)
+            # vacuum: det(M M^T / det M) = 1 / det M
+            _, t = geo.pushforward_tensor(fmap, y)
             det_df = fmap.det_jacobian(y)
-            assert np.linalg.det(t) == pytest.approx(
-                np.linalg.det(m) / det_df, rel=1e-12)
+            assert np.linalg.det(t) == pytest.approx(1.0 / det_df, rel=1e-12)
 
     def test_degenerate_eigenvalue_quadratic_scaling(self):
         deltas = np.logspace(-4, -2, 7)
@@ -212,9 +207,8 @@ class TestFieldTransport:
         # a current density is a 2-form: pushed by M J / det M, pulled back
         # by det M M^{-1} J-tilde
         p = geo.CloakParams(rho=0.2, omega=1.0)
-        inner = geo.CloakInnerMap(p)
-        y = [0.01, 0.02, 0.03]
-        mat, det = inner.jacobian(y), inner.det_jacobian(y)
+        # the inner branch x = y / rho: M = I / rho, det M = rho^-3
+        mat, det = np.eye(3) / p.rho, p.rho ** -3
         j = np.array([0.3, -1.0 + 0.5j, 2.0])
         pushed = mat @ j / det
         # dilation x = y/rho: det M = rho^-3, M = I/rho -> J scales by rho^2

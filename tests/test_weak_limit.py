@@ -477,18 +477,21 @@ class TestEnergy:
         params = CloakParams(rho=rho, omega=OMEGA, r1=R1)
         sol = modal.solve_source(FROZEN_SOURCE, None, params)
         total = weak_limit.energy_integral(sol, delta=delta, tol=1e-7)
-        per_mode = sum(weak_limit.energy_integral(
-            dataclasses.replace(sol, modes={key: co}), delta=delta, tol=1e-7)
-            for key, co in sol.modes.items())
+        one_mode = [modal.solve_source(
+            modal.SourceCoeffs({key: FROZEN_SOURCE.entries[key]}, r1=R1),
+            None, params) for key in sol.modes]
+        per_mode = sum(weak_limit.energy_integral(one, delta=delta, tol=1e-7)
+                       for one in one_mode)
         assert len(sol.modes) == 3
+        for one, key in zip(one_mode, sol.modes, strict=True):
+            assert list(one.modes) == [key]
         assert abs(total - per_mode) <= 1e-13 * per_mode
 
     def test_accuracy_error_names_the_region(self, monkeypatch):
         sol = make_solution(0.1)
         # two- and four-point rules cannot reach tol on either region
-        for name in ("integrate_boundary_layer", "integrate_adaptive"):
-            monkeypatch.setattr(weak_limit, name, functools.partial(
-                getattr(quadrature, name), base_points=2, max_points=4))
+        monkeypatch.setattr(quadrature, "BASE_POINTS", 2)
+        monkeypatch.setattr(quadrature, "MAX_POINTS", 4)
         with pytest.raises(AccuracyError, match="^layer energy") as err:
             weak_limit.energy_integral(sol)
         assert err.value.estimate is not None and err.value.achieved > 0
