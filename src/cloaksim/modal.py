@@ -388,29 +388,31 @@ def _read_only(tab):
 
 
 def _limit_ratios(n: int, q: complex, params: CloakParams, lad):
-    """(beta0, sigma) of ``limit_coeffs`` from the ladder at k omega.
+    """(beta0, sigma) of ``limit_coeffs`` from the ladder at k omega, beta0
+    as a ScaledComplex, so r_n = -h_n/j_n beyond double range (from degree
+    86 at k omega = 1) still gives finite chains.
 
     Raises:
         ResonanceError: k omega at a zero of j_n (``_check_interior``).
-        CapabilityError: a value outside double range.
+        CapabilityError: sigma outside double range.
     """
     jk_c = _check_interior(n, lad)
-    beta0 = -lad.hn(n).to_complex() / jk_c * q
     sigma = (-1j * math.sqrt(params.mu0) * q
              / (params.k ** 2 * params.omega * jk_c))
-    return _require_finite(n, beta0, sigma)
+    return -lad.hn(n) / lad.jn(n) * q, _require_finite(n, sigma)[0]
 
 
 class _Store:
     """The work kept for one params object: the limit's ladders and unit-q
     ratios by degree, and the latest solution read with it, its chains and
-    the quadrature tables read since."""
+    the quadrature tables and hidden-region moments read since."""
 
-    __slots__ = ("params", "solution", "chains", "tables", "ladders", "unit")
+    __slots__ = ("params", "solution", "chains", "tables", "moments",
+                 "ladders", "unit")
 
     def __init__(self, params):
         self.params, self.solution, self.chains = params, None, None
-        self.tables, self.ladders, self.unit = {}, {}, {}
+        self.tables, self.moments, self.ladders, self.unit = {}, {}, {}, {}
 
 
 _store = _Store(None)
@@ -472,6 +474,7 @@ def limit_coeffs(n: int, q, params: CloakParams):
     lad = _limit_ladder(n, params)
     q = complex(q)
     beta0, sigma = _limit_ratios(n, q, params, lad)
+    beta0 = _require_finite(n, beta0.to_complex())[0]
     jk, hk, jjk, hhk = _ladder_values(n, lad)
     # 1/h_n(omega) in small-argument form, which underflows doubles for
     # large n: kept in log form, as the ratios downstream are O(1)
@@ -515,8 +518,9 @@ class RegionChains:
     degree's peak and the modes' shifted values, which ``degree_rows`` and
     the Gram sums of ``squared_sums`` read, all kept on the chains with
     the modes' ``mode_factors``.  ``tables`` is the store's dict that
-    ``quadrature_table`` fills; the chains hold the dict, not the store, so
-    the store that holds the chains forms no cycle.
+    ``quadrature_table`` fills, and ``moments`` the store's dict of the
+    hidden region's moments (``weak_limit``); the chains hold the dicts,
+    not the store, so the store that holds the chains forms no cycle.
     """
 
     keys: list
@@ -527,6 +531,7 @@ class RegionChains:
     h_weight: float = 1.0
     surface: list | None = None
     tables: dict = field(default_factory=dict, compare=False, repr=False)
+    moments: dict = field(default_factory=dict, compare=False, repr=False)
 
     @cached_property
     def key_array(self) -> np.ndarray:
@@ -674,12 +679,13 @@ def _run_scaled(log_mag, phase, starts):
 
 def _hidden_chains(keys, alpha, beta, pq, store, surface=None):
     """Hidden-region chains A = (alpha, p) and B = (beta, q), from the
-    complex (p, q) pairs pq, one per key, reading the store's tables."""
+    complex (p, q) pairs pq, one per key, reading the store's tables and
+    moments."""
     params = store.params
     p, q = ([ScaledComplex.from_complex(v[k]) for v in pq] for k in (0, 1))
     return RegionChains(keys, (alpha, p), (beta, q), params.k * params.omega,
                         params.eps0 ** -0.5, params.mu0 ** -0.5, surface,
-                        store.tables)
+                        store.tables, store.moments)
 
 
 def _solution_chains(solution: ModalSolution, store: _Store) -> dict:
@@ -727,8 +733,8 @@ def limit_chains(source: SourceCoeffs, params: CloakParams,
     keys = source.modes() if keys is None else keys
     unit = {n: _unit_ratios(n, params) for n in {n for n, _ in keys}}
     pq = [source.entries[key] for key in keys]
-    alpha0, beta0 = ([ScaledComplex.from_complex(unit[n][0] * pair[k])
-                      for (n, _), pair in zip(keys, pq)] for k in (0, 1))
+    alpha0, beta0 = ([unit[n][0] * pair[k] for (n, _), pair in zip(keys, pq)]
+                     for k in (0, 1))
     return _hidden_chains(keys, alpha0, beta0, pq, _kept(params),
                           [unit[n][1] * q for (n, _), (_, q) in zip(keys, pq)])
 

@@ -1,8 +1,9 @@
 """Composite Gauss-Legendre quadrature with doubling refinement.
 
 One driver, ``integrate_array``, evaluates every node of every panel of a
-pass with one call of a vectorised integrand; ``integrate_panels`` adapts
-a scalar integrand to it.  The nodes and flat panel weights of a call are
+pass with one call of a vectorised integrand, which may return several
+rows that refine together; ``integrate_panels`` adapts a scalar integrand
+to it.  The nodes and flat panel weights of a call are
 planned once per breakpoints and levels and kept in a bounded memo, so the
 node array an integrand receives is shared and read-only; the stopping
 rule, and what ``tol`` means, do not depend on the memo.  A panel's rule
@@ -98,18 +99,23 @@ def integrate_array(f, breakpoints, tol=1e-9):
     Args:
         f: callable mapping a 1-D float array of nodes to an array of the
             same length of complex (or float) values, each from its node
-            alone.  The first call takes the nodes of the ``BASE_POINTS``
+            alone, or to a (k, N) array of k such rows.  The first call
+            takes the nodes of the ``BASE_POINTS``
             and 2 * ``BASE_POINTS`` rules of every panel (every integral
             needs both levels), each later pass the nodes of the doubled
             rule.  The node array is read-only and shared by every integral
             over the same breakpoints: f must not write into it.
         breakpoints: increasing panel edges.
-        tol: stop when successive estimates differ by < tol * max(1, |I|);
-            a number >= 0, else DomainError before f is called.  Past
-            ``MAX_POINTS`` points a panel raises AccuracyError.
+        tol: stop when successive estimates differ by < tol * max(1, |I|),
+            in every row; a number >= 0, else DomainError before f is
+            called.  Past ``MAX_POINTS`` points a panel raises
+            AccuracyError.
 
     Returns:
-        The converged integral value.
+        The converged integral value as a complex, or for a (k, N) f an
+        array of the k rows' values.  Both shapes take one arithmetic
+        path: a 1-D f is read as one row, and a level's estimates are
+        ``values[:, slice] @ weights``.
 
     The nodes and panel weights of each call are built once per
     breakpoints and levels and kept in a memo of at most 64 plans; the
@@ -122,21 +128,26 @@ def integrate_array(f, breakpoints, tol=1e-9):
     if len(edges) < 2:
         return 0j
 
-    def estimates(*levels):
-        nodes, weights = _plan(edges, levels)
-        values = np.asarray(f(nodes))
-        return [complex(values[sl] @ hw) for sl, hw in weights]
+    def estimates(values, weights):
+        """Per level, the list of the rows' estimates (one for a 1-D f)."""
+        values = values.reshape(-1, values.shape[-1])
+        return [(values[:, sl] @ hw).tolist() for sl, hw in weights]
 
     npts = BASE_POINTS * 2
-    prev, curr = estimates(BASE_POINTS, npts)
-    while abs(curr - prev) > tol * max(1.0, abs(curr)):
+    nodes, weights = _plan(edges, (BASE_POINTS, npts))
+    first = np.asarray(f(nodes))
+    value = np.array if first.ndim > 1 else (lambda rows: complex(rows[0]))
+    prev, curr = estimates(first, weights)
+    while any(abs(c - p) > tol * max(1.0, abs(c)) for c, p in zip(curr, prev)):
         npts *= 2
         if npts > MAX_POINTS:
-            raise AccuracyError(f"quadrature did not converge to tol={tol:g} "
-                                f"within {MAX_POINTS} points/panel",
-                                estimate=curr, achieved=abs(curr - prev))
-        prev, (curr,) = curr, estimates(npts)
-    return curr
+            raise AccuracyError(
+                f"quadrature did not converge to tol={tol:g} within "
+                f"{MAX_POINTS} points/panel", estimate=value(curr),
+                achieved=max(abs(c - p) for c, p in zip(curr, prev)))
+        nodes, weights = _plan(edges, (npts,))
+        prev, (curr,) = curr, estimates(np.asarray(f(nodes)), weights)
+    return value(curr)
 
 
 def integrate_panels(f, breakpoints, tol=1e-9):

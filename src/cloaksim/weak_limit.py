@@ -23,6 +23,9 @@ from .modal import (ModalSolution, SourceCoeffs, check_mode, limit_chains,
                     limit_coeffs, region_chains, solve_source)
 from .quadrature import (fit_power_law, integrate_adaptive,
                          integrate_boundary_layer)
+from .scaled import ScaledComplex
+
+_LOG_FLOOR = 20 * math.log(2)  # a moment's floor: 2^-20 of its row's peak
 
 
 @dataclass(frozen=True)
@@ -53,10 +56,10 @@ class RadialTestFunction:
         if not np.isfinite(amplitude):
             raise DomainError(f"bump amplitude must be finite, got {amplitude}")
 
-        # float_power is C pow for floats and arrays alike; array ** 2 squares
+        # squares by multiplying: correctly rounded, for floats and arrays
         def phi(r, _lo=r_lo, _hi=r_hi, _a=amplitude):
-            return np.where((r > _lo) & (r < _hi), _a * np.float_power(
-                r - _lo, 2) * np.float_power(_hi - r, 2), 0.0)
+            u, v = r - _lo, _hi - r
+            return np.where((r > _lo) & (r < _hi), _a * (u * u) * (v * v), 0.0)
 
         def dphi(r, _lo=r_lo, _hi=r_hi, _a=amplitude):
             return np.where((r > _lo) & (r < _hi), _a * 2 * (r - _lo)
@@ -156,13 +159,74 @@ def _natural_spline_coeffs(xs, ys):
 # -- pairings ------------------------------------------------------------------
 
 
-def _pairing(chains, phi, tol, lo, hi, integrate=integrate_adaptive,
-             radius=None):
+def _moments(chains, n, prof, tol, lo, hi):
+    """(M_j, M_h) of degree n and the profile callable prof, ScaledComplex:
+    M_j the integral over (lo, hi) of j_n(w r) prof(r) r dr, M_y that of
+    y_n, and M_h = M_j + i M_y.  Both rows are taken in one driver call and
+    kept in ``chains.moments`` under (n, prof, tol, lo, hi).
+
+    Each row f_n prof r is integrated in units of its floor, 2^-20 times
+    its own peak |f_n prof r| over the first call's nodes, so the driver's
+    rule tol * max(1, |I|) holds each moment to tol relative to itself, or
+    to tol times the floor where the moment is smaller (a row whose values
+    cancel); the rows are formed in logs and the floor's natural log is
+    kept beside the mantissa, so no degree overflows.  A profile that is 0
+    at every node of the first call gives exact zeros (both levels of that
+    call agree)."""
+    key = (n, prof, tol, lo, hi)
+    if key in chains.moments:
+        return chains.moments[key]
+    floor = []  # per row, log 2^-20 max|f_n prof r| over the first nodes
+
+    def rows(r):
+        tab = chains.quadrature_table(n, r)
+        weight = prof(r) * r
+        out = np.full(r.shape, -np.inf)
+        np.log(np.abs(weight), out=out, where=weight != 0)
+        out = np.array((tab.j_log[n + 1], tab.y_log[n + 1])) + out
+        if not floor:  # a row of zeros keeps the unit 1 and stays 0
+            peak = out.max(axis=1, keepdims=True)
+            floor.append(np.where(peak > -np.inf, peak - _LOG_FLOOR, 0.0))
+        out -= floor[0]
+        np.exp(out, out=out)
+        out *= np.array((tab.j_sign[n + 1], tab.y_sign[n + 1]))
+        out *= np.sign(weight)
+        return out
+
+    values = integrate_adaptive(rows, lo, hi, tol=tol)
+    m_j, m_y = (ScaledComplex.from_complex(value)
+                * ScaledComplex(log_unit, 1 + 0j)
+                for value, log_unit in zip(values, floor[0][:, 0].tolist()))
+    chains.moments[key] = m_j, m_j + m_y * 1j
+    return chains.moments[key]
+
+
+def _hidden_pairing(chains, phi, tol, lo, hi):
     """Sum over the modes i of the chains that phi has a profile for, in
-    ascending (n, m) order, of the integral over (lo, hi) of
+    ascending (n, m) order, of S^2 e_weight (b0_i M_j + q_i M_h), with
+    (b0_i, q_i) the mode's B coefficients and (M_j, M_h) the ``_moments``
+    of its degree and profile: the integral over (lo, hi) of
+    S^2 e_weight B_i(w r) phi(r) r dr.  Each moment meets tol relative to
+    itself (above its floor), so the error of a term is about
+    tol (|b0_i| |M_j| + |q_i| |M_h|), more than tol times the term where
+    the two products cancel."""
+    total = 0j
+    for i, key in enumerate(chains.keys):
+        if key not in phi.profiles:
+            continue
+        n = key[0]
+        m_j, m_h = _moments(chains, n, phi.profiles[key][0], tol, lo, hi)
+        term = chains.b[0][i] * m_j + chains.b[1][i] * m_h
+        total += n * (n + 1) * chains.e_weight * term.to_complex()
+    return total
+
+
+def _pairing(chains, phi, tol, lo, hi, radius):
+    """Sum over the modes i of the chains that phi has a profile for, in
+    ascending (n, m) order, of the boundary-layer integral over (lo, hi) of
     S^2 e_weight B_i(w r) phi(g) g^2 / r dr, where the physical radius g is
-    radius(r), or r itself for radius None.  Every pass combines its
-    mode's row afresh from the degree's table of ``quadrature_table``."""
+    radius(r).  Every pass combines its mode's row afresh from the degree's
+    table of ``quadrature_table``."""
     total = 0j
     for i, key in enumerate(chains.keys):
         if key not in phi.profiles:
@@ -172,12 +236,10 @@ def _pairing(chains, phi, tol, lo, hi, integrate=integrate_adaptive,
         def integrand(r, i=i, n=n, prof=prof,
                       s2w=n * (n + 1) * chains.e_weight):
             val = s2w * chains.normal(chains.quadrature_table(n, r), i)
-            if radius is None:
-                return val * prof(r) * r
             g = radius(r)
             return val * prof(g) * g * g / r
 
-        total += integrate(integrand, lo, hi, tol=tol)
+        total += integrate_boundary_layer(integrand, lo, hi, tol=tol)
     return total
 
 
@@ -186,10 +248,14 @@ def pairing_interior(solution: ModalSolution, phi: RadialTestFunction,
     """Pairing of the interior normal field component against phi.
 
     Sums over the modes shared by the solution and the test function, in
-    ascending (n, m) order for reproducibility.
+    ascending (n, m) order for reproducibility, the dot product of each
+    mode's (beta, q) with the moments of its degree and profile, which the
+    measurable part of ``predicted_limit_parts`` shares (``_hidden_pairing``).
+    tol bounds each moment relative to itself, not the sum: where the
+    modes' products cancel, the pairing's error can exceed tol times it.
     """
-    return _pairing(region_chains(solution, "hidden"), phi, tol,
-                    solution.params.r1, 1.0)
+    return _hidden_pairing(region_chains(solution, "hidden"), phi, tol,
+                           solution.params.r1, 1.0)
 
 
 def pairing_exterior_normal(solution: ModalSolution, phi: RadialTestFunction,
@@ -203,21 +269,22 @@ def pairing_exterior_normal(solution: ModalSolution, phi: RadialTestFunction,
     """
     params = solution.params
     return _pairing(region_chains(solution, "layer"), phi, tol, params.rho,
-                    2.0, integrate_boundary_layer, CloakOuterMap(params).g)
+                    2.0, CloakOuterMap(params).g)
 
 
 def predicted_limit_parts(source: SourceCoeffs, phi: RadialTestFunction,
                           params: CloakParams, tol: float = 1e-9):
     """(measurable, surface) parts of the limiting normal-component pairing.
 
-    The measurable part is the interior pairing on the limit chains; the
-    surface part is sum of sigma * phi(1) over modes.
+    The measurable part is the interior pairing on the limit chains, from
+    the moments ``pairing_interior`` reads (tol as there); the surface part
+    is sum of sigma * phi(1) over modes.
     """
     chains = limit_chains(source, params,
                           sorted(phi.profiles.keys() & source.entries))
     surface = sum((sigma * phi.profiles[key][0](1.0)
                    for key, sigma in zip(chains.keys, chains.surface)), 0j)
-    return _pairing(chains, phi, tol, params.r1, 1.0), surface
+    return _hidden_pairing(chains, phi, tol, params.r1, 1.0), surface
 
 
 def predicted_limit(source: SourceCoeffs, phi: RadialTestFunction,

@@ -664,14 +664,35 @@ def _one_mode_limit_chains(n, q, params):
 
 
 # at k omega = 1, beta0 = -h_n/j_n overflows doubles from degree 86 (sigma,
-# about 1/j_n, still fits), and j_n itself underflows to 0 at degree 200
+# about 1/j_n, still fits), and j_n itself underflows to 0 at degree 200;
+# the chains keep r_n scaled, so they fail only where sigma does
 @pytest.mark.parametrize("n, limit", [
-    (100, modal.limit_coeffs), (100, _one_mode_limit_chains),
+    (100, modal.limit_coeffs),
     (200, modal.limit_coeffs), (200, _one_mode_limit_chains),
     (200, modal.sigma_uncollapsed)])
 def test_limit_beyond_double_range_raises(n, limit):
     with pytest.raises(CapabilityError):
         limit(n, 1.0, CloakParams(rho=0.1, omega=1.0, r1=0.5))
+
+
+@pytest.mark.parametrize("n", [86, 90, 120])
+def test_limit_ratio_beyond_double_range_matches_mpmath(n):
+    """r_n = -h_n(1)/j_n(1), the beta0 of q = 1, past 1.8e308 from degree
+    86, against mpmath at 30 digits: within 1e-13 relative plus one ulp of
+    its log magnitude (about 719 at degree 86, so 1.1e-13), the resolution
+    of the log form."""
+    with mpmath.workdps(30):
+        j, h = _mp_values(n, mpmath.mpf(1))[:2]
+        ref = -h / j
+        log_ref = float(mpmath.log(abs(ref)))
+        phase_ref = complex(ref / abs(ref))
+    chains = _one_mode_limit_chains(n, 1.0, CloakParams(rho=0.1, omega=1.0,
+                                                       r1=0.5))
+    r_n = chains.b[0][0]
+    assert log_ref > math.log(np.finfo(float).max)
+    assert abs(r_n.log_mag - log_ref) <= 1e-13 + np.spacing(log_ref)
+    assert abs(r_n.phase - phase_ref) <= 1e-15
+    assert cmath.isfinite(chains.surface[0])
 
 
 # -- the region chains of a solution ----------------------------------------------
@@ -792,17 +813,24 @@ def test_all_modes_expand_is_the_per_degree_combination(region):
 # -- the limit's kept ladders ---------------------------------------------------
 
 def test_limit_degree_beyond_double_range_keeps_no_ratios():
-    """A degree whose beta0 overflows raises on every limit call and keeps
-    no ratios; its kept ladder still serves sigma_uncollapsed, which fits
-    doubles, bit for bit as a fresh ladder does."""
+    """A degree whose sigma overflows (200) raises on every limit call and
+    keeps no ratios.  A degree whose beta0 alone overflows (100) keeps its
+    ratios and gives the chains, while ``limit_coeffs``, which returns
+    beta0 as a double, raises on every call; its kept ladder still serves
+    sigma_uncollapsed, which fits doubles, bit for bit as a fresh ladder
+    does."""
     params = CloakParams(rho=0.1, omega=1.0, r1=0.5)
     fresh = modal.sigma_uncollapsed(100, 1.0, params)
     for _ in range(2):
         with pytest.raises(CapabilityError):
-            _one_mode_limit_chains(100, 1.0, params)
+            _one_mode_limit_chains(200, 1.0, params)
         with pytest.raises(CapabilityError):
             modal.limit_coeffs(100, 1.0, params)
-    assert 100 in modal._store.ladders and 100 not in modal._store.unit
+        chains = _one_mode_limit_chains(100, 1.0, params)
+        assert math.isfinite(chains.b[0][0].log_mag)
+        assert cmath.isfinite(chains.surface[0])
+    assert 200 in modal._store.ladders and 200 not in modal._store.unit
+    assert 100 in modal._store.unit
     kept = modal.sigma_uncollapsed(100, 1.0, params)
     assert cmath.isfinite(kept) and kept == fresh
     for _ in range(2):

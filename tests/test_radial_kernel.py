@@ -395,6 +395,35 @@ class TestArrayQuadrature:
     def _oscillating(x):
         return np.exp(40j * x) / (1.0 + x * x)
 
+    def test_rows_converge_together(self):
+        """A (2, N) integrand gives each row's integral, within rounding of
+        the row alone; the oscillating row needs more passes than the
+        smooth one, and every pass refines both rows."""
+        edges = [0.0, 0.5, 1.5, 4.0]
+
+        def smooth(x):
+            return np.exp(1j * x) / (1.0 + x * x)
+
+        def counted(f):
+            calls = []
+
+            def g(x):
+                calls.append(x.size)
+                return f(x)
+            return g, calls
+
+        alone = []
+        for f in (smooth, self._oscillating):
+            g, calls = counted(f)
+            alone.append((integrate_array(g, edges, tol=1e-12), len(calls)))
+        rows, calls = counted(
+            lambda x: np.stack((smooth(x), self._oscillating(x))))
+        got = integrate_array(rows, edges, tol=1e-12)
+        assert got.shape == (2,)
+        for value, (want, _) in zip(got, alone):
+            assert abs(value - want) <= 1e-15 * abs(want)
+        assert alone[0][1] < alone[1][1] == len(calls)
+
     def test_each_level_matches_the_level_alone(self, monkeypatch):
         """The fused first call and the later ones give, bit for bit, the
         composite sum each level gives when its nodes are evaluated alone."""

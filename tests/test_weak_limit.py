@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy import special as sp
+from scipy.integrate import quad
 
 from cloaksim.errors import AccuracyError, DomainError, ResonanceError
 from cloaksim.geometry import CloakParams
@@ -132,9 +133,11 @@ KNOTS = [(0.4, 0.0), (0.7, 0.9), (1.0, 1.1), (1.4, -0.8)]
 
 
 def _scalar_bump(lo, hi):
-    """The bump and its derivative as per-float Python formulas."""
+    """The bump and its derivative as per-float Python formulas, each
+    square a product."""
     def phi(r):
-        return 0.0 if r <= lo or r >= hi else (r - lo) ** 2 * (hi - r) ** 2
+        u, v = r - lo, hi - r
+        return 0.0 if r <= lo or r >= hi else u * u * (v * v)
 
     def dphi(r):
         if r <= lo or r >= hi:
@@ -327,7 +330,6 @@ class TestExteriorPairing:
         jj2 = sp.spherical_jn(1, t) + t * sp.spherical_jn(1, t, derivative=True)
         eta0 = 2.0 / jj2
         phi = far.profiles[(1, 0)][0]
-        from scipy.integrate import quad
         def f_re(r):
             g = 1.0 + 0.5 * r
             return (2 * eta0 * sp.spherical_jn(1, OMEGA * r) * phi(g) * g * g / r).real
@@ -724,6 +726,140 @@ class TestSharedQuadratureTables:
         assert sweep() == shared
 
 
+# -- the hidden region's moments, shared by the interior pairing and the limit ---
+
+def _watched_bump(modes):
+    """A bump on every mode through one shared callable, and the list of
+    the array arguments it is called with."""
+    calls = []
+    phi, dphi = RadialTestFunction.polynomial_bump(
+        modes, 0.5, 1.5).profiles[modes[0]]
+
+    def watched(r):
+        if np.ndim(r):
+            calls.append(r)
+        return phi(r)
+    return RadialTestFunction({mode: (watched, dphi) for mode in modes}), calls
+
+
+def _count_moment_integrals(monkeypatch):
+    """The integrals weak_limit's moments run from now on, in a list."""
+    runs, integrate = [], weak_limit.integrate_adaptive
+
+    def counted(f, a, b, tol):
+        runs.append((a, b))
+        return integrate(f, a, b, tol=tol)
+
+    monkeypatch.setattr(weak_limit, "integrate_adaptive", counted)
+    return runs
+
+
+class TestHiddenMoments:
+    PARAMS = CloakParams(rho=1e-4, omega=OMEGA, r1=R1)
+
+    @pytest.mark.parametrize("interior_first", [True, False])
+    def test_second_hidden_pairing_reads_the_first_ones_moments(
+            self, monkeypatch, interior_first):
+        """Both orders share the moments, on a params object of their own
+        (a limit call adopts the first solution read with its params, as
+        in ``convergence_study``)."""
+        phi, calls = _watched_bump(EIGHT_MODES.modes())
+        params = dataclasses.replace(self.PARAMS)
+        sol = modal.solve_source(EIGHT_MODES, None, params)
+        pairings = [lambda: weak_limit.pairing_interior(sol, phi),
+                    lambda: weak_limit.predicted_limit(EIGHT_MODES, phi,
+                                                       params)]
+        first, second = pairings if interior_first else pairings[::-1]
+        first()
+        assert calls
+        calls.clear()
+        built = _count_tables(monkeypatch)
+        value = second()
+        assert calls == []
+        # no table at the quadrature nodes, at most the limit's ladders
+        assert all(tab.t.size == 1 for tab in built)
+        _reset_limit_memo(monkeypatch)
+        assert _exact(second()) == _exact(value)
+
+    def test_one_moment_pair_per_degree_and_callable(self, monkeypatch):
+        sol = modal.solve_source(EIGHT_MODES, None,
+                                 dataclasses.replace(self.PARAMS))
+        shared, _ = _watched_bump(EIGHT_MODES.modes())
+        distinct = RadialTestFunction(
+            {mode: tuple(lambda r, f=f: f(r) for f in pair)
+             for mode, pair in shared.profiles.items()})
+        runs = _count_moment_integrals(monkeypatch)
+        weak_limit.pairing_interior(sol, shared)
+        assert len(runs) == len(modal._store.moments) == 2
+        weak_limit.pairing_interior(sol, distinct)
+        assert len(runs) == len(modal._store.moments) == 2 + 8
+
+    def test_moments_meet_tol_relative_to_themselves(self):
+        """At degree 60 the j moment is about 1e-104 and the y moment
+        -1e111; each is within tol of scipy's, relative to itself."""
+        source = modal.SourceCoeffs({(60, 0): (0j, 1 + 0j)}, r1=R1)
+        chains = modal.limit_chains(source, self.PARAMS)
+        prof = BUMP.profiles[(1, 0)][0]
+        m_j, m_h = weak_limit._moments(chains, 60, prof, 1e-9, R1, 1.0)
+        ref_j, ref_y = (quad(lambda r: f(60, r) * prof(r) * r, R1, 1.0,
+                             epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                        for f in (sp.spherical_jn, sp.spherical_yn))
+        assert abs(ref_j) < 1e-100 and abs(ref_y) > 1e100
+        assert abs(m_j.to_complex() - ref_j) <= 1e-9 * abs(ref_j)
+        ref_h = complex(ref_j, ref_y)
+        assert abs(m_h.to_complex() - ref_h) <= 1e-9 * abs(ref_h)
+
+    def _kinked_moments(self, r_lo, tol):
+        """Degree-60 moments against a bump on (r_lo, 1.8), and scipy's
+        (M_j, M_h) with the kink at r_lo as an interval end; None for the
+        moments where the driver refuses them with AccuracyError."""
+        source = modal.SourceCoeffs({(60, 0): (0j, 1 + 0j)}, r1=R1)
+        chains = modal.limit_chains(source, self.PARAMS)
+        prof = RadialTestFunction.polynomial_bump(
+            [(60, 0)], r_lo, 1.8).profiles[(60, 0)][0]
+        ref_j, ref_y = (quad(lambda r: f(60, r) * prof(r) * r, r_lo, 1.0,
+                             epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                        for f in (sp.spherical_jn, sp.spherical_yn))
+        try:
+            moments = weak_limit._moments(chains, 60, prof, tol, R1, 1.0)
+        except AccuracyError:
+            moments = None
+        return moments, (ref_j, complex(ref_j, ref_y))
+
+    @pytest.mark.parametrize("r_lo", [0.6, 0.8])
+    def test_moments_away_from_the_peak_meet_tol(self, r_lo):
+        """y_60 peaks at r1 and falls as r^-61, so on the bump's support it
+        is (r_lo / r1)^61 (6e4 and 3e12) below its peak on [r1, 1]; each
+        moment still meets tol relative to itself."""
+        tol = 1e-6
+        moments, refs = self._kinked_moments(r_lo, tol)
+        assert moments is not None
+        for moment, ref in zip(moments, refs):
+            assert abs(moment.to_complex() - ref) <= tol * abs(ref)
+
+    @pytest.mark.parametrize("r_lo", [0.6, 0.8])
+    def test_moments_at_a_kink_meet_tol_or_raise(self, r_lo):
+        """At tol = 1e-9 the kink at r_lo, inside a panel, may stall the
+        doubling: then AccuracyError, never a value outside tol."""
+        tol = 1e-9
+        moments, refs = self._kinked_moments(r_lo, tol)
+        for moment, ref in zip(moments or (), refs):
+            assert abs(moment.to_complex() - ref) <= tol * abs(ref)
+
+    def test_degree_90_limit_matches_the_interior_pairing(self):
+        """r_n = -h_n/j_n of degree 90 leaves double range at k omega = 1;
+        the measurable limit still matches the interior pairing at small
+        rho, both about 4e188."""
+        source = modal.SourceCoeffs({(90, 0): (0j, 1 + 0j)}, r1=R1)
+        phi = RadialTestFunction.polynomial_bump([(90, 0)], 0.5, 1.5)
+        sol = modal.solve_source(source, None, self.PARAMS)
+        interior = weak_limit.pairing_interior(sol, phi)
+        measurable, surface = weak_limit.predicted_limit_parts(
+            source, phi, self.PARAMS)
+        assert cmath.isfinite(interior) and cmath.isfinite(surface)
+        assert abs(measurable - interior) <= 1e-9 * abs(interior)
+
+
 # -- the limit's one ladder per degree ------------------------------------------
 
 
@@ -926,12 +1062,13 @@ class TestKeptStore:
     def test_chains_of_an_earlier_store_pair_the_same(self):
         sol = modal.solve_source(EIGHT_MODES, None, self.PARAMS)
         chains = modal.region_chains(sol, "hidden")
-        before = _exact(weak_limit._pairing(chains, self.SPLINE, 1e-9, R1,
-                                            1.0))
+        before = _exact(weak_limit._hidden_pairing(chains, self.SPLINE, 1e-9,
+                                                   R1, 1.0))
         _pair(modal.solve_source(EIGHT_MODES, None, self.PARAMS), self.SPLINE)
         assert chains.tables is not modal._store.tables
-        after = _exact(weak_limit._pairing(chains, self.SPLINE, 1e-9, R1,
-                                           1.0))
+        assert chains.moments is not modal._store.moments
+        after = _exact(weak_limit._hidden_pairing(chains, self.SPLINE, 1e-9,
+                                                  R1, 1.0))
         assert after == before
         assert _exact(weak_limit.pairing_interior(sol, self.SPLINE)) == before
 
