@@ -28,7 +28,8 @@ print(f"max |J_n h_n - H_n j_n + i/t| on the same grid:          {worst_c:.3e}")
 print()
 print("=== Where plain doubles die ===")
 for n, t in ((30, 1e-2), (80, 1e-3), (150, 1e-4)):
-    j, y, h = specfun.sph_bessel_scaled(n, t)
+    lad = specfun.bessel_ladder(n, t)
+    j, y = lad.jn(n), lad.yn(n)
     print(f"n={n:4d} t={t:8.0e}   log|j_n| = {j.log_mag:10.1f}   "
           f"log|y_n| = {y.log_mag:10.1f}   (plain doubles hold |log| < 709)")
 
@@ -37,7 +38,8 @@ print("=== Small-argument leading forms ===")
 print("ratio of the exact value to its leading form, approaching 1 as n >> t:")
 for n in (5, 10, 20, 40):
     t = 0.05
-    j, _, h = specfun.sph_bessel_scaled(n, t)
+    lad = specfun.bessel_ladder(n, t)
+    j, h = lad.jn(n), lad.hn(n)
     lead_j, lead_h, _, _ = specfun.small_arg_leading(n, t)
     rj = (j / lead_j).to_complex().real
     rh = abs((h / lead_h).to_complex())

@@ -26,7 +26,6 @@ from . import __version__, fields, halfspace, modal, specfun, weak_limit
 from .errors import AccuracyError, CloakSimError, ConfigError, ResonanceError
 from .geometry import CloakParams
 from .manifest import RunManifest, write_csv, write_json
-from .scaled import ScaledArray
 from .weak_limit import RadialTestFunction
 
 EXIT_OK = 0
@@ -236,7 +235,8 @@ def cmd_converge(config_path, out_dir, tol):
     qtol = configured if tol is None else tol
 
     # every rho's params are checked before any work
-    params, *_ = [_parse_cloak_params(pdoc, rho) for rho in rho_list]
+    params_list = [_parse_cloak_params(pdoc, rho) for rho in rho_list]
+    params = params_list[0]
     source = parse_source_table(doc["source"], r1=params.r1)
     modal.check_decay_certificate(source, params)
     phi = _parse_phi(doc["phi"])
@@ -244,9 +244,8 @@ def cmd_converge(config_path, out_dir, tol):
         raise ConfigError(f"phi modes {sorted(phi.profiles)} share no mode "
                           "with the source table")
 
-    rows, rate = weak_limit.convergence_study(
-        source, phi, rho_list, omega=params.omega, eps0=params.eps0,
-        mu0=params.mu0, tol=qtol)
+    rows, rate = weak_limit.convergence_study(source, phi, params_list,
+                                              tol=qtol)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -370,30 +369,29 @@ def cmd_halfspace(config_path, out_dir, tol):
 
 def _specfun_deviations(table):
     """Largest deviations over a BesselTable from the Wronskian
-    t^2 (j y' - j' y) = 1, the cross product J_n h_n - H_n j_n = -i/t and
-    the recurrence j_{n-1} + j_{n+1} = (2n+1)/t j_n; NaN if any is NaN."""
-    t, n = table.t, np.arange(table.n_max + 1)
+    t^2 (j_n y_{n-1} - j_{n-1} y_n) = 1 and from the recurrence
+    j_{n-1} + j_{n+1} = (2n+1)/t j_n in units of its largest term; NaN if
+    either is NaN.  Each product is exponentiated from the sum of its logs:
+    finite where a row leaves double range, it rounds at 1e-16 times that."""
+    j_log, j_sign = table.j_log, table.j_sign  # orders -1..n_max
+    y_log, y_sign = table.y_log, table.y_sign
+    log_t, n = np.log(table.t), np.arange(1, table.n_max)[:, None]
     with np.errstate(all="ignore"):
-        j = np.exp(table.j_log) * table.j_sign  # orders -1..n_max
-        y = np.exp(table.y_log) * table.y_sign
-        jp = j[:-1] - (n[:, None] + 1) / t * j[1:]
-        yp = y[:-1] - (n[:, None] + 1) / t * y[1:]
-        wronskian = np.abs(t * t * (j[1:] * yp - jp * y[1:]) - 1.0)
-        # J h - H j with h and j as log-form coefficients, so it stays
-        # finite where h_n or j_n alone leaves double range
-        j_log, y_log = table.j_log[1:], table.y_log[1:]
-        h_log = 0.5 * np.logaddexp(2 * j_log, 2 * y_log)
-        h = ScaledArray(h_log, table.j_sign[1:] * np.exp(j_log - h_log)
-                        + 1j * table.y_sign[1:] * np.exp(y_log - h_log))
-        cross = np.abs(specfun.combine_riccati(
-            h, ScaledArray(j_log, -table.j_sign[1:]), table, n)
-            + 1j / t)
-
-        lo, mid, up = j[1:-2], j[2:-1], j[3:]  # orders n - 1, n, n + 1
-        recurrence = np.abs(lo + up - (2 * n[1:-1, None] + 1) / t * mid) / (
-            np.maximum(np.maximum(np.abs(lo), np.abs(up)), np.abs(mid) / t))
-    return tuple(float(np.max(d, initial=0.0)) for d in
-                 (wronskian, cross, recurrence[np.abs(mid) > 1e-280]))
+        # t^2 j_n y_{n-1} and t^2 j_{n-1} y_n, for n = 0..n_max
+        first = np.exp(2 * log_t + j_log[1:] + y_log[:-1])
+        second = np.exp(2 * log_t + j_log[:-1] + y_log[1:])
+        wronskian = np.abs(j_sign[1:] * y_sign[:-1] * first
+                           - j_sign[:-1] * y_sign[1:] * second - 1.0)
+        # j at orders n - 1 and n + 1, and (2n+1)/t j_n, for n = 1..n_max - 1
+        logs = (j_log[1:-2], j_log[3:],
+                np.log(2 * n + 1) - log_t + j_log[2:-1])
+        peak = np.maximum.reduce(logs)
+        peak[peak == -np.inf] = 0.0  # three exact zeros read 0
+        lo, up, mid = (np.exp(x - peak) for x in logs)
+        recurrence = np.abs(j_sign[1:-2] * lo + j_sign[3:] * up
+                            - j_sign[2:-1] * mid)
+    return tuple(float(np.max(d, initial=0.0))
+                 for d in (wronskian, recurrence))
 
 
 def cmd_check_specfun(config_path, out_dir, tol):
@@ -413,15 +411,13 @@ def cmd_check_specfun(config_path, out_dir, tol):
                           f"got {t_count}")
     threshold = tol if tol is not None else 1e-11
 
-    worst_wronskian, worst_cross, worst_recurrence = _specfun_deviations(
+    worst_wronskian, worst_recurrence = _specfun_deviations(
         specfun.bessel_table(n_max, np.linspace(t_lo, t_hi, t_count)))
-    passed = (worst_wronskian < threshold and worst_cross < threshold
-              and worst_recurrence < 1e-10)
+    passed = worst_wronskian < threshold and worst_recurrence < 1e-10
     report = {
         "pass": bool(passed),
         "threshold": threshold,
         "max_wronskian_deviation": _finite_or_none(worst_wronskian),
-        "max_cross_product_deviation": _finite_or_none(worst_cross),
         "max_recurrence_relative_deviation": _finite_or_none(worst_recurrence),
         "grid": {"n_max": n_max, "t_lo": t_lo, "t_hi": t_hi,
                  "t_count": t_count},

@@ -30,7 +30,7 @@ from . import specfun
 from .errors import CapabilityError, DomainError, ResonanceError
 from .geometry import CloakParams
 from .harmonics import ModeFactors
-from .scaled import ScaledArray, ScaledComplex, scaled_real
+from .scaled import ScaledArray, ScaledComplex
 
 # a denominator whose magnitude falls below this fraction of its largest
 # term is treated as resonant (frequency inadmissible)
@@ -258,8 +258,8 @@ def transfer_coeffs(n: int, params: CloakParams) -> TransferSet:
     if n < 1:
         raise DomainError(f"degree must be >= 1, got {n}")
     rho, k = params.rho, params.k
-    se = scaled_real(params.eps0 ** -0.5)
-    sm = scaled_real(params.mu0 ** -0.5)
+    se = ScaledComplex.from_complex(params.eps0 ** -0.5)
+    sm = ScaledComplex.from_complex(params.mu0 ** -0.5)
     (jr, hr, jjr, hhr), (jk, hk, jjk, hhk), outer = _interface_values(
         n, params)
 
@@ -347,8 +347,8 @@ def system_residuals(n: int, p, q, f1, f2, params: CloakParams,
     scale: the right side of the last equation cancels by about 1/rho.
     """
     rho, k = params.rho, params.k
-    se = scaled_real(params.eps0 ** -0.5)
-    sm = scaled_real(params.mu0 ** -0.5)
+    se = ScaledComplex.from_complex(params.eps0 ** -0.5)
+    sm = ScaledComplex.from_complex(params.mu0 ** -0.5)
     ((jr, hr, jjr, hhr), (jk, hk, jjk, hhk),
      (j2, h2, jj2, hh2)) = _interface_values(n, params)
     g, e, c, d, al, be = (getattr(coeffs, f.name) for f in fields(coeffs))
@@ -377,29 +377,6 @@ def system_residuals(n: int, p, q, f1, f2, params: CloakParams,
 
 
 # -- closed-form limits -------------------------------------------------------
-
-
-def _read_only(tab):
-    """The BesselTable tab with its arrays made read-only, for a table kept
-    and shared between calls."""
-    for part in (tab.t, tab.j_log, tab.j_sign, tab.y_log, tab.y_sign):
-        part.flags.writeable = False
-    return tab
-
-
-def _limit_ratios(n: int, q: complex, params: CloakParams, lad):
-    """(beta0, sigma) of ``limit_coeffs`` from the ladder at k omega, beta0
-    as a ScaledComplex, so r_n = -h_n/j_n beyond double range (from degree
-    86 at k omega = 1) still gives finite chains.
-
-    Raises:
-        ResonanceError: k omega at a zero of j_n (``_check_interior``).
-        CapabilityError: sigma outside double range.
-    """
-    jk_c = _check_interior(n, lad)
-    sigma = (-1j * math.sqrt(params.mu0) * q
-             / (params.k ** 2 * params.omega * jk_c))
-    return -lad.hn(n) / lad.jn(n) * q, _require_finite(n, sigma)[0]
 
 
 class _Store:
@@ -441,20 +418,23 @@ def _limit_ladder(n: int, params: CloakParams):
     if lad is None:
         if n < 1:
             raise DomainError(f"degree must be >= 1, got {n}")
-        lad = specfun.bessel_ladder(n, params.k * params.omega)
-        _read_only(lad.table)
-        ladders[n] = lad
+        lad = ladders[n] = specfun.bessel_ladder(n, params.k * params.omega)
     return lad
 
 
 def _unit_ratios(n: int, params: CloakParams) -> tuple:
-    """``_limit_ratios`` of degree n at q = 1 from the kept ladder, kept
-    beside it; a degree that raises keeps no ratios and raises again on
-    every read."""
+    """(r_n, sigma_n), ``limit_coeffs``'s beta0 and sigma at q = 1, kept
+    beside the ladder at k omega; r_n = -h_n/j_n is a ScaledComplex, so
+    beyond double range (from degree 86 at k omega = 1) it still gives
+    finite chains.  A degree that raises keeps no ratios and raises again
+    on every read: ResonanceError for k omega at a zero of j_n
+    (``_check_interior``), CapabilityError for sigma_n beyond doubles."""
     lad = _limit_ladder(n, params)
     unit = _kept(params).unit
     if n not in unit:
-        unit[n] = _limit_ratios(n, 1 + 0j, params, lad)
+        sigma = -1j * math.sqrt(params.mu0) / (
+            params.k ** 2 * params.omega * _check_interior(n, lad))
+        unit[n] = -lad.hn(n) / lad.jn(n), _require_finite(n, sigma)[0]
     return unit[n]
 
 
@@ -469,13 +449,13 @@ def limit_coeffs(n: int, q, params: CloakParams):
             the exterior normal pairing, -i mu0^(1/2) q / (k^2 w j_n(k w)).
 
     Raises:
-        ResonanceError, CapabilityError: as ``_limit_ratios``.
+        ResonanceError, CapabilityError: as ``_unit_ratios``, or beta0 or
+            sigma outside double range.
     """
-    lad = _limit_ladder(n, params)
     q = complex(q)
-    beta0, sigma = _limit_ratios(n, q, params, lad)
-    beta0 = _require_finite(n, beta0.to_complex())[0]
-    jk, hk, jjk, hhk = _ladder_values(n, lad)
+    r_n, sigma_n = _unit_ratios(n, params)
+    beta0, sigma = _require_finite(n, (r_n * q).to_complex(), sigma_n * q)
+    jk, hk, jjk, hhk = _ladder_values(n, _limit_ladder(n, params))
     # 1/h_n(omega) in small-argument form, which underflows doubles for
     # large n: kept in log form, as the ratios downstream are O(1)
     pref = (1 / specfun.small_arg_leading(n, params.omega)[1]
@@ -571,13 +551,8 @@ class RegionChains:
         key = (n_max, t.tobytes())
         tab = self.tables.get(key)
         if tab is None:
-            tab = self.tables[key] = _read_only(specfun.bessel_table(n_max, t))
+            tab = self.tables[key] = specfun.bessel_table(n_max, t)
         return tab
-
-    def normal(self, tab, i: int):
-        """B(j, h) of mode i at the arguments of a BesselTable."""
-        return specfun.combine(self.b[0][i], self.b[1][i], tab,
-                               self.keys[i][0])
 
     def expand(self, tab):
         """(A(j, h), A(J, H), B(j, h), B(J, H)) of every mode at the

@@ -7,8 +7,10 @@ unit-modulus phase, so multiplication and division reduce to float additions
 on the log while the phase stays exactly representable.
 
 ``ScaledComplex`` is a plain slotted class: a value is immutable by
-convention, not by a guard, and compares and hashes by value.
-``ScaledArray`` is its elementwise array form.
+convention, not by a guard, and compares and hashes by value.  It is made
+from a plain real or complex number (``from_complex``), or from a
+log-magnitude and a phase or real sign (``from_log``).  ``ScaledArray`` is
+its elementwise array form.
 """
 
 from __future__ import annotations
@@ -159,20 +161,6 @@ class ScaledComplex:
         if self.is_zero:
             return "ScaledComplex(0)"
         return f"ScaledComplex(exp({self.log_mag:.6g}) * {self.phase:.6g})"
-
-
-def scaled_real(x: float) -> ScaledComplex:
-    """ScaledComplex from a real number (phase +/-1)."""
-    if x == 0:
-        return ScaledComplex.zero()
-    return ScaledComplex(math.log(abs(x)), complex(math.copysign(1.0, x)))
-
-
-def scaled_from_log_sign(log_mag: float, sign: float) -> ScaledComplex:
-    """ScaledComplex from a log-magnitude and a real sign."""
-    if sign == 0 or log_mag == _NEG_INF:
-        return ScaledComplex.zero()
-    return ScaledComplex(log_mag, complex(math.copysign(1.0, sign)))
 
 
 @dataclass(frozen=True)

@@ -12,12 +12,12 @@ Derivative combinations J_n = j_n + t j_n' and H_n = h_n + t h_n' come
 from the exact recurrence f_n' = f_{n-1} - (n+1)/t f_n, i.e.
 J_n = t j_{n-1} - n j_n.
 
-A table holds the j and y rows alone.  ``combine`` and ``combine_riccati``
-form a j_n + b h_n and a J_n + b H_n, for log-form coefficients a, b, from
-products of the coefficients with those rows, h being j + i y.  Besides the
-kernel there are only ``sph_bessel_scaled`` (j_n, y_n, h_n of one ladder)
-and ``small_arg_leading`` (their leading forms for n >> t); plain-double
-views are read off a ladder, ``bessel_ladder(n, t).jn(n).to_complex()``.
+A table holds the j and y rows alone, read-only.  ``combine`` and
+``combine_riccati`` form a j_n + b h_n and a J_n + b H_n, for log-form
+coefficients a, b, from products of the coefficients with those rows, h
+being j + i y.  Besides the kernel there is only ``small_arg_leading``
+(the leading forms for n >> t); a ladder reads the values at one argument,
+``bessel_ladder(n, t).jn(n)``, and ``.to_complex()`` gives a plain double.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapabilityError, DomainError
-from .scaled import ScaledArray, ScaledComplex, scaled_from_log_sign
+from .scaled import ScaledArray, ScaledComplex
 
 N_CAP = 200
 T_CAP = 1e4  # the Miller start order grows as 2 t, so a table takes O(t) steps
@@ -269,9 +269,10 @@ def bessel_table(n_max: int, t) -> BesselTable:
     its own rescaling, so a column does not depend on the others.  A table
     of at most _FLOAT_COLUMNS arguments runs them column by column on
     Python floats, a wider one (or one with a value out of double range)
-    as array steps over all columns; both give the same doubles.
+    as array steps over all columns; both give the same doubles.  The
+    table's arrays, its own copy of t among them, are read-only.
     """
-    t = np.asarray(t, dtype=float)
+    t = np.array(t, dtype=float)
     if t.ndim != 1:
         raise DomainError(f"arguments must form a 1-D array, got shape {t.shape}")
     _require_args(n_max, t)
@@ -323,6 +324,8 @@ def bessel_table(n_max: int, t) -> BesselTable:
         y_log = np.log(np.abs(y_raw)) + y_shift
     y_sign = np.sign(y_raw)
 
+    for part in (t, j_log, j_sign, y_log, y_sign):
+        part.setflags(write=False)
     return BesselTable(n_max=n_max, t=t, j_log=j_log, j_sign=j_sign,
                        y_log=y_log, y_sign=y_sign)
 
@@ -342,13 +345,13 @@ class BesselLadder:
 
     def jn(self, n: int) -> ScaledComplex:
         tab = self.table
-        return scaled_from_log_sign(tab.j_log.item(n + 1, self.i),
-                                    tab.j_sign.item(n + 1, self.i))
+        return ScaledComplex.from_log(tab.j_log.item(n + 1, self.i),
+                                      tab.j_sign.item(n + 1, self.i))
 
     def yn(self, n: int) -> ScaledComplex:
         tab = self.table
-        return scaled_from_log_sign(tab.y_log.item(n + 1, self.i),
-                                    tab.y_sign.item(n + 1, self.i))
+        return ScaledComplex.from_log(tab.y_log.item(n + 1, self.i),
+                                      tab.y_sign.item(n + 1, self.i))
 
     def hn(self, n: int) -> ScaledComplex:
         return self.jn(n) + self.yn(n) * 1j
@@ -364,12 +367,6 @@ class BesselLadder:
 def bessel_ladder(n_max: int, t: float) -> BesselLadder:
     """The scaled j/y ladder for orders 0..n_max at one argument t > 0."""
     return bessel_table(n_max, [t]).column(0)
-
-
-def sph_bessel_scaled(n: int, t: float):
-    """j_n(t), y_n(t), h_n(t) as ScaledComplex."""
-    lad = bessel_ladder(n, t)
-    return lad.jn(n), lad.yn(n), lad.hn(n)
 
 
 def small_arg_leading(n: int, t: float):

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import specfun
 from .errors import AccuracyError, DomainError
 from .geometry import CloakOuterMap, CloakParams
 # limit_coeffs is re-exported: the benchmark's tracer patches it here too
@@ -235,7 +236,8 @@ def _pairing(chains, phi, tol, lo, hi, radius):
 
         def integrand(r, i=i, n=n, prof=prof,
                       s2w=n * (n + 1) * chains.e_weight):
-            val = s2w * chains.normal(chains.quadrature_table(n, r), i)
+            val = s2w * specfun.combine(chains.b[0][i], chains.b[1][i],
+                                        chains.quadrature_table(n, r), n)
             g = radius(r)
             return val * prof(g) * g * g / r
 
@@ -389,26 +391,24 @@ def energy_integral(solution: ModalSolution, delta: float = 0.0,
 
 
 def convergence_study(source: SourceCoeffs, phi: RadialTestFunction,
-                      rho_list, omega: float, eps0: float = 1.0,
-                      mu0: float = 1.0, tol: float = 1e-9):
-    """Normal-pairing sweep over regularisation radii.
+                      params_list, tol: float = 1e-9):
+    """Normal-pairing sweep over params_list, CloakParams that differ in rho.
 
-    Returns (rows, fitted_rate): one row per rho with the total pairing, the
-    predicted limit, the absolute error and the truncation degree n_max of
-    the solve; the rate is the fitted slope of error against rho.
+    Returns (rows, fitted_rate): one row per params with its rho, the total
+    pairing, the predicted limit, the absolute error and the truncation
+    degree n_max of the solve; the rate is the fitted slope of error
+    against rho.
     """
     rows = []
     predicted = None
-    for rho in rho_list:
-        params = CloakParams(rho=rho, omega=omega, eps0=eps0, mu0=mu0,
-                             r1=source.r1)
+    for params in params_list:
         if predicted is None:
             predicted = predicted_limit(source, phi, params, tol)
         solution = solve_source(source, None, params)
         pairing = (pairing_interior(solution, phi, tol)
                    + pairing_exterior_normal(solution, phi, tol))
-        rows.append({"rho": rho, "pairing": pairing, "predicted": predicted,
-                     "abs_err": abs(pairing - predicted),
+        rows.append({"rho": params.rho, "pairing": pairing,
+                     "predicted": predicted, "abs_err": abs(pairing - predicted),
                      "n_max": solution.n_max})
     rhos, errs = zip(*[(row["rho"], row["abs_err"]) for row in rows])
     rate = fit_power_law(rhos, errs) if len([e for e in errs if e > 0]) >= 2 else math.nan

@@ -20,7 +20,7 @@ from cloaksim.halfspace import (HalfspaceParams, dispersion_kx, eval_H,
                                 solve_amplitudes)
 from cloaksim.harmonics import ModeIndex, angular_basis
 from cloaksim.modal import ModalSolution, ModeCoeffs, _pack, region_chains
-from cloaksim.scaled import ScaledComplex, scaled_from_log_sign
+from cloaksim.scaled import ScaledComplex
 from cloaksim.weak_limit import _normal_trace, _tangential_trace
 
 _EPS_TANGENTIAL = 2.0  # eps_y = eps_z = mu_y = mu_z in the anisotropic side
@@ -51,7 +51,7 @@ def gamma_half_int(n: int) -> float:
 def gamma_half_int_scaled(n: int) -> ScaledComplex:
     if n < 0:
         raise DomainError(f"need n >= 0, got {n}")
-    return scaled_from_log_sign(math.lgamma(n + 0.5), 1.0)
+    return ScaledComplex.from_log(math.lgamma(n + 0.5), 1.0)
 
 
 def wave_MN(mode: ModeIndex, omega: float, x, kind: str = "regular"):

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -470,9 +471,12 @@ class TestCheckSpecfun:
         code = run(["check-specfun", "--out", tmp_path])
         assert code == 0
         report = json.loads((tmp_path / "specfun_report.json").read_text())
+        assert report.keys() == {"pass", "threshold", "grid",
+                                 "max_wronskian_deviation",
+                                 "max_recurrence_relative_deviation"}
         assert report["pass"] is True
         assert report["max_wronskian_deviation"] < 1e-11
-        assert report["max_cross_product_deviation"] < 1e-11
+        assert report["max_recurrence_relative_deviation"] < 1e-10
 
     def test_custom_grid_config(self, tmp_path):
         cfg = tmp_path / "grid.json"
@@ -515,9 +519,9 @@ class TestCheckSpecfun:
     # expected); a NaN or infinite deviation must fail the report
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("t_lo, nulls", [
-        (1e-300, ["max_wronskian_deviation", "max_cross_product_deviation",
+        (1e-300, ["max_wronskian_deviation",
                   "max_recurrence_relative_deviation"]),
-        (1e-150, ["max_wronskian_deviation", "max_cross_product_deviation"])])
+        (1e-150, ["max_wronskian_deviation"])])
     def test_tiny_arguments_fail(self, tmp_path, t_lo, nulls):
         cfg = tmp_path / "grid.json"
         cfg.write_text(json.dumps({"t_lo": t_lo, "t_hi": 1.0, "t_count": 3,
@@ -529,35 +533,57 @@ class TestCheckSpecfun:
         for key in nulls:
             assert report[key] is None, key
 
-    def test_cross_product_stays_finite_at_high_order(self, tmp_path):
+    # orders to N_CAP from t = 1e-8, where j_200 and y_200 leave double
+    # range by hundreds of decades
+    HIGH_ORDER_GRID = {"t_lo": 1e-8, "t_hi": 50, "t_count": 40, "n_max": 200}
+
+    def test_high_order_grid_from_tiny_arguments_passes(self, tmp_path):
         cfg = tmp_path / "grid.json"
-        cfg.write_text(json.dumps({"t_lo": 1e-8, "t_hi": 50, "t_count": 40,
-                                   "n_max": 200}))
-        assert run(["check-specfun", "--config", cfg, "--out", tmp_path]) == 4
+        cfg.write_text(json.dumps(self.HIGH_ORDER_GRID))
+        assert run(["check-specfun", "--config", cfg, "--out", tmp_path]) == 0
         report = read_strict_json(tmp_path / "specfun_report.json")
-        assert 1e-5 < report["max_cross_product_deviation"] < 1e-3
+        assert report["max_wronskian_deviation"] < 1e-11
+        assert report["max_recurrence_relative_deviation"] < 1e-10
+
+    def test_high_order_grid_table_matches_mpmath(self):
+        grid = self.HIGH_ORDER_GRID
+        table = specfun.bessel_table(grid["n_max"], np.linspace(
+            grid["t_lo"], grid["t_hi"], grid["t_count"]))
+        worst = 0.0
+        with mpmath.workdps(40):
+            for i in (0, 20, 39):  # t = 1e-8, about 25.6, and 50
+                lad, t = table.column(i), mpmath.mpf(table.t[i])
+                scale = mpmath.sqrt(mpmath.pi / (2 * t))
+                for n in (0, 1, 5, 50, 120, 199, 200):
+                    for got, bessel in ((lad.jn(n), mpmath.besselj),
+                                        (lad.yn(n), mpmath.bessely)):
+                        want = scale * bessel(n + mpmath.mpf(0.5), t)
+                        value = got.phase.real * mpmath.exp(got.log_mag)
+                        worst = max(worst, float(abs(value / want - 1)))
+        assert worst < 2e-12
 
     def test_deviations_match_the_scalar_ladder(self):
         table = specfun.bessel_table(30, np.linspace(0.2, 30.0, 12))
-        worst = [0.0, 0.0, 0.0]
+        worst = [0.0, 0.0]
         for i, t in enumerate(table.t.tolist()):
-            lad = table.column(i)
-            for n in range(31):
-                j, y = (lad.jn(n).to_complex().real,
-                        lad.yn(n).to_complex().real)
-                jp = lad.jn(n - 1).to_complex().real - (n + 1) / t * j
-                yp = lad.yn(n - 1).to_complex().real - (n + 1) / t * y
-                # J h - H j with h and -j as coefficients of the rows
-                cross = specfun.combine_riccati(
-                    lad.hn(n), -lad.jn(n), table, n)[i]
-                devs = [abs(t * t * (j * yp - jp * y) - 1.0),
-                        abs(cross + 1j / t), 0.0]
+            lad, log_t = table.column(i), math.log(t)
+            j, y = ([f(n) for n in range(-1, 31)] for f in (lad.jn, lad.yn))
+            for n in range(31):  # j[n + 1] is j_n
+                # t^2 (j_n y_{n-1} - j_{n-1} y_n), each product from its logs
+                first, second = (
+                    f.phase.real * g.phase.real
+                    * math.exp(2 * log_t + f.log_mag + g.log_mag)
+                    for f, g in ((j[n + 1], y[n]), (j[n], y[n + 1])))
+                worst[0] = max(worst[0], abs(first - second - 1.0))
                 if 1 <= n < 30:
-                    jm = lad.jn(n - 1).to_complex().real
-                    jp1 = lad.jn(n + 1).to_complex().real
-                    devs[2] = abs(jm + jp1 - (2 * n + 1) / t * j) / max(
-                        abs(jm), abs(jp1), abs(j) / t)
-                worst = [max(w, d) for w, d in zip(worst, devs)]
+                    terms = [(j[n].phase.real, j[n].log_mag),
+                             (j[n + 2].phase.real, j[n + 2].log_mag),
+                             (-j[n + 1].phase.real, math.log(2 * n + 1)
+                              - log_t + j[n + 1].log_mag)]
+                    peak = max(log_mag for _, log_mag in terms)
+                    worst[1] = max(worst[1], abs(sum(
+                        sign * math.exp(log_mag - peak)
+                        for sign, log_mag in terms)))
         got = _specfun_deviations(table)
         # the maxima are rounding noise; they agree to a few units of 1e-16
         assert got == pytest.approx(worst, rel=0.0, abs=2e-15)

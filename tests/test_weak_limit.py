@@ -598,17 +598,22 @@ class TestDeltaStrengthConsistency:
         assert abs(const - sigma) < 0.01 * abs(sigma)
 
 
+def _params_list(*rhos):
+    return [CloakParams(rho=rho, omega=OMEGA, r1=R1) for rho in rhos]
+
+
 class TestConvergenceStudy:
     def test_rows_and_rate(self):
         rows, rate = weak_limit.convergence_study(
-            SRC, BUMP, [1e-2, 3e-3, 1e-3], OMEGA, tol=1e-10)
+            SRC, BUMP, _params_list(1e-2, 3e-3, 1e-3), tol=1e-10)
         assert len(rows) == 3
+        assert [row["rho"] for row in rows] == [1e-2, 3e-3, 1e-3]
         assert rows[0]["abs_err"] > rows[-1]["abs_err"]
         assert rate >= 0.8
 
     def test_rows_record_the_solve_truncation(self):
         rows, _ = weak_limit.convergence_study(
-            SRC, BUMP, [1e-2, 1e-3], OMEGA, tol=1e-8)
+            SRC, BUMP, _params_list(1e-2, 1e-3), tol=1e-8)
         params = CloakParams(rho=1e-3, omega=OMEGA, r1=R1)
         n_max = modal.solve_source(SRC, None, params).n_max
         assert [row["n_max"] for row in rows] == [n_max, n_max]
@@ -682,6 +687,20 @@ class TestSharedQuadratureTables:
         for part in (tab.t, tab.j_log, tab.j_sign, tab.y_log, tab.y_sign):
             with pytest.raises(ValueError):
                 part[0] = 0.0
+
+    def test_fresh_tables_are_read_only_and_kept_ones_are_reused(self):
+        t = np.array([0.5, 2.0, 7.0])
+        tab = specfun.bessel_table(4, t)
+        for part in (tab.t, tab.j_log, tab.j_sign, tab.y_log, tab.y_sign):
+            with pytest.raises(ValueError):
+                part[0] = 0.0
+        t[0] = 1.0  # the caller's arguments stay its own and writable
+        assert tab.t[0] == 0.5
+        chains = modal.region_chains(
+            modal.solve_source(EIGHT_MODES, None, self.PARAMS), "hidden")
+        r = np.linspace(0.55, 0.95, 7)
+        kept = chains.quadrature_table(2, r)
+        assert chains.quadrature_table(2, r.copy()) is kept
 
     def test_next_solution_drops_the_tables(self):
         first, second = (modal.solve_source(EIGHT_MODES, None, self.PARAMS)
