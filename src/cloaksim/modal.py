@@ -5,7 +5,9 @@ interface couples the exterior coefficients (gamma, eta, c, d) to the
 interior ones (alpha, beta) and the source data (p, q).  The solve splits
 into two independent 2x2 chains per polarisation; every product is kept in
 log-magnitude form so degrees up to 60 at inner radii down to 1e-6 stay
-finite.
+finite.  It is one pass over arrays for all the degrees of a solution
+(``transfer_coeffs``) and one for all its modes (``SolvedModes.columns``);
+a mode's coefficients do not depend on the others solved with it.
 
 Closed-form limits of the solve as the inner radius shrinks (beta0, the
 leading d coefficient, and the interface-layer strength sigma) live here
@@ -19,7 +21,6 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 from functools import cached_property
@@ -38,42 +39,31 @@ DENOM_FLOOR = 1e-12
 # floor on the interior margin of the limit formulas (``_check_interior``)
 INTERIOR_FLOOR = 1e-10
 TRUNCATION_TOL = 1e-12  # bound on the series tail ``solve_source`` drops
+# the factors of f1 and f2 in the exterior-boundary rows
+_BOUNDARY = ScaledArray(np.log([[1.0], [2.0]]), np.ones((2, 1)))
+# the margins ``transfer_coeffs`` checks, in the order a degree is checked
+_MARGINS = ("dn", "dnp", "t1*h_n(2w) + j_n(2w)", "t3*H_n(2w) + J_n(2w)")
 
 
 @dataclass(frozen=True)
 class TransferSet:
-    """Interface transfer ratios for one degree n (log-magnitude form).
+    """Interface transfer ratios of degrees n (log-magnitude form).
 
-    t1, t2 (with t1p, t2p) form the chain driven by (gamma, p); t3, t4
-    (with t3p, t4p) the chain driven by (eta, q).  dn and dnp are the two
-    2x2 determinants the ratios share.  outer holds j_n, h_n, J_n, H_n at
-    the outer boundary argument 2 omega, which every order m reuses.
+    Each field is a (2, degrees) ScaledArray: the chain driven by (gamma,
+    p), then the one driven by (eta, q).  t13 = (t1, t3), t24 = (t2, t4),
+    t13p and t24p give (c, d) and (alpha, beta) from (gamma, eta) and
+    (p, q); outer holds h_n, H_n at 2 omega, den the exterior-boundary
+    denominators of gamma and eta, and det = (dn, dnp) the determinants the
+    ratios share.  All but det are what every order m of a degree reads.
     """
 
-    n: int
-    t1: ScaledComplex
-    t2: ScaledComplex
-    t3: ScaledComplex
-    t4: ScaledComplex
-    t1p: ScaledComplex
-    t2p: ScaledComplex
-    t3p: ScaledComplex
-    t4p: ScaledComplex
-    dn: ScaledComplex
-    dnp: ScaledComplex
-    outer: tuple
-
-
-def _pack(values) -> list:
-    """ScaledComplex values as (log-magnitude, phase.real, phase.imag)
-    doubles, which ``_unpack`` turns back into the same values exactly."""
-    return [x for v in values for x in (v.log_mag, v.phase.real, v.phase.imag)]
-
-
-def _unpack(packed, i: int) -> ScaledComplex:
-    """The i-th ScaledComplex of packed doubles."""
-    log_mag, re, im = packed[3 * i:3 * i + 3]
-    return ScaledComplex(log_mag, complex(re, im))
+    t13: ScaledArray
+    t24: ScaledArray
+    t13p: ScaledArray
+    t24p: ScaledArray
+    outer: ScaledArray
+    den: ScaledArray
+    det: ScaledArray
 
 
 @dataclass(frozen=True, slots=True)
@@ -139,21 +129,19 @@ class SolvedModes(Mapping):
     """The solved modes of a solution: (n, m) -> ModeCoeffs, read-only, in
     ascending key order.
 
-    Every mode of a degree reads the same twelve values (``_degree_ratios``),
-    so a solution keeps those, packed, 36 doubles a degree in one array, and
-    solves a mode on access from them and the mode's source and boundary
-    data with ``solve_mode``'s arithmetic: the coefficients are bit for bit
-    those of ``solve_mode``.  ``coefficient_rows`` reads many modes with
-    one unpack per degree, as the region chains do.  The source and
-    boundary tables are read at access, so they must not change after the
-    solve.
+    Every mode of a degree reads the same twelve values of its
+    ``TransferSet``, so a solution keeps those, 36 doubles a degree in one
+    array (``_packed``), and solves modes on access from them and their
+    source and boundary data in one array pass (``columns``), which
+    ``solve_mode`` runs over one mode: the coefficients are bit for bit
+    ``solve_mode``'s.  The source and boundary tables are read at access,
+    so they must not change after the solve.
     """
 
     __slots__ = ("_source", "_boundary", "_degrees", "_ratios")
-    _WIDTH = 36  # doubles a degree: twelve packed values
 
     def __init__(self, source: dict, boundary: dict, degrees: tuple,
-                 ratios: array):
+                 ratios: np.ndarray):
         self._source, self._boundary = source, boundary
         self._degrees, self._ratios = degrees, ratios
 
@@ -164,21 +152,22 @@ class SolvedModes(Mapping):
     def __getitem__(self, key):
         if key not in self:
             raise KeyError(key)
-        return ModeCoeffs(*next(self.coefficient_rows([key])))
+        return ModeCoeffs(*(pair[i][0] for pair in self.columns([key])[:3]
+                            for i in (0, 1)))
 
-    def coefficient_rows(self, keys):
-        """(gamma, eta, c, d, alpha, beta) of each of the given solved keys
-        in turn, unpacking the ratios of each degree once."""
-        unpacked = {}
-        for key in keys:
-            ratios = unpacked.get(key[0])
-            if ratios is None:
-                i = self._degrees.index(key[0])
-                row = self._ratios[self._WIDTH * i:self._WIDTH * (i + 1)]
-                ratios = unpacked[key[0]] = [
-                    _unpack(row, k) for k in range(self._WIDTH // 3)]
-            yield _mode_values(ratios, *self._source.get(key, (0j, 0j)),
-                               *self._boundary.get(key, (0j, 0j)))
+    def columns(self, keys) -> tuple:
+        """(gamma, eta), (c, d), (alpha, beta) and the source data (p, q)
+        of the given solved keys, four (2, keys) ScaledArrays: one pass over
+        the modes, reading the ratios of their degrees."""
+        at = {n: i for i, n in enumerate(self._degrees)}
+        packed = self._ratios[:, :, [at[n] for n, _ in keys]]
+        ratios = ScaledArray(packed[..., 0], np.ascontiguousarray(
+            packed[..., 1:]).view(complex)[..., 0])
+        data = [ScaledArray.from_complex(np.array(
+            [table.get(key, (0j, 0j)) for key in keys],
+            dtype=complex).reshape(-1, 2).T)
+            for table in (self._source, self._boundary)]
+        return (*_mode_coefficients(ratios, *data), data[0])
 
     def __iter__(self):
         return iter(sorted(key for key in self._source.keys()
@@ -208,21 +197,33 @@ def _ladder_values(n: int, lad):
     return lad.jn(n), lad.hn(n), lad.riccati_j(n), lad.riccati_h(n)
 
 
-def _interface_values(n: int, params: CloakParams):
-    """``_ladder_values`` at the inner radius omega rho, the interface k
-    omega and the outer boundary 2 omega, from one table of degree n (its
-    columns do not depend on each other)."""
+def _interface_values(degrees: np.ndarray, params: CloakParams):
+    """j_n, h_n, J_n and H_n of each degree at omega rho, k omega and
+    2 omega, one ScaledArray [(j, h) or (J, H), j or h, argument, degree],
+    from one table whose columns of a degree start its Miller recurrence as
+    a table of that degree alone would: a degree's values do not depend on
+    the others solved with it."""
     om = params.omega
-    tab = specfun.bessel_table(n, [om * params.rho, params.k * om, 2.0 * om])
-    return [_ladder_values(n, tab.column(i)) for i in range(3)]
+    orders = np.concatenate([degrees] * 3)
+    tab = specfun.bessel_table(orders, np.repeat(
+        [om * params.rho, params.k * om, 2.0 * om], len(degrees)))
+    rows, cols = np.stack([orders + 1, orders]), np.arange(orders.size)
+    j = ScaledArray(tab.j_log[rows, cols], tab.j_sign[rows, cols])
+    h = j + ScaledArray(tab.y_log[rows, cols], 1j * tab.y_sign[rows, cols])
+    # J_n = t j_{n-1} - n j_n and H_n alike, from the rows of n and n - 1
+    log_t, log_n = np.log(tab.t), np.log(orders)
+    values = (j[0], h[0], *(ScaledArray(f.log_mag[1] + log_t, f.phase[1])
+                             - ScaledArray(f.log_mag[0] + log_n, f.phase[0])
+                             for f in (j, h)))
+    return ScaledArray(*(np.reshape([getattr(v, part) for v in values],
+                                    (2, 2, 3, -1))
+                         for part in ("log_mag", "phase")))
 
 
-def _check_margin(n: int, name: str, den, *terms) -> None:
-    """Raise ResonanceError(n, name) when the denominator den, the sum of
-    terms, has cancelled below DENOM_FLOOR of its largest term."""
-    scale = max(term.log_mag for term in terms)
-    if den.is_zero or den.log_mag - scale < math.log(DENOM_FLOOR):
-        raise ResonanceError(n, name)
+def _cancelled(den, a, b) -> np.ndarray:
+    """Where den = a + b is zero or below DENOM_FLOOR of its larger term."""
+    return (den.log_mag == -np.inf) | (
+        den.log_mag < np.maximum(a.log_mag, b.log_mag) + math.log(DENOM_FLOOR))
 
 
 def _check_interior(n: int, lad) -> float:
@@ -248,93 +249,89 @@ def _require_finite(n: int, *values) -> tuple:
     return values
 
 
-def transfer_coeffs(n: int, params: CloakParams) -> TransferSet:
-    """Transfer ratios of degree n for the given scenario.
+def transfer_coeffs(degrees, params: CloakParams) -> TransferSet:
+    """Transfer ratios of every degree of a sequence, in one pass over
+    arrays, for the given scenario.
 
     Raises:
-        ResonanceError: a shared 2x2 determinant is annihilated by
-            cancellation (inadmissible frequency).
+        ResonanceError: for the lowest degree whose 2x2 determinant or
+            exterior-boundary denominator is annihilated by cancellation
+            (inadmissible frequency), naming its first such margin in the
+            order of ``_MARGINS``; before any division by a zero.
     """
-    if n < 1:
-        raise DomainError(f"degree must be >= 1, got {n}")
+    degrees = np.array(degrees, dtype=int)
+    if degrees.min(initial=1) < 1:
+        raise DomainError(f"degree must be >= 1, got {degrees.min()}")
     rho, k = params.rho, params.k
-    se = ScaledComplex.from_complex(params.eps0 ** -0.5)
-    sm = ScaledComplex.from_complex(params.mu0 ** -0.5)
-    (jr, hr, jjr, hhr), (jk, hk, jjk, hhk), outer = _interface_values(
-        n, params)
-
-    dn_a = sm * rho * hr * jjk
-    dn_b = se * k * hhr * jk
-    dn = dn_a - dn_b
-    dnp_a = se * rho * hr * jjk
-    dnp_b = sm * k * hhr * jk
-    dnp = dnp_a - dnp_b
-    _check_margin(n, "dn", dn, dn_a, dn_b)
-    _check_margin(n, "dnp", dnp, dnp_a, dnp_b)
+    se, sm = params.eps0 ** -0.5, params.mu0 ** -0.5
+    f = _interface_values(degrees, params)
+    (jr, hr), (jjr, hhr) = f[..., 0, :]  # at omega rho
+    (jk, hk), (jjk, hhk) = f[..., 1, :]  # at k omega
+    # the chain driven by (gamma, p) and the one driven by (eta, q) are the
+    # two rows of each array below: the second is the first with eps0 and
+    # mu0 exchanged, and dn, t1, t2, t1p, t2p become dnp, t3, t4, t3p, t4p
+    c = np.log([[sm * rho, se * k, k * rho, k], [se * rho, sm * k, rho, 1.0]])
+    u, v, w, k_1 = (ScaledArray(c[:, i:i + 1], np.ones((2, 1)))
+                    for i in range(4))
+    a, b = u * (hr * jjk), v * (hhr * jk)
+    det = a - b  # (dn, dnp)
+    failed = _cancelled(det, a, b)
+    if failed.any():  # divided by 1, a failing degree raises below
+        det = ScaledArray(np.where(failed, 0.0, det.log_mag),
+                          np.where(failed, 1.0, det.phase))
 
     # cross-product identity: J_n h_n - H_n j_n = -i/t, reused by both
     # primed ratios; the 1/k on t1p balances the eps/mu weights of its chain
     cross_k = jjk * hk - hhk * jk
-    t1 = (se * k * jjr * jk - sm * rho * jr * jjk) / dn
-    t2 = (k * rho * jjr * hr - k * rho * jr * hhr) / dn
-    t3 = (sm * k * jjr * jk - se * rho * jr * jjk) / dnp
-    t4 = (rho * jjr * hr - rho * jr * hhr) / dnp
-    t1p = cross_k / (k * dn)
-    t2p = (se * k * hk * hhr - sm * rho * hhk * hr) / dn
-    t3p = cross_k / dnp
-    t4p = (sm * k * hk * hhr - se * rho * hhk * hr) / dnp
-    return TransferSet(n=n, t1=t1, t2=t2, t3=t3, t4=t4,
-                       t1p=t1p, t2p=t2p, t3p=t3p, t4p=t4p, dn=dn, dnp=dnp,
-                       outer=outer)
+    t13 = (v * (jjr * jk) - u * (jr * jjk)) / det
+    t24 = w * (jjr * hr - jr * hhr) / det
+    t13p = cross_k / (k_1 * det)
+    t24p = (v * (hk * hhr) - u * (hhk * hr)) / det
+    outer_j, outer = f[:, 0, 2], f[:, 1, 2]  # (j_n, J_n), (h_n, H_n) at 2w
+    th = t13 * outer
+    den = th + outer_j
+    failed = np.concatenate([failed, _cancelled(den, th, outer_j)])
+    if failed.any():
+        i = int(failed.any(axis=0).argmax())
+        raise ResonanceError(int(degrees[i]),
+                             _MARGINS[int(failed[:, i].argmax())])
+    return TransferSet(t13, t24, t13p, t24p, outer, den, det)
 
 
-def _degree_ratios(ts: TransferSet) -> tuple:
-    """What every mode of the degree of ts reads: t1, t2, t3, t4, t1p, t2p,
-    t3p, t4p, h_n(2w), H_n(2w) and the exterior-boundary denominators of
-    gamma and eta.
-
-    Raises:
-        ResonanceError: an exterior-boundary denominator below floor.
-    """
-    j2, h2, jj2, hh2 = ts.outer
-    t1h2, t3hh2 = ts.t1 * h2, ts.t3 * hh2
-    den_g, den_e = t1h2 + j2, t3hh2 + jj2
-    _check_margin(ts.n, "t1*h_n(2w) + j_n(2w)", den_g, t1h2, j2)
-    _check_margin(ts.n, "t3*H_n(2w) + J_n(2w)", den_e, t3hh2, jj2)
-    return (ts.t1, ts.t2, ts.t3, ts.t4, ts.t1p, ts.t2p, ts.t3p, ts.t4p,
-            h2, hh2, den_g, den_e)
+def _packed(ts: TransferSet) -> np.ndarray:
+    """Every field of ts but det as (log-magnitude, phase.real, phase.imag)
+    doubles, one (6, 2, degrees, 3) array, from which
+    ``SolvedModes.columns`` reads the same values back bit for bit."""
+    values = (ts.t13, ts.t24, ts.t13p, ts.t24p, ts.outer, ts.den)
+    phase = np.array([v.phase for v in values], dtype=complex)
+    return np.stack([np.array([v.log_mag for v in values]), phase.real,
+                     phase.imag], axis=-1)
 
 
-def _mode_values(ratios, p, q, f1, f2) -> tuple:
-    """The six coefficients of a mode with data (p, q, f1, f2), in
-    ModeCoeffs field order, from its degree's ``_degree_ratios``."""
-    t1, t2, t3, t4, t1p, t2p, t3p, t4p, h2, hh2, den_g, den_e = ratios
-    p_s = ScaledComplex.from_complex(p)
-    q_s = ScaledComplex.from_complex(q)
-    f1_s = ScaledComplex.from_complex(f1)
-    f2_s = ScaledComplex.from_complex(f2)
-
-    gamma = (f1_s - p_s * t1p * h2) / den_g
-    eta = (f2_s * 2.0 - t3p * q_s * hh2) / den_e
-    c = t1 * gamma + t1p * p_s
-    alpha = t2 * gamma + t2p * p_s
-    d = t3 * eta + t3p * q_s
-    beta = t4 * eta + t4p * q_s
-    return gamma, eta, c, d, alpha, beta
+def _mode_coefficients(ratios, x, f) -> tuple:
+    """(gamma, eta), (c, d) and (alpha, beta) of modes with source data
+    x = (p, q) and boundary data f = (f1, f2), (2, modes) ScaledArrays, from
+    the ``TransferSet`` pairs of each mode's degree but det, (6, 2, modes):
+    one pass over the modes."""
+    t13, t24, t13p, t24p, outer, den = ratios
+    g = (f * _BOUNDARY - x * t13p * outer) / den
+    return g, t13 * g + t13p * x, t24 * g + t24p * x
 
 
 def solve_mode(n: int, p, q, f1, f2, params: CloakParams) -> ModeCoeffs:
     """Solve one mode for source data (p, q) and boundary data (f1, f2).
 
     Returns the six field coefficients; m enters only through the data, so
-    the same call serves every order of a given degree.
+    the same call serves every order of a given degree.  It is
+    ``solve_source``'s pass over one mode.
 
     Raises:
         ResonanceError: interface determinant or exterior-boundary
             denominator below floor.
     """
-    return ModeCoeffs(*_mode_values(_degree_ratios(transfer_coeffs(n, params)),
-                                    p, q, f1, f2))
+    key = (n, 0)
+    return SolvedModes({key: (p, q)}, {key: (f1, f2)}, (n,),
+                       _packed(transfer_coeffs([n], params)))[key]
 
 
 def system_residuals(n: int, p, q, f1, f2, params: CloakParams,
@@ -346,11 +343,12 @@ def system_residuals(n: int, p, q, f1, f2, params: CloakParams,
     so a value near machine epsilon certifies the solve.  A side is not the
     scale: the right side of the last equation cancels by about 1/rho.
     """
-    rho, k = params.rho, params.k
+    rho, k, om = params.rho, params.k, params.omega
     se = ScaledComplex.from_complex(params.eps0 ** -0.5)
     sm = ScaledComplex.from_complex(params.mu0 ** -0.5)
+    tab = specfun.bessel_table(n, [om * rho, k * om, 2.0 * om])
     ((jr, hr, jjr, hhr), (jk, hk, jjk, hhk),
-     (j2, h2, jj2, hh2)) = _interface_values(n, params)
+     (j2, h2, jj2, hh2)) = (_ladder_values(n, tab.column(i)) for i in range(3))
     g, e, c, d, al, be = (getattr(coeffs, f.name) for f in fields(coeffs))
     p_s, q_s = ScaledComplex.from_complex(p), ScaledComplex.from_complex(q)
     f1_s, f2_s = ScaledComplex.from_complex(f1), ScaledComplex.from_complex(f2)
@@ -493,8 +491,10 @@ class RegionChains:
     (virtual coordinates): A = (gamma, c), B = (eta, d), omega, 1, 1.
     Hidden: A = (alpha, p), B = (beta, q), k omega, eps0^-1/2, mu0^-1/2.
     Limit: as hidden with alpha0, beta0 and the interface-layer strength
-    sigma per mode in ``surface``.  Coefficients are ScaledComplex lists;
-    ``expand`` reads them as ScaledArray columns, ``degree_form`` as each
+    sigma per mode in ``surface``.  Coefficients are sequences over the
+    modes whose items are ScaledComplex: ScaledArrays for a solution,
+    lists for the limit's few modes a call.  ``expand`` reads them as
+    ScaledArray columns, ``degree_form`` as each
     degree's peak and the modes' shifted values, which ``degree_rows`` and
     the Gram sums of ``squared_sums`` read, all kept on the chains with
     the modes' ``mode_factors``.  ``tables`` is the store's dict that
@@ -523,17 +523,25 @@ class RegionChains:
         return self.key_array[:, 0]
 
     @cached_property
+    def _columns(self) -> list:
+        """a[0], a[1], b[0] and b[1] as ScaledArrays."""
+        return [c if c.__class__ is ScaledArray else ScaledArray(
+            np.array([v.log_mag for v in c], dtype=float),
+            np.array([v.phase for v in c], dtype=complex))
+            for c in (*self.a, *self.b)]
+
+    @cached_property
+    def b_lists(self) -> list:
+        """b[0] and b[1] as ScaledComplex lists, read a mode at a time."""
+        return [c if c.__class__ is list else list(map(
+            ScaledComplex, c.log_mag.tolist(), c.phase.tolist()))
+            for c in self.b]
+
+    @cached_property
     def mode_factors(self) -> ModeFactors:
         """The keys checked once, with the factors the angular scalars
         read at every direction."""
         return ModeFactors.of(self.key_array)
-
-    @cached_property
-    def _columns(self):
-        """a[0], a[1], b[0], b[1] as (log-magnitude, phase) array pairs."""
-        return [(np.array([c.log_mag for c in coeffs], dtype=float),
-                 np.array([c.phase for c in coeffs], dtype=complex))
-                for coeffs in (*self.a, *self.b)]
 
     def table(self, r: float):
         """One BesselTable at wavenumber * r serving every mode."""
@@ -559,8 +567,8 @@ class RegionChains:
         arguments of a BesselTable, each mode combined on its own, as one
         (4, modes, len(t)) array."""
         n = self.degrees
-        a0, a1, b0, b1 = (ScaledArray(log_mag[:, None], phase[:, None])
-                          for log_mag, phase in self._columns)
+        a0, a1, b0, b1 = (ScaledArray(c.log_mag[:, None], c.phase[:, None])
+                          for c in self._columns)
         return np.stack([combine(x, y, tab, n) for x, y in ((a0, a1), (b0, b1))
                          for combine in (specfun.combine,
                                          specfun.combine_riccati)])
@@ -578,8 +586,8 @@ class RegionChains:
         log-magnitude, a (4, runs) array, -inf for a run of zeros, and each
         mode's phase exp(log_mag - peak), a (4, modes) complex array in
         which a run of zeros reads 0."""
-        peaks, scaled = zip(*(_run_scaled(log_mag, phase, self.runs[1])
-                              for log_mag, phase in self._columns))
+        peaks, scaled = zip(*(_run_scaled(c.log_mag, c.phase, self.runs[1])
+                              for c in self._columns))
         return (np.reshape(peaks, (4, len(self.runs[0]))),
                 np.array(scaled))
 
@@ -652,31 +660,22 @@ def _run_scaled(log_mag, phase, starts):
     return peak, phase * np.exp(log_mag - np.repeat(shift, lengths))
 
 
-def _hidden_chains(keys, alpha, beta, pq, store, surface=None):
-    """Hidden-region chains A = (alpha, p) and B = (beta, q), from the
-    complex (p, q) pairs pq, one per key, reading the store's tables and
-    moments."""
+def _hidden_chains(keys, a, b, store, surface=None):
+    """Hidden chains A = (alpha, p), B = (beta, q) on the store's dicts."""
     params = store.params
-    p, q = ([ScaledComplex.from_complex(v[k]) for v in pq] for k in (0, 1))
-    return RegionChains(keys, (alpha, p), (beta, q), params.k * params.omega,
+    return RegionChains(keys, a, b, params.k * params.omega,
                         params.eps0 ** -0.5, params.mu0 ** -0.5, surface,
                         store.tables, store.moments)
 
 
 def _solution_chains(solution: ModalSolution, store: _Store) -> dict:
-    """The "layer" and "hidden" chains of every solved mode, from one pass
-    over the modes: they are solved straight into the chain lists, one
-    unpack per degree and no ModeCoeffs per mode."""
+    """The "layer" and "hidden" chains of every solved mode as the columns
+    of one array pass (``SolvedModes.columns``), no ScaledComplex per mode."""
     keys = list(solution.modes)
-    rows = solution.modes.coefficient_rows(keys)
-    gamma, eta, c, d, alpha, beta = (
-        [list(column) for column in zip(*rows)] or [[] for _ in range(6)])
+    (gamma, eta), (c, d), (alpha, beta), (p, q) = solution.modes.columns(keys)
     return {"layer": RegionChains(keys, (gamma, c), (eta, d),
                                   solution.params.omega, tables=store.tables),
-            "hidden": _hidden_chains(
-                keys, alpha, beta,
-                [solution.source.entries.get(key, (0j, 0j)) for key in keys],
-                store)}
+            "hidden": _hidden_chains(keys, (alpha, p), (beta, q), store)}
 
 
 def region_chains(solution: ModalSolution, region: str) -> RegionChains:
@@ -701,17 +700,19 @@ def limit_chains(source: SourceCoeffs, params: CloakParams,
     keys or every source mode: alpha0 = r_n p and beta0 = r_n q with
     r_n = -h_n(k w)/j_n(k w), and the surface strength sigma, from the one
     ladder per degree kept in the store of params (ResonanceError as in
-    ``limit_coeffs``); the chains share the store's tables.  Only the
-    given degrees are built, so an unpaired degree's resonance never raises.
+    ``limit_coeffs``); the chains share the store's tables and hold
+    ScaledComplex lists.  Only the given degrees are built, so an unpaired
+    degree's resonance never raises.
     """
     _check_support(source, params)
     keys = source.modes() if keys is None else keys
     unit = {n: _unit_ratios(n, params) for n in {n for n, _ in keys}}
     pq = [source.entries[key] for key in keys]
-    alpha0, beta0 = ([unit[n][0] * pair[k] for (n, _), pair in zip(keys, pq)]
-                     for k in (0, 1))
-    return _hidden_chains(keys, alpha0, beta0, pq, _kept(params),
-                          [unit[n][1] * q for (n, _), (_, q) in zip(keys, pq)])
+    p, q = ([ScaledComplex.from_complex(x[i]) for x in pq] for i in (0, 1))
+    r_n = [unit[n][0] for n, _ in keys]
+    return _hidden_chains(keys, ([r * x for r, x in zip(r_n, p)], p),
+                          ([r * x for r, x in zip(r_n, q)], q), _kept(params),
+                          [unit[n][1] * x[1] for (n, _), x in zip(keys, pq)])
 
 
 def _check_support(source: SourceCoeffs, params: CloakParams) -> None:
@@ -775,10 +776,10 @@ def solve_source(source: SourceCoeffs, boundary: BoundaryCoeffs | None,
     """Solve every mode carried by the source/boundary tables.
 
     Modes above the truncation degree of ``TRUNCATION_TOL`` are dropped;
-    boundary-only modes are always kept.  The solve runs once per degree
-    (every resonance check raises here); the modes come from the returned
-    ``SolvedModes``.  A source whose support radius differs from params.r1
-    is rejected with DomainError.
+    boundary-only modes are always kept.  Every degree is solved in one
+    call of ``transfer_coeffs`` (every resonance check raises here); the
+    modes come from the returned ``SolvedModes``.  A source whose support
+    radius differs from params.r1 is rejected with DomainError.
     """
     _check_support(source, params)
     boundary = boundary or BoundaryCoeffs()
@@ -786,10 +787,7 @@ def solve_source(source: SourceCoeffs, boundary: BoundaryCoeffs | None,
     n_max = max(n_max, boundary.max_degree())
     degrees = sorted({n for n, _ in source.entries.keys()
                       | boundary.entries.keys() if n <= n_max})
-    ratios = array("d")
-    for n in degrees:
-        ratios.extend(_pack(_degree_ratios(transfer_coeffs(n, params))))
     modes = SolvedModes(source.entries, boundary.entries, tuple(degrees),
-                        ratios)
+                        _packed(transfer_coeffs(degrees, params)))
     return ModalSolution(params=params, source=source, boundary=boundary,
                          modes=modes, n_max=n_max)

@@ -16,11 +16,12 @@ its elementwise array form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 _NEG_INF = float("-inf")
+# no nonzero value is this small: the shift of a sum of two zeros
+_SHIFT_FLOOR = -1e300
 
 
 class ScaledComplex:
@@ -163,10 +164,88 @@ class ScaledComplex:
         return f"ScaledComplex(exp({self.log_mag:.6g}) * {self.phase:.6g})"
 
 
-@dataclass(frozen=True)
 class ScaledArray:
     """Elementwise exp(log_mag) * phase, zero as (-inf, 0): ScaledComplex's
-    array form, which ``specfun.combine`` takes as a coefficient too."""
+    array form, which ``specfun.combine`` takes as a coefficient too.
 
-    log_mag: np.ndarray
-    phase: np.ndarray
+    The operators take two ScaledArrays and apply ScaledComplex's rules
+    element by element, with numpy broadcasting.  A sum renormalises its
+    phase even where one operand is zero, so it can differ from
+    ScaledComplex's (which returns the other operand) in the last bit.
+    Indexing is numpy's, on both arrays, and gives a single element as a
+    ScaledComplex.  A value is immutable by convention, as a ScaledComplex,
+    and two compare equal when their arrays are equal.
+    """
+
+    __slots__ = ("log_mag", "phase")
+
+    def __init__(self, log_mag, phase):
+        self.log_mag = log_mag
+        self.phase = phase
+
+    @staticmethod
+    def from_complex(values) -> "ScaledArray":
+        """A number or a sequence of numbers, each element bit for bit
+        ``ScaledComplex.from_complex`` of it: the log and the phase's
+        division are Python's, not numpy's, which round differently."""
+        values = np.asarray(values, dtype=complex)
+        z = values.ravel().tolist()
+        m = list(map(abs, z))
+        log_mag = [math.log(x) if x else _NEG_INF for x in m]
+        phase = [v / x if x else 0j for v, x in zip(z, m)]
+        shape = values.shape
+        return ScaledArray(np.array(log_mag).reshape(shape),
+                           np.array(phase, dtype=complex).reshape(shape))
+
+    def __eq__(self, other):
+        if other.__class__ is not ScaledArray:
+            return NotImplemented
+        return (np.array_equal(self.log_mag, other.log_mag)
+                and np.array_equal(self.phase, other.phase))
+
+    def __getitem__(self, index):
+        if index.__class__ is int and self.log_mag.ndim == 1:
+            return ScaledComplex(self.log_mag.item(index),
+                                 complex(self.phase.item(index)))
+        log_mag, phase = self.log_mag[index], self.phase[index]
+        if log_mag.ndim:
+            return ScaledArray(log_mag, phase)
+        return ScaledComplex(float(log_mag), complex(phase))
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self.log_mag)))
+
+    # -- arithmetic ---------------------------------------------------------
+
+    def __mul__(self, other):
+        return ScaledArray(self.log_mag + other.log_mag,
+                           self.phase * other.phase)
+
+    def __truediv__(self, other):
+        if other.log_mag.min(initial=0.0) == _NEG_INF:
+            raise ZeroDivisionError("division by scaled zero")
+        return ScaledArray(self.log_mag - other.log_mag,
+                           self.phase / other.phase)
+
+    def __add__(self, other):
+        # each operand relative to the larger; a floor on the shift keeps a
+        # pair of zeros from forming -inf - -inf
+        shift = np.maximum(np.maximum(self.log_mag, other.log_mag),
+                           _SHIFT_FLOOR)
+        s = (self.phase * np.exp(self.log_mag - shift)
+             + other.phase * np.exp(other.log_mag - shift))
+        m = np.abs(s)
+        if m.all():
+            return ScaledArray(shift + np.log(m), s / m)
+        # an exact zero, of both operands or by cancellation
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return ScaledArray(shift + np.log(m), np.where(m == 0, 0j, s / m))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return ScaledArray(self.log_mag, -self.phase)
+
+    def __repr__(self):
+        return f"ScaledArray({self.log_mag!r}, {self.phase!r})"

@@ -62,9 +62,9 @@ def _require_args(n: int, t) -> None:
         raise CapabilityError(f"argument t={t_max} exceeds supported cap {T_CAP:g}")
 
 
-def miller_start_order(n: int, t):
+def miller_start_order(n, t):
     """Start orders for the downward j-recurrence: n + max(15, ceil(2 t) + 10),
-    one per argument of the array t.
+    one per argument of the array t, for a top order n or one per argument.
 
     Without the 10 extra orders a start at 2 t is too low for t of about 3
     to 12: at n = 0, t = 7 the j_0 row comes out about 6e-12 off.
@@ -261,13 +261,15 @@ def _array_recurrences(n_max: int, rows: int, t, start, y0, y1):
     return raw, raw_shift, y_up, y_shift
 
 
-def bessel_table(n_max: int, t) -> BesselTable:
+def bessel_table(n_max, t) -> BesselTable:
     """The scaled j/y ladder for orders 0..n_max at every argument t > 0.
 
-    ``t`` is a 1-D array (or sequence) of arguments; every column runs the
-    recurrences of a single argument, with its own Miller start order and
-    its own rescaling, so a column does not depend on the others.  A table
-    of at most _FLOAT_COLUMNS arguments runs them column by column on
+    ``t`` is a 1-D array (or sequence) of arguments, and ``n_max`` one top
+    order or one per argument.  Every column runs the recurrences of one
+    argument, with the Miller start of its own top order and its own
+    rescaling: its rows up to its order are those of a table of that order
+    alone, bit for bit, and its j rows above it are NaN.  A table of at
+    most _FLOAT_COLUMNS arguments runs the recurrences column by column on
     Python floats, a wider one (or one with a value out of double range)
     as array steps over all columns; both give the same doubles.  The
     table's arrays, its own copy of t among them, are read-only.
@@ -275,13 +277,20 @@ def bessel_table(n_max: int, t) -> BesselTable:
     t = np.array(t, dtype=float)
     if t.ndim != 1:
         raise DomainError(f"arguments must form a 1-D array, got shape {t.shape}")
+    orders = n_max
+    per_column = not isinstance(n_max, (int, np.integer))
+    if per_column:
+        orders = np.array(n_max, dtype=int)
+        if orders.shape != t.shape:
+            raise DomainError(f"{orders.size} orders for {t.size} arguments")
+        n_max = int(orders.max(initial=0))
     _require_args(n_max, t)
     sin_t, cos_t, t2 = np.sin(t), np.cos(t), t**2
     sin_over_t, cos_over_t = sin_t / t, cos_t / t
     j0, j1 = sin_over_t, sin_t / t2 - cos_over_t
     y0, y1 = -cos_over_t, -cos_t / t2 - sin_over_t
 
-    start = miller_start_order(n_max, t)
+    start = miller_start_order(orders, t)
     rows = max(n_max, 1) + 1  # order 1 is kept for the normalisation
     columns = None
     if 0 < t.size <= _FLOAT_COLUMNS:
@@ -315,6 +324,9 @@ def bessel_table(n_max: int, t) -> BesselTable:
         j_sign[0] = np.sign(cos_over_t)
         j_sign[1:] = np.sign(j_raw) * sgn_ref
     j_sign[j_log == -np.inf] = 0.0
+    if per_column:
+        above = np.arange(-1, n_max + 1)[:, None] > orders
+        j_log[above] = j_sign[above] = np.nan
 
     y_raw = np.empty((n_max + 2, t.size))
     y_shift = np.zeros((n_max + 2, t.size))

@@ -211,13 +211,13 @@ def _hidden_pairing(chains, phi, tol, lo, hi):
     itself (above its floor), so the error of a term is about
     tol (|b0_i| |M_j| + |q_i| |M_h|), more than tol times the term where
     the two products cancel."""
-    total = 0j
+    total, (b0, b1) = 0j, chains.b_lists
     for i, key in enumerate(chains.keys):
         if key not in phi.profiles:
             continue
         n = key[0]
         m_j, m_h = _moments(chains, n, phi.profiles[key][0], tol, lo, hi)
-        term = chains.b[0][i] * m_j + chains.b[1][i] * m_h
+        term = b0[i] * m_j + b1[i] * m_h
         total += n * (n + 1) * chains.e_weight * term.to_complex()
     return total
 
@@ -228,7 +228,7 @@ def _pairing(chains, phi, tol, lo, hi, radius):
     S^2 e_weight B_i(w r) phi(g) g^2 / r dr, where the physical radius g is
     radius(r).  Every pass combines its mode's row afresh from the degree's
     table of ``quadrature_table``."""
-    total = 0j
+    total, (b0, b1) = 0j, chains.b_lists
     for i, key in enumerate(chains.keys):
         if key not in phi.profiles:
             continue
@@ -236,7 +236,7 @@ def _pairing(chains, phi, tol, lo, hi, radius):
 
         def integrand(r, i=i, n=n, prof=prof,
                       s2w=n * (n + 1) * chains.e_weight):
-            val = s2w * specfun.combine(chains.b[0][i], chains.b[1][i],
+            val = s2w * specfun.combine(b0[i], b1[i],
                                         chains.quadrature_table(n, r), n)
             g = radius(r)
             return val * prof(g) * g * g / r

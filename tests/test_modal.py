@@ -4,6 +4,7 @@ import gc
 import math
 import struct
 import tracemalloc
+import warnings
 import weakref
 
 import mpmath
@@ -19,7 +20,8 @@ from cloaksim.geometry import CloakParams
 from cloaksim import cli, modal, specfun
 from cloaksim.scaled import ScaledArray, ScaledComplex
 from cloaksim.quadrature import fit_power_law
-from oracle import as_complex, gamma_half_int, packed
+from oracle import (as_complex, gamma_half_int, mp_denominators, mp_mode,
+                    mp_values, pack, packed, packed_error)
 
 
 def ref_funcs(n, t):
@@ -68,34 +70,35 @@ class TestTransferSet:
     @pytest.mark.parametrize("rho", [0.3, 0.05, 1e-3])
     def test_wronskian_collapse_of_primed_ratios(self, n, rho):
         params = CloakParams(rho=rho, omega=1.2, eps0=2.0, mu0=0.5, r1=0.5)
-        ts = modal.transfer_coeffs(n, params)
+        ts = modal.transfer_coeffs([n], params)
         k, om = params.k, params.omega
-        lhs1 = (ts.t1p * ts.dn).to_complex() * k
-        lhs3 = (ts.t3p * ts.dnp).to_complex()
+        lhs1 = (ts.t13p[0, 0] * ts.det[0, 0]).to_complex() * k
+        lhs3 = (ts.t13p[1, 0] * ts.det[1, 0]).to_complex()
         assert abs(lhs1 - (-1j / (k * om))) < 1e-10 * abs(1 / (k * om))
         assert abs(lhs3 - (-1j / (k * om))) < 1e-10 * abs(1 / (k * om))
 
     def test_scaled_survives_extreme_parameters(self):
         params = CloakParams(rho=1e-6, omega=1.0, r1=0.5)
-        ts = modal.transfer_coeffs(60, params)
-        for name in ("t1", "t2", "t3", "t4", "t1p", "t2p", "t3p", "t4p"):
-            assert math.isfinite(getattr(ts, name).log_mag) or getattr(ts, name).is_zero
+        ts = modal.transfer_coeffs([60], params)
+        for pair in (ts.t13, ts.t24, ts.t13p, ts.t24p):
+            for value in pair[:, 0]:
+                assert math.isfinite(value.log_mag) or value.is_zero
 
     def test_t4p_limit_ratio(self):
         params = CloakParams(rho=1e-4, omega=1.0, r1=0.5)
-        ts = modal.transfer_coeffs(1, params)
+        ts = modal.transfer_coeffs([1], params)
         j, h, _, _ = ref_funcs(1, 1.0)
-        ratio = ts.t4p.to_complex() / (-h / j)
+        ratio = ts.t24p[1, 0].to_complex() / (-h / j)
         assert abs(ratio - 1) < 1e-3
 
     def test_t3_leading_ratio(self):
         n, rho, om = 2, 1e-3, 1.0
         params = CloakParams(rho=rho, omega=om, r1=0.5)
-        ts = modal.transfer_coeffs(n, params)
+        ts = modal.transfer_coeffs([n], params)
         g12, g32 = gamma_half_int(n), gamma_half_int(n + 1)
         lead = 1j * math.pi * (n + 1) / (g12 * g32 * n) * (om / 2) ** (2 * n + 1) \
             * rho ** (2 * n + 1)
-        assert abs(ts.t3.to_complex() / lead - 1) < 0.05
+        assert abs(ts.t13[1, 0].to_complex() / lead - 1) < 0.05
 
 
 class TestSolveMode:
@@ -350,79 +353,98 @@ FROZEN_SOURCE = modal.SourceCoeffs(entries={
 
 # packed (log-magnitude, phase.real, phase.imag) doubles of gamma, eta, c,
 # d, alpha and beta per mode of solve_source(FROZEN_SOURCE), frozen from
-# the solve with one ladder per interface argument
+# the solve of every degree in one pass over arrays; each coefficient is
+# within FROZEN_ACCURACY of the 40-digit mpmath solve of tests/oracle.py
+# (test_frozen_doubles_match_mpmath)
 FROZEN_PACKED = {
-    1e-2: {
+    0.01: {
         (1, 0): [
-            -8.798179625265417, -0.30014883437113427, 0.9538923824130529,
-            -7.273475695814498, -0.08982122304705012, -0.9959579046778695,
-            -9.048099460846732, 0.8320502943378437, -0.5547001962252291,
-            -7.916415698091995, 0.8944271909999157, 0.4472135954999579,
-            0.5037646287836233, 0.36010009365229617, 0.9329136736866963,
-            1.635446763875649, -0.6313362306974051, 0.7755092287063984],
+            -8.798179625265417, -0.3001488343711344, 0.9538923824130526,
+            -7.273475695814498, -0.08982122304705022, -0.9959579046778694,
+            -9.048099460846732, 0.8320502943378436, -0.554700196225229,
+            -7.916415698091995, 0.894427190999916, 0.44721359549995804,
+            0.5037646287836233, 0.3601000936522961, 0.9329136736866962,
+            1.6354467638756485, -0.6313362306974052, 0.7755092287063984],
         (2, 1): [
             -12.884436232365434, -0.9653395752757339, -0.2609971348625606,
-            -13.084426139174456, 0.716358169320637, 0.6977327376922955,
-            -14.227682081623215, 6.646121066855956e-18, 1.0,
+            -13.084426139174456, 0.7163581693206369, 0.6977327376922955,
+            -14.227682081623215, 6.6461210668559565e-18, 1.0,
             -13.727366141451954, -0.9701425001453319, 0.24253562503633297,
-            2.6539528452256516, -0.9998452290389894, -0.017593122746431804,
-            3.154268785378949, -0.22543025147796847, -0.9742593092799164],
+            2.6539528452256516, -0.9998452290389893, -0.017593122746431804,
+            3.154268785378949, -0.22543025147796844, -0.9742593092799163],
         (3, -2): [
             -16.635736173587148, -0.04087356557548929, 0.9991643266435938,
-            -15.915938126063146, -0.8697045633591277, -0.4935726617959196,
-            -19.83300791692203, 1.0, -3.791048731966867e-19,
+            -15.915938126063146, -0.8697045633591276, -0.4935726617959195,
+            -19.83300791692203, 1.0, -3.7910487319668824e-19,
             -18.55053323819126, 0.5547001962252291, -0.8320502943378436,
             5.197026053969255, -0.0005532994805051608, 0.9999998469298307,
-            6.479500732700023, 0.8317432516453568, 0.5551604843127875],
+            6.479500732700023, 0.8317432516453566, 0.5551604843127874],
     },
-    1e-6: {
+    1e-06: {
         (1, 0): [
             -27.20112871258003, -0.3001488343711342, 0.9538923824130526,
-            -25.676426355963468, -0.08982122304705015, -0.9959579046778695,
+            -25.676426355963468, -0.08982122304705016, -0.9959579046778696,
             -27.451048548161346, 0.8320502943378437, -0.5547001962252291,
-            -26.319366358240963, 0.8944271909999159, 0.4472135954999579,
+            -26.319366358240963, 0.8944271909999159, 0.447213595499958,
             0.5265456580466803, 0.3647834972477236, 0.9310923692822963,
-            1.6582278479670625, -0.6274312672591897, 0.7786719494533801],
+            1.6582278479670625, -0.6274312672591897, 0.7786719494533803],
         (2, 1): [
             -40.50128538372146, -0.9653395752757339, -0.2609971348625606,
-            -40.7012752905478, 0.716358169320637, 0.6977327376922955,
+            -40.7012752905478, 0.7163581693206369, 0.6977327376922955,
             -41.84453123297924, 6.646121077177299e-18, 1.0,
             -41.3442152928253, -0.9701425001453319, 0.24253562503633297,
             2.6762337811797714, -0.9998519750104179, -0.01720546621765189,
-            3.176549721333725, -0.22580796969040481, -0.9741718333149944],
+            3.176549721333725, -0.22580796969040484, -0.9741718333149945],
         (3, -2): [
             -53.46421963356802, -0.04087356557548929, 0.9991643266435938,
-            -52.744421586044034, -0.8697045633591277, -0.4935726617959196,
+            -52.744421586044034, -0.8697045633591276, -0.4935726617959195,
             -56.66149137690291, 1.0, -3.7910487319676826e-19,
             -55.379016698172144, 0.5547001962252291, -0.8320502943378437,
-            5.219221170019955, -0.0005411542156880851, 0.9999998535760467,
-            6.501695848750723, 0.83174999415612, 0.555150382528279],
+            5.219221170019955, -0.0005411542156880851, 0.9999998535760468,
+            6.501695848750723, 0.8317499941561199, 0.5551503825282789],
     },
 }
+# a coefficient exp(log_mag) phase carries the rounding of its log
+# magnitude times |log_mag| (up to 57 here, so about 1.3e-14); the largest
+# relative error of the doubles above against mpmath is 1.4e-14
+FROZEN_ACCURACY = 5e-14
 
 # system_residuals of the same solves, frozen alongside: each residual
 # over the largest single product of its equation
 FROZEN_RESIDUALS = {
-    1e-2: {
-        (1, 0): [1.5273134415180827e-15, 1.1443916996305574e-16,
-                 2.688902702408121e-16, 9.694595325496662e-16,
-                 4.0029681915245844e-16, 1.7157145684964293e-16],
-        (2, 1): [1.7235296186091149e-15, 0.0, 4.111468810809306e-16,
-                 3.4331750988731736e-16, 1.110242279783532e-15,
-                 2.3456901148849347e-16],
-        (3, -2): [0.0, 1.1102230246251573e-16, 4.7965084432824e-15,
-                  1.6653345369377366e-15, 1.3322686193917935e-15,
-                  4.864966792130001e-15],
+    0.01: {
+        (1, 0): [1.6021483794827864e-15, 1.3092278833360668e-16,
+                 1.1157158156211175e-16, 5.978727511116809e-16,
+                 6.280373206423108e-16, 2.4723757508613645e-16],
+        (2, 1): [1.7235296186091149e-15, 1.1102230246251573e-16,
+                 5.285864071707144e-16, 1.1443916996243858e-16,
+                 1.110242279783532e-15, 1.1854562946192727e-16],
+        (3, -2): [0.0, 5.551115123125776e-17,
+                 4.7965084432824e-15, 1.6011864169946894e-15,
+                 1.3322686193917935e-15, 5.109751094820059e-15],
     },
-    1e-6: {
-        (1, 0): [0.0, 0.0, 2.2547970988431185e-15, 9.550499576785494e-16,
-                 1.6910413304902245e-15, 2.1855658166730258e-15],
-        (2, 1): [0.0, 0.0, 2.248613209510108e-15, 2.6461124136767567e-15,
-                 4.2189178738605984e-15, 1.7943495926501066e-15],
-        (3, -2): [0.0, 0.0, 8.109959971881979e-16, 1.0161421993128954e-14,
-                  6.661338152545526e-15, 7.430752127705491e-16],
+    1e-06: {
+        (1, 0): [0.0, 1.1188630228279522e-16,
+                 2.2547970988431185e-15, 1.0990647210786465e-15,
+                 1.6910413304902245e-15, 2.2704815203954693e-15],
+        (2, 1): [0.0, 1.1102230246251652e-16,
+                 2.248613209510108e-15, 2.8609792490764095e-15,
+                 4.2189178738605984e-15, 1.6799254182761943e-15],
+        (3, -2): [0.0, 1.2412670766236368e-16,
+                 9.220176102188574e-16, 1.0099979000294677e-14,
+                 6.661338152545526e-15, 5.96212527631481e-16],
     },
 }
+
+
+@pytest.mark.parametrize("rho", [1e-2, 1e-6])
+def test_frozen_doubles_match_mpmath(rho):
+    """The frozen doubles hold the 40-digit mpmath solve to FROZEN_ACCURACY,
+    so re-freezing them cannot hide a wrong solve."""
+    params = CloakParams(rho, 1.0, r1=0.5)
+    for key, doubles in FROZEN_PACKED[rho].items():
+        reference = mp_mode(key[0], *FROZEN_SOURCE.entries[key], 0, 0, params)
+        assert packed_error(doubles, reference) <= FROZEN_ACCURACY, key
 
 
 @pytest.mark.parametrize("rho", [1e-2, 1e-6])
@@ -593,31 +615,6 @@ def test_region_chains_never_stale():
 
 # -- resonance margins ----------------------------------------------------------
 
-def _mp_values(n, t):
-    """j_n, h_n, J_n, H_n at t from mpmath's Bessel functions."""
-    c = mpmath.sqrt(mpmath.pi / (2 * t))
-    j, y = ([c * f(m + 0.5, t) for m in (n - 1, n)]
-            for f in (mpmath.besselj, mpmath.bessely))
-    h = [a + 1j * b for a, b in zip(j, y)]
-    return j[1], h[1], t * j[0] - n * j[1], t * h[0] - n * h[1]
-
-
-def _mp_denominators(n, omega, rho, eps0):
-    """The four checked denominators of degree n at mu0 = 1, assembled from
-    mpmath values as ``transfer_coeffs`` and the exterior boundary rows
-    assemble them."""
-    k, se = mpmath.sqrt(eps0), 1 / mpmath.sqrt(eps0)
-    jr, hr, jjr, hhr = _mp_values(n, omega * rho)
-    jk, hk, jjk, hhk = _mp_values(n, k * omega)
-    j2, h2, jj2, hh2 = _mp_values(n, 2 * omega)
-    dn = rho * hr * jjk - se * k * hhr * jk
-    dnp = se * rho * hr * jjk - k * hhr * jk
-    t1 = (se * k * jjr * jk - rho * jr * jjk) / dn
-    t3 = (k * jjr * jk - se * rho * jr * jjk) / dnp
-    return {"dn": dn, "dnp": dnp, "t1*h_n(2w) + j_n(2w)": t1 * h2 + j2,
-            "t3*H_n(2w) + J_n(2w)": t3 * hh2 + jj2}
-
-
 @pytest.mark.parametrize("name, n, rho, eps0, guess", [
     # a root of dn or dnp sits next to a zero of j_n(k omega); its
     # imaginary part, about (omega rho)^(2n+1), is far below the floor at
@@ -631,7 +628,7 @@ def _mp_denominators(n, omega, rho, eps0):
 def test_each_margin_rejects_its_root(name, n, rho, eps0, guess):
     with mpmath.workdps(30):
         root = mpmath.findroot(
-            lambda w: _mp_denominators(n, w, mpmath.mpf(rho), eps0)[name],
+            lambda w: mp_denominators(n, w, mpmath.mpf(rho), eps0)[name],
             mpmath.mpc(guess))
     assert abs(root.imag) < 1e-18 and abs(root.real - guess) < 1e-3
     source = modal.SourceCoeffs({(n, 0): (1.0, 1.0)}, r1=0.5)
@@ -643,6 +640,43 @@ def test_each_margin_rejects_its_root(name, n, rho, eps0, guess):
     # a millionth away the mode solves
     modal.solve_source(source, None, CloakParams(
         rho=rho, omega=omega * (1 + 1e-6), eps0=eps0, mu0=1.0, r1=0.5))
+
+
+@pytest.mark.parametrize("name, guess", [("dn", 6.6024), ("dnp", 6.6089)])
+def test_resonance_of_a_degree_among_many(name, guess):
+    """Degrees 1 to 7 at the root of degree 5's dn (then dnp) raise for
+    degree 5 and name that margin, as a solve of degree 5 alone does: the
+    degrees beneath it pass every margin and its root is reported before
+    the ratios divide by the determinant, with no RuntimeWarning."""
+    with mpmath.workdps(30):
+        root = mpmath.findroot(
+            lambda w: mp_denominators(5, w, mpmath.mpf(1e-2), 2.0)[name],
+            mpmath.mpc(guess))
+    params = CloakParams(rho=1e-2, omega=float(root.real), eps0=2.0,
+                         mu0=1.0, r1=0.5)
+    source = modal.SourceCoeffs({(n, 0): (1.0, 1.0) for n in range(1, 8)},
+                                r1=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ResonanceError) as err:
+            modal.solve_source(source, None, params)
+        assert (err.value.n, err.value.quantity) == (5, name)
+        modal.solve_source(modal.SourceCoeffs(
+            {(n, 0): (1.0, 1.0) for n in range(1, 5)}, r1=0.5), None, params)
+
+
+def test_every_margin_failing_names_the_lowest_degree_and_dn(monkeypatch):
+    """With a floor no margin meets, a solve of degrees 2, 3 and 5 raises
+    for degree 2 and names dn, the first margin a degree is checked for;
+    the determinants that failed are not divided by."""
+    monkeypatch.setattr(modal, "DENOM_FLOOR", math.inf)
+    source = modal.SourceCoeffs({(n, 0): (1.0, 1.0) for n in (2, 3, 5)},
+                                r1=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ResonanceError) as err:
+            modal.solve_source(source, None, SINGLE)
+    assert (err.value.n, err.value.quantity) == (2, "dn")
 
 
 @settings(max_examples=60, deadline=None)
@@ -692,7 +726,7 @@ def test_limit_ratio_beyond_double_range_matches_mpmath(n):
     its log magnitude (about 719 at degree 86, so 1.1e-13), the resolution
     of the log form."""
     with mpmath.workdps(30):
-        j, h = _mp_values(n, mpmath.mpf(1))[:2]
+        j, h = mp_values(n, mpmath.mpf(1))[:2]
         ref = -h / j
         log_ref = float(mpmath.log(abs(ref)))
         phase_ref = complex(ref / abs(ref))
@@ -709,8 +743,8 @@ def test_limit_ratio_beyond_double_range_matches_mpmath(n):
 
 def _bits(values) -> bytes:
     """The doubles of ScaledComplex values as bytes: equal only bit for bit."""
-    packed = modal._pack(values)
-    return struct.pack(f"{len(packed)}d", *packed)
+    doubles = pack(values)
+    return struct.pack(f"{len(doubles)}d", *doubles)
 
 
 def _assert_chains_are_solve_mode(sol):
@@ -749,13 +783,40 @@ def test_region_chains_are_solve_mode_bit_for_bit():
         _assert_chains_are_solve_mode(sol)
 
 
+def test_a_mode_does_not_depend_on_its_batch():
+    """A mode's coefficients are solve_mode's bit for bit inside a solve of
+    every degree from 1 to 60 and inside the same solve without the
+    degrees next to it: a mode with p = 0, one with q = 0, a boundary-only
+    mode and the first and last degrees."""
+    params = CloakParams(1e-4, 1.3, eps0=2.0, mu0=0.5, r1=0.5)
+    entries = {(n, n % 3 - 1): (0.5 * cmath.exp(1j * n), 0.25 - 0.5j)
+               for n in range(1, 61)}
+    entries.update({(7, 2): (0j, 0.5 - 0.2j), (20, -3): (0.3j, 0j)})
+    bnd = {(33, 5): (0.2, 0.1j), (20, -3): (0j, 0.4)}
+    full = modal.solve_source(modal.SourceCoeffs(entries, r1=0.5),
+                              modal.BoundaryCoeffs(bnd), params)
+    assert full.n_max == 60
+    for key in [(7, 2), (20, -3), (33, 5), (1, 0), (60, -1)]:
+        data = (*entries.get(key, (0j, 0j)), *bnd.get(key, (0j, 0j)))
+        want = _bits(dataclasses.astuple(modal.solve_mode(key[0], *data,
+                                                          params)))
+        apart = {k: v for k, v in entries.items()
+                 if abs(k[0] - key[0]) != 1}
+        sparse = modal.solve_source(modal.SourceCoeffs(apart, r1=0.5),
+                                    modal.BoundaryCoeffs(bnd), params)
+        assert {key[0] - 1, key[0] + 1}.isdisjoint(
+            n for n, _ in sparse.modes)
+        for sol in (full, sparse):
+            assert _bits(dataclasses.astuple(sol.modes[key])) == want, key
+
+
 def test_chains_of_an_empty_solution_are_empty():
     sol = modal.solve_source(modal.SourceCoeffs({}, r1=0.5), None,
                              CloakParams(1e-2, 1.0, r1=0.5))
     for region in ("layer", "hidden"):
         chains = modal.region_chains(sol, region)
-        assert chains.keys == [] and all(c == [] for c in (*chains.a,
-                                                           *chains.b))
+        assert chains.keys == [] and all(c.log_mag.size == 0 for c in (
+            *chains.a, *chains.b))
 
 
 _BOUNDARY_ROWS = st.lists(st.integers(1, 60).flatmap(

@@ -189,6 +189,22 @@ def _column_bytes(tab, i):
     return tuple(getattr(tab, name)[:, i].tobytes() for name in TABLE_PARTS)
 
 
+@pytest.mark.parametrize("count", [3, 8])
+def test_per_column_orders_give_each_column_its_own_table(count):
+    """A table of one top order per argument, on Python floats (3 columns)
+    or as array steps (8), holds in each column the rows of a table of that
+    order alone, bit for bit, and NaN j rows above its order."""
+    t = np.array([1e-6, 0.7, 2.0, 1e-6, 9.0, 30.0, 0.5, 3.0])[:count]
+    orders = np.array([1, 5, 60, 200, 12, 0, 7, 33])[:count]
+    tab = specfun.bessel_table(orders, t)
+    for i, (n, x) in enumerate(zip(orders.tolist(), t.tolist())):
+        own = specfun.bessel_table(n, [x])
+        for name in ("j_log", "j_sign", "y_log", "y_sign"):
+            assert (getattr(tab, name)[:n + 2, i].tobytes()
+                    == getattr(own, name)[:, 0].tobytes()), (n, x, name)
+        assert np.isnan(tab.j_log[n + 2:, i]).all()
+
+
 def _columns_match_a_wide_table(n_max, t):
     """Each column of the table of the few arguments t, byte for byte the
     same column of one table of more arguments than the cut-off."""

@@ -1,10 +1,11 @@
 import cmath
 import math
+import operator
 
 import numpy as np
 import pytest
 
-from cloaksim.scaled import ScaledComplex
+from cloaksim.scaled import ScaledArray, ScaledComplex
 
 
 def test_round_trip_representable():
@@ -172,3 +173,40 @@ def test_operators_leave_operands_unchanged():
         out = op()
         assert isinstance(out, ScaledComplex)
     assert _state([a, b]) == before
+
+
+def test_scaled_array_follows_scaled_complex():
+    """ScaledArray's elementwise rules are ScaledComplex's: from_complex bit
+    for bit, products, quotients, sums, differences and negations to
+    rounding, with a zero operand, a pair of zeros and an exact
+    cancellation giving the zero (-inf, 0), and a division by a zero
+    raising."""
+    rng = np.random.default_rng(5)
+    z = [complex(*rng.normal(size=2)) * 10.0 ** e
+         for e in rng.integers(-200, 200, 8)] + [0j, 0j, 1.5, -2j]
+    w = [complex(*rng.normal(size=2)) * 10.0 ** e
+         for e in rng.integers(-200, 200, 8)] + [0j, 3.0, 0j, 2j]
+    a, b = ScaledArray.from_complex(z), ScaledArray.from_complex(w)
+    za, zb = ([ScaledComplex.from_complex(v) for v in values]
+              for values in (z, w))
+    for got, want in zip(a, za):
+        assert (got.log_mag, got.phase) == (want.log_mag, want.phase)
+    for op in (operator.mul, operator.add, operator.sub):
+        for got, want in zip(op(a, b), map(op, za, zb)):
+            assert got.is_zero == want.is_zero
+            if not want.is_zero:
+                assert abs(got.log_mag - want.log_mag) <= 1e-13
+                assert abs(got.phase - want.phase) <= 1e-15
+    assert [v.phase for v in a + b][-4:] == [0j, 1, 1, 0j]
+    for got, want in zip(-a, za):
+        assert (got.log_mag, got.phase) == (want.log_mag, -want.phase)
+    divisor = w[:8] + [1.0] * 4
+    quotient = a / ScaledArray.from_complex(divisor)
+    for got, x, y in zip(quotient, za, divisor):
+        want = x / ScaledComplex.from_complex(y)
+        assert got.is_zero == want.is_zero
+        if not want.is_zero:
+            assert abs(got.log_mag - want.log_mag) <= 1e-13
+            assert abs(got.phase - want.phase) <= 1e-15
+    with pytest.raises(ZeroDivisionError):
+        a / b
