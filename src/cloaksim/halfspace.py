@@ -128,12 +128,21 @@ class TestFunction1D:
         return float(value) if value.ndim == 0 else value
 
 
+def _vacuum_edges(phi, x_lo: float) -> list:
+    """Eight equal panels over (x_lo, 0), and as further edges the kinks of
+    a TestFunction1D phi, its support ends, that fall inside: phi is only
+    C^1 there, and a kink inside a panel stalls the doubling rule."""
+    edges = set(np.linspace(x_lo, 0.0, 9).tolist())
+    if isinstance(phi, TestFunction1D):
+        edges.update(x for x in (phi.x_lo, phi.x_hi) if x_lo < x < 0.0)
+    return sorted(edges)
+
+
 def reflected_pairing(params: HalfspaceParams, phi, x_lo: float,
                       tol: float = 1e-10) -> complex:
     """integral of H(x, 0) phi(x) dx over the vacuum side (x_lo, 0)."""
-    edges = np.linspace(x_lo, 0.0, 9)
-    return integrate_array(lambda x: eval_H(params, x, 0.0) * phi(x), edges,
-                           tol=tol)
+    return integrate_array(lambda x: eval_H(params, x, 0.0) * phi(x),
+                           _vacuum_edges(phi, x_lo), tol=tol)
 
 
 def transmitted_pairing(params: HalfspaceParams, phi, x_hi: float,
@@ -168,7 +177,7 @@ def standing_wave_pairing(params: HalfspaceParams, phi, x_lo: float,
     """
     kx_minus, _ = dispersion_kx(params)
     return integrate_array(lambda x: 2j * np.sin(kx_minus * x) * params.hin
-                           * phi(x), np.linspace(x_lo, 0.0, 9), tol=tol)
+                           * phi(x), _vacuum_edges(phi, x_lo), tol=tol)
 
 
 def limit_study(params_list, phi, halfwidth: float, tol: float = 1e-10):

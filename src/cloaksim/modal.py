@@ -21,9 +21,10 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
+import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -134,20 +135,25 @@ class SolvedModes(Mapping):
     array (``_packed``), and solves modes on access from them and their
     source and boundary data in one array pass (``columns``), which
     ``solve_mode`` runs over one mode: the coefficients are bit for bit
-    ``solve_mode``'s.  The source and boundary tables are read at access,
-    so they must not change after the solve.
+    ``solve_mode``'s.  The solved keys are fixed at construction and the
+    source and boundary data are read at access, so the tables must not
+    change after the solve.
     """
 
-    __slots__ = ("_source", "_boundary", "_degrees", "_ratios")
+    __slots__ = ("_source", "_boundary", "_degrees", "_ratios", "_keys")
 
     def __init__(self, source: dict, boundary: dict, degrees: tuple,
                  ratios: np.ndarray):
         self._source, self._boundary = source, boundary
         self._degrees, self._ratios = degrees, ratios
+        solved = set(degrees)
+        # ascending, as a dict: ordered and a set at once
+        self._keys = dict.fromkeys(sorted(
+            key for key in source.keys() | boundary.keys()
+            if key[0] in solved))
 
     def __contains__(self, key):
-        return ((key in self._source or key in self._boundary)
-                and key[0] in self._degrees)
+        return key in self._keys
 
     def __getitem__(self, key):
         if key not in self:
@@ -170,11 +176,10 @@ class SolvedModes(Mapping):
         return (*_mode_coefficients(ratios, *data), data[0])
 
     def __iter__(self):
-        return iter(sorted(key for key in self._source.keys()
-                           | self._boundary.keys() if key in self))
+        return iter(self._keys)
 
     def __len__(self):
-        return sum(1 for _ in self)
+        return len(self._keys)
 
     def __repr__(self):
         return f"SolvedModes({dict(self)!r})"
@@ -377,32 +382,81 @@ def system_residuals(n: int, p, q, f1, f2, params: CloakParams,
 # -- closed-form limits -------------------------------------------------------
 
 
+class _Moments(dict):
+    """The hidden region's moments by profile callable: id(prof) -> (a weak
+    reference to prof, {(n, tol, lo, hi): (M_j, M_h)}).  The reference's
+    callback drops the entry when prof is freed, so the moments live as
+    long as the test function does; it reaches this dict weakly, so no
+    cycle keeps a dropped medium alive."""
+
+    __slots__ = ("__weakref__",)
+
+    def of(self, prof):
+        """The dict of prof's moments, or None for a callable that cannot
+        be weakly referenced: its moments are paired but not kept."""
+        entry = self.get(id(prof))
+        if entry is None:
+            try:
+                ref = weakref.ref(prof, partial(_forget, weakref.ref(self),
+                                                id(prof)))
+            except TypeError:
+                return None
+            entry = self[id(prof)] = ref, {}
+        return entry[1]
+
+
+def _forget(moments, key, _):
+    """Drop the entry key of the ``_Moments`` that moments refers to."""
+    kept = moments()
+    if kept is not None:
+        del kept[key]
+
+
+class _Medium:
+    """The work kept for one medium, the params fields of ``key``: the
+    hidden region's quadrature tables, the limit's ladders and unit-q
+    ratios by degree, and the hidden moments of each live profile
+    callable.  None of it depends on rho, so every rho of a sweep reads
+    it."""
+
+    __slots__ = ("key", "tables", "ladders", "unit", "moments")
+
+    def __init__(self, key):
+        self.key, self.tables, self.ladders, self.unit = key, {}, {}, {}
+        self.moments = _Moments()
+
+
 class _Store:
-    """The work kept for one params object: the limit's ladders and unit-q
-    ratios by degree, and the latest solution read with it, its chains and
-    the quadrature tables and hidden-region moments read since."""
+    """The work kept for one params object: the latest solution read with
+    it, its chains and the layer's quadrature tables read since, and the
+    ``_Medium`` it shares with the params objects of its medium."""
 
-    __slots__ = ("params", "solution", "chains", "tables", "moments",
-                 "ladders", "unit")
+    __slots__ = ("params", "solution", "chains", "tables", "medium")
 
-    def __init__(self, params):
+    def __init__(self, params, medium: _Medium):
         self.params, self.solution, self.chains = params, None, None
-        self.tables, self.moments, self.ladders, self.unit = {}, {}, {}, {}
+        self.tables, self.medium = {}, medium
 
 
-_store = _Store(None)
+_store = _Store(None, _Medium(None))
 
 
 def _kept(params: CloakParams, solution=None) -> _Store:
     """The store of params (and of solution, when given): a new one for a
     params object not its own or a solution other than the one it holds; a
     store a limit call made adopts the first solution read with its params.
-    Identity only: ``==`` on a solution would build every mode."""
+    A new store takes over the medium of the last one when their params
+    agree in every field but rho, the medium's key, else starts a new one,
+    and the last medium is freed with the last store.  Identity only:
+    ``==`` on a solution would build every mode."""
     global _store
     held = _store.solution
     if _store.params is not params or not (
             solution is None or held is None or held is solution):
-        _store = _Store(params)
+        key = tuple(getattr(params, f.name) for f in fields(params)
+                    if f.name != "rho")  # a field added later joins it
+        medium = _store.medium
+        _store = _Store(params, medium if medium.key == key else _Medium(key))
     if solution is not None and _store.solution is None:
         _store.solution = solution
     return _store
@@ -410,8 +464,8 @@ def _kept(params: CloakParams, solution=None) -> _Store:
 
 def _limit_ladder(n: int, params: CloakParams):
     """The ladder of degree n at the interface argument k omega, built on
-    the first read and kept in the store of params."""
-    ladders = _kept(params).ladders
+    the first read and kept in the medium of params."""
+    ladders = _kept(params).medium.ladders
     lad = ladders.get(n)
     if lad is None:
         if n < 1:
@@ -428,7 +482,7 @@ def _unit_ratios(n: int, params: CloakParams) -> tuple:
     on every read: ResonanceError for k omega at a zero of j_n
     (``_check_interior``), CapabilityError for sigma_n beyond doubles."""
     lad = _limit_ladder(n, params)
-    unit = _kept(params).unit
+    unit = _kept(params).medium.unit
     if n not in unit:
         sigma = -1j * math.sqrt(params.mu0) / (
             params.k ** 2 * params.omega * _check_interior(n, lad))
@@ -497,10 +551,12 @@ class RegionChains:
     ScaledArray columns, ``degree_form`` as each
     degree's peak and the modes' shifted values, which ``degree_rows`` and
     the Gram sums of ``squared_sums`` read, all kept on the chains with
-    the modes' ``mode_factors``.  ``tables`` is the store's dict that
-    ``quadrature_table`` fills, and ``moments`` the store's dict of the
-    hidden region's moments (``weak_limit``); the chains hold the dicts,
-    not the store, so the store that holds the chains forms no cycle.
+    the modes' ``mode_factors``.  ``tables`` is the dict that
+    ``quadrature_table`` fills, the store's for the layer and the medium's
+    for the hidden region and the limit, and ``moments`` the medium's
+    ``_Moments`` of the hidden region (``weak_limit``); the chains hold the
+    dicts, not the store, so the store that holds the chains forms no
+    cycle.
     """
 
     keys: list
@@ -511,7 +567,8 @@ class RegionChains:
     h_weight: float = 1.0
     surface: list | None = None
     tables: dict = field(default_factory=dict, compare=False, repr=False)
-    moments: dict = field(default_factory=dict, compare=False, repr=False)
+    moments: _Moments = field(default_factory=_Moments, compare=False,
+                              repr=False)
 
     @cached_property
     def key_array(self) -> np.ndarray:
@@ -601,19 +658,27 @@ class RegionChains:
         y row at order n - 1 or n is exponentiated on its own, and only the
         products a column uses are formed.  The X column reads no y row, so
         a run of zeros stays an exact 0 against a y row beyond double range.
+        Where a J or H entry comes out inf or NaN, as where t j_{n-1} leaves
+        double range next to a zero of J_n, its products are formed again
+        2^-s times their size and scaled back by 2^s, the shift of
+        ``specfun.combine_riccati``: a finite value stays finite, and every
+        entry whose products stay below exp(_LOG_SUM_MAX) keeps its bits.
         """
         n = self.runs[0]
         k = np.add.outer((0, 1), n)  # the rows of orders n - 1 and n
         peaks = self.degree_form[0].reshape(2, 2, 1, -1, 1)
-        rows = np.empty((2, 2, 2, n.size, tab.t.size), dtype=complex)
-        with np.errstate(over="ignore"):
-            # [chain, X j or Y j, order n - 1 or n, run, t], and Y y alone
-            j = np.exp(peaks + tab.j_log[k]) * tab.j_sign[k]
-            y = np.exp(peaks[:, 1] + tab.y_log[k]) * tab.y_sign[k]
-        rows[:, 0] = j[:, :, 1]
-        rows[:, 1] = tab.t * j[:, :, 0] - n[:, None] * j[:, :, 1]
-        rows[:, 0, 1].imag = y[:, 1]
-        rows[:, 1, 1].imag = tab.t * y[:, 0] - n[:, None] * y[:, 1]
+        rows = _run_rows(peaks, tab, k, n)
+        if not cmath.isfinite(rows.sum()):  # an inf or NaN entry
+            # each entry's largest product, with its factor t or n
+            with np.errstate(invalid="ignore"):  # a zero run against inf
+                logs = peaks + np.stack(  # [chain, X or Y, order, run, t]
+                    [tab.j_log[k], np.maximum(tab.j_log[k], tab.y_log[k])])
+                top = np.maximum(
+                    logs[:, :, 0] + np.log(np.maximum(tab.t, 1.0)),
+                    logs[:, :, 1] + np.log(n)[:, None])
+            s = specfun.overflow_shift(top)
+            rows[:, 1] = specfun.ldexp(_run_rows(
+                peaks - s[:, :, None] * math.log(2.0), tab, k, n)[:, 1], s)
         return rows
 
     @cached_property
@@ -650,6 +715,21 @@ class RegionChains:
         return np.maximum(total, 0.0).reshape(4, *total.shape[2:])
 
 
+def _run_rows(peaks, tab, k, n):
+    """``RegionChains.degree_rows`` for peaks (chain, X or Y, 1, run, 1 or
+    t) and the rows k of orders n - 1 and n of tab."""
+    rows = np.empty((2, 2, 2, n.size, tab.t.size), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is NaN
+        # [chain, X j or Y j, order n - 1 or n, run, t], and Y y alone
+        j = np.exp(peaks + tab.j_log[k]) * tab.j_sign[k]
+        y = np.exp(peaks[:, 1] + tab.y_log[k]) * tab.y_sign[k]
+        rows[:, 0] = j[:, :, 1]
+        rows[:, 1] = tab.t * j[:, :, 0] - n[:, None] * j[:, :, 1]
+        rows[:, 0, 1].imag = y[:, 1]
+        rows[:, 1, 1].imag = tab.t * y[:, 0] - n[:, None] * y[:, 1]
+    return rows
+
+
 def _run_scaled(log_mag, phase, starts):
     """Per run of entries that begin at ``starts``: its peak of log_mag,
     -inf for a run of zeros; and per entry exp(log_mag - peak) phase, at
@@ -661,11 +741,12 @@ def _run_scaled(log_mag, phase, starts):
 
 
 def _hidden_chains(keys, a, b, store, surface=None):
-    """Hidden chains A = (alpha, p), B = (beta, q) on the store's dicts."""
-    params = store.params
+    """Hidden chains A = (alpha, p), B = (beta, q) on the dicts of the
+    store's medium."""
+    params, medium = store.params, store.medium
     return RegionChains(keys, a, b, params.k * params.omega,
                         params.eps0 ** -0.5, params.mu0 ** -0.5, surface,
-                        store.tables, store.moments)
+                        medium.tables, medium.moments)
 
 
 def _solution_chains(solution: ModalSolution, store: _Store) -> dict:
@@ -685,7 +766,9 @@ def region_chains(solution: ModalSolution, region: str) -> RegionChains:
     Both regions' chains are built in one pass and kept in the store with
     the solution (``_kept``): reading any other solution, or a solution of
     another params object, starts a new store and drops these chains and
-    their quadrature tables."""
+    the layer's quadrature tables.  The hidden chains read the tables and
+    moments of the medium, which the next params object keeps when it
+    differs from these params in rho alone."""
     if region not in ("layer", "hidden"):
         raise DomainError(f"region is 'layer' or 'hidden', got {region!r}")
     store = _kept(solution.params, solution)
@@ -699,10 +782,10 @@ def limit_chains(source: SourceCoeffs, params: CloakParams,
     """The rho -> 0 limit of the hidden region, for the given ascending mode
     keys or every source mode: alpha0 = r_n p and beta0 = r_n q with
     r_n = -h_n(k w)/j_n(k w), and the surface strength sigma, from the one
-    ladder per degree kept in the store of params (ResonanceError as in
-    ``limit_coeffs``); the chains share the store's tables and hold
-    ScaledComplex lists.  Only the given degrees are built, so an unpaired
-    degree's resonance never raises.
+    ladder per degree kept in the medium of params (ResonanceError as in
+    ``limit_coeffs``); the chains share the medium's tables and moments
+    with the hidden chains and hold ScaledComplex lists.  Only the given
+    degrees are built, so an unpaired degree's resonance never raises.
     """
     _check_support(source, params)
     keys = source.modes() if keys is None else keys
@@ -745,17 +828,22 @@ def truncation_order(source: SourceCoeffs, params: CloakParams,
     The weight matches the term size of the field series on the support
     sphere, summed over the (gamma, p) and (eta, q) chains, so dropping
     degrees above N perturbs the fields by < tol and no mode driven by
-    either chain alone is dropped while its term is above tol.
+    either chain alone is dropped while its term is above tol.  The
+    weights are summed per degree, and the tails in one pass from the top
+    degree down.
     """
     if not tol > 0:
         raise DomainError(f"tol must be positive, got {tol}")
-    weights = _term_weights(source, params)
-    degrees = sorted({n for n, _ in weights})
-    for cand in [0] + degrees:
-        tail = sum(w for (n, _), w in weights.items() if n > cand)
-        if tail < tol:
-            return cand
-    return max(degrees, default=0)
+    by_degree = {}
+    for (n, _), w in _term_weights(source, params).items():
+        by_degree[n] = by_degree.get(n, 0.0) + w
+    degrees = sorted(by_degree)
+    tails = [0.0]  # the tail above each candidate, from the top one down
+    for n in reversed(degrees):
+        tails.append(tails[-1] + by_degree[n])
+    # the top degree's tail is 0, so some candidate passes
+    return next(cand for cand, tail in zip([0] + degrees, reversed(tails))
+                if tail < tol)
 
 
 def check_decay_certificate(source: SourceCoeffs, params: CloakParams) -> None:

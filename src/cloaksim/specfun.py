@@ -107,10 +107,22 @@ def combine_riccati(a, b, tab, n):
         peak = np.maximum.reduce([
             c.log_mag + row[k] + np.log(np.maximum(factor, 1.0))
             for k, factor in ((n, tab.t), (n + 1, n_col)) for c, row in rows])
-    s = np.where((peak > _LOG_SUM_MAX) & (peak < np.inf),
-                 np.ceil((peak - _LOG_SUM_MAX) / _LN2), 0.0)
+    s = overflow_shift(peak)
     a, b = (ScaledArray(c.log_mag - s * _LN2, c.phase) for c in (a, b))
-    value = tab.t * combine(a, b, tab, n - 1) - n_col * combine(a, b, tab, n)
+    return ldexp(tab.t * combine(a, b, tab, n - 1)
+                 - n_col * combine(a, b, tab, n), s)
+
+
+def overflow_shift(peak):
+    """The power of two s that takes products whose largest natural log,
+    with its factor, is peak below exp(_LOG_SUM_MAX): ceil((peak -
+    _LOG_SUM_MAX) / ln 2) where peak is finite and above it, else 0."""
+    return np.where((peak > _LOG_SUM_MAX) & (peak < np.inf),
+                    np.ceil((peak - _LOG_SUM_MAX) / _LN2), 0.0)
+
+
+def ldexp(value, s):
+    """The complex array value times 2^s, exactly, in place."""
     value.real, value.imag = (np.ldexp(part, s.astype(int))
                               for part in (value.real, value.imag))
     return value

@@ -164,7 +164,8 @@ def _moments(chains, n, prof, tol, lo, hi):
     """(M_j, M_h) of degree n and the profile callable prof, ScaledComplex:
     M_j the integral over (lo, hi) of j_n(w r) prof(r) r dr, M_y that of
     y_n, and M_h = M_j + i M_y.  Both rows are taken in one driver call and
-    kept in ``chains.moments`` under (n, prof, tol, lo, hi).
+    kept in ``chains.moments`` for as long as prof lives, under
+    (n, tol, lo, hi); a prof that cannot be weakly referenced keeps none.
 
     Each row f_n prof r is integrated in units of its floor, 2^-20 times
     its own peak |f_n prof r| over the first call's nodes, so the driver's
@@ -174,9 +175,9 @@ def _moments(chains, n, prof, tol, lo, hi):
     kept beside the mantissa, so no degree overflows.  A profile that is 0
     at every node of the first call gives exact zeros (both levels of that
     call agree)."""
-    key = (n, prof, tol, lo, hi)
-    if key in chains.moments:
-        return chains.moments[key]
+    kept, key = chains.moments.of(prof), (n, tol, lo, hi)
+    if kept is not None and key in kept:
+        return kept[key]
     floor = []  # per row, log 2^-20 max|f_n prof r| over the first nodes
 
     def rows(r):
@@ -198,8 +199,10 @@ def _moments(chains, n, prof, tol, lo, hi):
     m_j, m_y = (ScaledComplex.from_complex(value)
                 * ScaledComplex(log_unit, 1 + 0j)
                 for value, log_unit in zip(values, floor[0][:, 0].tolist()))
-    chains.moments[key] = m_j, m_j + m_y * 1j
-    return chains.moments[key]
+    moments = m_j, m_j + m_y * 1j
+    if kept is not None:
+        kept[key] = moments
+    return moments
 
 
 def _hidden_pairing(chains, phi, tol, lo, hi):

@@ -21,7 +21,8 @@ from cloaksim.fields import FieldSample, _pack_eh, _point
 from cloaksim.halfspace import (HalfspaceParams, dispersion_kx, eval_H,
                                 solve_amplitudes)
 from cloaksim.harmonics import ModeIndex, angular_basis
-from cloaksim.modal import ModalSolution, ModeCoeffs, region_chains
+from cloaksim.modal import (ModalSolution, ModeCoeffs, _term_weights,
+                            region_chains)
 from cloaksim.scaled import ScaledComplex
 from cloaksim.weak_limit import _normal_trace, _tangential_trace
 
@@ -117,6 +118,18 @@ def mp_mode(n, p, q, f1, f2, params, dps=40) -> list:
                 s["t4"] * eta + s["t4p"] * q]
 
 
+def truncation_tails(source, params, tol):
+    """The truncation degree of ``modal.truncation_order``'s rule, and the
+    tail of each candidate N of [0] + degrees, in that order: each tail
+    sums afresh the term weight of every mode above N, in ascending key
+    order, and the degree is the first N whose tail falls below tol."""
+    weights = _term_weights(source, params)
+    candidates = [0] + sorted({n for n, _ in weights})
+    tails = [sum(w for (n, _), w in weights.items() if n > cand)
+             for cand in candidates]
+    return next(c for c, tail in zip(candidates, tails) if tail < tol), tails
+
+
 def packed_error(doubles, reference) -> float:
     """The largest relative error of ``pack`` doubles against reference
     values, as |exp(log_mag) phase - ref| / |ref| formed in mpmath."""
@@ -197,6 +210,39 @@ def transmission_residuals(params: HalfspaceParams):
     rhs_e = 0.5 * kx_plus * h_plus
     scale_e = max(abs(lhs_e), abs(rhs_e), 1e-300)
     return abs(jump_h) / scale_h, abs(lhs_e - rhs_e) / scale_e
+
+
+def mp_reflected_pairing(params: HalfspaceParams, phi, x_lo: float,
+                         dps: int = 30, standing: bool = False) -> complex:
+    """The integral over (x_lo, 0) of H(x, 0) phi(x) dx for a TestFunction1D
+    phi, in mpmath at dps digits: the vacuum field
+    H = hin e^(i kx- x) + h_sc e^(-i kx- x) from the dispersion and the
+    amplitudes in closed form (with standing, the rho -> 0 limit
+    h_sc = -hin), the bump a (x - x_lo)^2 (x_hi - x)^2, and the kinks of
+    phi inside (x_lo, 0) as breakpoints."""
+    with mpmath.workdps(dps):
+        om, kz, rho = (mpmath.mpf(v) for v in (params.omega, params.kz,
+                                               params.rho))
+        hin = mpmath.mpc(params.hin)
+        kx_minus = mpmath.sqrt(om ** 2 - kz ** 2)
+        kx_plus = mpmath.sqrt(mpmath.mpc(4 * om ** 2 - (kz / rho) ** 2))
+        if kx_plus.imag < 0:
+            kx_plus = -kx_plus
+        h_sc = -(1 - 4 * kx_minus / (2 * kx_minus + kx_plus)) * hin
+        if standing:
+            h_sc = -hin
+        lo, hi = mpmath.mpf(phi.x_lo), mpmath.mpf(phi.x_hi)
+
+        def integrand(x):
+            if not lo < x < hi:
+                return mpmath.mpc(0)
+            field = (hin * mpmath.exp(1j * kx_minus * x)
+                     + h_sc * mpmath.exp(-1j * kx_minus * x))
+            return field * phi.amplitude * (x - lo) ** 2 * (hi - x) ** 2
+
+        edges = sorted({mpmath.mpf(x_lo), mpmath.mpf(0),
+                        *(x for x in (lo, hi) if x_lo < x < 0)})
+        return complex(mpmath.quad(integrand, edges))
 
 
 def pde_residual(params: HalfspaceParams, x: float, z: float,

@@ -8,7 +8,7 @@ import pytest
 from cloaksim.errors import DomainError
 from cloaksim import halfspace as hs
 from cloaksim.quadrature import fit_power_law
-from oracle import pde_residual, transmission_residuals
+from oracle import mp_reflected_pairing, pde_residual, transmission_residuals
 
 
 def make(rho, omega=1.0, kz=0.5, hin=1.0 + 0j):
@@ -228,21 +228,22 @@ class TestArrays:
         assert got[2] == pytest.approx(3.0 * 0.25 * 0.64, rel=1e-15)
 
 
-# limit_study on scenarios/halfspace_sweep.json, frozen from the scalar
-# per-point implementation
+# limit_study on scenarios/halfspace_sweep.json: amplitudes and masses
+# frozen from the scalar per-point implementation, reflected pairings the
+# 30-digit oracle.mp_reflected_pairing rounded to doubles
 FROZEN_SWEEP = [
     (0.01, 0.002400960384153661 - 0.06925428620338994j,
      -0.9975990396158463 - 0.06925428620338994j,
      4.8057669209209814e-05 - 0.0013861951241047436j,
-     0.005841030447967939 - 0.16848107825355826j),
+     0.0058410304479569125 - 0.16848107825324035j),
     (0.003, 0.0002160077762799461 - 0.020783861364060307j,
      -0.99978399222372 - 0.020783861364060307j,
      1.2961399831182982e-06 - 0.00012471214778227933j,
-     0.001707710103439249 - 0.16431264953113428j),
+     0.0017077101034363277 - 0.16431264953085317j),
     (0.001, 2.4000096000383997e-05 - 0.006928175517130031j,
      -0.9999759999039997 - 0.006928175517130031j,
      4.8000576006912085e-08 - 1.3856461886398563e-05j,
-     0.0005649507482975754 - 0.16308592860115873j),
+     0.0005649507482966425 - 0.16308592860088825j),
 ]
 
 
@@ -257,3 +258,23 @@ def test_limit_study_reproduces_frozen_sweep():
                                 "reflected_pairing")]
         for g, f in zip(got, frozen):
             assert abs(g - f) <= 1e-13 * abs(f), (rho, g, f)
+
+
+def test_frozen_pairings_are_the_mpmath_reference():
+    phi = hs.TestFunction1D(-1.5, -0.2)
+    for rho, *_, pairing in FROZEN_SWEEP:
+        assert mp_reflected_pairing(make(rho), phi, -2.0) == pairing
+
+
+@pytest.mark.parametrize("support", [(-1.5, -0.2), (-1.9, -0.55), (-3.0, -1.2),
+                                     (-0.9, 0.4)])
+@pytest.mark.parametrize("rho", [1e-2, 1e-4])
+def test_reflected_pairing_meets_the_mpmath_reference(support, rho):
+    """A support end inside a panel is a panel edge, so the pairing and
+    its rho -> 0 limit at tol = 1e-10 are each within a few roundings of
+    the 30-digit integral."""
+    phi, params = hs.TestFunction1D(*support), make(rho)
+    for pairing, standing in ((hs.reflected_pairing, False),
+                              (hs.standing_wave_pairing, True)):
+        ref = mp_reflected_pairing(params, phi, -2.0, standing=standing)
+        assert abs(pairing(params, phi, -2.0) - ref) <= 1e-14 * abs(ref)

@@ -10,7 +10,7 @@ import weakref
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import special as sp
 
@@ -21,7 +21,7 @@ from cloaksim import cli, modal, specfun
 from cloaksim.scaled import ScaledArray, ScaledComplex
 from cloaksim.quadrature import fit_power_law
 from oracle import (as_complex, gamma_half_int, mp_denominators, mp_mode,
-                    mp_values, pack, packed, packed_error)
+                    mp_values, pack, packed, packed_error, truncation_tails)
 
 
 def ref_funcs(n, t):
@@ -344,6 +344,30 @@ class TestTruncationAndTables:
         assert sol.n_max == 2
 
 
+@settings(max_examples=150, deadline=None)
+@given(tol_exp=st.floats(-14.0, -2.0), r1=st.floats(0.1, 0.9),
+       data=st.data())
+def test_property_truncation_order_is_the_per_mode_rule(tol_exp, r1, data):
+    """Up to 40 modes of degree 10 at most, whose term weights spread over
+    24 decades: the tails summed per degree in one pass give the degree
+    that re-summing every mode above each candidate gives, unless a tail
+    lies within 1e-12 of tol, where the two summation orders may round to
+    either side."""
+    tol, params = 10.0 ** tol_exp, CloakParams(rho=0.1, omega=1.0, r1=r1)
+    keys = data.draw(st.lists(st.integers(1, 10).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(-n, n))),
+        min_size=1, max_size=40, unique=True))
+    # coefficients that give each mode a drawn weight 10^e
+    unit = modal._term_weights(
+        modal.SourceCoeffs(dict.fromkeys(keys, (1, 1)), r1=r1), params)
+    weight = st.floats(-24.0, 0.0).map(lambda e: 10.0 ** e)
+    source = modal.SourceCoeffs(
+        {key: (data.draw(weight) / unit[key], data.draw(weight) / unit[key])
+         for key in keys}, r1=r1)
+    want, tails = truncation_tails(source, params, tol)
+    assume(all(abs(tail - tol) > 1e-12 * tol for tail in tails))
+    assert modal.truncation_order(source, params, tol) == want
+
 
 # the source of the frozen pairings in tests/test_radial_kernel.py
 FROZEN_SOURCE = modal.SourceCoeffs(entries={
@@ -588,8 +612,8 @@ def test_retained_solution_is_small():
 
 def _fresh_chains(solution, region):
     """Chains built in a store of their own, not the module's."""
-    return modal._solution_chains(solution,
-                                  modal._Store(solution.params))[region]
+    store = modal._Store(solution.params, modal._Medium(None))
+    return modal._solution_chains(solution, store)[region]
 
 
 def test_region_chains_never_stale():
@@ -898,14 +922,15 @@ def test_limit_degree_beyond_double_range_keeps_no_ratios():
         chains = _one_mode_limit_chains(100, 1.0, params)
         assert math.isfinite(chains.b[0][0].log_mag)
         assert cmath.isfinite(chains.surface[0])
-    assert 200 in modal._store.ladders and 200 not in modal._store.unit
-    assert 100 in modal._store.unit
+    medium = modal._store.medium
+    assert 200 in medium.ladders and 200 not in medium.unit
+    assert 100 in medium.unit
     kept = modal.sigma_uncollapsed(100, 1.0, params)
     assert cmath.isfinite(kept) and kept == fresh
     for _ in range(2):
         with pytest.raises(DomainError):
             modal.limit_coeffs(0, 1.0, params)
-    assert 0 not in modal._store.ladders
+    assert 0 not in modal._store.medium.ladders
 
 
 # -- quadrature tables kept with the solution ------------------------------------

@@ -372,6 +372,51 @@ class TestCombine:
         assert np.allclose(got, sp.spherical_jn(2, [0.5, 2.0]), rtol=1e-14)
 
 
+class TestDegreeRows:
+    @pytest.mark.parametrize("n_max", [60, 200])
+    def test_a_finite_riccati_row_stays_finite(self, n_max):
+        """One mode of each degree n <= n_max, at each t of
+        geomspace(1e-6, 1e3, 37), with |X J_n| (chain A) and |Y H_n|
+        (chain B) set to e^L for 29 L from -700 to 700: next to a zero of
+        J_n at large t, t j_{n-1} can leave double range while X J_n does
+        not.  Every entry ``combine_riccati`` gives finite is finite, and
+        within rounding of it: 2.2e-16 (1 + L) of the largest product, with
+        its factor t or n, for each of the four, L its log in size."""
+        n = np.arange(1, n_max + 1)
+        keys = [(int(d), 0) for d in n]
+        zero = ScaledArray(np.full(n.size, -np.inf), np.zeros(n.size, complex))
+        non_finite = 0
+        for t in np.geomspace(1e-6, 1e3, 37):
+            tab = specfun.bessel_table(n_max, [t])
+            log_f = [_ladder_rows(tab, name, n)[0][:, 0]
+                     for name in ("riccati_j", "riccati_h")]
+            # the rows each chain's products read at orders n - 1 and n
+            rows = [(row[n, 0], row[n + 1, 0]) for row in (
+                tab.j_log, np.maximum(tab.j_log, tab.y_log))]
+            factors = np.log(max(t, 1.0)), np.log(n)
+            for log_value in np.linspace(-700.0, 700.0, 29):
+                x, y = (ScaledArray(log_value - f, np.ones(n.size, complex))
+                        for f in log_f)
+                chains = modal.RegionChains(keys, (x, zero), (zero, y), 1.0)
+                got = chains.degree_rows(tab)[[0, 1], 1, [0, 1], :, 0]
+                for i, (a, b) in enumerate(((x, zero), (zero, y))):
+                    want = specfun.combine_riccati(
+                        *(ScaledArray(c.log_mag[:, None], c.phase[:, None])
+                          for c in (a, b)), tab, n)[:, 0]
+                    sums = [(x, y)[i].log_mag + row + factor
+                            for row, factor in zip(rows[i], factors)]
+                    largest = np.maximum(*sums)
+                    size = np.max(np.abs(sums), axis=0)
+                    with np.errstate(over="ignore"):  # beyond double range
+                        bound = 2.2e-16 * 4 * (1.0 + size) * np.exp(largest)
+                    finite = np.isfinite(want)
+                    non_finite += np.count_nonzero(
+                        finite & ~np.isfinite(got[i]))
+                    assert np.all(np.abs(got[i] - want)[finite]
+                                  <= bound[finite])
+        assert non_finite == 0
+
+
 class TestArrayQuadrature:
     @pytest.mark.parametrize("npts", [1, 2, 3, 16, 17, 64, 128])
     def test_rule_integrates_polynomials_exactly(self, npts):

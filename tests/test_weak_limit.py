@@ -1,4 +1,6 @@
 import cmath
+import collections
+import contextlib
 import dataclasses
 import functools
 import gc
@@ -456,9 +458,10 @@ class TestEnergy:
         sol = modal.solve_source(SRC, None, params)
         weak_limit.pairing_interior(sol, BUMP)
         weak_limit.pairing_exterior_normal(sol, BUMP)
-        held = set(modal._store.tables)
+        store = modal._store
+        held = set(store.tables), set(store.medium.tables)
         weak_limit.energy_integral(sol)
-        assert set(modal._store.tables) == held
+        assert (set(store.tables), set(store.medium.tables)) == held
 
     def test_energy_combines_no_mode(self, monkeypatch):
         calls, combine = [], specfun.combine
@@ -644,6 +647,25 @@ def _pair(solution, phi):
             + weak_limit.pairing_exterior_normal(solution, phi))
 
 
+@contextlib.contextmanager
+def _collector_off():
+    """Within the block only reference counting frees objects."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@pytest.fixture(autouse=True)
+def _fresh_store(monkeypatch):
+    """Each test starts from an empty store, as a new process does: a
+    medium kept by an earlier test would change what a test sees built."""
+    _reset_limit_memo(monkeypatch)
+
+
 class TestSharedQuadratureTables:
     PARAMS = CloakParams(rho=1e-4, omega=OMEGA, r1=R1)
 
@@ -655,6 +677,7 @@ class TestSharedQuadratureTables:
         _pair(every, RadialTestFunction.polynomial_bump(
             EIGHT_MODES.modes(), 0.5, 1.5))
         tables_every = len(built)
+        _reset_limit_memo(monkeypatch)  # the hidden tables are built again
         _pair(one_per_degree, RadialTestFunction.polynomial_bump(
             [(1, 0), (2, 0)], 0.5, 1.5))
         assert tables_every == len(built) - tables_every > 0
@@ -672,7 +695,7 @@ class TestSharedQuadratureTables:
         weak_limit.pairing_interior(sol, BUMP)
         weak_limit.energy_integral(sol)
         by_args = {}
-        for (n_max, args), tab in modal._store.tables.items():
+        for (n_max, args), tab in modal._store.medium.tables.items():
             by_args.setdefault(args, {})[n_max] = tab
         shared = [tabs for tabs in by_args.values() if {1, 2} <= tabs.keys()]
         assert shared
@@ -683,7 +706,7 @@ class TestSharedQuadratureTables:
     def test_tables_are_read_only(self):
         sol = modal.solve_source(EIGHT_MODES, None, self.PARAMS)
         weak_limit.pairing_interior(sol, BUMP)
-        tab = next(iter(modal._store.tables.values()))
+        tab = next(iter(modal._store.medium.tables.values()))
         for part in (tab.t, tab.j_log, tab.j_sign, tab.y_log, tab.y_sign):
             with pytest.raises(ValueError):
                 part[0] = 0.0
@@ -703,24 +726,32 @@ class TestSharedQuadratureTables:
         assert chains.quadrature_table(2, r.copy()) is kept
 
     def test_next_solution_drops_the_tables(self):
+        """The layer's tables go with the solution, without the collector;
+        the hidden region's stay with the medium, the same objects."""
         first, second = (modal.solve_source(EIGHT_MODES, None, self.PARAMS)
                          for _ in range(2))
-        weak_limit.pairing_interior(first, BUMP)
-        refs = [weakref.ref(tab) for tab in modal._store.tables.values()]
-        assert refs
-        modal.region_chains(second, "hidden")
-        gc.collect()
-        assert all(ref() is None for ref in refs)
+        _pair(first, BUMP)
+        layer = [weakref.ref(tab) for tab in modal._store.tables.values()]
+        hidden = dict(modal._store.medium.tables)
+        assert layer and hidden
+        with _collector_off():
+            modal.region_chains(second, "hidden")
+            assert all(ref() is None for ref in layer)
+        kept = modal._store.medium.tables
+        assert kept.keys() == hidden.keys()
+        assert all(kept[key] is tab for key, tab in hidden.items())
 
     def test_field_point_adds_no_table(self):
         sol = modal.solve_source(EIGHT_MODES, None, self.PARAMS)
-        weak_limit.pairing_interior(sol, BUMP)
-        held = dict(modal._store.tables)
+        _pair(sol, BUMP)
+        store = modal._store
+        held = [dict(tables) for tables in (store.tables, store.medium.tables)]
+        assert all(held)
         fields.eval_physical(sol, np.array([0.3, 0.4, 0.2]))
         fields.eval_physical(sol, np.array([0.9, -0.6, 0.4]))
-        now = modal._store.tables
-        assert now.keys() == held.keys()
-        assert all(now[key] is tab for key, tab in held.items())
+        for now, kept in zip((store.tables, store.medium.tables), held):
+            assert now.keys() == kept.keys()
+            assert all(now[key] is tab for key, tab in kept.items())
 
     def test_sweep_values_equal_a_fresh_table_per_integrand(self, monkeypatch):
         phi = RadialTestFunction.cubic_spline(
@@ -759,6 +790,11 @@ def _watched_bump(modes):
             calls.append(r)
         return phi(r)
     return RadialTestFunction({mode: (watched, dphi) for mode in modes}), calls
+
+
+def _kept_moments() -> int:
+    """The moment pairs the medium keeps, over every profile callable."""
+    return sum(len(kept) for _, kept in modal._store.medium.moments.values())
 
 
 def _count_moment_integrals(monkeypatch):
@@ -801,6 +837,9 @@ class TestHiddenMoments:
         assert _exact(second()) == _exact(value)
 
     def test_one_moment_pair_per_degree_and_callable(self, monkeypatch):
+        """The moments of a callable are kept while it lives: freeing a
+        test function drops its moments without the collector, and leaves
+        the others' the same objects."""
         sol = modal.solve_source(EIGHT_MODES, None,
                                  dataclasses.replace(self.PARAMS))
         shared, _ = _watched_bump(EIGHT_MODES.modes())
@@ -809,9 +848,16 @@ class TestHiddenMoments:
              for mode, pair in shared.profiles.items()})
         runs = _count_moment_integrals(monkeypatch)
         weak_limit.pairing_interior(sol, shared)
-        assert len(runs) == len(modal._store.moments) == 2
+        assert len(runs) == _kept_moments() == 2
+        kept = modal._store.medium.moments.of(shared.profiles[(1, 0)][0])
+        held = dict(kept)
         weak_limit.pairing_interior(sol, distinct)
-        assert len(runs) == len(modal._store.moments) == 2 + 8
+        assert len(runs) == _kept_moments() == 2 + 8
+        with _collector_off():
+            del distinct
+            assert _kept_moments() == 2
+        assert kept.keys() == held.keys()
+        assert all(kept[key] is value for key, value in held.items())
 
     def test_moments_meet_tol_relative_to_themselves(self):
         """At degree 60 the j moment is about 1e-104 and the y moment
@@ -895,7 +941,8 @@ def _count_ladders(monkeypatch):
 
 
 def _reset_limit_memo(monkeypatch):
-    monkeypatch.setattr(modal, "_store", modal._Store(None))
+    monkeypatch.setattr(modal, "_store",
+                        modal._Store(None, modal._Medium(None)))
 
 
 def _exact(value) -> bytes:
@@ -916,15 +963,26 @@ class TestLimitLadders:
                            / "resonant_frequency.json").read_text())
 
     def test_one_ladder_per_degree_per_params_object(self, monkeypatch):
+        """At most one ladder per degree per params object: an equal
+        params object, or one of another rho, reads the ladders of the
+        first (they share a medium); one of another frequency builds its
+        own."""
         params = CloakParams(rho=1e-4, omega=OMEGA, r1=R1)
         built = _count_ladders(monkeypatch)
         for _ in range(16):
             weak_limit.predicted_limit(EIGHT_MODES, self.PHI, params)
         assert sorted(built) == [1, 2]
+        ladders = dict(modal._store.medium.ladders)
         equal = dataclasses.replace(params)
         assert equal == params and equal is not params
-        weak_limit.predicted_limit(EIGHT_MODES, self.PHI, equal)
-        weak_limit.predicted_limit(EIGHT_MODES, self.PHI, equal)
+        for same in (equal, dataclasses.replace(params, rho=0.3)):
+            weak_limit.predicted_limit(EIGHT_MODES, self.PHI, same)
+            weak_limit.predicted_limit(EIGHT_MODES, self.PHI, same)
+        assert sorted(built) == [1, 2]
+        assert all(modal._store.medium.ladders[n] is lad
+                   for n, lad in ladders.items())
+        weak_limit.predicted_limit(EIGHT_MODES, self.PHI,
+                                   dataclasses.replace(params, omega=1.3))
         assert sorted(built) == [1, 1, 2, 2]
 
     def test_values_are_those_of_a_fresh_ladder(self, monkeypatch):
@@ -956,20 +1014,32 @@ class TestLimitLadders:
             with pytest.raises(ResonanceError):
                 modal.limit_coeffs(1, 1.0, params)
         assert modal._store.params is params
-        assert 1 not in modal._store.unit
+        assert 1 not in modal._store.medium.unit
 
     def test_new_params_drops_the_old_ladders(self):
+        """Params of another frequency free the first params and their
+        ladders without the collector; params of another rho keep the
+        ladders, the same objects."""
         first = CloakParams(rho=1e-4, omega=OMEGA, r1=R1)
         second = CloakParams(rho=1e-4, omega=1.3, r1=R1)
         weak_limit.predicted_limit(EIGHT_MODES, self.PHI, first)
+        ladders = dict(modal._store.medium.ladders)
+        other_rho = dataclasses.replace(first, rho=0.2)
+        weak_limit.tangential_trace_limit(EIGHT_MODES, other_rho)
+        assert modal._store.params is other_rho
+        assert modal._store.medium.ladders.keys() == ladders.keys()
+        assert all(modal._store.medium.ladders[n] is lad
+                   for n, lad in ladders.items())
         refs = [weakref.ref(first)] + [weakref.ref(lad.table) for lad in
-                                       modal._store.ladders.values()]
-        weak_limit.tangential_trace_limit(EIGHT_MODES, second)
-        del first
-        gc.collect()
-        assert all(ref() is None for ref in refs)
+                                       ladders.values()]
+        with _collector_off():
+            del ladders
+            weak_limit.tangential_trace_limit(EIGHT_MODES, second)
+            del first
+            assert all(ref() is None for ref in refs)
         store = modal._store
-        latest, ladders, unit = store.params, store.ladders, store.unit
+        medium = store.medium
+        latest, ladders, unit = store.params, medium.ladders, medium.unit
         assert latest is second and sorted(ladders) == sorted(unit) == [1, 2]
         assert all(lad.t == second.k * second.omega
                    for lad in ladders.values())
@@ -977,11 +1047,78 @@ class TestLimitLadders:
     def test_kept_ladders_are_read_only(self):
         weak_limit.tangential_trace_limit(
             EIGHT_MODES, CloakParams(rho=1e-4, omega=OMEGA, r1=R1))
-        for lad in modal._store.ladders.values():
+        for lad in modal._store.medium.ladders.values():
             tab = lad.table
             for part in (tab.t, tab.j_log, tab.j_sign, tab.y_log, tab.y_sign):
                 with pytest.raises(ValueError):
                     part[0] = 0.0
+
+
+# -- the medium's part of the store, shared across the rho of a sweep ------------
+
+class _Slotted:
+    """A profile callable that cannot be weakly referenced."""
+
+    __slots__ = ("f",)
+
+    def __init__(self, f):
+        self.f = f
+
+    def __call__(self, r):
+        return self.f(r)
+
+
+class TestSharedMedium:
+    RHOS = (1e-1, 3e-2, 1e-2, 1e-3, 1e-4, 1e-6)
+    PHI = RadialTestFunction.polynomial_bump(EIGHT_MODES.modes(), 0.6, 1.8)
+
+    def _study(self, rhos):
+        return weak_limit.convergence_study(EIGHT_MODES, self.PHI,
+                                            _params_list(*rhos))[0]
+
+    def test_a_sweep_builds_each_hidden_table_and_ladder_once(
+            self, monkeypatch):
+        tables, ladders = (_count_tables(monkeypatch),
+                           _count_ladders(monkeypatch))
+        self._study(self.RHOS)
+        built = collections.Counter((tab.n_max, tab.t.tobytes())
+                                    for tab in tables if tab.t.size > 1)
+        hidden = modal._store.medium.tables
+        assert hidden and all(built[key] == 1 for key in hidden)
+        assert max(built.values()) == 1
+        assert sorted(ladders) == [1, 2]
+
+    def test_rows_are_those_of_a_fresh_store_per_rho(self, monkeypatch):
+        """Bit for bit, in either sweep order."""
+        rows = [_exact(tuple(row.values())) for row in self._study(self.RHOS)]
+        backward = self._study(self.RHOS[::-1])
+        assert [_exact(tuple(row.values())) for row in backward] == rows[::-1]
+        fresh = []
+        for rho in self.RHOS:
+            _reset_limit_memo(monkeypatch)
+            fresh += [_exact(tuple(row.values()))
+                      for row in self._study([rho])]
+        assert fresh == rows
+
+    def test_a_profile_without_weak_references_pairs_and_keeps_nothing(self):
+        params = CloakParams(rho=1e-4, omega=OMEGA, r1=R1)
+        phi, dphi = self.PHI.profiles[(1, 0)]
+        slotted = RadialTestFunction({mode: (_Slotted(phi), dphi)
+                                      for mode in EIGHT_MODES.modes()})
+        with pytest.raises(TypeError):
+            weakref.ref(slotted.profiles[(1, 0)][0])
+        sol = modal.solve_source(EIGHT_MODES, None, params)
+
+        def pairings(test_function):
+            return _exact((
+                weak_limit.pairing_interior(sol, test_function),
+                weak_limit.predicted_limit(EIGHT_MODES, test_function,
+                                           params)))
+
+        got = pairings(slotted)
+        assert _kept_moments() == 0
+        assert got == pairings(self.PHI)
+        assert _kept_moments() == 2
 
 
 # -- a pairing does not depend on the pairings before it --------------------------
@@ -1029,30 +1166,36 @@ class TestKeptStore:
     SPLINE = TestPairingsInTurn.SPLINE
 
     def test_new_params_frees_the_old_store_without_the_collector(self):
-        """The store holds the chains, and the chains hold only the store's
-        dict of tables, so a superseded store is freed by reference
-        counting."""
+        """The store holds the chains and its medium, and the chains hold
+        only the dicts of tables and moments, so a superseded store is
+        freed by reference counting: params of another rho free its
+        solution's part and keep the medium, the same objects; params of
+        another frequency free the medium too."""
         params = CloakParams(rho=1e-4, omega=OMEGA, r1=R1)
         sol = modal.solve_source(EIGHT_MODES, None, params)
         _pair(sol, self.SPLINE)
         weak_limit.predicted_limit(EIGHT_MODES, self.SPLINE, params)
         store = modal._store
         assert store.solution is sol
-        ladder = next(iter(store.ladders.values()))
-        refs = [weakref.ref(obj) for obj in (
-            next(iter(store.tables.values())), ladder.table,
-            store.chains["hidden"])]
-        del ladder
+        medium = store.medium
+        ladder = next(iter(medium.ladders.values()))
+        hidden_table = next(iter(medium.tables.values()))
+        solution_refs = [weakref.ref(obj) for obj in (
+            next(iter(store.tables.values())), store.chains["hidden"])]
+        medium_refs = [weakref.ref(obj) for obj in (
+            hidden_table, ladder.table, medium.moments)]
+        del ladder, hidden_table
         del store, sol
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
+        with _collector_off():
+            _pair(modal.solve_source(EIGHT_MODES, None, CloakParams(
+                rho=1e-2, omega=OMEGA, r1=R1)), self.SPLINE)
+            assert [ref() is None for ref in solution_refs] == [True] * 2
+            assert modal._store.medium is medium
+            del medium
+            assert [ref() is None for ref in medium_refs] == [False] * 3
             _pair(modal.solve_source(EIGHT_MODES, None, CloakParams(
                 rho=1e-4, omega=1.3, r1=R1)), self.SPLINE)
-            assert [ref() is None for ref in refs] == [True] * 3
-        finally:
-            if enabled:
-                gc.enable()
+            assert [ref() is None for ref in medium_refs] == [True] * 3
 
     def test_store_compares_solutions_by_identity_only(self, monkeypatch):
         def refuse(self, other):
@@ -1066,17 +1209,21 @@ class TestKeptStore:
             weak_limit.predicted_limit(EIGHT_MODES, BUMP, self.PARAMS)
             assert modal._store.solution is sol
 
-    def test_solutions_of_one_params_object_share_no_tables(self):
+    def test_solutions_of_one_params_object_share_hidden_tables_only(self):
         first, second = (modal.solve_source(EIGHT_MODES, None, self.PARAMS)
                          for _ in range(2))
         _pair(first, self.SPLINE)
         tables = modal._store.tables  # keeps the first tables and their ids
         kept = set(map(id, tables.values()))
-        assert kept
+        hidden = dict(modal._store.medium.tables)
+        assert kept and hidden
         _pair(second, self.SPLINE)
         assert modal._store.tables is not tables
         assert modal._store.tables.keys() == tables.keys()
         assert not kept & set(map(id, modal._store.tables.values()))
+        assert modal._store.medium.tables.keys() == hidden.keys()
+        assert all(modal._store.medium.tables[key] is tab
+                   for key, tab in hidden.items())
 
     def test_chains_of_an_earlier_store_pair_the_same(self):
         sol = modal.solve_source(EIGHT_MODES, None, self.PARAMS)
@@ -1084,8 +1231,13 @@ class TestKeptStore:
         before = _exact(weak_limit._hidden_pairing(chains, self.SPLINE, 1e-9,
                                                    R1, 1.0))
         _pair(modal.solve_source(EIGHT_MODES, None, self.PARAMS), self.SPLINE)
-        assert chains.tables is not modal._store.tables
-        assert chains.moments is not modal._store.moments
+        medium = modal._store.medium
+        assert chains.tables is medium.tables
+        assert chains.moments is medium.moments
+        _pair(modal.solve_source(EIGHT_MODES, None, dataclasses.replace(
+            self.PARAMS, omega=1.3)), self.SPLINE)
+        assert chains.tables is not modal._store.medium.tables
+        assert chains.moments is not modal._store.medium.moments
         after = _exact(weak_limit._hidden_pairing(chains, self.SPLINE, 1e-9,
                                                   R1, 1.0))
         assert after == before
