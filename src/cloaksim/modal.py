@@ -21,10 +21,9 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
-from functools import cached_property, partial
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -382,112 +381,26 @@ def system_residuals(n: int, p, q, f1, f2, params: CloakParams,
 # -- closed-form limits -------------------------------------------------------
 
 
-class _Moments(dict):
-    """The hidden region's moments by profile callable: id(prof) -> (a weak
-    reference to prof, {(n, tol, lo, hi): (M_j, M_h)}).  The reference's
-    callback drops the entry when prof is freed, so the moments live as
-    long as the test function does; it reaches this dict weakly, so no
-    cycle keeps a dropped medium alive."""
-
-    __slots__ = ("__weakref__",)
-
-    def of(self, prof):
-        """The dict of prof's moments, or None for a callable that cannot
-        be weakly referenced: its moments are paired but not kept."""
-        entry = self.get(id(prof))
-        if entry is None:
-            try:
-                ref = weakref.ref(prof, partial(_forget, weakref.ref(self),
-                                                id(prof)))
-            except TypeError:
-                return None
-            entry = self[id(prof)] = ref, {}
-        return entry[1]
+@lru_cache(maxsize=specfun.N_CAP)
+def _limit_ladder(n: int, kw: float):
+    """The ladder of degree n at the interface argument kw = k omega, kept
+    by value: every params object of that k omega, at any rho, reads it."""
+    if n < 1:
+        raise DomainError(f"degree must be >= 1, got {n}")
+    return specfun.bessel_ladder(n, kw)
 
 
-def _forget(moments, key, _):
-    """Drop the entry key of the ``_Moments`` that moments refers to."""
-    kept = moments()
-    if kept is not None:
-        del kept[key]
-
-
-class _Medium:
-    """The work kept for one medium, the params fields of ``key``: the
-    hidden region's quadrature tables, the limit's ladders and unit-q
-    ratios by degree, and the hidden moments of each live profile
-    callable.  None of it depends on rho, so every rho of a sweep reads
-    it."""
-
-    __slots__ = ("key", "tables", "ladders", "unit", "moments")
-
-    def __init__(self, key):
-        self.key, self.tables, self.ladders, self.unit = key, {}, {}, {}
-        self.moments = _Moments()
-
-
-class _Store:
-    """The work kept for one params object: the latest solution read with
-    it, its chains and the layer's quadrature tables read since, and the
-    ``_Medium`` it shares with the params objects of its medium."""
-
-    __slots__ = ("params", "solution", "chains", "tables", "medium")
-
-    def __init__(self, params, medium: _Medium):
-        self.params, self.solution, self.chains = params, None, None
-        self.tables, self.medium = {}, medium
-
-
-_store = _Store(None, _Medium(None))
-
-
-def _kept(params: CloakParams, solution=None) -> _Store:
-    """The store of params (and of solution, when given): a new one for a
-    params object not its own or a solution other than the one it holds; a
-    store a limit call made adopts the first solution read with its params.
-    A new store takes over the medium of the last one when their params
-    agree in every field but rho, the medium's key, else starts a new one,
-    and the last medium is freed with the last store.  Identity only:
-    ``==`` on a solution would build every mode."""
-    global _store
-    held = _store.solution
-    if _store.params is not params or not (
-            solution is None or held is None or held is solution):
-        key = tuple(getattr(params, f.name) for f in fields(params)
-                    if f.name != "rho")  # a field added later joins it
-        medium = _store.medium
-        _store = _Store(params, medium if medium.key == key else _Medium(key))
-    if solution is not None and _store.solution is None:
-        _store.solution = solution
-    return _store
-
-
-def _limit_ladder(n: int, params: CloakParams):
-    """The ladder of degree n at the interface argument k omega, built on
-    the first read and kept in the medium of params."""
-    ladders = _kept(params).medium.ladders
-    lad = ladders.get(n)
-    if lad is None:
-        if n < 1:
-            raise DomainError(f"degree must be >= 1, got {n}")
-        lad = ladders[n] = specfun.bessel_ladder(n, params.k * params.omega)
-    return lad
-
-
-def _unit_ratios(n: int, params: CloakParams) -> tuple:
-    """(r_n, sigma_n), ``limit_coeffs``'s beta0 and sigma at q = 1, kept
-    beside the ladder at k omega; r_n = -h_n/j_n is a ScaledComplex, so
-    beyond double range (from degree 86 at k omega = 1) it still gives
+@lru_cache(maxsize=specfun.N_CAP)
+def _unit_ratios(n: int, k: float, omega: float, mu0: float) -> tuple:
+    """(r_n, sigma_n), ``limit_coeffs``'s beta0 and sigma at q = 1, from the
+    ladder at k omega and kept by value; r_n = -h_n/j_n is a ScaledComplex,
+    so beyond double range (from degree 86 at k omega = 1) it still gives
     finite chains.  A degree that raises keeps no ratios and raises again
     on every read: ResonanceError for k omega at a zero of j_n
     (``_check_interior``), CapabilityError for sigma_n beyond doubles."""
-    lad = _limit_ladder(n, params)
-    unit = _kept(params).medium.unit
-    if n not in unit:
-        sigma = -1j * math.sqrt(params.mu0) / (
-            params.k ** 2 * params.omega * _check_interior(n, lad))
-        unit[n] = -lad.hn(n) / lad.jn(n), _require_finite(n, sigma)[0]
-    return unit[n]
+    lad = _limit_ladder(n, k * omega)
+    sigma = -1j * math.sqrt(mu0) / (k ** 2 * omega * _check_interior(n, lad))
+    return -lad.hn(n) / lad.jn(n), _require_finite(n, sigma)[0]
 
 
 def limit_coeffs(n: int, q, params: CloakParams):
@@ -504,14 +417,14 @@ def limit_coeffs(n: int, q, params: CloakParams):
         ResonanceError, CapabilityError: as ``_unit_ratios``, or beta0 or
             sigma outside double range.
     """
-    q = complex(q)
-    r_n, sigma_n = _unit_ratios(n, params)
+    q, k, om = complex(q), params.k, params.omega
+    r_n, sigma_n = _unit_ratios(n, k, om, params.mu0)
     beta0, sigma = _require_finite(n, (r_n * q).to_complex(), sigma_n * q)
-    jk, hk, jjk, hhk = _ladder_values(n, _limit_ladder(n, params))
+    jk, hk, jjk, hhk = _ladder_values(n, _limit_ladder(n, k * om))
     # 1/h_n(omega) in small-argument form, which underflows doubles for
     # large n: kept in log form, as the ratios downstream are O(1)
     pref = (1 / specfun.small_arg_leading(n, params.omega)[1]
-            * (jjk * hk - hhk * jk) * math.sqrt(params.mu0) / (params.k * n)
+            * (jjk * hk - hhk * jk) * math.sqrt(params.mu0) / (k * n)
             / jk.to_complex().real * q)
     return beta0, pref, sigma
 
@@ -523,7 +436,7 @@ def sigma_uncollapsed(n: int, q, params: CloakParams) -> complex:
     as the raw combination; agrees with the collapsed sigma to rounding.
     """
     k, mu0 = params.k, params.mu0
-    lad = _limit_ladder(n, params)
+    lad = _limit_ladder(n, k * params.omega)
     jk_c = _check_interior(n, lad)
     jk, hk, jjk, hhk = _ladder_values(n, lad)
     s2 = n * (n + 1)
@@ -551,12 +464,7 @@ class RegionChains:
     ScaledArray columns, ``degree_form`` as each
     degree's peak and the modes' shifted values, which ``degree_rows`` and
     the Gram sums of ``squared_sums`` read, all kept on the chains with
-    the modes' ``mode_factors``.  ``tables`` is the dict that
-    ``quadrature_table`` fills, the store's for the layer and the medium's
-    for the hidden region and the limit, and ``moments`` the medium's
-    ``_Moments`` of the hidden region (``weak_limit``); the chains hold the
-    dicts, not the store, so the store that holds the chains forms no
-    cycle.
+    the modes' ``mode_factors``.
     """
 
     keys: list
@@ -566,9 +474,6 @@ class RegionChains:
     e_weight: float = 1.0
     h_weight: float = 1.0
     surface: list | None = None
-    tables: dict = field(default_factory=dict, compare=False, repr=False)
-    moments: _Moments = field(default_factory=_Moments, compare=False,
-                              repr=False)
 
     @cached_property
     def key_array(self) -> np.ndarray:
@@ -607,17 +512,11 @@ class RegionChains:
 
     def quadrature_table(self, n_max: int, r: np.ndarray):
         """The BesselTable of orders up to n_max at wavenumber * r, for an
-        array r of quadrature nodes, made read-only and kept in ``tables``
-        under (n_max, arguments): every integrand asking for the same
-        degree at the same arguments, of any mode or test function, reads
-        one table and combines its own row from it.
-        """
-        t = self.wavenumber * r
-        key = (n_max, t.tobytes())
-        tab = self.tables.get(key)
-        if tab is None:
-            tab = self.tables[key] = specfun.bessel_table(n_max, t)
-        return tab
+        array r of quadrature nodes, from ``_bessel_table``: every
+        integrand asking for the same degree at the same arguments, of any
+        mode, test function, region or solution, reads one table and
+        combines its own row from it."""
+        return _bessel_table(n_max, (self.wavenumber * r).tobytes())
 
     def expand(self, tab):
         """(A(j, h), A(J, H), B(j, h), B(J, H)) of every mode at the
@@ -740,61 +639,68 @@ def _run_scaled(log_mag, phase, starts):
     return peak, phase * np.exp(log_mag - np.repeat(shift, lengths))
 
 
-def _hidden_chains(keys, a, b, store, surface=None):
-    """Hidden chains A = (alpha, p), B = (beta, q) on the dicts of the
-    store's medium."""
-    params, medium = store.params, store.medium
+# 32 tables hold the working set of a pairing (the passes of one degree)
+# and of a benchmark round (11); the bound caps the memory the tables hold
+@lru_cache(maxsize=32)
+def _bessel_table(n_max: int, t: bytes):
+    """``specfun.bessel_table`` of orders up to n_max at the doubles t,
+    kept by value: the tables read last, whoever reads them."""
+    return specfun.bessel_table(n_max, np.frombuffer(t))
+
+
+def _hidden_chains(keys, a, b, params: CloakParams, surface=None):
+    """Hidden chains A = (alpha, p), B = (beta, q) of params."""
     return RegionChains(keys, a, b, params.k * params.omega,
-                        params.eps0 ** -0.5, params.mu0 ** -0.5, surface,
-                        medium.tables, medium.moments)
+                        params.eps0 ** -0.5, params.mu0 ** -0.5, surface)
 
 
-def _solution_chains(solution: ModalSolution, store: _Store) -> dict:
+def _solution_chains(solution: ModalSolution) -> dict:
     """The "layer" and "hidden" chains of every solved mode as the columns
     of one array pass (``SolvedModes.columns``), no ScaledComplex per mode."""
     keys = list(solution.modes)
     (gamma, eta), (c, d), (alpha, beta), (p, q) = solution.modes.columns(keys)
     return {"layer": RegionChains(keys, (gamma, c), (eta, d),
-                                  solution.params.omega, tables=store.tables),
-            "hidden": _hidden_chains(keys, (alpha, p), (beta, q), store)}
+                                  solution.params.omega),
+            "hidden": _hidden_chains(keys, (alpha, p), (beta, q),
+                                     solution.params)}
+
+
+# the last solution region_chains read and its chains, compared by identity:
+# ``==`` on a solution would build every mode
+_last_chains = [None, None]
 
 
 def region_chains(solution: ModalSolution, region: str) -> RegionChains:
     """The chains of every solved mode of the "layer" (virtual coordinates)
     or "hidden" region, in ascending key order.
 
-    Both regions' chains are built in one pass and kept in the store with
-    the solution (``_kept``): reading any other solution, or a solution of
-    another params object, starts a new store and drops these chains and
-    the layer's quadrature tables.  The hidden chains read the tables and
-    moments of the medium, which the next params object keeps when it
-    differs from these params in rho alone."""
+    Both regions' chains are built in one pass and kept with the solution
+    until another solution is read."""
     if region not in ("layer", "hidden"):
         raise DomainError(f"region is 'layer' or 'hidden', got {region!r}")
-    store = _kept(solution.params, solution)
-    if store.chains is None:
-        store.chains = _solution_chains(solution, store)
-    return store.chains[region]
+    if _last_chains[0] is not solution:
+        _last_chains[:] = solution, _solution_chains(solution)
+    return _last_chains[1][region]
 
 
 def limit_chains(source: SourceCoeffs, params: CloakParams,
                  keys=None) -> RegionChains:
     """The rho -> 0 limit of the hidden region, for the given ascending mode
     keys or every source mode: alpha0 = r_n p and beta0 = r_n q with
-    r_n = -h_n(k w)/j_n(k w), and the surface strength sigma, from the one
-    ladder per degree kept in the medium of params (ResonanceError as in
-    ``limit_coeffs``); the chains share the medium's tables and moments
-    with the hidden chains and hold ScaledComplex lists.  Only the given
-    degrees are built, so an unpaired degree's resonance never raises.
+    r_n = -h_n(k w)/j_n(k w), and the surface strength sigma, from the kept
+    ``_unit_ratios`` of each degree (ResonanceError as in ``limit_coeffs``);
+    the chains hold ScaledComplex lists.  Only the given degrees are built,
+    so an unpaired degree's resonance never raises.
     """
     _check_support(source, params)
     keys = source.modes() if keys is None else keys
-    unit = {n: _unit_ratios(n, params) for n in {n for n, _ in keys}}
+    unit = {n: _unit_ratios(n, params.k, params.omega, params.mu0)
+            for n in {n for n, _ in keys}}
     pq = [source.entries[key] for key in keys]
     p, q = ([ScaledComplex.from_complex(x[i]) for x in pq] for i in (0, 1))
     r_n = [unit[n][0] for n, _ in keys]
     return _hidden_chains(keys, ([r * x for r, x in zip(r_n, p)], p),
-                          ([r * x for r, x in zip(r_n, q)], q), _kept(params),
+                          ([r * x for r, x in zip(r_n, q)], q), params,
                           [unit[n][1] * x[1] for (n, _), x in zip(keys, pq)])
 
 
@@ -806,13 +712,13 @@ def _check_support(source: SourceCoeffs, params: CloakParams) -> None:
 
 
 def _term_weights(source: SourceCoeffs, params: CloakParams) -> dict:
-    """S_n^2 (|p| + |q|) |h_n(k w r1)| per mode, from one table of all
+    """S_n^2 (|p| + |q|) |h_n(k w r1)| per mode, from one kept table of all
     degrees."""
     if not source.entries:
         return {}
     degrees = sorted({n for n, _ in source.entries})
-    tab = specfun.bessel_table(degrees[-1],
-                               [params.k * params.omega * source.r1])
+    tab = _bessel_table(degrees[-1], np.array(
+        [params.k * params.omega * source.r1]).tobytes())
     k = np.array(degrees) + 1
     with np.errstate(over="ignore"):  # |h_n| = (j_n^2 + y_n^2)^(1/2)
         h_mag = dict(zip(degrees, np.exp(0.5 * np.logaddexp(

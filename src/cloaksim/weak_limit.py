@@ -12,6 +12,7 @@ the coefficient against the conjugate harmonic of its mode).
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,9 @@ from .quadrature import (fit_power_law, integrate_adaptive,
 from .scaled import ScaledComplex
 
 _LOG_FLOOR = 20 * math.log(2)  # a moment's floor: 2^-20 of its row's peak
+# the hidden region's moments of each live profile callable:
+# prof -> {(n, wavenumber, tol, lo, hi): (M_j, M_h)}
+_MOMENTS = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -164,8 +168,9 @@ def _moments(chains, n, prof, tol, lo, hi):
     """(M_j, M_h) of degree n and the profile callable prof, ScaledComplex:
     M_j the integral over (lo, hi) of j_n(w r) prof(r) r dr, M_y that of
     y_n, and M_h = M_j + i M_y.  Both rows are taken in one driver call and
-    kept in ``chains.moments`` for as long as prof lives, under
-    (n, tol, lo, hi); a prof that cannot be weakly referenced keeps none.
+    kept in ``_MOMENTS`` for as long as prof lives, under
+    (n, wavenumber, tol, lo, hi); a prof that cannot be weakly referenced
+    or hashed keeps none.
 
     Each row f_n prof r is integrated in units of its floor, 2^-20 times
     its own peak |f_n prof r| over the first call's nodes, so the driver's
@@ -175,8 +180,12 @@ def _moments(chains, n, prof, tol, lo, hi):
     kept beside the mantissa, so no degree overflows.  A profile that is 0
     at every node of the first call gives exact zeros (both levels of that
     call agree)."""
-    kept, key = chains.moments.of(prof), (n, tol, lo, hi)
-    if kept is not None and key in kept:
+    key = n, chains.wavenumber, tol, lo, hi
+    try:
+        kept = _MOMENTS.setdefault(prof, {})
+    except TypeError:  # no weak reference to prof, or no hash
+        kept = {}
+    if key in kept:
         return kept[key]
     floor = []  # per row, log 2^-20 max|f_n prof r| over the first nodes
 
@@ -199,10 +208,8 @@ def _moments(chains, n, prof, tol, lo, hi):
     m_j, m_y = (ScaledComplex.from_complex(value)
                 * ScaledComplex(log_unit, 1 + 0j)
                 for value, log_unit in zip(values, floor[0][:, 0].tolist()))
-    moments = m_j, m_j + m_y * 1j
-    if kept is not None:
-        kept[key] = moments
-    return moments
+    kept[key] = m_j, m_j + m_y * 1j
+    return kept[key]
 
 
 def _hidden_pairing(chains, phi, tol, lo, hi):

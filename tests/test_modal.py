@@ -1,4 +1,5 @@
 import cmath
+import contextlib
 import dataclasses
 import gc
 import math
@@ -611,9 +612,8 @@ def test_retained_solution_is_small():
 
 
 def _fresh_chains(solution, region):
-    """Chains built in a store of their own, not the module's."""
-    store = modal._Store(solution.params, modal._Medium(None))
-    return modal._solution_chains(solution, store)[region]
+    """Chains built afresh, not read from the memo."""
+    return modal._solution_chains(solution)[region]
 
 
 def test_region_chains_never_stale():
@@ -922,32 +922,53 @@ def test_limit_degree_beyond_double_range_keeps_no_ratios():
         chains = _one_mode_limit_chains(100, 1.0, params)
         assert math.isfinite(chains.b[0][0].log_mag)
         assert cmath.isfinite(chains.surface[0])
-    medium = modal._store.medium
-    assert 200 in medium.ladders and 200 not in medium.unit
-    assert 100 in medium.unit
+    kw, ratios = params.k * params.omega, (params.k, params.omega, params.mu0)
+    assert _kept(modal._limit_ladder, 200, kw)
+    assert not _kept(modal._unit_ratios, 200, *ratios)
+    assert _kept(modal._unit_ratios, 100, *ratios)
     kept = modal.sigma_uncollapsed(100, 1.0, params)
     assert cmath.isfinite(kept) and kept == fresh
     for _ in range(2):
         with pytest.raises(DomainError):
             modal.limit_coeffs(0, 1.0, params)
-    assert 0 not in modal._store.medium.ladders
+    assert not _kept(modal._limit_ladder, 0, kw)
 
 
-# -- quadrature tables kept with the solution ------------------------------------
+def _kept(memo, *args) -> bool:
+    """Whether the lru_cache memo holds its value at args: a read of it is
+    a hit (a read that raises is no hit)."""
+    hits = memo.cache_info().hits
+    with contextlib.suppress(CapabilityError, DomainError):
+        memo(*args)
+    return memo.cache_info().hits > hits
+
+
+# -- quadrature tables kept by value ----------------------------------------------
 
 KEPT_NODES = np.linspace(0.55, 0.95, 7)
 
 
-def test_next_solution_drops_the_kept_tables():
+def test_kept_tables_outlive_their_solution_until_evicted():
+    """The next solution reads the first one's tables, the same objects;
+    a table that as many newer tables as the memo holds push out is freed
+    without the collector."""
     params = CloakParams(1e-4, 1.0, r1=0.5)
     first, second = (modal.solve_source(ALL_MODES, None, params)
                      for _ in range(2))
     chains = modal.region_chains(first, "layer")
-    refs = [weakref.ref(chains.quadrature_table(n, KEPT_NODES))
-            for n in (1, 2, 3)]
-    assert all(ref() is not None for ref in refs)
-    del chains  # the chains hold the store's tables
-    modal.region_chains(second, "layer")
-    gc.collect()
-    assert all(ref() is None for ref in refs)
-    assert modal._store.tables == {}
+    tables = [chains.quadrature_table(n, KEPT_NODES) for n in (1, 2, 3)]
+    del chains, first
+    chains = modal.region_chains(second, "layer")
+    assert all(chains.quadrature_table(n, KEPT_NODES.copy()) is tab
+               for n, tab in zip((1, 2, 3), tables))
+    refs = list(map(weakref.ref, tables))
+    del tables
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for i in range(modal._bessel_table.cache_info().maxsize):
+            chains.quadrature_table(1, KEPT_NODES + (i + 1) * 1e-3)
+        assert all(ref() is None for ref in refs)
+    finally:
+        if enabled:
+            gc.enable()

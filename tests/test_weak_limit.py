@@ -451,17 +451,27 @@ class TestEnergy:
             weak_limit.energy_integral(sol, delta=delta)
 
     @pytest.mark.parametrize("rho", [1e-2, 1e-4, 1e-6])
-    def test_energy_at_delta_zero_reads_the_pairing_tables(self, rho):
+    def test_energy_at_delta_zero_reads_the_pairing_tables(
+            self, rho, monkeypatch):
         """At delta = 0 the layer integral starts at rho itself, where the
-        exterior pairing starts, so it builds no table of its own."""
+        exterior pairing starts, so it builds no table of its own: every
+        table it reads is one the pairings built, the same object."""
         params = CloakParams(rho=rho, omega=OMEGA, r1=R1)
         sol = modal.solve_source(SRC, None, params)
+        built = _count_tables(monkeypatch)
         weak_limit.pairing_interior(sol, BUMP)
         weak_limit.pairing_exterior_normal(sol, BUMP)
-        store = modal._store
-        held = set(store.tables), set(store.medium.tables)
+        paired = {id(tab) for tab in built}
+        read, quadrature_table = [], modal.RegionChains.quadrature_table
+
+        def watched(chains, n_max, r):
+            read.append(quadrature_table(chains, n_max, r))
+            return read[-1]
+
+        monkeypatch.setattr(modal.RegionChains, "quadrature_table", watched)
         weak_limit.energy_integral(sol)
-        assert (set(store.tables), set(store.medium.tables)) == held
+        assert len(built) == len(paired)  # the energy built no table
+        assert read and {id(tab) for tab in read} <= paired
 
     def test_energy_combines_no_mode(self, monkeypatch):
         calls, combine = [], specfun.combine
@@ -660,10 +670,19 @@ def _collector_off():
 
 
 @pytest.fixture(autouse=True)
-def _fresh_store(monkeypatch):
-    """Each test starts from an empty store, as a new process does: a
-    medium kept by an earlier test would change what a test sees built."""
-    _reset_limit_memo(monkeypatch)
+def _fresh_store():
+    """Each test starts from empty memos, as a new process does: work kept
+    by an earlier test would change what a test sees built."""
+    _clear_memos()
+
+
+def _kept_table(tab):
+    """The table the memo holds at tab's order and arguments, building
+    none: None where it holds no such table."""
+    memo = modal._bessel_table
+    misses = memo.cache_info().misses
+    kept = memo(tab.n_max, tab.t.tobytes())
+    return None if memo.cache_info().misses > misses else kept
 
 
 class TestSharedQuadratureTables:
@@ -677,7 +696,7 @@ class TestSharedQuadratureTables:
         _pair(every, RadialTestFunction.polynomial_bump(
             EIGHT_MODES.modes(), 0.5, 1.5))
         tables_every = len(built)
-        _reset_limit_memo(monkeypatch)  # the hidden tables are built again
+        _clear_memos()  # the tables are built again
         _pair(one_per_degree, RadialTestFunction.polynomial_bump(
             [(1, 0), (2, 0)], 0.5, 1.5))
         assert tables_every == len(built) - tables_every > 0
@@ -690,26 +709,32 @@ class TestSharedQuadratureTables:
         # no table at the quadrature nodes, only one-argument ladders
         assert all(tab.t.size == 1 for tab in built)
 
-    def test_tables_of_different_n_max_are_not_shared(self):
+    def test_tables_of_different_n_max_are_not_shared(self, monkeypatch):
         sol = modal.solve_source(EIGHT_MODES, None, self.PARAMS)
+        built = _count_tables(monkeypatch)
         weak_limit.pairing_interior(sol, BUMP)
         weak_limit.energy_integral(sol)
         by_args = {}
-        for (n_max, args), tab in modal._store.medium.tables.items():
-            by_args.setdefault(args, {})[n_max] = tab
+        for tab in built:
+            by_args.setdefault(tab.t.tobytes(), {})[tab.n_max] = tab
         shared = [tabs for tabs in by_args.values() if {1, 2} <= tabs.keys()]
         assert shared
         for tabs in shared:
             assert tabs[1] is not tabs[2]
             assert (tabs[1].n_max, tabs[2].n_max) == (1, 2)
+            assert all(_kept_table(tab) is tab for tab in tabs.values())
 
-    def test_tables_are_read_only(self):
+    def test_tables_are_read_only(self, monkeypatch):
         sol = modal.solve_source(EIGHT_MODES, None, self.PARAMS)
+        built = _count_tables(monkeypatch)
         weak_limit.pairing_interior(sol, BUMP)
-        tab = next(iter(modal._store.medium.tables.values()))
-        for part in (tab.t, tab.j_log, tab.j_sign, tab.y_log, tab.y_sign):
-            with pytest.raises(ValueError):
-                part[0] = 0.0
+        assert built
+        for tab in built:
+            assert _kept_table(tab) is tab
+            for part in (tab.t, tab.j_log, tab.j_sign, tab.y_log,
+                         tab.y_sign):
+                with pytest.raises(ValueError):
+                    part[0] = 0.0
 
     def test_fresh_tables_are_read_only_and_kept_ones_are_reused(self):
         t = np.array([0.5, 2.0, 7.0])
@@ -725,33 +750,61 @@ class TestSharedQuadratureTables:
         kept = chains.quadrature_table(2, r)
         assert chains.quadrature_table(2, r.copy()) is kept
 
-    def test_next_solution_drops_the_tables(self):
-        """The layer's tables go with the solution, without the collector;
-        the hidden region's stay with the medium, the same objects."""
+    def test_next_solution_reads_the_kept_tables(self, monkeypatch):
+        """Tables are kept by value, not with their solution: the next
+        solution of these params pairs from the first one's tables, layer
+        and hidden, the same objects, and builds none; the first one's
+        chains go without the collector."""
         first, second = (modal.solve_source(EIGHT_MODES, None, self.PARAMS)
                          for _ in range(2))
-        _pair(first, BUMP)
-        layer = [weakref.ref(tab) for tab in modal._store.tables.values()]
-        hidden = dict(modal._store.medium.tables)
-        assert layer and hidden
+        built = _count_tables(monkeypatch)
+        value = _pair(first, BUMP)
+        chains = [weakref.ref(modal.region_chains(first, region))
+                  for region in ("layer", "hidden")]
+        kept = list(built)
+        assert kept
         with _collector_off():
-            modal.region_chains(second, "hidden")
-            assert all(ref() is None for ref in layer)
-        kept = modal._store.medium.tables
-        assert kept.keys() == hidden.keys()
-        assert all(kept[key] is tab for key, tab in hidden.items())
+            del first
+            weak_limit._MOMENTS.clear()  # the hidden pairing reads tables
+            assert _pair(second, BUMP) == value
+            assert all(ref() is None for ref in chains)
+        assert built == kept
+        assert all(_kept_table(tab) is tab for tab in kept)
 
-    def test_field_point_adds_no_table(self):
+    def test_field_point_adds_no_table(self, monkeypatch):
         sol = modal.solve_source(EIGHT_MODES, None, self.PARAMS)
+        built = _count_tables(monkeypatch)
         _pair(sol, BUMP)
-        store = modal._store
-        held = [dict(tables) for tables in (store.tables, store.medium.tables)]
-        assert all(held)
+        kept = list(built)
+        info = modal._bessel_table.cache_info()
+        assert kept
         fields.eval_physical(sol, np.array([0.3, 0.4, 0.2]))
         fields.eval_physical(sol, np.array([0.9, -0.6, 0.4]))
-        for now, kept in zip((store.tables, store.medium.tables), held):
-            assert now.keys() == kept.keys()
-            assert all(now[key] is tab for key, tab in kept.items())
+        assert modal._bessel_table.cache_info() == info
+        assert all(_kept_table(tab) is tab for tab in kept)
+
+    def test_an_energy_sweep_over_delta_keeps_at_most_the_bound(
+            self, monkeypatch):
+        """Each delta integrates over new nodes, so a sweep builds tables
+        without end; the memo keeps the ones read last, at most its bound,
+        and an evicted table is freed without the collector."""
+        sol = modal.solve_source(EIGHT_MODES, None, self.PARAMS)
+        refs, bessel_table = [], specfun.bessel_table
+
+        def watched(n_max, t):
+            tab = bessel_table(n_max, t)
+            refs.append(weakref.ref(tab))
+            return tab
+
+        monkeypatch.setattr(specfun, "bessel_table", watched)
+        bound = modal._bessel_table.cache_info().maxsize
+        with _collector_off():
+            for i in range(bound + 50):
+                weak_limit.energy_integral(sol, delta=0.004 * (i + 1))
+            alive = sum(ref() is not None for ref in refs)
+            assert len(refs) > bound + 50
+            assert refs[0]() is None
+            assert alive <= bound
 
     def test_sweep_values_equal_a_fresh_table_per_integrand(self, monkeypatch):
         phi = RadialTestFunction.cubic_spline(
@@ -793,8 +846,8 @@ def _watched_bump(modes):
 
 
 def _kept_moments() -> int:
-    """The moment pairs the medium keeps, over every profile callable."""
-    return sum(len(kept) for _, kept in modal._store.medium.moments.values())
+    """The moment pairs kept, over every profile callable."""
+    return sum(map(len, weak_limit._MOMENTS.values()))
 
 
 def _count_moment_integrals(monkeypatch):
@@ -815,9 +868,8 @@ class TestHiddenMoments:
     @pytest.mark.parametrize("interior_first", [True, False])
     def test_second_hidden_pairing_reads_the_first_ones_moments(
             self, monkeypatch, interior_first):
-        """Both orders share the moments, on a params object of their own
-        (a limit call adopts the first solution read with its params, as
-        in ``convergence_study``)."""
+        """Both orders share the moments, on a params object of their own,
+        as in ``convergence_study``."""
         phi, calls = _watched_bump(EIGHT_MODES.modes())
         params = dataclasses.replace(self.PARAMS)
         sol = modal.solve_source(EIGHT_MODES, None, params)
@@ -833,7 +885,7 @@ class TestHiddenMoments:
         assert calls == []
         # no table at the quadrature nodes, at most the limit's ladders
         assert all(tab.t.size == 1 for tab in built)
-        _reset_limit_memo(monkeypatch)
+        _clear_memos()
         assert _exact(second()) == _exact(value)
 
     def test_one_moment_pair_per_degree_and_callable(self, monkeypatch):
@@ -849,7 +901,7 @@ class TestHiddenMoments:
         runs = _count_moment_integrals(monkeypatch)
         weak_limit.pairing_interior(sol, shared)
         assert len(runs) == _kept_moments() == 2
-        kept = modal._store.medium.moments.of(shared.profiles[(1, 0)][0])
+        kept = weak_limit._MOMENTS[shared.profiles[(1, 0)][0]]
         held = dict(kept)
         weak_limit.pairing_interior(sol, distinct)
         assert len(runs) == _kept_moments() == 2 + 8
@@ -940,9 +992,13 @@ def _count_ladders(monkeypatch):
     return built
 
 
-def _reset_limit_memo(monkeypatch):
-    monkeypatch.setattr(modal, "_store",
-                        modal._Store(None, modal._Medium(None)))
+def _clear_memos():
+    """Drop every kept table, ladder, ratio, moment and chains."""
+    for memo in (modal._bessel_table, modal._limit_ladder,
+                 modal._unit_ratios):
+        memo.cache_clear()
+    weak_limit._MOMENTS.clear()
+    modal._last_chains[:] = None, None
 
 
 def _exact(value) -> bytes:
@@ -962,24 +1018,24 @@ class TestLimitLadders:
     RESONANT = json.loads((Path(__file__).resolve().parent.parent / "scenarios"
                            / "resonant_frequency.json").read_text())
 
-    def test_one_ladder_per_degree_per_params_object(self, monkeypatch):
-        """At most one ladder per degree per params object: an equal
-        params object, or one of another rho, reads the ladders of the
-        first (they share a medium); one of another frequency builds its
-        own."""
+    def test_one_ladder_per_degree_per_k_omega(self, monkeypatch):
+        """At most one ladder per degree and k omega: an equal params
+        object, or one of another rho, reads the ladders of the first, the
+        same objects; one of another frequency builds its own."""
         params = CloakParams(rho=1e-4, omega=OMEGA, r1=R1)
         built = _count_ladders(monkeypatch)
         for _ in range(16):
             weak_limit.predicted_limit(EIGHT_MODES, self.PHI, params)
         assert sorted(built) == [1, 2]
-        ladders = dict(modal._store.medium.ladders)
+        kw = params.k * params.omega
+        ladders = {n: modal._limit_ladder(n, kw) for n in (1, 2)}
         equal = dataclasses.replace(params)
         assert equal == params and equal is not params
         for same in (equal, dataclasses.replace(params, rho=0.3)):
             weak_limit.predicted_limit(EIGHT_MODES, self.PHI, same)
             weak_limit.predicted_limit(EIGHT_MODES, self.PHI, same)
         assert sorted(built) == [1, 2]
-        assert all(modal._store.medium.ladders[n] is lad
+        assert all(modal._limit_ladder(n, kw) is lad
                    for n, lad in ladders.items())
         weak_limit.predicted_limit(EIGHT_MODES, self.PHI,
                                    dataclasses.replace(params, omega=1.3))
@@ -1001,7 +1057,7 @@ class TestLimitLadders:
         kept = [_exact(quantity()) for quantity in quantities]
         fresh = []
         for quantity in quantities:
-            _reset_limit_memo(monkeypatch)
+            _clear_memos()
             fresh.append(_exact(quantity()))
         assert kept == fresh
 
@@ -1013,48 +1069,57 @@ class TestLimitLadders:
                 weak_limit.predicted_limit(SRC, BUMP, params)
             with pytest.raises(ResonanceError):
                 modal.limit_coeffs(1, 1.0, params)
-        assert modal._store.params is params
-        assert 1 not in modal._store.medium.unit
+        # the ladder is kept, the ratios are formed again on every call
+        assert modal._limit_ladder.cache_info()[:2] == (3, 1)
+        assert modal._unit_ratios.cache_info()[1:] == (4, specfun.N_CAP, 0)
 
-    def test_new_params_drops_the_old_ladders(self):
-        """Params of another frequency free the first params and their
-        ladders without the collector; params of another rho keep the
-        ladders, the same objects."""
+    def test_ladders_are_kept_until_evicted(self, monkeypatch):
+        """Params of another rho read the first params' ladders, and params
+        of another frequency build their own beside them, the first ones
+        staying the same objects; the params are not kept.  A ladder that
+        as many newer ladders as the memo holds push out is freed without
+        the collector."""
         first = CloakParams(rho=1e-4, omega=OMEGA, r1=R1)
         second = CloakParams(rho=1e-4, omega=1.3, r1=R1)
+        built = _count_ladders(monkeypatch)
         weak_limit.predicted_limit(EIGHT_MODES, self.PHI, first)
-        ladders = dict(modal._store.medium.ladders)
-        other_rho = dataclasses.replace(first, rho=0.2)
-        weak_limit.tangential_trace_limit(EIGHT_MODES, other_rho)
-        assert modal._store.params is other_rho
-        assert modal._store.medium.ladders.keys() == ladders.keys()
-        assert all(modal._store.medium.ladders[n] is lad
-                   for n, lad in ladders.items())
+        kw = first.k * first.omega
+        ladders = {n: modal._limit_ladder(n, kw) for n in (1, 2)}
         refs = [weakref.ref(first)] + [weakref.ref(lad.table) for lad in
                                        ladders.values()]
         with _collector_off():
-            del ladders
+            weak_limit.tangential_trace_limit(
+                EIGHT_MODES, dataclasses.replace(first, rho=0.2))
+            assert sorted(built) == [1, 2]
             weak_limit.tangential_trace_limit(EIGHT_MODES, second)
+            assert sorted(built) == [1, 1, 2, 2]
+            assert all(modal._limit_ladder(n, kw) is lad
+                       for n, lad in ladders.items())
+            assert all(modal._limit_ladder(n, second.k * second.omega).t
+                       == second.k * second.omega for n in (1, 2))
             del first
-            assert all(ref() is None for ref in refs)
-        store = modal._store
-        medium = store.medium
-        latest, ladders, unit = store.params, medium.ladders, medium.unit
-        assert latest is second and sorted(ladders) == sorted(unit) == [1, 2]
-        assert all(lad.t == second.k * second.omega
-                   for lad in ladders.values())
+            assert refs[0]() is None
+            del ladders
+            assert all(ref() is not None for ref in refs[1:])
+            for i in range(specfun.N_CAP):
+                modal._limit_ladder(1, 2.0 + i / 64)
+            assert all(ref() is None for ref in refs[1:])
 
     def test_kept_ladders_are_read_only(self):
-        weak_limit.tangential_trace_limit(
-            EIGHT_MODES, CloakParams(rho=1e-4, omega=OMEGA, r1=R1))
-        for lad in modal._store.medium.ladders.values():
+        params = CloakParams(rho=1e-4, omega=OMEGA, r1=R1)
+        weak_limit.tangential_trace_limit(EIGHT_MODES, params)
+        misses = modal._limit_ladder.cache_info().misses
+        ladders = [modal._limit_ladder(n, params.k * params.omega)
+                   for n in (1, 2)]
+        assert modal._limit_ladder.cache_info().misses == misses
+        for lad in ladders:
             tab = lad.table
             for part in (tab.t, tab.j_log, tab.j_sign, tab.y_log, tab.y_sign):
                 with pytest.raises(ValueError):
                     part[0] = 0.0
 
 
-# -- the medium's part of the store, shared across the rho of a sweep ------------
+# -- work kept by value, shared across the rho of a sweep ------------------------
 
 class _Slotted:
     """A profile callable that cannot be weakly referenced."""
@@ -1066,6 +1131,21 @@ class _Slotted:
 
     def __call__(self, r):
         return self.f(r)
+
+
+class _Unhashable:
+    """A profile callable that cannot be hashed."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __call__(self, r):
+        return self.f(r)
+
+    def __eq__(self, other):
+        return self is other
+
+    __hash__ = None
 
 
 class TestSharedMedium:
@@ -1083,30 +1163,33 @@ class TestSharedMedium:
         self._study(self.RHOS)
         built = collections.Counter((tab.n_max, tab.t.tobytes())
                                     for tab in tables if tab.t.size > 1)
-        hidden = modal._store.medium.tables
-        assert hidden and all(built[key] == 1 for key in hidden)
+        # the hidden tables, at nodes on [r1, 1], and every layer table
+        hidden = [key for key in built if np.frombuffer(key[1]).min() >= R1]
+        assert hidden and len(hidden) < len(built)
         assert max(built.values()) == 1
         assert sorted(ladders) == [1, 2]
 
-    def test_rows_are_those_of_a_fresh_store_per_rho(self, monkeypatch):
+    def test_rows_are_those_of_fresh_memos_per_rho(self):
         """Bit for bit, in either sweep order."""
         rows = [_exact(tuple(row.values())) for row in self._study(self.RHOS)]
         backward = self._study(self.RHOS[::-1])
         assert [_exact(tuple(row.values())) for row in backward] == rows[::-1]
         fresh = []
         for rho in self.RHOS:
-            _reset_limit_memo(monkeypatch)
+            _clear_memos()
             fresh += [_exact(tuple(row.values()))
                       for row in self._study([rho])]
         assert fresh == rows
 
-    def test_a_profile_without_weak_references_pairs_and_keeps_nothing(self):
+    @pytest.mark.parametrize("wrapper", [_Slotted, _Unhashable])
+    def test_a_profile_without_weak_references_or_hash_keeps_nothing(
+            self, wrapper):
         params = CloakParams(rho=1e-4, omega=OMEGA, r1=R1)
         phi, dphi = self.PHI.profiles[(1, 0)]
-        slotted = RadialTestFunction({mode: (_Slotted(phi), dphi)
+        slotted = RadialTestFunction({mode: (wrapper(phi), dphi)
                                       for mode in EIGHT_MODES.modes()})
         with pytest.raises(TypeError):
-            weakref.ref(slotted.profiles[(1, 0)][0])
+            {weakref.ref(slotted.profiles[(1, 0)][0])}
         sol = modal.solve_source(EIGHT_MODES, None, params)
 
         def pairings(test_function):
@@ -1159,45 +1242,43 @@ class TestPairingsInTurn:
                 == self._pairings(params, self.BUMP, self.SPLINE))
 
 
-# -- the one store of kept work ----------------------------------------------------
+# -- the memos of kept work ---------------------------------------------------------
 
-class TestKeptStore:
+class TestKeptWork:
     PARAMS = CloakParams(rho=1e-4, omega=OMEGA, r1=R1)
     SPLINE = TestPairingsInTurn.SPLINE
 
-    def test_new_params_frees_the_old_store_without_the_collector(self):
-        """The store holds the chains and its medium, and the chains hold
-        only the dicts of tables and moments, so a superseded store is
-        freed by reference counting: params of another rho free its
-        solution's part and keep the medium, the same objects; params of
-        another frequency free the medium too."""
+    def test_next_solution_frees_the_chains_without_the_collector(self):
+        """Only the chains are kept with their solution, so reading the
+        next solution frees them by reference counting; the ladders and
+        moments are kept by value, the same objects, whatever params come
+        next."""
         params = CloakParams(rho=1e-4, omega=OMEGA, r1=R1)
         sol = modal.solve_source(EIGHT_MODES, None, params)
         _pair(sol, self.SPLINE)
         weak_limit.predicted_limit(EIGHT_MODES, self.SPLINE, params)
-        store = modal._store
-        assert store.solution is sol
-        medium = store.medium
-        ladder = next(iter(medium.ladders.values()))
-        hidden_table = next(iter(medium.tables.values()))
-        solution_refs = [weakref.ref(obj) for obj in (
-            next(iter(store.tables.values())), store.chains["hidden"])]
-        medium_refs = [weakref.ref(obj) for obj in (
-            hidden_table, ladder.table, medium.moments)]
-        del ladder, hidden_table
-        del store, sol
+        assert modal._last_chains[0] is sol
+        chains = [weakref.ref(modal.region_chains(sol, region))
+                  for region in ("layer", "hidden")]
+        kw = params.k * params.omega
+        ladder = modal._limit_ladder(2, kw)
+        moments = weak_limit._MOMENTS[self.SPLINE.profiles[(2, -1)][0]]
+        held = dict(moments)
+        assert held
+        del sol
         with _collector_off():
             _pair(modal.solve_source(EIGHT_MODES, None, CloakParams(
                 rho=1e-2, omega=OMEGA, r1=R1)), self.SPLINE)
-            assert [ref() is None for ref in solution_refs] == [True] * 2
-            assert modal._store.medium is medium
-            del medium
-            assert [ref() is None for ref in medium_refs] == [False] * 3
+            assert [ref() is None for ref in chains] == [True] * 2
             _pair(modal.solve_source(EIGHT_MODES, None, CloakParams(
                 rho=1e-4, omega=1.3, r1=R1)), self.SPLINE)
-            assert [ref() is None for ref in medium_refs] == [True] * 3
+        assert modal._limit_ladder(2, kw) is ladder
+        assert weak_limit._MOMENTS[self.SPLINE.profiles[(2, -1)][0]] is moments
+        assert len(moments) == 2 * len(held)  # one set more, at omega 1.3
+        assert all(moments[key] is value for key, value in held.items())
 
-    def test_store_compares_solutions_by_identity_only(self, monkeypatch):
+    def test_chains_memo_compares_solutions_by_identity_only(
+            self, monkeypatch):
         def refuse(self, other):
             raise AssertionError("SolvedModes compared with ==")
 
@@ -1207,41 +1288,68 @@ class TestKeptStore:
         for sol in (first, second, first, first):
             _pair(sol, BUMP)
             weak_limit.predicted_limit(EIGHT_MODES, BUMP, self.PARAMS)
-            assert modal._store.solution is sol
+            assert modal._last_chains[0] is sol
 
-    def test_solutions_of_one_params_object_share_hidden_tables_only(self):
+    def test_solutions_of_one_params_object_share_every_table(
+            self, monkeypatch):
+        """The second solution builds no table: it reads the first one's
+        layer tables, the same objects, and the moments the hidden tables
+        gave."""
         first, second = (modal.solve_source(EIGHT_MODES, None, self.PARAMS)
                          for _ in range(2))
-        _pair(first, self.SPLINE)
-        tables = modal._store.tables  # keeps the first tables and their ids
-        kept = set(map(id, tables.values()))
-        hidden = dict(modal._store.medium.tables)
-        assert kept and hidden
-        _pair(second, self.SPLINE)
-        assert modal._store.tables is not tables
-        assert modal._store.tables.keys() == tables.keys()
-        assert not kept & set(map(id, modal._store.tables.values()))
-        assert modal._store.medium.tables.keys() == hidden.keys()
-        assert all(modal._store.medium.tables[key] is tab
-                   for key, tab in hidden.items())
+        built = _count_tables(monkeypatch)
+        value = _pair(first, self.SPLINE)
+        kept = list(built)
+        assert kept
+        assert _pair(second, self.SPLINE) == value
+        assert built == kept
+        assert all(_kept_table(tab) is tab for tab in kept)
 
-    def test_chains_of_an_earlier_store_pair_the_same(self):
+    def test_chains_of_an_earlier_solution_pair_the_same(self):
         sol = modal.solve_source(EIGHT_MODES, None, self.PARAMS)
         chains = modal.region_chains(sol, "hidden")
         before = _exact(weak_limit._hidden_pairing(chains, self.SPLINE, 1e-9,
                                                    R1, 1.0))
+        moments = dict(weak_limit._MOMENTS[self.SPLINE.profiles[(2, -1)][0]])
         _pair(modal.solve_source(EIGHT_MODES, None, self.PARAMS), self.SPLINE)
-        medium = modal._store.medium
-        assert chains.tables is medium.tables
-        assert chains.moments is medium.moments
         _pair(modal.solve_source(EIGHT_MODES, None, dataclasses.replace(
             self.PARAMS, omega=1.3)), self.SPLINE)
-        assert chains.tables is not modal._store.medium.tables
-        assert chains.moments is not modal._store.medium.moments
+        assert modal.region_chains(sol, "hidden") is not chains
         after = _exact(weak_limit._hidden_pairing(chains, self.SPLINE, 1e-9,
                                                   R1, 1.0))
         assert after == before
         assert _exact(weak_limit.pairing_interior(sol, self.SPLINE)) == before
+        kept = weak_limit._MOMENTS[self.SPLINE.profiles[(2, -1)][0]]
+        assert all(kept[key] is value for key, value in moments.items())
+
+
+class TestInterleavedMedia:
+    """Work kept for one medium is never read by another: a key that
+    missed a field the values depend on would show here."""
+    RHOS = (1e-2, 1e-4, 1e-6)
+    OMEGAS = (1.0, 1.3)
+    PHI = TestSharedMedium.PHI
+
+    def _values(self, omega, rho):
+        params = CloakParams(rho=rho, omega=omega, r1=R1)
+        sol = modal.solve_source(EIGHT_MODES, None, params)
+        return _exact((
+            weak_limit.pairing_interior(sol, self.PHI),
+            weak_limit.pairing_exterior_normal(sol, self.PHI),
+            *weak_limit.predicted_limit_parts(EIGHT_MODES, self.PHI, params),
+            weak_limit.tangential_trace_limit(EIGHT_MODES, params),
+            weak_limit.energy_integral(sol),
+            weak_limit.energy_integral(sol, delta=0.1)))
+
+    def test_each_medium_gives_what_it_gives_alone(self):
+        interleaved = {omega: [] for omega in self.OMEGAS}
+        for rho in self.RHOS:
+            for omega in self.OMEGAS:
+                interleaved[omega].append(self._values(omega, rho))
+        for omega in self.OMEGAS:
+            _clear_memos()
+            alone = [self._values(omega, rho) for rho in self.RHOS]
+            assert alone == interleaved[omega]
 
 
 class TestSourceSupport:
