@@ -6,14 +6,18 @@ annulus; its limit splits into a measurable interior part plus a surface
 term sigma * phi(1) per mode.  Everything here works mode-by-mode: a test
 function enters through its radial profiles phi[(n, m)](r), which multiply
 the matching field mode (profiles pair diagonally; for m != 0 a profile is
-the coefficient against the conjugate harmonic of its mode).
+the coefficient against the conjugate harmonic of its mode).  The hidden
+region's moments of a profile are kept by value in one bounded memo: the
+shipped families' profiles compare by the numbers that define them, so an
+equal test function built again reads the moments of the first.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
-from dataclasses import dataclass
+from collections.abc import Hashable
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -21,16 +25,17 @@ from . import specfun
 from .errors import AccuracyError, DomainError
 from .geometry import CloakOuterMap, CloakParams
 # limit_coeffs is re-exported: the benchmark's tracer patches it here too
-from .modal import (ModalSolution, SourceCoeffs, check_mode, limit_chains,
-                    limit_coeffs, region_chains, solve_source)
+from .modal import (ModalSolution, SourceCoeffs, _bessel_table, check_mode,
+                    limit_chains, limit_coeffs, region_chains, solve_source)
 from .quadrature import (fit_power_law, integrate_adaptive,
                          integrate_boundary_layer)
 from .scaled import ScaledComplex
 
 _LOG_FLOOR = 20 * math.log(2)  # a moment's floor: 2^-20 of its row's peak
-# the hidden region's moments of each live profile callable:
-# prof -> {(n, wavenumber, tol, lo, hi): (M_j, M_h)}
-_MOMENTS = weakref.WeakKeyDictionary()
+# moment pairs kept: enough for a sweep whose 440 modes up to degree 20
+# each have a profile of their own, in two media; a pair with its profile
+# holds about 0.8 kB (a bump) or 2.3 kB (a spline), so at most 2.4 MB
+_MOMENTS_KEPT = 1024
 
 
 @dataclass(frozen=True)
@@ -60,6 +65,8 @@ class RadialTestFunction:
             raise DomainError("bump support must satisfy 0 < r_lo < r_hi <= 2")
         if not np.isfinite(amplitude):
             raise DomainError(f"bump amplitude must be finite, got {amplitude}")
+        # the doubles phi computes with, which are its key
+        r_lo, r_hi, amplitude = map(float, (r_lo, r_hi, amplitude))
 
         # squares by multiplying: correctly rounded, for floats and arrays
         def phi(r, _lo=r_lo, _hi=r_hi, _a=amplitude):
@@ -70,7 +77,8 @@ class RadialTestFunction:
             return np.where((r > _lo) & (r < _hi), _a * 2 * (r - _lo)
                             * (_hi - r) * ((_hi - r) - (r - _lo)), 0.0)
 
-        return _array_profiles(modes, phi, dphi)
+        return _array_profiles(modes, ("bump", r_lo, r_hi, amplitude), phi,
+                               dphi)
 
     @staticmethod
     def cubic_spline(modes, knots):
@@ -99,6 +107,7 @@ class RadialTestFunction:
             raise DomainError("spline needs a knot below r=2")
         if any(a[0] == b[0] for a, b in zip(pts, pts[1:])):
             raise DomainError("spline knot radii must be distinct")
+        key = "spline", tuple(pts)
         xs = [r for r, _ in pts]
         ys, b, c, d = _natural_spline_coeffs(xs, [v for _, v in pts])
         lo, inner, xs = xs[0], np.array(xs[1:-1]), np.array(xs)
@@ -116,17 +125,27 @@ class RadialTestFunction:
             return np.where((lo <= r) & (r <= 2.0),
                             b[i] + t * (2.0 * c[i] + t * 3.0 * d[i]), 0.0)
 
-        return _array_profiles(modes, phi, dphi)
+        return _array_profiles(modes, key, phi, dphi)
 
 
-def _array_profiles(modes, *pair):
-    """Array profiles (phi, dphi) on every mode; a float gives a float."""
-    def on_radii(f):
-        def profile(r):
-            out = f(np.asarray(r, dtype=float))
-            return out if out.ndim else float(out)
-        return profile
-    pair = tuple(map(on_radii, pair))
+@dataclass(frozen=True)
+class _Profile:
+    """A profile of the shipped families: f on an array of radii, called on
+    a float (giving a float) or an array.  It compares and hashes by key,
+    its family and the numbers that define it, so equal test functions
+    built apart read one set of kept moments."""
+
+    key: tuple
+    f: object = field(compare=False, repr=False)
+
+    def __call__(self, r):
+        out = self.f(np.asarray(r, dtype=float))
+        return out if out.ndim else float(out)
+
+
+def _array_profiles(modes, key, phi, dphi):
+    """The profiles (phi, dphi) of key on every mode."""
+    pair = _Profile(key, phi), _Profile(("d/dr", *key), dphi)
     return RadialTestFunction({mode: pair for mode in modes})
 
 
@@ -164,13 +183,15 @@ def _natural_spline_coeffs(xs, ys):
 # -- pairings ------------------------------------------------------------------
 
 
-def _moments(chains, n, prof, tol, lo, hi):
+@lru_cache(maxsize=_MOMENTS_KEPT)
+def _moments(prof, n, wavenumber, tol, lo, hi):
     """(M_j, M_h) of degree n and the profile callable prof, ScaledComplex:
-    M_j the integral over (lo, hi) of j_n(w r) prof(r) r dr, M_y that of
-    y_n, and M_h = M_j + i M_y.  Both rows are taken in one driver call and
-    kept in ``_MOMENTS`` for as long as prof lives, under
-    (n, wavenumber, tol, lo, hi); a prof that cannot be weakly referenced
-    or hashed keeps none.
+    M_j the integral over (lo, hi) of j_n(wavenumber r) prof(r) r dr, M_y
+    that of y_n, and M_h = M_j + i M_y.  Both rows are taken in one driver
+    call from the tables of ``_bessel_table``, as ``quadrature_table``
+    reads them.  The pairs read last are kept under all six arguments, a
+    profile of the shipped families by value and any other callable by
+    identity; ``_hidden_pairing`` pairs an unhashable one uncached.
 
     Each row f_n prof r is integrated in units of its floor, 2^-20 times
     its own peak |f_n prof r| over the first call's nodes, so the driver's
@@ -180,17 +201,10 @@ def _moments(chains, n, prof, tol, lo, hi):
     kept beside the mantissa, so no degree overflows.  A profile that is 0
     at every node of the first call gives exact zeros (both levels of that
     call agree)."""
-    key = n, chains.wavenumber, tol, lo, hi
-    try:
-        kept = _MOMENTS.setdefault(prof, {})
-    except TypeError:  # no weak reference to prof, or no hash
-        kept = {}
-    if key in kept:
-        return kept[key]
     floor = []  # per row, log 2^-20 max|f_n prof r| over the first nodes
 
     def rows(r):
-        tab = chains.quadrature_table(n, r)
+        tab = _bessel_table(n, (wavenumber * r).tobytes())
         weight = prof(r) * r
         out = np.full(r.shape, -np.inf)
         np.log(np.abs(weight), out=out, where=weight != 0)
@@ -208,8 +222,7 @@ def _moments(chains, n, prof, tol, lo, hi):
     m_j, m_y = (ScaledComplex.from_complex(value)
                 * ScaledComplex(log_unit, 1 + 0j)
                 for value, log_unit in zip(values, floor[0][:, 0].tolist()))
-    kept[key] = m_j, m_j + m_y * 1j
-    return kept[key]
+    return m_j, m_j + m_y * 1j
 
 
 def _hidden_pairing(chains, phi, tol, lo, hi):
@@ -225,8 +238,10 @@ def _hidden_pairing(chains, phi, tol, lo, hi):
     for i, key in enumerate(chains.keys):
         if key not in phi.profiles:
             continue
-        n = key[0]
-        m_j, m_h = _moments(chains, n, phi.profiles[key][0], tol, lo, hi)
+        n, prof = key[0], phi.profiles[key][0]
+        moments = (_moments if isinstance(prof, Hashable)
+                   else _moments.__wrapped__)  # paired, but not kept
+        m_j, m_h = moments(prof, n, chains.wavenumber, tol, lo, hi)
         term = b0[i] * m_j + b1[i] * m_h
         total += n * (n + 1) * chains.e_weight * term.to_complex()
     return total

@@ -765,7 +765,7 @@ class TestSharedQuadratureTables:
         assert kept
         with _collector_off():
             del first
-            weak_limit._MOMENTS.clear()  # the hidden pairing reads tables
+            weak_limit._moments.cache_clear()  # moments read tables too
             assert _pair(second, BUMP) == value
             assert all(ref() is None for ref in chains)
         assert built == kept
@@ -847,7 +847,16 @@ def _watched_bump(modes):
 
 def _kept_moments() -> int:
     """The moment pairs kept, over every profile callable."""
-    return sum(map(len, weak_limit._MOMENTS.values()))
+    return weak_limit._moments.cache_info().currsize
+
+
+def _kept_pair(prof, n, params, tol=1e-9):
+    """The hidden moment pair of prof and degree n in the medium of params
+    that the memo holds, or None where it held none (it holds one now)."""
+    memo = weak_limit._moments
+    misses = memo.cache_info().misses
+    kept = memo(prof, n, params.k * params.omega, tol, params.r1, 1.0)
+    return None if memo.cache_info().misses > misses else kept
 
 
 def _count_moment_integrals(monkeypatch):
@@ -889,11 +898,10 @@ class TestHiddenMoments:
         assert _exact(second()) == _exact(value)
 
     def test_one_moment_pair_per_degree_and_callable(self, monkeypatch):
-        """The moments of a callable are kept while it lives: freeing a
-        test function drops its moments without the collector, and leaves
-        the others' the same objects."""
-        sol = modal.solve_source(EIGHT_MODES, None,
-                                 dataclasses.replace(self.PARAMS))
+        """A callable of its own on every mode integrates a pair per mode
+        and leaves the moments of the shared callable the same objects."""
+        params = dataclasses.replace(self.PARAMS)
+        sol = modal.solve_source(EIGHT_MODES, None, params)
         shared, _ = _watched_bump(EIGHT_MODES.modes())
         distinct = RadialTestFunction(
             {mode: tuple(lambda r, f=f: f(r) for f in pair)
@@ -901,15 +909,13 @@ class TestHiddenMoments:
         runs = _count_moment_integrals(monkeypatch)
         weak_limit.pairing_interior(sol, shared)
         assert len(runs) == _kept_moments() == 2
-        kept = weak_limit._MOMENTS[shared.profiles[(1, 0)][0]]
-        held = dict(kept)
+        prof = shared.profiles[(1, 0)][0]
+        held = {n: _kept_pair(prof, n, params) for n in (1, 2)}
         weak_limit.pairing_interior(sol, distinct)
         assert len(runs) == _kept_moments() == 2 + 8
-        with _collector_off():
-            del distinct
-            assert _kept_moments() == 2
-        assert kept.keys() == held.keys()
-        assert all(kept[key] is value for key, value in held.items())
+        assert all(_kept_pair(prof, n, params) is pair
+                   for n, pair in held.items())
+        assert len(runs) == 2 + 8
 
     def test_moments_meet_tol_relative_to_themselves(self):
         """At degree 60 the j moment is about 1e-104 and the y moment
@@ -917,7 +923,8 @@ class TestHiddenMoments:
         source = modal.SourceCoeffs({(60, 0): (0j, 1 + 0j)}, r1=R1)
         chains = modal.limit_chains(source, self.PARAMS)
         prof = BUMP.profiles[(1, 0)][0]
-        m_j, m_h = weak_limit._moments(chains, 60, prof, 1e-9, R1, 1.0)
+        m_j, m_h = weak_limit._moments(prof, 60, chains.wavenumber, 1e-9,
+                                       R1, 1.0)
         ref_j, ref_y = (quad(lambda r: f(60, r) * prof(r) * r, R1, 1.0,
                              epsabs=0.0, epsrel=1e-13, limit=200)[0]
                         for f in (sp.spherical_jn, sp.spherical_yn))
@@ -938,7 +945,8 @@ class TestHiddenMoments:
                              epsabs=0.0, epsrel=1e-13, limit=200)[0]
                         for f in (sp.spherical_jn, sp.spherical_yn))
         try:
-            moments = weak_limit._moments(chains, 60, prof, tol, R1, 1.0)
+            moments = weak_limit._moments(prof, 60, chains.wavenumber, tol,
+                                          R1, 1.0)
         except AccuracyError:
             moments = None
         return moments, (ref_j, complex(ref_j, ref_y))
@@ -995,9 +1003,8 @@ def _count_ladders(monkeypatch):
 def _clear_memos():
     """Drop every kept table, ladder, ratio, moment and chains."""
     for memo in (modal._bessel_table, modal._limit_ladder,
-                 modal._unit_ratios):
+                 modal._unit_ratios, weak_limit._moments):
         memo.cache_clear()
-    weak_limit._MOMENTS.clear()
     modal._last_chains[:] = None, None
 
 
@@ -1181,9 +1188,13 @@ class TestSharedMedium:
                       for row in self._study([rho])]
         assert fresh == rows
 
-    @pytest.mark.parametrize("wrapper", [_Slotted, _Unhashable])
-    def test_a_profile_without_weak_references_or_hash_keeps_nothing(
-            self, wrapper):
+    @pytest.mark.parametrize("wrapper, kept", [(_Slotted, 8),
+                                               (_Unhashable, 0)])
+    def test_a_profile_without_weak_references_or_hash_pairs_the_same(
+            self, wrapper, kept):
+        """A callable is kept by identity, whether or not it can be weakly
+        referenced: one per mode keeps a pair per mode.  An unhashable one
+        is paired, to the same bits, but its moments are not kept."""
         params = CloakParams(rho=1e-4, omega=OMEGA, r1=R1)
         phi, dphi = self.PHI.profiles[(1, 0)]
         slotted = RadialTestFunction({mode: (wrapper(phi), dphi)
@@ -1199,9 +1210,9 @@ class TestSharedMedium:
                                            params)))
 
         got = pairings(slotted)
-        assert _kept_moments() == 0
+        assert _kept_moments() == kept
         assert got == pairings(self.PHI)
-        assert _kept_moments() == 2
+        assert _kept_moments() == kept + 2
 
 
 # -- a pairing does not depend on the pairings before it --------------------------
@@ -1262,9 +1273,10 @@ class TestKeptWork:
                   for region in ("layer", "hidden")]
         kw = params.k * params.omega
         ladder = modal._limit_ladder(2, kw)
-        moments = weak_limit._MOMENTS[self.SPLINE.profiles[(2, -1)][0]]
-        held = dict(moments)
-        assert held
+        prof = self.SPLINE.profiles[(2, -1)][0]
+        held = _kept_moments()
+        moments = _kept_pair(prof, 2, params)
+        assert held and moments is not None
         del sol
         with _collector_off():
             _pair(modal.solve_source(EIGHT_MODES, None, CloakParams(
@@ -1273,9 +1285,8 @@ class TestKeptWork:
             _pair(modal.solve_source(EIGHT_MODES, None, CloakParams(
                 rho=1e-4, omega=1.3, r1=R1)), self.SPLINE)
         assert modal._limit_ladder(2, kw) is ladder
-        assert weak_limit._MOMENTS[self.SPLINE.profiles[(2, -1)][0]] is moments
-        assert len(moments) == 2 * len(held)  # one set more, at omega 1.3
-        assert all(moments[key] is value for key, value in held.items())
+        assert _kept_moments() == 2 * held  # one set more, at omega 1.3
+        assert _kept_pair(prof, 2, params) is moments
 
     def test_chains_memo_compares_solutions_by_identity_only(
             self, monkeypatch):
@@ -1310,7 +1321,9 @@ class TestKeptWork:
         chains = modal.region_chains(sol, "hidden")
         before = _exact(weak_limit._hidden_pairing(chains, self.SPLINE, 1e-9,
                                                    R1, 1.0))
-        moments = dict(weak_limit._MOMENTS[self.SPLINE.profiles[(2, -1)][0]])
+        prof = self.SPLINE.profiles[(2, -1)][0]
+        moments = _kept_pair(prof, 2, self.PARAMS)
+        assert moments is not None
         _pair(modal.solve_source(EIGHT_MODES, None, self.PARAMS), self.SPLINE)
         _pair(modal.solve_source(EIGHT_MODES, None, dataclasses.replace(
             self.PARAMS, omega=1.3)), self.SPLINE)
@@ -1319,8 +1332,139 @@ class TestKeptWork:
                                                   R1, 1.0))
         assert after == before
         assert _exact(weak_limit.pairing_interior(sol, self.SPLINE)) == before
-        kept = weak_limit._MOMENTS[self.SPLINE.profiles[(2, -1)][0]]
-        assert all(kept[key] is value for key, value in moments.items())
+        assert _kept_pair(prof, 2, self.PARAMS) is moments
+
+
+# -- the shipped families' profiles compare by value -------------------------------
+
+def _bump(*numbers):
+    return RadialTestFunction.polynomial_bump(EIGHT_MODES.modes(), *numbers)
+
+
+def _spline(knots):
+    return RadialTestFunction.cubic_spline(EIGHT_MODES.modes(), knots)
+
+
+def _moved(knots, i, dr=0.0, dv=0.0):
+    """knots with knot i moved by dr in radius and dv in value."""
+    return [(r + dr, v + dv) if j == i else (r, v)
+            for j, (r, v) in enumerate(knots)]
+
+
+class TestProfilesByValue:
+    PARAMS = CloakParams(rho=1e-4, omega=OMEGA, r1=R1)
+
+    def _hidden(self, phi):
+        """The interior pairing and the limit of phi, as bytes."""
+        sol = modal.solve_source(EIGHT_MODES, None, self.PARAMS)
+        return _exact((weak_limit.pairing_interior(sol, phi),
+                       weak_limit.predicted_limit(EIGHT_MODES, phi,
+                                                  self.PARAMS)))
+
+    @pytest.mark.parametrize("first, second", [
+        (lambda: _bump(0.5, 1.5, 2.0), lambda: _bump(0.5, 1.5, 2.0)),
+        (lambda: _bump(0.5, 1.5), lambda: _bump(np.float64(0.5), 1.5, 1)),
+        (lambda: _spline(KNOTS), lambda: _spline(KNOTS)),
+        (lambda: _spline(KNOTS), lambda: _spline(KNOTS[::-1] + [(2, 0)])),
+    ], ids=["bump", "bump-other-types", "spline", "spline-other-order"])
+    def test_equal_numbers_share_one_pair_per_degree(self, monkeypatch,
+                                                     first, second):
+        """Two test functions built apart from equal numbers read one
+        moment pair per degree and give the same bits as either alone."""
+        one, other = first(), second()
+        prof, same = (phi.profiles[(1, 0)][0] for phi in (one, other))
+        assert prof is not same
+        assert prof == same and hash(prof) == hash(same)
+        runs = _count_moment_integrals(monkeypatch)
+        value = self._hidden(one)
+        assert len(runs) == _kept_moments() == 2
+        assert self._hidden(other) == value
+        assert len(runs) == _kept_moments() == 2
+        _clear_memos()
+        assert self._hidden(other) == value
+
+    @pytest.mark.parametrize("first, second", [
+        (lambda: _bump(0.5, 1.5), lambda: _bump(0.5, 1.5, 1.25)),
+        (lambda: _bump(0.5, 1.5), lambda: _bump(0.55, 1.5)),
+        (lambda: _bump(0.5, 1.5), lambda: _bump(0.5, 1.45)),
+        (lambda: _spline(KNOTS), lambda: _spline(_moved(KNOTS, 2, dv=0.1))),
+        (lambda: _spline(KNOTS), lambda: _spline(_moved(KNOTS, 3, dr=0.1))),
+    ], ids=["amplitude", "r_lo", "r_hi", "knot-value", "knot-radius"])
+    def test_other_numbers_share_nothing(self, monkeypatch, first, second):
+        one, other = first(), second()
+        assert one.profiles[(1, 0)][0] != other.profiles[(1, 0)][0]
+        runs = _count_moment_integrals(monkeypatch)
+        self._hidden(one)
+        value = self._hidden(other)
+        assert len(runs) == _kept_moments() == 4
+        _clear_memos()
+        assert self._hidden(other) == value
+        assert self._hidden(one) != value
+
+    def test_families_and_derivatives_never_compare_equal(self):
+        """A bump and a spline, a profile and its derivative, and a user's
+        callable are each equal only to themselves."""
+        bump, spline = _bump(0.5, 1.5, 1.0), _spline([(0.5, 0.0), (1.5, 1.0)])
+        profiles = [*bump.profiles[(1, 0)], *spline.profiles[(1, 0)],
+                    lambda r: bump.profiles[(1, 0)][0](r)]
+        for i, a in enumerate(profiles):
+            for j, b in enumerate(profiles):
+                assert (a == b) is (i == j)
+
+    def test_distinct_amplitudes_keep_at_most_the_bound(self):
+        """Every amplitude integrates its own moments; the memo keeps those
+        read last, at most its bound, and the first are evicted."""
+        source = modal.SourceCoeffs({(1, 0): (0j, 1 + 0j)}, r1=R1)
+        sol = modal.solve_source(source, None, self.PARAMS)
+        bound = weak_limit._moments.cache_info().maxsize
+
+        def bump(amplitude):
+            return RadialTestFunction.polynomial_bump([(1, 0)], 0.5, 1.5,
+                                                      amplitude)
+
+        for i in range(2 * bound):
+            weak_limit.pairing_interior(sol, bump(1.0 + i))
+        info = weak_limit._moments.cache_info()
+        assert info.misses == 2 * bound and info.hits == 0
+        assert info.currsize <= bound
+        last = bump(2.0 * bound).profiles[(1, 0)][0]
+        assert _kept_pair(last, 1, self.PARAMS) is not None
+        assert _kept_pair(bump(1.0).profiles[(1, 0)][0], 1,
+                          self.PARAMS) is None
+
+    def test_a_sweep_rebuilding_its_test_functions_gives_the_shared_bytes(
+            self):
+        """Every mode of degree up to 2 at three rho, against a bump and a
+        spline of its own, built again for every call or built once: the
+        same bytes."""
+        def profile(family, mode):
+            if family == "bump":
+                return RadialTestFunction.polynomial_bump([mode], 0.5, 1.5)
+            return RadialTestFunction.cubic_spline(
+                [mode], _moved(KNOTS, 2, dv=0.1 * (mode[0] + mode[1])))
+
+        def sweep(make):
+            values = []
+            for rho in (1e-2, 1e-4, 1e-6):
+                params = CloakParams(rho=rho, omega=OMEGA, r1=R1)
+                sol = modal.solve_source(EIGHT_MODES, None, params)
+                for mode in EIGHT_MODES.modes():
+                    for family in ("bump", "spline"):
+                        values += [
+                            weak_limit.pairing_interior(
+                                sol, make(family, mode)),
+                            weak_limit.pairing_exterior_normal(
+                                sol, make(family, mode)),
+                            weak_limit.predicted_limit(
+                                EIGHT_MODES, make(family, mode), params)]
+            return _exact(tuple(values))
+
+        rebuilt = sweep(profile)
+        _clear_memos()
+        shared = {(family, mode): profile(family, mode)
+                  for mode in EIGHT_MODES.modes()
+                  for family in ("bump", "spline")}
+        assert sweep(lambda family, mode: shared[family, mode]) == rebuilt
 
 
 class TestInterleavedMedia:
