@@ -417,16 +417,15 @@ def limit_coeffs(n: int, q, params: CloakParams):
         ResonanceError, CapabilityError: as ``_unit_ratios``, or beta0 or
             sigma outside double range.
     """
-    q, k, om = complex(q), params.k, params.omega
-    r_n, sigma_n = _unit_ratios(n, k, om, params.mu0)
+    q = complex(q)
+    r_n, sigma_n = _unit_ratios(n, params.k, params.omega, params.mu0)
     beta0, sigma = _require_finite(n, (r_n * q).to_complex(), sigma_n * q)
-    jk, hk, jjk, hhk = _ladder_values(n, _limit_ladder(n, k * om))
-    # 1/h_n(omega) in small-argument form, which underflows doubles for
-    # large n: kept in log form, as the ratios downstream are O(1)
-    pref = (1 / specfun.small_arg_leading(n, params.omega)[1]
-            * (jjk * hk - hhk * jk) * math.sqrt(params.mu0) / (k * n)
-            / jk.to_complex().real * q)
-    return beta0, pref, sigma
+    # D = sigma / (n h_n(omega)), from J_n h_n - H_n j_n = -i/(k omega) at
+    # k omega, with h_n(omega) in small-argument form, which overflows
+    # doubles for large n: kept in log form, as the ratios downstream are
+    # O(1)
+    h_lead = specfun.small_arg_leading(n, params.omega)[1]
+    return beta0, sigma / (h_lead * n), sigma
 
 
 def sigma_uncollapsed(n: int, q, params: CloakParams) -> complex:
@@ -460,11 +459,11 @@ class RegionChains:
     Limit: as hidden with alpha0, beta0 and the interface-layer strength
     sigma per mode in ``surface``.  Coefficients are sequences over the
     modes whose items are ScaledComplex: ScaledArrays for a solution,
-    lists for the limit's few modes a call.  ``expand`` reads them as
-    ScaledArray columns, ``degree_form`` as each
-    degree's peak and the modes' shifted values, which ``degree_rows`` and
-    the Gram sums of ``squared_sums`` read, all kept on the chains with
-    the modes' ``mode_factors``.
+    lists for the limit's few modes a call.  ``degree_form`` reads them as
+    each degree's peak and the modes' shifted values, which ``degree_rows``
+    and the Gram sums of ``squared_sums`` read, all kept on the chains with
+    the modes' ``mode_factors``: fields, traces and energy form a mode from
+    its degree's rows, and no mode is combined on its own.
     """
 
     keys: list
@@ -483,14 +482,6 @@ class RegionChains:
     @property
     def degrees(self) -> np.ndarray:
         return self.key_array[:, 0]
-
-    @cached_property
-    def _columns(self) -> list:
-        """a[0], a[1], b[0] and b[1] as ScaledArrays."""
-        return [c if c.__class__ is ScaledArray else ScaledArray(
-            np.array([v.log_mag for v in c], dtype=float),
-            np.array([v.phase for v in c], dtype=complex))
-            for c in (*self.a, *self.b)]
 
     @cached_property
     def b_lists(self) -> list:
@@ -518,17 +509,6 @@ class RegionChains:
         combines its own row from it."""
         return _bessel_table(n_max, (self.wavenumber * r).tobytes())
 
-    def expand(self, tab):
-        """(A(j, h), A(J, H), B(j, h), B(J, H)) of every mode at the
-        arguments of a BesselTable, each mode combined on its own, as one
-        (4, modes, len(t)) array."""
-        n = self.degrees
-        a0, a1, b0, b1 = (ScaledArray(c.log_mag[:, None], c.phase[:, None])
-                          for c in self._columns)
-        return np.stack([combine(x, y, tab, n) for x, y in ((a0, a1), (b0, b1))
-                         for combine in (specfun.combine,
-                                         specfun.combine_riccati)])
-
     @cached_property
     def runs(self):
         """(degree, first mode index) of each run of equal degrees: one run
@@ -542,8 +522,12 @@ class RegionChains:
         log-magnitude, a (4, runs) array, -inf for a run of zeros, and each
         mode's phase exp(log_mag - peak), a (4, modes) complex array in
         which a run of zeros reads 0."""
+        columns = [c if c.__class__ is ScaledArray else ScaledArray(
+            np.array([v.log_mag for v in c], dtype=float),
+            np.array([v.phase for v in c], dtype=complex))
+            for c in (*self.a, *self.b)]
         peaks, scaled = zip(*(_run_scaled(c.log_mag, c.phase, self.runs[1])
-                              for c in self._columns))
+                              for c in columns))
         return (np.reshape(peaks, (4, len(self.runs[0]))),
                 np.array(scaled))
 
@@ -559,8 +543,8 @@ class RegionChains:
         a run of zeros stays an exact 0 against a y row beyond double range.
         Where a J or H entry comes out inf or NaN, as where t j_{n-1} leaves
         double range next to a zero of J_n, its products are formed again
-        2^-s times their size and scaled back by 2^s, the shift of
-        ``specfun.combine_riccati``: a finite value stays finite, and every
+        2^-s times their size and scaled back by 2^s, s from
+        ``specfun.overflow_shift``: a finite value stays finite, and every
         entry whose products stay below exp(_LOG_SUM_MAX) keeps its bits.
         """
         n = self.runs[0]

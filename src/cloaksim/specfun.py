@@ -12,10 +12,12 @@ Derivative combinations J_n = j_n + t j_n' and H_n = h_n + t h_n' come
 from the exact recurrence f_n' = f_{n-1} - (n+1)/t f_n, i.e.
 J_n = t j_{n-1} - n j_n.
 
-A table holds the j and y rows alone, read-only.  ``combine`` and
-``combine_riccati`` form a j_n + b h_n and a J_n + b H_n, for log-form
-coefficients a, b, from products of the coefficients with those rows, h
-being j + i y.  Besides the kernel there is only ``small_arg_leading``
+A table holds the j and y rows alone, read-only.  ``combine`` forms
+a j_n + b h_n, for log-form coefficients a, b, from products of the
+coefficients with those rows, h being j + i y; ``modal.RegionChains``
+forms J_n and H_n from the rows of orders n - 1 and n by the same rule,
+with ``overflow_shift`` and ``ldexp`` where t j_{n-1} leaves double range.
+Besides the kernel there is only ``small_arg_leading``
 (the leading forms for n >> t); a ladder reads the values at one argument,
 ``bessel_ladder(n, t).jn(n)``, and ``.to_complex()`` gives a plain double.
 """
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapabilityError, DomainError
-from .scaled import ScaledArray, ScaledComplex
+from .scaled import ScaledComplex
 
 N_CAP = 200
 T_CAP = 1e4  # the Miller start order grows as 2 t, so a table takes O(t) steps
@@ -95,24 +97,6 @@ def combine(a, b, tab, n):
     return value
 
 
-def combine_riccati(a, b, tab, n):
-    """a J_n + b H_n, as ``combine``: J_n = t j_{n-1} - n j_n and H_n alike,
-    so it is t times ``combine`` at order n - 1 less n times it at n.  An
-    entry whose finite products (times t or n) would pass exp(_LOG_SUM_MAX),
-    as t j_{n-1} can next to a zero of J_n, forms them 2^-s times their size
-    and is scaled back by 2^s, exactly; elsewhere s = 0 and no bit changes."""
-    n_col = np.expand_dims(n, -1)
-    rows = ((a, tab.j_log), (b, np.maximum(tab.j_log, tab.y_log)))
-    with np.errstate(invalid="ignore"):  # a zero (-inf) against an inf row
-        peak = np.maximum.reduce([
-            c.log_mag + row[k] + np.log(np.maximum(factor, 1.0))
-            for k, factor in ((n, tab.t), (n + 1, n_col)) for c, row in rows])
-    s = overflow_shift(peak)
-    a, b = (ScaledArray(c.log_mag - s * _LN2, c.phase) for c in (a, b))
-    return ldexp(tab.t * combine(a, b, tab, n - 1)
-                 - n_col * combine(a, b, tab, n), s)
-
-
 def overflow_shift(peak):
     """The power of two s that takes products whose largest natural log,
     with its factor, is peak below exp(_LOG_SUM_MAX): ceil((peak -
@@ -135,8 +119,8 @@ class BesselTable:
     Row n + 1 of the (n_max + 2, len(t)) arrays holds order n; row 0 holds
     order -1, cos(t)/t and sin(t)/t, used by the derivative combinations.
     ``*_log`` are natural logs of the magnitudes (-inf for an exact zero),
-    ``*_sign`` are +1, -1 or 0.  ``combine`` and ``combine_riccati`` form
-    h_n, J_n and H_n from the j and y rows.
+    ``*_sign`` are +1, -1 or 0.  ``combine`` forms h_n from the j and y
+    rows, ``modal.RegionChains.degree_rows`` h_n, J_n and H_n.
     """
 
     n_max: int

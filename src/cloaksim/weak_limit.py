@@ -323,17 +323,28 @@ def predicted_limit(source: SourceCoeffs, phi: RadialTestFunction,
 # -- one-sided traces ----------------------------------------------------------
 
 
+def _mode_rows(chains, r: float) -> np.ndarray:
+    """A(j, h), A(J, H), B(j, h) and B(J, H) of every mode at radius r, a
+    (4, modes) array, from the rows of its degree: mode i of a degree is
+    x_i (X f) + y_i (Y g), with x_i, y_i its scaled coefficients of
+    ``degree_form`` and X f, Y g the degree's ``degree_rows``."""
+    rows = chains.degree_rows(chains.table(r))[..., 0]
+    rows = rows[..., np.searchsorted(chains.runs[0], chains.degrees)]
+    x, y = chains.degree_form[1].reshape(2, 2, 1, -1).swapaxes(0, 1)
+    return (x * rows[:, :, 0] + y * rows[:, :, 1]).reshape(4, -1)
+
+
 def _normal_trace(chains, r1: float, r: float) -> dict:
     if not r1 < r <= 1.0:
         raise DomainError(f"trace radius must satisfy r1 < r <= 1, got {r}")
     return {(n, m): complex(n * (n + 1) / r * val) for (n, m), val in
-            zip(chains.keys, chains.expand(chains.table(r))[2, :, 0])}
+            zip(chains.keys, _mode_rows(chains, r)[2])}
 
 
 def _tangential_trace(chains) -> dict:
-    a_j, _, _, b_jj = chains.expand(chains.table(1.0))
+    a_j, _, _, b_jj = _mode_rows(chains, 1.0)
     return {key: (complex(t1), complex(t2)) for key, t1, t2 in
-            zip(chains.keys, b_jj[:, 0], a_j[:, 0])}
+            zip(chains.keys, b_jj, a_j)}
 
 
 def interior_trace_normal(source: SourceCoeffs, params: CloakParams,

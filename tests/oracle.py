@@ -3,10 +3,11 @@
 Nothing in ``src/cloaksim`` calls these: vector wave fields from one Bessel
 ladder and one angular row (not the degree sums of ``fields``), the
 half-space jump and wave-equation residuals, the singular-map transport of
-a smooth background, the one-sided traces of a finite solution, a mode's
+a smooth background, the one-sided traces of a finite solution, each
+mode's radial rows from scalar ScaledComplex arithmetic, a mode's
 coefficients as complex numbers or as packed doubles, the transmission
-solve of a mode from the matching conditions in mpmath, and Gamma(n + 1/2)
-from ``math.lgamma``.  Not collected; import by name.
+solve of a mode and the closed forms of the limit in mpmath, and
+Gamma(n + 1/2) from ``math.lgamma``.  Not collected; import by name.
 """
 
 import math
@@ -276,6 +277,72 @@ def eval_ideal_exterior(e_background, h_background, x) -> FieldSample:
     _, eh = geometry.pushforward_field(
         fmap, y, np.stack([e_background(y), h_background(y)], 1))
     return FieldSample(point=x, eh=_pack_eh(eh.T), space="physical")
+
+
+def mode_rows(chains, lad) -> np.ndarray:
+    """A(j, h), A(J, H), B(j, h) and B(J, H) of every mode of a
+    ``RegionChains`` at the argument t of the BesselLadder lad (wavenumber
+    times a radius), a (4, modes) array, mode by mode in ScaledComplex
+    arithmetic: a chain's coefficients times ``jn`` and ``hn`` at orders
+    n - 1 and n, summed to A_{n-1} and A_n, then A(j, h) = A_n and
+    A(J, H) = t A_{n-1} - n A_n, made complex only at the end, so a value
+    whose products leave double range is finite where it is.  A product
+    with ``riccati_j`` or ``riccati_h`` would carry their rounded log
+    magnitude, above 512 for degree 160 at t below 2: 5.7e-14 of the
+    value.  Neither the product rule of ``specfun.combine`` nor the rows of
+    ``RegionChains.degree_rows``."""
+    values, rows = [], {}
+    for i, (n, _) in enumerate(chains.keys):
+        if n not in rows:
+            rows[n] = [(lad.jn(k), lad.hn(k)) for k in (n - 1, n)]
+        for x, y in (chains.a, chains.b):
+            f = [x[i] * j + y[i] * h for j, h in rows[n]]
+            values += [f[1].to_complex(),
+                       (f[0] * lad.t - f[1] * n).to_complex()]
+    return np.array(values, dtype=complex).reshape(-1, 4).T
+
+
+def riccati_products(tab, n, log_x, log_y) -> tuple:
+    """e^log_x J_n and e^log_y H_n at the arguments of the BesselTable tab,
+    for an array of orders n and coefficient log magnitudes log_x, log_y
+    over them, as two complex arrays (len(n), len(t)): J_n = t j_{n-1} -
+    n j_n and H_n alike from the table's rows, each product formed in
+    numpy's long double.  That is the x87 extended type (64-bit mantissa,
+    magnitudes to e^11356), in which a product's log sum and the difference
+    are exact to about 1e-19 and no product leaves range, so each value is
+    a few 1e-19 from exact before it rounds to a double: a reference far
+    inside the rounding of ``RegionChains.degree_rows``, which a
+    ScaledComplex sum, rounding its log magnitude, is not."""
+    if np.finfo(np.longdouble).nmant < 63:
+        raise RuntimeError("riccati_products needs an extended long double")
+    t, n = tab.t.astype(np.longdouble), np.asarray(n)
+
+    def riccati(log_c, rows, signs):
+        products = [np.exp(log_c[:, None].astype(np.longdouble)
+                           + rows[k].astype(np.longdouble)) * signs[k]
+                    for k in (n, n + 1)]  # the rows of orders n - 1 and n
+        return t * products[0] - n[:, None] * products[1]
+
+    jj = riccati(log_x, tab.j_log, tab.j_sign)
+    hh_j = riccati(log_y, tab.j_log, tab.j_sign)
+    hh_y = riccati(log_y, tab.y_log, tab.y_sign)
+    return jj.astype(float) + 0j, hh_j.astype(float) + 1j * hh_y.astype(float)
+
+
+def mp_limit(n, q, params, dps=40) -> tuple:
+    """beta0 = -h_n/j_n q, D = sigma / (n h_lead) and
+    sigma = -i mu0^(1/2) q / (k^2 omega j_n) of degree n at dps digits, as
+    mpmath complex numbers: j_n and h_n at k omega from mpmath's Bessel
+    functions, and h_lead = -i (2n - 1)!! / omega^(n + 1) the leading
+    small-argument form of h_n at omega."""
+    with mpmath.workdps(dps):
+        om, mu0 = mpmath.mpf(params.omega), mpmath.mpf(params.mu0)
+        k = mpmath.sqrt(mpmath.mpf(params.eps0) * mu0)
+        j, h, _, _ = mp_values(n, k * om)
+        q = mpmath.mpc(q)
+        sigma = -1j * mpmath.sqrt(mu0) * q / (k ** 2 * om * j)
+        h_lead = -1j * mpmath.fac2(2 * n - 1) / om ** (n + 1)
+        return -h / j * q, sigma / (n * h_lead), sigma
 
 
 def interior_trace_normal_at(solution: ModalSolution, r: float) -> dict:

@@ -10,7 +10,7 @@ from cloaksim.geometry import CloakParams, CloakOuterMap, cloak_layer_tensor, id
 from cloaksim.harmonics import (_POLE_SIN, ModeIndex, angular_basis,
                                 angular_scalars, angular_table)
 from cloaksim import cli, fields, geometry, modal, specfun
-from oracle import as_complex, eval_ideal_exterior, wave_MN
+from oracle import as_complex, eval_ideal_exterior, mode_rows, wave_MN
 
 
 def single_mode_solution(rho=0.1, omega=1.0, eps0=1.0, mu0=1.0, q=1.0):
@@ -206,12 +206,15 @@ def test_point_of_wrong_shape_names_it(evaluate, point):
 # -- the per-degree kernel against the per-mode sum ---------------------------
 
 
-def per_mode_expand(chains, x, r):
+def per_mode_expand(chains, x, r, rows):
     """(2, 3) E/H rows of a region's expansion at x, |x| = r, mode by mode:
-    every mode's chains combined on their own, then summed with its U, V
-    and Y vectors."""
+    every mode's chains from the scalar ``oracle.mode_rows``, then summed
+    with its U, V and Y vectors.  rows keeps ``mode_rows`` by radius, for
+    the points of one radius to share."""
     w, s_n = chains.wavenumber, chains.mode_factors.s_n
-    a_j, a_jj, b_j, b_jj = chains.expand(chains.table(r))[..., 0]
+    if r not in rows:
+        rows[r] = mode_rows(chains, chains.table(r).column(0))
+    a_j, a_jj, b_j, b_jj = rows[r]
     y_val, u, v = angular_table(chains.key_array, x / r)
     e_w, h_w = chains.e_weight, chains.h_weight
     tangential = np.stack([
@@ -222,18 +225,18 @@ def per_mode_expand(chains, x, r):
     return tangential @ np.concatenate([v, u]) + np.outer(radial, x / r)
 
 
-def per_mode_sample(solution, kind, x):
+def per_mode_sample(solution, kind, x, rows):
     """The per-mode E/H rows of eval_physical (hidden, layer) or of
-    eval_virtual_exterior (virtual) at x."""
+    eval_virtual_exterior (virtual) at x, rows as ``per_mode_expand``."""
     if kind == "hidden":
         return per_mode_expand(modal.region_chains(solution, "hidden"), x,
-                               np.linalg.norm(x))
+                               np.linalg.norm(x), rows)
     if kind == "virtual":
         return per_mode_expand(modal.region_chains(solution, "layer"), x,
-                               np.linalg.norm(x))
+                               np.linalg.norm(x), rows)
     fmap = CloakOuterMap(solution.params)
     y = fmap.inverse(x)
-    virt = per_mode_sample(solution, "virtual", y)
+    virt = per_mode_sample(solution, "virtual", y, rows)
     return geometry.pushforward_field(fmap, y, virt.T)[1].T
 
 
@@ -244,11 +247,12 @@ def assert_matches_per_mode(solution, directions):
     for kind, radius in REGION_RADII.items():
         evaluate = (fields.eval_virtual_exterior if kind == "virtual"
                     else fields.eval_physical)
+        rows = {}
         for d in directions:
             x = radius * np.asarray(d, dtype=float) / np.linalg.norm(d)
             sample = evaluate(solution, x)
             got = np.stack([sample.E, sample.H])
-            want = per_mode_sample(solution, kind, x)
+            want = per_mode_sample(solution, kind, x, rows)
             scale = np.max(np.abs(want))
             assert scale > 0.0, (kind, d)
             assert np.max(np.abs(got - want)) <= 1e-13 * scale, (kind, d)

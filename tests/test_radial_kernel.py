@@ -25,7 +25,8 @@ from cloaksim.quadrature import (gauss_legendre, integrate_array,
                                  integrate_panels)
 from cloaksim.scaled import ScaledArray, ScaledComplex
 from cloaksim.weak_limit import RadialTestFunction
-from oracle import interior_trace_normal_at, tangential_trace_at
+from oracle import (interior_trace_normal_at, riccati_products,
+                    tangential_trace_at)
 
 EXTREME_T = [1e-8, 1e-5, 1e-2, 0.3, 1.0, 7.0, 7.6, 20.0, 50.0]
 EXTREME_N = [0, 1, 2, 5, 13, 40, 120, 200]
@@ -66,16 +67,11 @@ class TestKernelAgainstScalarLadder:
         for i, ti in enumerate(t):
             lad = specfun.bessel_ladder(12, float(ti))
             for n in (0, 1, 5, 12):
-                for row, scalar in (
-                        (specfun.combine(zero, one, tab, n), lad.hn(n)),
-                        (specfun.combine_riccati(one, zero, tab, n),
-                         lad.riccati_j(n)),
-                        (specfun.combine_riccati(zero, one, tab, n),
-                         lad.riccati_h(n))):
-                    size = abs(row[i])
-                    assert math.log(size) == pytest.approx(
-                        scalar.log_mag, rel=1e-15, abs=1e-15)
-                    assert abs(row[i] / size - scalar.phase) < 1e-15
+                row, scalar = specfun.combine(zero, one, tab, n), lad.hn(n)
+                size = abs(row[i])
+                assert math.log(size) == pytest.approx(
+                    scalar.log_mag, rel=1e-15, abs=1e-15)
+                assert abs(row[i] / size - scalar.phase) < 1e-15
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(DomainError):
@@ -290,65 +286,53 @@ class TestCombine:
     def test_agrees_with_scaled_arithmetic(self, n_max):
         """The coefficients give the largest product each of them forms
         with the rows a log magnitude in +-700 (a meets the j row, b the j
-        and y rows, at order n, and for J and H at n - 1 too, before the
-        factor t or n), or give b g = -(1 + 1e-9) a f (f, g = j_n, h_n or
-        J_n, H_n): a sum that cancels, or give a f and b g, not the largest
-        product, a log magnitude in +-700: next to a zero of J_n at large
-        t, t j_{n-1} is far above J_n, so a product can leave double range
-        while the value does not.  Every product the rule forms rounds
-        its log sum, as ScaledComplex arithmetic does, so they may differ
-        by about 2.2e-16 (1 + L) of the largest product, with its factor,
-        for each product, L the largest log sum in size."""
+        and y rows, at order n), or give b h_n = -(1 + 1e-9) a j_n: a sum
+        that cancels, or give a j_n and b h_n, not the largest product, a
+        log magnitude in +-700.  Every product the rule forms rounds its
+        log sum, as ScaledComplex arithmetic does, so they may differ by
+        about 2.2e-16 (1 + L) of the largest product for each product, L
+        the largest log sum in size."""
         rng = np.random.default_rng(n_max)
         tab = specfun.bessel_table(n_max, np.geomspace(1e-6, 1e3, 37))
         n = np.arange(n_max + 1)
         shape = (n.size, tab.t.size)
-        for combine, factors, f_name, g_name in (
-                (specfun.combine, [(n, 1.0)], "jn", "hn"),
-                (specfun.combine_riccati,
-                 [(n - 1, tab.t), (n, np.maximum(n, 1)[:, None])],
-                 "riccati_j", "riccati_h")):
-            def products(a, b):
-                """The log magnitudes of the products the rule forms, and
-                of the factor each is multiplied by."""
-                return [(c.log_mag + row[k + 1], np.log(factor))
-                        for c, rows in ((a, (tab.j_log,)),
-                                        (b, (tab.j_log, tab.y_log)))
-                        for row in rows for k, factor in factors]
 
-            unit = ScaledArray(np.zeros(shape), np.ones(shape))
-            scales = [log_mag for log_mag, _ in products(unit, unit)]
-            a_scale, b_scale = (np.max(scales[:len(factors)], axis=0),
-                                np.max(scales[len(factors):], axis=0))
-            f_log, f_phase, f = _ladder_rows(tab, f_name, n)
-            g_log, g_phase, g = _ladder_rows(tab, g_name, n)
-            for scaled in ("product", "cancel", "value"):
-                log_a, log_b = rng.uniform(-700.0, 700.0, (2,) + shape)
-                ang_a, ang_b = rng.uniform(-math.pi, math.pi, (2,) + shape)
-                a = ScaledArray(log_a - a_scale, np.exp(1j * ang_a))
-                b = ScaledArray(log_b - b_scale, np.exp(1j * ang_b))
-                if scaled == "cancel":
-                    b = ScaledArray(a.log_mag + f_log - g_log + 1e-9,
-                                    -a.phase * f_phase / g_phase)
-                elif scaled == "value":
-                    a = ScaledArray(log_a - f_log, a.phase)
-                    b = ScaledArray(log_b - g_log, b.phase)
-                got = combine(a, b, tab, n)
-                coefficients = (a.log_mag.tolist(), a.phase.tolist(),
-                                b.log_mag.tolist(), b.phase.tolist())
-                want = np.array([[
-                    (ScaledComplex(la, pa) * fv + ScaledComplex(lb, pb) * gv
-                     ).to_complex() for la, pa, lb, pb, fv, gv in zip(*row)]
-                    for row in zip(*coefficients, f, g)])
-                sums = products(a, b)
-                size = np.max([np.abs(log_mag) for log_mag, _ in sums], axis=0)
-                largest = np.max([log_mag + log_factor
-                                  for log_mag, log_factor in sums], axis=0)
-                with np.errstate(over="ignore"):  # beyond double range
-                    bound = (2.2e-16 * len(sums) * (1.0 + size)
-                             * np.exp(largest))
-                assert np.all(np.isfinite(got))
-                assert np.all(np.abs(got - want) <= bound)
+        def products(a, b):
+            """The log magnitudes of the products the rule forms."""
+            return [c.log_mag + row[n + 1] for c, rows in (
+                (a, (tab.j_log,)), (b, (tab.j_log, tab.y_log)))
+                for row in rows]
+
+        unit = ScaledArray(np.zeros(shape), np.ones(shape))
+        scales = products(unit, unit)
+        a_scale, b_scale = scales[0], np.maximum(*scales[1:])
+        f_log, f_phase, f = _ladder_rows(tab, "jn", n)
+        g_log, g_phase, g = _ladder_rows(tab, "hn", n)
+        for scaled in ("product", "cancel", "value"):
+            log_a, log_b = rng.uniform(-700.0, 700.0, (2,) + shape)
+            ang_a, ang_b = rng.uniform(-math.pi, math.pi, (2,) + shape)
+            a = ScaledArray(log_a - a_scale, np.exp(1j * ang_a))
+            b = ScaledArray(log_b - b_scale, np.exp(1j * ang_b))
+            if scaled == "cancel":
+                b = ScaledArray(a.log_mag + f_log - g_log + 1e-9,
+                                -a.phase * f_phase / g_phase)
+            elif scaled == "value":
+                a = ScaledArray(log_a - f_log, a.phase)
+                b = ScaledArray(log_b - g_log, b.phase)
+            got = specfun.combine(a, b, tab, n)
+            coefficients = (a.log_mag.tolist(), a.phase.tolist(),
+                            b.log_mag.tolist(), b.phase.tolist())
+            want = np.array([[
+                (ScaledComplex(la, pa) * fv + ScaledComplex(lb, pb) * gv
+                 ).to_complex() for la, pa, lb, pb, fv, gv in zip(*row)]
+                for row in zip(*coefficients, f, g)])
+            sums = products(a, b)
+            size = np.max(np.abs(sums), axis=0)
+            with np.errstate(over="ignore"):  # beyond double range
+                bound = (2.2e-16 * len(sums) * (1.0 + size)
+                         * np.exp(np.max(sums, axis=0)))
+            assert np.all(np.isfinite(got))
+            assert np.all(np.abs(got - want) <= bound)
 
     def test_matches_scaled_arithmetic(self):
         tab = specfun.bessel_table(6, [1e-7, 0.2, 4.0, 30.0])
@@ -365,8 +349,7 @@ class TestCombine:
     def test_zero_coefficients(self):
         tab = specfun.bessel_table(3, [0.5, 2.0])
         zero = ScaledComplex.zero()
-        for combine in (specfun.combine, specfun.combine_riccati):
-            assert np.all(combine(zero, zero, tab, 2) == 0)
+        assert np.all(specfun.combine(zero, zero, tab, 2) == 0)
         one = ScaledComplex.from_complex(1)
         got = specfun.combine(one, zero, tab, 2)
         assert np.allclose(got, sp.spherical_jn(2, [0.5, 2.0]), rtol=1e-14)
@@ -379,13 +362,13 @@ class TestDegreeRows:
         geomspace(1e-6, 1e3, 37), with |X J_n| (chain A) and |Y H_n|
         (chain B) set to e^L for 29 L from -700 to 700: next to a zero of
         J_n at large t, t j_{n-1} can leave double range while X J_n does
-        not.  Every entry ``combine_riccati`` gives finite is finite, and
-        within rounding of it: 2.2e-16 (1 + L) of the largest product, with
-        its factor t or n, for each of the four, L its log in size."""
+        not.  Every entry is finite, and within rounding of the extended
+        precision ``oracle.riccati_products``: 2.2e-16 (1 + L) of the
+        largest product, with its factor t or n, for each of the four, L its
+        log in size."""
         n = np.arange(1, n_max + 1)
         keys = [(int(d), 0) for d in n]
         zero = ScaledArray(np.full(n.size, -np.inf), np.zeros(n.size, complex))
-        non_finite = 0
         for t in np.geomspace(1e-6, 1e3, 37):
             tab = specfun.bessel_table(n_max, [t])
             log_f = [_ladder_rows(tab, name, n)[0][:, 0]
@@ -399,22 +382,17 @@ class TestDegreeRows:
                         for f in log_f)
                 chains = modal.RegionChains(keys, (x, zero), (zero, y), 1.0)
                 got = chains.degree_rows(tab)[[0, 1], 1, [0, 1], :, 0]
-                for i, (a, b) in enumerate(((x, zero), (zero, y))):
-                    want = specfun.combine_riccati(
-                        *(ScaledArray(c.log_mag[:, None], c.phase[:, None])
-                          for c in (a, b)), tab, n)[:, 0]
-                    sums = [(x, y)[i].log_mag + row + factor
+                wants = (want[:, 0] for want in riccati_products(
+                    tab, n, x.log_mag, y.log_mag))
+                for i, (c, want) in enumerate(zip((x, y), wants)):
+                    sums = [c.log_mag + row + factor
                             for row, factor in zip(rows[i], factors)]
                     largest = np.maximum(*sums)
                     size = np.max(np.abs(sums), axis=0)
                     with np.errstate(over="ignore"):  # beyond double range
                         bound = 2.2e-16 * 4 * (1.0 + size) * np.exp(largest)
-                    finite = np.isfinite(want)
-                    non_finite += np.count_nonzero(
-                        finite & ~np.isfinite(got[i]))
-                    assert np.all(np.abs(got[i] - want)[finite]
-                                  <= bound[finite])
-        assert non_finite == 0
+                    assert np.all(np.isfinite(got[i]))
+                    assert np.all(np.abs(got[i] - want) <= bound)
 
 
 class TestArrayQuadrature:

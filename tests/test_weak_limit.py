@@ -21,7 +21,8 @@ from cloaksim.harmonics import ModeIndex, angular_basis
 from cloaksim import fields, modal, quadrature, specfun, weak_limit
 from cloaksim.quadrature import fit_power_law
 from cloaksim.weak_limit import RadialTestFunction
-from oracle import as_complex, interior_trace_normal_at, tangential_trace_at
+from oracle import (as_complex, interior_trace_normal_at, mode_rows,
+                    tangential_trace_at)
 from test_radial_kernel import FROZEN_SOURCE
 
 OMEGA = 1.0
@@ -421,6 +422,54 @@ class TestTraces:
         assert abs(slope - 1.0) < 0.15
 
 
+# every mode up to degree 12, p and q falling as 2^-n
+ALL_TO_12 = modal.SourceCoeffs(
+    {(n, m): tuple(2.0 ** -n * cmath.exp(1j * (n + m + k)) for k in (0, 1))
+     for n in range(1, 13) for m in range(-n, n + 1)}, r1=R1)
+
+
+class TestTracesAgainstTheOracle:
+    """Each mode of a trace, read from its degree's rows, against the scalar
+    ``oracle.mode_rows``: every entry within 1e-13 of its mode's largest
+    row.  The hidden chains carry a boundary-only mode of degree 160, whose
+    y rows leave double range; in the limit the normal trace at r = 1 and
+    T2 cancel identically, so they fall below that bound too."""
+
+    @pytest.mark.parametrize("eps0, mu0", [(1.0, 1.0), (2.0, 0.7)])
+    @pytest.mark.parametrize("rho", [1e-2, 1e-6])
+    @pytest.mark.parametrize("region", ["hidden", "limit"])
+    def test_every_entry_within_1e_13_of_its_mode(self, region, rho, eps0,
+                                                  mu0):
+        params = CloakParams(rho=rho, omega=OMEGA, eps0=eps0, mu0=mu0, r1=R1)
+        if region == "limit":
+            chains = modal.limit_chains(ALL_TO_12, params)
+            normal = functools.partial(weak_limit.interior_trace_normal,
+                                       ALL_TO_12, params)
+            tangential = weak_limit.tangential_trace_limit(ALL_TO_12, params)
+        else:
+            sol = modal.solve_source(ALL_TO_12, modal.BoundaryCoeffs(
+                {(160, 1): (0.3j, 0.1)}), params)
+            chains = modal.region_chains(sol, "hidden")
+            normal = functools.partial(interior_trace_normal_at, sol)
+            tangential = tangential_trace_at(sol)
+        s2 = chains.degrees * (chains.degrees + 1.0)
+        for r in (0.55, 0.8, 1.0):
+            want = mode_rows(chains, chains.table(r).column(0))
+            scale = np.abs(want).max(axis=0)
+            got = np.array(list(normal(r).values()))
+            assert np.all(np.abs(got - s2 / r * want[2]) <= 1e-13 * s2 / r
+                          * scale)
+            if region == "limit" and r == 1.0:
+                assert np.all(np.abs(got) <= 1e-13 * s2 * scale)
+        t1, t2 = np.array(list(tangential.values())).T
+        assert np.all(np.abs(t1 - want[3]) <= 1e-13 * scale)
+        assert np.all(np.abs(t2 - want[0]) <= 1e-13 * scale)
+        if region == "limit":
+            assert np.all(np.abs(t2) <= 1e-13 * scale)
+        else:
+            assert chains.keys[-1] == (160, 1)
+
+
 class TestEnergy:
     def test_zero_solution(self):
         sol = make_solution(0.1, q=0.0)
@@ -518,21 +567,17 @@ class TestEnergy:
 
 
 def _per_mode_density(chains, r):
-    """The energy density of ``weak_limit._energy_density``, one combine
-    per mode: each mode's four rows squared and weighted on their own."""
+    """The energy density of ``weak_limit._energy_density``, mode by mode:
+    each mode's four rows from the scalar ``oracle.mode_rows``, squared and
+    weighted on their own."""
     w = chains.wavenumber
     tab = specfun.bessel_table(int(chains.degrees.max(initial=0)), w * r)
-    total = np.zeros(r.shape)
-    for i, (n, _) in enumerate(chains.keys):
-        s2 = n * (n + 1)
-        ev, hu, er, eu = (
-            np.abs(combine(x[i], y[i], tab, n))
-            for x, y in (chains.a, chains.b)
-            for combine in (specfun.combine, specfun.combine_riccati))
-        total += (s2 * ev * ev * r * r + s2 * eu * eu + s2 ** 2 * er * er
-                  + w ** 2 * s2 * er * er * r * r
-                  + s2 * hu * hu / w ** 2 + s2 ** 2 * ev * ev / w ** 2)
-    return total
+    ev, hu, er, eu = np.abs(np.stack(
+        [mode_rows(chains, tab.column(i)) for i in range(r.size)], axis=-1))
+    s2 = (chains.degrees * (chains.degrees + 1.0))[:, None]
+    return (s2 * ev * ev * r * r + s2 * eu * eu + s2 ** 2 * er * er
+            + w ** 2 * s2 * er * er * r * r
+            + s2 * hu * hu / w ** 2 + s2 ** 2 * ev * ev / w ** 2).sum(axis=0)
 
 
 # three modes of each degree, from 1 up to 60
@@ -592,12 +637,12 @@ class TestEnergyDensityPerDegree:
         tab = chains.table(1.3)
         got = chains.squared_sums(tab)
         assert got.shape == (4, 7, 1) and np.all(got >= 0.0)
-        modes = np.abs(chains.expand(tab)) ** 2
+        modes = np.abs(mode_rows(chains, tab.column(0))) ** 2
         # one row alone cancels more than the density (B(J, H) vanishes at
         # r = 2), so its bound is looser
         for k, start in enumerate(starts):
             want = modes[:, start:start + 3].sum(axis=1)
-            assert np.all(np.abs(got[:, k] - want) <= 1e-12 * want)
+            assert np.all(np.abs(got[:, k, 0] - want) <= 1e-12 * want)
 
 
 class TestDeltaStrengthConsistency:
